@@ -18,7 +18,7 @@ from endoscope import (
     EndomorphismSpec,
     NumberField,
     QuatAlgebra,
-    fixed_points_exact,
+    fixed_point_counts,
     from_ints,
     rational_eigenvalues,
     rationals_field,
@@ -57,8 +57,7 @@ def main():
     for label, spec in sample_specs():
         expected = limit_rate(spec)
         print(f"\n== {label} (expected rate {expected:.6f})")
-        for n in range(1, nmax + 1):
-            fix = fixed_points_exact(spec, n)
+        for n, fix in enumerate(fixed_point_counts(spec, nmax), 1):
             rate = fix ** (1 / n) if fix else float("nan")
             show = str(fix) if fix < 10**15 else f"~{float(fix):.3e}"
             if n <= 8 or n % 4 == 0:

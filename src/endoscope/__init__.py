@@ -35,6 +35,8 @@ from .lefschetz import (
     EigenvalueMultiset,
     EndomorphismSpec,
     companion_oracle,
+    fixed_point_counts,
+    fixed_point_table,
     fixed_points_exact,
     fixed_points_via_eigenvalues,
     rational_eigenvalues,

@@ -30,7 +30,7 @@ from .errors import (
     NotSimpleAlbertType,
     ValidationError,
 )
-from .lefschetz import EndomorphismSpec, fixed_points_exact, rational_eigenvalues
+from .lefschetz import EndomorphismSpec, fixed_point_counts, rational_eigenvalues
 from .numfield import CM, TOTALLY_REAL, apply_conjugation, cm_structure
 from .qpoly import ONE, QPoly, X, cyclotomic_order
 from .quaternion import MIXED, TOTALLY_DEFINITE, definiteness
@@ -184,7 +184,7 @@ def _spectrum(spec: EndomorphismSpec, precision_bits: int = 128) -> list[_Factor
     ev = rational_eigenvalues(spec, precision_bits)
     out = []
     for q, mult in ev.factors:
-        order = cyclotomic_order(q)
+        order = ev.order_of(q)
         if order is not None:
             statuses = tuple((e, ON_CIRCLE) for e in ev.enclosures_of(q))
         else:
@@ -259,7 +259,7 @@ def classify_growth(spec: EndomorphismSpec) -> GrowthReport:
 
 
 def _realized_period(spec: EndomorphismSpec, order_lcm: int) -> int:
-    seq = [fixed_points_exact(spec, n) for n in range(1, 2 * order_lcm + 1)]
+    seq = fixed_point_counts(spec, 2 * order_lcm)
     for cand in sorted(d for d in range(1, order_lcm + 1) if order_lcm % d == 0):
         if all(seq[i] == seq[i + cand] for i in range(len(seq) - cand)):
             return cand

@@ -81,6 +81,8 @@ def _cmd_run(args) -> int:
     precision = args.precision if args.precision is not None else (job.precision_bits or 128)
     if not 64 <= precision <= 2048:
         raise ValidationError("precision must lie in [64, 2048]")
+    if args.nmax is not None:
+        jobs.check_nmax(args.nmax, "--nmax")
 
     results = []
     for cmd in job.commands:

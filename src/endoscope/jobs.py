@@ -17,12 +17,8 @@ from mpmath import mp
 from . import classify
 from .enclosures import fraction_to_mpf
 from .errors import ValidationError
-from .lefschetz import (
-    EndomorphismSpec,
-    fixed_points_exact,
-    fixed_points_via_eigenvalues,
-    rational_eigenvalues,
-)
+from .lefschetz import ITERATE_CAP, EndomorphismSpec, fixed_point_table
+from .lefschetz import fixed_points_exact  # noqa: F401  re-export; perfbench/tests checks the tracer patches it
 from .numfield import NumberField, cm_structure
 from .qpoly import QPoly
 from .quaternion import QuatAlgebra, definiteness
@@ -60,7 +56,7 @@ def parse_spec(data, path: str = "spec") -> EndomorphismSpec:
     if not isinstance(alg, dict) or "kind" not in alg:
         _fail(f"{path}.algebra.kind", "algebra needs a 'kind' of 'field' or 'quaternion'")
     g = data["g"]
-    if not isinstance(g, int) or g < 1:
+    if isinstance(g, bool) or not isinstance(g, int) or g < 1:
         _fail(f"{path}.g", "g must be a positive integer")
 
     if alg["kind"] == "field":
@@ -106,6 +102,13 @@ def _poly_or_zero(data, path: str) -> QPoly:
         _fail(path, f"bad coefficient array: {exc}")
 
 
+def check_nmax(nmax, path: str) -> int:
+    """nmax itself if it is an integer in [1, ITERATE_CAP]; a ValidationError at path otherwise."""
+    if isinstance(nmax, bool) or not isinstance(nmax, int) or not 1 <= nmax <= ITERATE_CAP:
+        _fail(path, f"nmax must be an integer in [1, {ITERATE_CAP}]")
+    return nmax
+
+
 def parse_job(data) -> Job:
     if not isinstance(data, dict):
         raise ValidationError("job must be a JSON object (at $)")
@@ -124,10 +127,7 @@ def parse_job(data) -> Job:
         if cmd["op"] != "salem":
             needs_spec = True
         if cmd["op"] == "fixpoints":
-            nmax = cmd.get("nmax", 10)
-            if not isinstance(nmax, int) or nmax < 1:
-                _fail(f"commands[{k}].nmax", "nmax must be a positive integer")
-            cmd = {"op": "fixpoints", "nmax": nmax}
+            cmd = {"op": "fixpoints", "nmax": check_nmax(cmd.get("nmax", 10), f"commands[{k}].nmax")}
         if cmd["op"] == "salem":
             if "poly" not in cmd:
                 _fail(f"commands[{k}].poly", "salem command needs a 'poly' array")
@@ -210,18 +210,8 @@ def run_command(spec: EndomorphismSpec | None, cmd: dict, precision: int) -> dic
         out["charpoly_q"] = spec.charpoly_q().to_json()
         return out
     if op == "fixpoints":
-        nmax = cmd["nmax"]
-        ev = rational_eigenvalues(spec, precision)
-        rows = []
-        for n in range(1, nmax + 1):
-            exact = fixed_points_exact(spec, n)
-            via = fixed_points_via_eigenvalues(ev, n)
-            if exact != via:
-                from .errors import CrossCheckError
-
-                raise CrossCheckError(f"fixed-point paths disagree at n={n}: {exact} vs {via}")
-            rows.append({"n": n, "fix": str(exact)})
-        return {"op": op, "fix": rows}
+        table = fixed_point_table(spec, cmd["nmax"], precision)
+        return {"op": op, "fix": [{"n": n, "fix": str(fix)} for n, fix in enumerate(table, 1)]}
     if op == "entropy":
         rep = classify.entropy(spec, precision)
         return {"op": op, "entropy": entropy_json(rep)}

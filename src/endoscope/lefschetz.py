@@ -7,6 +7,10 @@ rounds to the unique integer in range.  The companion oracle builds the
 block-doubled integer matrix of the multiplication-by-P(t) model on a product
 of elliptic curves and takes |det(I - M^n)| directly.  The three must agree;
 the test suites enforce it.
+
+A table fix(f^1..f^nmax) runs the first two paths side by side, each taking
+one step per n: a running f^n in the algebra and running enclosures of every
+mu^n, so neither recomputes a power from scratch.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ class EndomorphismSpec:
     """(algebra, element, dimension) triple fed to the classifiers."""
 
     def __init__(self, algebra, element, g: int):
-        if not isinstance(g, int) or g < 1:
+        if isinstance(g, bool) or not isinstance(g, int) or g < 1:
             raise ValidationError("dimension g must be a positive integer")
         if isinstance(algebra, NumberField):
             element = algebra.element(element)
@@ -96,24 +100,41 @@ def _admissibility(spec: EndomorphismSpec):
     return spec._albert
 
 
-def fixed_points_exact(spec: EndomorphismSpec, n: int) -> int:
-    """|N(1 - f^n)|^(2g/(de)) as an exact integer; 0 reports an identity component."""
-    if not isinstance(n, int) or n < 1:
+def _check_iterate(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError("iterate index must be a positive integer")
     if n > ITERATE_CAP:
         raise ValidationError(f"iterate index above cap {ITERATE_CAP}")
+
+
+def fixed_points_exact(spec: EndomorphismSpec, n: int) -> int:
+    """|N(1 - f^n)|^(2g/(de)) as an exact integer; 0 reports an identity component."""
+    _check_iterate(n)
     _admissibility(spec)
-    if spec.is_field_case:
-        x = spec.algebra.one() - spec.element**n
-        norm = x.norm_q()
-        exponent = 2 * spec.g // spec.e
-    else:
-        x = spec.algebra.one() - spec.element**n
-        norm = x.norm_to_q()
-        exponent = spec.g // spec.e
+    return _abs_norm(spec, spec.algebra.one() - spec.element**n) ** spec.exponent()
+
+
+def fixed_point_counts(spec: EndomorphismSpec, nmax: int) -> list[int]:
+    """fix(f^1), ..., fix(f^nmax) on the norm path alone, one multiplication per n."""
+    _check_iterate(nmax)
+    _admissibility(spec)
+    return list(_norm_counts(spec, nmax))
+
+
+def _norm_counts(spec: EndomorphismSpec, nmax: int):
+    one, exponent = spec.algebra.one(), spec.exponent()
+    power = one
+    for _ in range(nmax):
+        power = power * spec.element
+        yield _abs_norm(spec, one - power) ** exponent
+
+
+def _abs_norm(spec: EndomorphismSpec, x) -> int:
+    """|N(x)| down to Q for an integral x of the spec's algebra."""
+    norm = x.norm_q() if spec.is_field_case else x.norm_to_q()
     if norm.denominator != 1:
         raise CrossCheckError("norm of an integral element is not an integer")
-    return abs(int(norm)) ** exponent
+    return abs(int(norm))
 
 
 class EigenvalueMultiset:
@@ -125,9 +146,25 @@ class EigenvalueMultiset:
         self.total = total
         self.source_poly = source_poly
         self.bits = bits
+        self._orders = {
+            q: cyclotomic_order(q) if q.is_integral and q.is_monic else None for q, _ in self.factors
+        }
 
     def enclosures_of(self, q: QPoly) -> tuple[ComplexEnclosure, ...]:
         return self._enclosures[q]
+
+    def order_of(self, q: QPoly) -> int | None:
+        """Root-of-unity order of the roots of the factor q; None when q is not cyclotomic."""
+        return self._orders[q]
+
+    def _vanishes_at(self, n: int) -> bool:
+        """A cyclotomic factor whose order divides n puts 1 among the mu^n."""
+        return any(order is not None and n % order == 0 for order in self._orders.values())
+
+    @property
+    def roots(self) -> list[tuple[ComplexEnclosure, ...]]:
+        """Enclosures of the roots of each factor, in the order of factors."""
+        return [self._enclosures[q] for q, _ in self.factors]
 
     @property
     def entries(self) -> list[tuple[ComplexEnclosure, int]]:
@@ -164,30 +201,88 @@ def fixed_points_via_eigenvalues(ev: EigenvalueMultiset, n: int) -> int:
     any numeric work; otherwise enclosure arithmetic is refined until the
     result disk pins a single integer.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("iterate index must be a positive integer")
-    if n > ITERATE_CAP:
-        raise ValidationError(f"iterate index above cap {ITERATE_CAP}")
-    for q, _ in ev.factors:
-        if q.is_integral and q.is_monic:
-            order = cyclotomic_order(q)
-            if order is not None and n % order == 0:
-                return 0
-    bits = ev.bits
+    _check_iterate(n)
+    if ev._vanishes_at(n):
+        return 0
     while True:
-        work = bits + 64
-        acc = ComplexEnclosure(1, 0, 0)
-        for q, mult in ev.factors:
-            for e in ev.enclosures_of(q):
-                term = _pow_rounded(1 - _pow_rounded(e, n, work), mult, work)
-                acc = (acc * term).rounded(work)
-        val = round(acc.re)
-        if abs(acc.re - val) + acc.radius < Fraction(1, 2):
-            return int(val)
-        bits = max(2 * bits, 256)
-        if bits > 1 << 16:
-            raise PrecisionExhausted("eigenvalue product would not settle on an integer")
-        ev.refine(bits)
+        work = ev.bits + 64
+        value = _settled_product(ev, _powers_at(ev.roots, n, work), work)
+        if value is not None:
+            return value
+        _escalate(ev)
+
+
+def _eigenvalue_counts(ev: EigenvalueMultiset, nmax: int):
+    """fix(f^1), ..., fix(f^nmax) from running enclosures of every mu^n.
+
+    Each step multiplies the previous power by mu.  When a product does not
+    settle, the multiset is refined, the powers are rebuilt at the current n
+    from the sharper roots and the same n is tried again.
+    """
+    roots = ev.roots
+    powers = [[ComplexEnclosure(1, 0, 0)] * len(es) for es in roots]
+    for n in range(1, nmax + 1):
+        work = ev.bits + 64
+        powers = [[(p * e).rounded(work) for p, e in zip(ps, es)] for ps, es in zip(powers, roots)]
+        if ev._vanishes_at(n):
+            yield 0
+            continue
+        value = _settled_product(ev, powers, work)
+        while value is None:
+            _escalate(ev)
+            roots = ev.roots
+            work = ev.bits + 64
+            powers = _powers_at(roots, n, work)
+            value = _settled_product(ev, powers, work)
+        yield value
+
+
+def fixed_point_table(spec: EndomorphismSpec, nmax: int, precision_bits: int = 128) -> list[int]:
+    """fix(f^1), ..., fix(f^nmax), every entry computed by two independent paths.
+
+    The norm path keeps f^n as a running product in the algebra; the
+    eigenvalue path keeps certified enclosures of every mu^n as running
+    products.  Any disagreement raises CrossCheckError.
+    """
+    _check_iterate(nmax)
+    ev = rational_eigenvalues(spec, precision_bits)
+    rows = []
+    paths = zip(_norm_counts(spec, nmax), _eigenvalue_counts(ev, nmax))
+    for n, (exact, via) in enumerate(paths, 1):
+        if exact != via:
+            raise CrossCheckError(f"fixed-point paths disagree at n={n}: {exact} vs {via}")
+        rows.append(exact)
+    return rows
+
+
+def _powers_at(roots, n: int, work: int) -> list[list[ComplexEnclosure]]:
+    """Enclosures of mu^n for every root, grouped like roots, by repeated squaring."""
+    return [[_pow_rounded(e, n, work) for e in es] for es in roots]
+
+
+def _settled_product(ev: EigenvalueMultiset, powers, work: int) -> int | None:
+    """The integer prod (1 - mu^n) pins down, or None if its disk is too wide.
+
+    powers holds mu^n per factor of ev; a factor's roots share its
+    multiplicity, so their product is raised to it once.
+    """
+    acc = ComplexEnclosure(1, 0, 0)
+    for ps, (_, mult) in zip(powers, ev.factors):
+        part = ComplexEnclosure(1, 0, 0)
+        for p in ps:
+            part = (part * (1 - p)).rounded(work)
+        acc = (acc * _pow_rounded(part, mult, work)).rounded(work)
+    val = round(acc.re)
+    if abs(acc.re - val) + acc.radius < Fraction(1, 2):
+        return int(val)
+    return None
+
+
+def _escalate(ev: EigenvalueMultiset) -> None:
+    bits = max(2 * ev.bits, 256)
+    if bits > 1 << 16:
+        raise PrecisionExhausted("eigenvalue product would not settle on an integer")
+    ev.refine(bits)
 
 
 def _pow_rounded(base: ComplexEnclosure, n: int, work: int) -> ComplexEnclosure:
@@ -195,8 +290,9 @@ def _pow_rounded(base: ComplexEnclosure, n: int, work: int) -> ComplexEnclosure:
     while n:
         if n & 1:
             result = (result * base).rounded(work)
-        base = (base * base).rounded(work)
         n >>= 1
+        if n:
+            base = (base * base).rounded(work)
     return result
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from endoscope.cli import main
 
 
@@ -145,6 +147,30 @@ def test_nmax_override(tmp_path, capsys):
     code, out = run_cli(capsys, "run", write_job(tmp_path, MINUS_ONE_JOB), "--nmax", "2")
     assert code == 0
     assert len(json.loads(out)["results"][0]["fix"]) == 2
+
+
+@pytest.mark.parametrize("nmax", ["0", "-5", "1000001"])
+def test_nmax_override_rejected(tmp_path, capsys, nmax):
+    code, out = run_cli(capsys, "run", write_job(tmp_path, MINUS_ONE_JOB), "--nmax", nmax)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "validation"
+    assert "--nmax" in err["detail"]
+
+
+@pytest.mark.parametrize("nmax", [0, -5, True, 10**6 + 1, "8"])
+def test_job_nmax_rejected(tmp_path, capsys, nmax):
+    job = dict(MINUS_ONE_JOB, commands=["classify", {"op": "fixpoints", "nmax": nmax}])
+    code, out = run_cli(capsys, "run", write_job(tmp_path, job))
+    assert code == 2
+    assert "commands[1].nmax" in json.loads(out)["error"]["detail"]
+
+
+def test_boolean_dimension_rejected(tmp_path, capsys):
+    job = dict(MINUS_ONE_JOB, spec=dict(MINUS_ONE_JOB["spec"], g=True))
+    code, out = run_cli(capsys, "run", write_job(tmp_path, job))
+    assert code == 2
+    assert "spec.g" in json.loads(out)["error"]["detail"]
 
 
 def test_table_mode(tmp_path, capsys):

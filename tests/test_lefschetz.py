@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,12 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from endoscope import cli, lefschetz
 from endoscope.enclosures import ComplexEnclosure, isolate_roots
-from endoscope.errors import DivisibilityViolation, NonIntegralElement, ValidationError
+from endoscope.errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, ValidationError
 from endoscope.factorq import factor
 from endoscope.lefschetz import (
     EndomorphismSpec,
     companion_oracle,
+    fixed_point_counts,
+    fixed_point_table,
     fixed_points_exact,
     fixed_points_via_eigenvalues,
     rational_eigenvalues,
@@ -160,10 +164,16 @@ def test_multiset_refinement_keeps_structure():
 
 def test_iterate_validation():
     spec = EndomorphismSpec(rationals_field(), 2, 1)
-    with pytest.raises(ValidationError):
-        fixed_points_exact(spec, 0)
-    with pytest.raises(ValidationError):
-        fixed_points_exact(spec, 10**6 + 1)
+    ev = rational_eigenvalues(spec)
+    for bad in (0, -5, True, 10**6 + 1):
+        with pytest.raises(ValidationError):
+            fixed_points_exact(spec, bad)
+        with pytest.raises(ValidationError):
+            fixed_points_via_eigenvalues(ev, bad)
+        with pytest.raises(ValidationError):
+            fixed_point_table(spec, bad)
+        with pytest.raises(ValidationError):
+            fixed_point_counts(spec, bad)
 
 
 def test_divisibility_and_integrality_guards():
@@ -173,6 +183,8 @@ def test_divisibility_and_integrality_guards():
         fixed_points_exact(field_spec((-2, 0, 1), [Fraction(1, 2)], 2), 1)
     with pytest.raises(ValidationError):
         EndomorphismSpec(rationals_field(), 0, 1)
+    with pytest.raises(ValidationError):
+        EndomorphismSpec(rationals_field(), 2, True)
 
 
 @given(st.integers(min_value=-6, max_value=6).filter(lambda m: m != 0), st.integers(min_value=1, max_value=4))
@@ -180,3 +192,77 @@ def test_rational_multiplication_counts(m, n):
     # fix(m^n) on an elliptic curve is |1 - m^n|^2, degree of multiplication-by-m style
     spec = EndomorphismSpec(rationals_field(), m, 1)
     assert fixed_points_exact(spec, n) == (1 - m**n) ** 2
+
+
+def sqrt13_salem_spec():
+    base = NumberField(from_ints(-13, 0, 1))
+    algebra = QuatAlgebra(base, [-2, -2], [2])
+    return EndomorphismSpec(algebra, algebra.element([Fraction(1, 4), Fraction(-1, 4)], Fraction(1, 4)), 4)
+
+
+def table_specs():
+    hamilton = QuatAlgebra(rationals_field(), [-1], [-1])
+    half = Fraction(1, 2)
+    definite = QuatAlgebra(NumberField(from_ints(-13, 0, 1)), [-1], [-4, 1])
+    return [
+        field_spec((-2, 0, 1), [1, 1], 2),  # 1+sqrt2: exponential
+        field_spec((1, 1, 1, 1, 1), [0, 1], 2),  # zeta5: periodic, zero rows
+        field_spec((1, 0, 1), [1, 1], 1),  # 1+i on an elliptic curve
+        sqrt13_salem_spec(),
+        EndomorphismSpec(hamilton, hamilton.element(half, half, half, half), 2),  # order-6 unit
+        EndomorphismSpec(definite, definite.element(1, 1), 4),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_table_matches_single_n_paths_and_companion(index):
+    spec = table_specs()[index]
+    nmax = 30
+    table = fixed_point_table(spec, nmax)
+    assert table == [fixed_points_exact(spec, n) for n in range(1, nmax + 1)]
+    assert table == fixed_point_counts(spec, nmax)
+    ev = rational_eigenvalues(spec)
+    assert table == [fixed_points_via_eigenvalues(ev, n) for n in range(1, nmax + 1)]
+    # the doubled companion model of charpoly_q computes prod (1 - mu^n)^2
+    # over the roots of charpoly_q, so fix^2 = oracle^(2g/(de))
+    cp = spec.charpoly_q()
+    for n, fix in enumerate(table, 1):
+        assert fix**2 == companion_oracle(cp, n) ** spec.exponent(), n
+
+
+def test_table_refines_mid_table(monkeypatch):
+    rebuilt_at = []
+    rebuild = lefschetz._powers_at
+
+    def recording(roots, n, work):
+        rebuilt_at.append(n)
+        return rebuild(roots, n, work)
+
+    monkeypatch.setattr(lefschetz, "_powers_at", recording)
+    spec = sqrt13_salem_spec()
+    table = fixed_point_table(spec, 200, precision_bits=64)
+    # fix(f^200) is near 2^313, beyond the 128 working bits the table starts with
+    assert any(n > 1 for n in rebuilt_at)
+    assert table == [fixed_points_exact(spec, n) for n in range(1, 201)]
+
+
+def test_table_raises_when_paths_disagree(monkeypatch, tmp_path, capsys):
+    honest = lefschetz._eigenvalue_counts
+
+    def off_by_one(ev, nmax):
+        for n, fix in enumerate(honest(ev, nmax), 1):
+            yield fix + 1 if n == 3 else fix
+
+    monkeypatch.setattr(lefschetz, "_eigenvalue_counts", off_by_one)
+    spec = field_spec((-2, 0, 1), [1, 1], 2)
+    with pytest.raises(CrossCheckError, match="n=3"):
+        fixed_point_table(spec, 5)
+
+    job = {"spec": spec.to_json(), "commands": [{"op": "fixpoints", "nmax": 5}]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = cli.main(["run", str(path)])
+    assert code != 0
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "internal-cross-check"
+    assert "n=3" in error["detail"]
