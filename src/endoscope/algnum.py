@@ -1,13 +1,14 @@
 """Algebraic numbers as (irreducible minimal polynomial, certified enclosure)
 pairs, with exact products and powers.
 
-Products use the resultant Res_y(p(y), y^m q(x/y)), whose roots are all the
-pairwise products of a root of p with a root of q; the factor the true
-product sits in is selected by intersecting certified enclosures and the
-selection is refined until it is unique, which makes it a proof: the product
-is a root of the resultant, distinct irreducible factors share no roots, and
-the enclosures are exact.  Powers go through the characteristic polynomial of
-a power of the companion matrix.
+Products use the composed product prod (x - a*b) over all roots a of p and b
+of q; the factor the true product sits in is selected by intersecting
+certified enclosures and the selection is refined until it is unique, which
+makes it a proof: the product is a root of the composed product, distinct
+irreducible factors share no roots, and the enclosures are exact.  Powers use
+prod (x - a^k) the same way.  Both polynomials are built from Newton power
+sums (qpoly.power_sums): the k-th power sum of the products a*b is s_k(p) *
+s_k(q), and the j-th power sum of the k-th powers is s_jk(p).
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from fractions import Fraction
 from . import factorq
 from .enclosures import MAX_BITS, ComplexEnclosure, isolate_roots
 from .errors import CrossCheckError, PrecisionExhausted, ValidationError
-from .linalgq import _interpolate, charpoly, companion, mat_pow
-from .qpoly import QPoly, X, resultant
+from .qpoly import QPoly, X, from_power_sums, power_sums
 
 
 class AlgebraicNumber:
@@ -94,17 +94,16 @@ def _select_root(candidates: list[QPoly], disk_of, bits: int) -> tuple[QPoly, Co
 
 
 def _product_resultant(pa: QPoly, pb: QPoly) -> QPoly:
-    """Polynomial (up to factors) whose roots are products a*b of roots."""
-    n, m = pa.degree, pb.degree
-    points = []
-    for k in range(n * m + 1):
-        c = [Fraction(0)] * (m + 1)
-        kk = Fraction(1)
-        for j in range(m + 1):
-            c[m - j] = pb[j] * kk
-            kk *= k
-        points.append((Fraction(k), resultant(pa, QPoly(c))))
-    return QPoly(_interpolate(points))
+    """Monic composed product prod (x - a*b) over the roots a of pa, b of pb."""
+    n = pa.degree * pb.degree
+    sums = [u * v for u, v in zip(power_sums(pa, n), power_sums(pb, n))]
+    return from_power_sums(sums, n)
+
+
+def _power_polynomial(p: QPoly, k: int) -> QPoly:
+    """Monic prod (x - a^k) over the roots a of p."""
+    n = p.degree
+    return from_power_sums(power_sums(p, n * k)[::k], n)
 
 
 def product(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
@@ -143,8 +142,7 @@ def power(a: AlgebraicNumber, k: int) -> AlgebraicNumber:
         return a
     if a.is_rational:
         return from_rational(a.as_fraction() ** k)
-    comp = companion(list(a.minpoly.coeffs))
-    pk = QPoly(charpoly(mat_pow(comp, k)))
+    pk = _power_polynomial(a.minpoly, k)
     candidates = sorted({q for q, _ in factorq.factor(pk)}, key=lambda q: (q.degree, q.coeffs))
     state = {"a": a}
 

@@ -1,6 +1,8 @@
 """Certified complex enclosures for polynomial roots.
 
-Floating seeds come from mpmath's simultaneous-iteration root finder; the
+Floating seeds come from mpmath's simultaneous-iteration root finder, run on
+the rescaled polynomial p(2^k y) whose roots all lie in the unit disk (k from
+a root bound, see root_bound_exponent) and scaled back by 2^k; the
 certificate is exact.  For seeds z_1..z_n and Weierstrass corrections
 
     W_i = p(z_i) / (lc * prod_{j != i} (z_i - z_j)),
@@ -126,9 +128,6 @@ class ComplexEnclosure:
         di = self.im - im
         return dr * dr + di * di <= self.radius * self.radius
 
-    def strictly_off_real_axis(self) -> bool:
-        return abs(self.im) > self.radius
-
     def conjugate(self) -> ComplexEnclosure:
         return ComplexEnclosure(self.re, -self.im, self.radius)
 
@@ -202,9 +201,6 @@ class ComplexEnclosure:
         rad = Fraction((num * scale + den - 1) // den + 1, scale)
         return ComplexEnclosure(re, im, rad)
 
-    def contains_zero(self) -> bool:
-        return self.abs_sq_mid() <= self.radius * self.radius
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -252,14 +248,36 @@ def _reval(ints: list[int], x: Fraction) -> Fraction:
     return acc
 
 
+def root_bound_exponent(ints: list[int]) -> int:
+    """An exponent k >= 0, read off the coefficient bit lengths, with every
+    root of the integer polynomial below 2^k in modulus.
+
+    Fujiwara's bound |z| <= 2 max_i |a_{n-i}/a_n|^(1/i), with each ratio
+    below 2^(bitlen(a_{n-i}) - bitlen(a_n) + 1).
+    """
+    n = len(ints) - 1
+    top = ints[-1].bit_length()
+    k = 0
+    for i in range(1, n + 1):
+        c = ints[n - i]
+        if c:
+            k = max(k, 1 + -(-(c.bit_length() - top + 1) // i))
+    return k
+
+
 def _seeds(ints: list[int], wp: int):
+    """Untrusted root approximations, found on p(2^k y) whose roots are
+    below 1, so the iteration's absolute stopping rule means the same for
+    large roots as for small ones; 2^k scaling is exact in binary floats."""
+    n = len(ints) - 1
+    k = root_bound_exponent(ints)
     with mp.workprec(wp + 30):
-        coeffs = [mpf(c) for c in reversed(ints)]
+        coeffs = [mp.ldexp(mpf(ints[j]), k * (j - n)) for j in range(n, -1, -1)]
         try:
             roots = polyroots(coeffs, maxsteps=400, extraprec=64)
         except Exception:
             return None
-    return [(mpf_to_fraction(r.real), mpf_to_fraction(r.imag)) for r in roots]
+    return [(mpf_to_fraction(mp.ldexp(r.real, k)), mpf_to_fraction(mp.ldexp(r.imag, k))) for r in roots]
 
 
 def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]:

@@ -110,13 +110,6 @@ def _zpow_mod(a: list[int], n: int, f: list[int], m: int) -> list[int]:
     return result
 
 
-def _zeval(a: list[int], x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % m
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # factorization of a squarefree monic polynomial mod an odd prime
 

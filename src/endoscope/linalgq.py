@@ -54,42 +54,6 @@ def det_fraction(matrix: list[list[Fraction]]) -> Fraction:
     return Fraction(det_int_bareiss(rows), scale)
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            c = ai[t]
-            if c == 0:
-                continue
-            bt = b[t]
-            row = out[i]
-            for j in range(m):
-                row[j] += c * bt[j]
-    return out
-
-
-def mat_pow(a, n: int):
-    size = len(a)
-    result = identity(size)
-    base = [row[:] for row in a]
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
-
-
-def identity(n: int):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def charpoly(matrix: list[list[Fraction]]) -> list[Fraction]:
     """Coefficients (constant first) of det(x*I - M), monic of degree n.
 
@@ -126,18 +90,6 @@ def _interpolate(points: list[tuple[Fraction, Fraction]]) -> list[Fraction]:
         for t, c in enumerate(num):
             coeffs[t] += w * c
     return coeffs
-
-
-def companion(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    """Companion matrix of a monic polynomial given constant-first coefficients."""
-    n = len(coeffs) - 1
-    assert coeffs[-1] == 1 and n >= 1
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        m[i][i - 1] = Fraction(1)
-    for i in range(n):
-        m[i][n - 1] = -coeffs[i]
-    return m
 
 
 def solve_fraction(matrix, rhs):

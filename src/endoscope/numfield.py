@@ -121,7 +121,9 @@ class NFElement:
 
     def __init__(self, parent: NumberField, poly: QPoly):
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "poly", poly % parent.minpoly)
+        if poly.degree >= parent.degree:
+            poly = poly % parent.minpoly
+        object.__setattr__(self, "poly", poly)
 
     def __setattr__(self, name, value):
         raise AttributeError("NFElement is immutable")
@@ -184,7 +186,7 @@ class NFElement:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return NFElement(self.parent, (self.poly * other.poly) % self.parent.minpoly)
+        return NFElement(self.parent, self.poly * other.poly)
 
     __rmul__ = __mul__
 

@@ -2,8 +2,9 @@
 
 Coefficients are stored constant-term first as a tuple of Fraction; the zero
 polynomial is the empty tuple.  All arithmetic is exact.  This module also
-carries the resultant (via Sylvester/Bareiss) and the cyclotomic-order test,
-both of which the higher layers lean on.
+carries the resultant (via Sylvester/Bareiss), Newton power sums and their
+inverse (the kernel of composed products and powers in algnum) and the
+cyclotomic-order test, all of which the higher layers lean on.
 """
 
 from __future__ import annotations
@@ -353,6 +354,44 @@ def resultant(a: QPoly, b: QPoly) -> Fraction:
     det = det_int_bareiss(rows)
     # Res(da*a, db*b) = da^m db^n Res(a, b)
     return Fraction(det, da**m * db**n)
+
+
+def _exact(c: Fraction):
+    """c as an int when it is one, so the Newton recurrences stay in ints."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def power_sums(p: QPoly, count: int) -> list:
+    """Newton power sums [s_0, s_1, ..., s_count] of the roots of p.
+
+    s_k is the sum of the k-th powers of the roots, with multiplicity; s_0 is
+    the degree.  Computed exactly from Newton's identities on p.monic().
+    """
+    if p.degree < 0:
+        raise ValidationError("the zero polynomial has no power sums")
+    n = p.degree
+    c = [_exact(x) for x in p.monic().coeffs]
+    s = [n]
+    for k in range(1, count + 1):
+        acc = k * c[n - k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            acc += c[n - i] * s[k - i]
+        s.append(-acc)
+    return s
+
+
+def from_power_sums(s, n: int) -> QPoly:
+    """The monic polynomial of degree n whose roots have power sums s[1..n].
+
+    Inverse of power_sums: Newton's identities solved for the coefficients.
+    """
+    c = [0] * n + [1]
+    for k in range(1, n + 1):
+        acc = s[k]
+        for i in range(1, k):
+            acc += c[n - i] * s[k - i]
+        c[n - k] = _exact(-Fraction(acc) / k)
+    return QPoly(c)
 
 
 def _euler_phi(k: int) -> int:

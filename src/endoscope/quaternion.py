@@ -188,11 +188,6 @@ class QuatElement:
         al, be = self.algebra.alpha, self.algebra.beta
         return self.a * self.a - al * (self.b * self.b) - be * (self.c * self.c) + al * be * (self.d * self.d)
 
-    def reduced_charpoly_base(self) -> tuple[NFElement, NFElement, NFElement]:
-        """Coefficients (constant first) of x^2 - Trd x + Nrd over the base field."""
-        one = self.algebra.base.one()
-        return (self.reduced_norm(), -self.reduced_trace(), one)
-
     def reduced_charpoly_q(self) -> QPoly:
         """Monic degree-2e rational polynomial with roots sigma(t1), sigma(t2).
 

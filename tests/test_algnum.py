@@ -1,9 +1,12 @@
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, strategies as st
+
 from endoscope import algnum
 from endoscope.enclosures import isolate_roots
 from endoscope.factorq import is_irreducible
-from endoscope.qpoly import from_ints
+from endoscope.qpoly import QPoly, from_ints
 
 
 def root_of(poly, index, bits=128):
@@ -67,3 +70,34 @@ def test_product_minpoly_irreducible_and_refinable():
     tighter = square.refined(512)
     assert tighter.enclosure.radius <= square.enclosure.radius
     assert tighter.minpoly == square.minpoly
+
+
+# ---------------------------------------------------------------------------
+# the power-sum kernels against sympy's resultant
+
+monic_polys = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5).map(
+    lambda low: QPoly([Fraction(c) for c in low] + [Fraction(1)])
+)
+
+
+def _sympy_monic(expr, x):
+    sympy = pytest.importorskip("sympy")
+    coeffs = sympy.Poly(expr, x).monic().all_coeffs()
+    return QPoly([Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)])
+
+
+@given(monic_polys, monic_polys)
+def test_product_resultant_matches_sympy(pa, pb):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    a = sum(int(c) * y**i for i, c in enumerate(pa.coeffs))
+    b = sympy.expand(y**pb.degree * sum(int(c) * (x / y) ** i for i, c in enumerate(pb.coeffs)))
+    assert algnum._product_resultant(pa, pb) == _sympy_monic(sympy.resultant(a, b, y), x)
+
+
+@given(monic_polys, st.integers(min_value=1, max_value=9))
+def test_power_polynomial_matches_sympy(p, k):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    a = sum(int(c) * y**i for i, c in enumerate(p.coeffs))
+    assert algnum._power_polynomial(p, k) == _sympy_monic(sympy.resultant(a, x - y**k, y), x)

@@ -375,3 +375,39 @@ def test_entropy_report_mismatch_detected():
 
     with pytest.raises(CrossCheckError):
         structure_certificate(rep_b, spec_a)
+
+
+def test_entropy_g8_quaternion_with_huge_gamma_candidates(tmp_path, capsys):
+    # the gamma candidates of this job have roots near 2^67; their seeds used
+    # to stall and the job ended precision-exhausted
+    import json
+
+    from endoscope.cli import main
+
+    algebra = {
+        "kind": "quaternion",
+        "base_minpoly": ["-13/1", "0/1", "1/1"],
+        "alpha": ["-2/1", "-2/1"],
+        "beta": ["2/1"],
+    }
+    element = {"a": ["0/1", "1/1"], "b": ["1/1", "-1/1"], "c": ["2/1", "2/1"], "d": ["-2/1", "-1/1"]}
+    job = {"spec": {"algebra": algebra, "element": element, "g": 8}, "commands": [{"op": "entropy"}]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main(["run", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)["results"][0]["entropy"]
+    assert report["gamma_minpoly"] == [f"-{84113**4}/1", "1/1"]
+
+    base = NumberField(from_ints(-13, 0, 1))
+    quat = QuatAlgebra(base, [-2, -2], [2])
+    spec = EndomorphismSpec(quat, quat.element([0, 1], [1, -1], [2, 2], [-2, -1]), 8)
+    rep = entropy(spec)
+    assert rep.gamma_minpoly == from_ints(-(84113**4), 1)
+    # independently: every root of the charpoly lies outside the circle, each
+    # with multiplicity 2g/(de) = 4, so gamma = |product of the roots|^4
+    charpoly = spec.charpoly_q()
+    assert charpoly == from_ints(84113, -3952, -850, 0, 1)
+    assert spec.exponent() == 4
+    with mp.workprec(100):
+        roots = mp.polyroots([int(c) for c in reversed(charpoly.coeffs)])
+        assert min(abs(r) for r in roots) > 2

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from endoscope.enclosures import (
     INSIDE,
@@ -9,6 +9,7 @@ from endoscope.enclosures import (
     OUTSIDE,
     ComplexEnclosure,
     isolate_roots,
+    root_bound_exponent,
     unit_circle_status,
 )
 from endoscope.errors import NonSquarefreeInput, ValidationError
@@ -150,3 +151,51 @@ def test_enclosures_pairwise_disjoint_and_complete(coeffs):
     for i, a in enumerate(encl):
         for b in encl[i + 1 :]:
             assert not a.meets(b)
+
+
+# a gamma candidate of the g = 8 quaternion job in tests/test_classify.py:
+# four real roots between 2^61 and 2^70
+BIG_QUARTIC = from_ints(
+    6277836010875018348142310082963358602967033778825514356096144188813018836599041,
+    -2017341831581391844638575670665786766902595533135092576766212,
+    112123550911838970107854981783767800024838,
+    -805145760865081575172,
+    1,
+)
+
+
+def test_isolate_roots_with_roots_near_2_to_the_67():
+    encl = isolate_roots(BIG_QUARTIC, 128)
+    assert len(encl) == 4 and all(e.is_real for e in encl)
+    for i, a in enumerate(encl):
+        for b in encl[i + 1 :]:
+            assert not a.meets(b)
+    total = ComplexEnclosure(0, 0, 0)
+    for e in encl:
+        total = total + e
+    assert total.contains_point(-BIG_QUARTIC[3], Fraction(0))
+    assert root_bound_exponent([int(c) for c in BIG_QUARTIC.coeffs]) >= 70
+
+
+@given(
+    st.lists(st.integers(min_value=-(2**90), max_value=2**90), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=2**40),
+)
+@example(low=[-3, -3], lead=2)  # a root at 2.19: the bound needs Fujiwara's factor 2
+def test_root_bound_exponent_bounds_every_root(low, lead):
+    sympy = pytest.importorskip("sympy")
+    ints = low + [lead]
+    if not any(low):
+        return
+    k = root_bound_exponent(ints)
+    assert k >= 0
+    # exact isolation (real intervals and complex rectangles): nroots cannot
+    # be used here, it does not converge once roots pass about 2^64
+    poly = sympy.Poly(list(reversed(ints)), sympy.Symbol("x"))
+    for eps in (None, sympy.Rational(1, 2**20), sympy.Rational(1, 2**80)):
+        reals, rects = poly.intervals(all=True, eps=eps)
+        boxes = [(a, b) for (a, b), _ in reals] + [corners for corners, _ in rects]
+        far = max(max(abs(sympy.re(c)) for c in box) ** 2 + max(abs(sympy.im(c)) for c in box) ** 2 for box in boxes)
+        if far < 4**k:
+            return
+    pytest.fail(f"a root of {ints} is not provably below 2^{k}")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from endoscope.qpoly import ONE, QPoly, cyclotomic_order, from_ints, resultant
+from endoscope.qpoly import ONE, QPoly, cyclotomic_order, from_ints, from_power_sums, power_sums, resultant
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 polys = st.lists(rationals, min_size=0, max_size=7).map(QPoly)
@@ -115,3 +115,16 @@ def test_compose_mod_matches_compose():
     inner = from_ints(1, 1)
     mod = from_ints(-2, 0, 0, 1)
     assert p.compose_mod(inner, mod) == p.compose(inner) % mod
+
+
+def test_power_sums_known_values():
+    # roots 1, 2, 3: s_k = 1 + 2^k + 3^k
+    assert power_sums(from_ints(-6, 11, -6, 1), 5) == [3, 6, 14, 36, 98, 276]
+    # roots of 2x^2 - 1 are +-1/sqrt2: s_2 = 1, s_4 = 1/2
+    assert power_sums(from_ints(-1, 0, 2), 4) == [2, 0, 1, 0, Fraction(1, 2)]
+
+
+@given(nonzero_polys)
+def test_power_sums_round_trip(p):
+    n = p.degree
+    assert from_power_sums(power_sums(p, n), n) == p.monic()
