@@ -177,18 +177,17 @@ class _FactorSpectrum:
     statuses: tuple[tuple[ComplexEnclosure, int], ...]
 
 
-def _spectrum(spec: EndomorphismSpec, precision_bits: int = 128) -> list[_FactorSpectrum]:
-    cached = getattr(spec, "_spectrum_cache", None)
-    if cached is not None:
-        return cached
-    ev = rational_eigenvalues(spec, precision_bits)
+def _spectrum(spec: EndomorphismSpec) -> list[_FactorSpectrum]:
+    if spec._spectrum_cache is not None:
+        return spec._spectrum_cache
+    ev = rational_eigenvalues(spec)
     out = []
     for q, mult in ev.factors:
         order = ev.order_of(q)
         if order is not None:
             statuses = tuple((e, ON_CIRCLE) for e in ev.enclosures_of(q))
         else:
-            statuses = tuple(unit_circle_status(q, precision_bits))
+            statuses = tuple(unit_circle_status(q))
         out.append(_FactorSpectrum(q, mult, order, statuses))
     spec._spectrum_cache = out
     return out
@@ -322,9 +321,8 @@ class _GammaPart:
 
 
 def _gamma_parts(spec: EndomorphismSpec) -> list[_GammaPart]:
-    cached = getattr(spec, "_gamma_parts_cache", None)
-    if cached is not None:
-        return cached
+    if spec._gamma_parts_cache is not None:
+        return spec._gamma_parts_cache
     parts: list[_GammaPart] = []
     for fs in _spectrum(spec):
         outside = [e for e, s in fs.statuses if s == OUTSIDE]
@@ -352,9 +350,8 @@ def _gamma_parts(spec: EndomorphismSpec) -> list[_GammaPart]:
 
 
 def _gamma_of(spec: EndomorphismSpec) -> algnum.AlgebraicNumber:
-    cached = getattr(spec, "_gamma_cache", None)
-    if cached is not None:
-        return cached
+    if spec._gamma_cache is not None:
+        return spec._gamma_cache
     parts = _gamma_parts(spec)
     gamma = algnum.product_many([algnum.power(p.value, p.count) for p in parts])
     spec._gamma_cache = gamma
@@ -456,13 +453,10 @@ def structure_certificate_for(spec: EndomorphismSpec, at: AlbertType | None = No
         return True
     y = _structure_element(spec, at)
     minpoly_y = y.minimal_polynomial()
-    for part in parts:
-        if part.value.minpoly != minpoly_y:
-            return False
-        pair_res = algnum._product_resultant(part.source, part.source)
-        if not minpoly_y.divides(pair_res):
-            return False
-    return True
+    if any(part.value.minpoly != minpoly_y for part in parts):
+        return False
+    sources = {part.source for part in parts}
+    return all(minpoly_y.divides(algnum._product_resultant(q, q)) for q in sources)
 
 
 def structure_certificate(report: EntropyReport, spec: EndomorphismSpec) -> bool:

@@ -21,7 +21,7 @@ from . import factorq
 from .enclosures import ComplexEnclosure, align_enclosures, isolate_roots
 from .errors import CrossCheckError, PrecisionExhausted, ValidationError
 from .numfield import NumberField
-from .qpoly import QPoly, cyclotomic_order
+from .qpoly import QPoly, cyclotomic_order, det_int_bareiss
 from .quaternion import QuatAlgebra, QuatElement
 
 ITERATE_CAP = 10**6
@@ -47,8 +47,12 @@ class EndomorphismSpec:
         self.algebra = algebra
         self.element = element
         self.g = g
-        self._albert = None
         self._charpoly_q: QPoly | None = None
+        # filled by classify: Albert type, spectrum, pair products and gamma
+        self._albert = None
+        self._spectrum_cache = None
+        self._gamma_parts_cache = None
+        self._gamma_cache = None
 
     @property
     def is_field_case(self) -> bool:
@@ -327,8 +331,6 @@ def companion_oracle(char_poly: QPoly, n: int) -> int:
 
     power = _int_mat_pow(doubled, n)
     diff = [[(1 if i == j else 0) - power[i][j] for j in range(2 * deg)] for i in range(2 * deg)]
-    from .linalgq import det_int_bareiss
-
     return abs(det_int_bareiss(diff))
 
 

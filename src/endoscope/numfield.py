@@ -3,6 +3,10 @@ traces (absolute and relative), embedding enclosures, and the field-type
 classification: totally real, CM (with its conjugation automorphism and
 maximal totally real subfield), or neither.
 
+Absolute norms are resultants, N(a) = Res(m, a) for the monic m; traces are
+read off the Newton power sums of m, and characteristic polynomials are
+rebuilt from the traces of the powers of the element.
+
 The CM test is numeric-guess / exact-certificate: the candidate conjugation
 is read off from high-precision embeddings and rationally reconstructed, then
 everything that matters is verified exactly (it is an automorphism, has order
@@ -29,9 +33,7 @@ from .enclosures import (
     rational_reconstruct,
 )
 from .errors import CrossCheckError, ValidationError
-from .linalgq import charpoly as _charpoly_matrix
-from .linalgq import det_fraction
-from .qpoly import ONE, QPoly, X
+from .qpoly import ONE, QPoly, X, from_power_sums, power_sums, resultant
 
 TOTALLY_REAL = "TotallyReal"
 CM = "CM"
@@ -51,6 +53,8 @@ class NumberField:
             raise ValidationError(f"{minpoly!r} is reducible over the rationals")
         self.minpoly = minpoly
         self.degree = minpoly.degree
+        # Tr(alpha^j) for j < degree: the trace is linear in the coordinates
+        self._power_sums = power_sums(minpoly, self.degree - 1)
         self._embeddings: list[ComplexEnclosure] | None = None
         self._emb_bits = 0
         self._cm_report: FieldTypeReport | None = None
@@ -213,21 +217,21 @@ class NFElement:
         """Image under alpha -> h(alpha), i.e. coords composed with h."""
         return NFElement(self.parent, self.poly.compose_mod(h, self.parent.minpoly))
 
-    # -- linear algebra over Q -------------------------------------------------
-
-    def mult_matrix(self) -> list[list[Fraction]]:
-        """Matrix of multiplication by self on the power basis (column j = x*alpha^j)."""
-        e = self.parent.degree
-        cols = []
-        acc = self.poly
-        for _ in range(e):
-            cols.append([acc[i] for i in range(e)])
-            acc = (acc * X) % self.parent.minpoly
-        return [[cols[j][i] for j in range(e)] for i in range(e)]
+    # -- norms and traces over Q -----------------------------------------------
 
     def charpoly_q(self) -> QPoly:
-        """Characteristic polynomial over Q, degree [F:Q]."""
-        return QPoly(_charpoly_matrix(self.mult_matrix()))
+        """Characteristic polynomial over Q, degree [F:Q].
+
+        Its roots are the conjugates of self, whose k-th power sum is
+        Tr(self^k); Newton's identities turn the traces into coefficients.
+        """
+        e = self.parent.degree
+        traces = [e]
+        acc = self.parent.one()
+        for _ in range(e):
+            acc = acc * self
+            traces.append(acc.trace_q())
+        return from_power_sums(traces, e)
 
     def minimal_polynomial(self) -> QPoly:
         """Monic irreducible annihilator; its degree divides the field degree."""
@@ -240,11 +244,10 @@ class NFElement:
     def norm_q(self) -> Fraction:
         if self.is_rational:
             return self.poly[0] ** self.parent.degree
-        return det_fraction(self.mult_matrix())
+        return resultant(self.parent.minpoly, self.poly)
 
     def trace_q(self) -> Fraction:
-        m = self.mult_matrix()
-        return sum((m[i][i] for i in range(len(m))), Fraction(0))
+        return sum((c * s for c, s in zip(self.coeffs, self.parent._power_sums)), Fraction(0))
 
     def embeddings(self, precision_bits: int = 128) -> list[ComplexEnclosure]:
         """sigma(self) for every embedding, aligned with the field's root order."""
@@ -411,14 +414,12 @@ def relative_norm_trace(x: NFElement, s: NFElement) -> tuple[NFElement, NFElemen
             basis.append(st * field.gen() ** u)
     mat = [[basis[col].poly[row] for col in range(e)] for row in range(e)]
 
-    from .linalgq import solve_fraction
-
     cols_k: list[list[NFElement]] = []
     for u in range(m):
         w = x * field.gen() ** u
         rhs = [w.poly[row] for row in range(e)]
         try:
-            v = solve_fraction(mat, rhs)
+            v = _solve_fraction(mat, rhs)
         except ZeroDivisionError as exc:
             raise ValidationError("claimed generator does not induce a subfield basis") from exc
         col = []
@@ -433,6 +434,28 @@ def relative_norm_trace(x: NFElement, s: NFElement) -> tuple[NFElement, NFElemen
         trace = trace + mk[u][u]
     norm = _det_nf(mk, sub)
     return norm, trace, sub
+
+
+def _solve_fraction(matrix, rhs):
+    """Solve M x = rhs exactly; raises ZeroDivisionError on singular input."""
+    n = len(matrix)
+    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for k in range(n):
+        piv = None
+        for i in range(k, n):
+            if m[i][k] != 0:
+                piv = i
+                break
+        if piv is None:
+            raise ZeroDivisionError("singular system")
+        m[k], m[piv] = m[piv], m[k]
+        inv = 1 / m[k][k]
+        m[k] = [c * inv for c in m[k]]
+        for i in range(n):
+            if i != k and m[i][k] != 0:
+                f = m[i][k]
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return [m[i][n] for i in range(n)]
 
 
 def _det_nf(matrix: list[list[NFElement]], field: NumberField) -> NFElement:

@@ -2,9 +2,10 @@
 
 Coefficients are stored constant-term first as a tuple of Fraction; the zero
 polynomial is the empty tuple.  All arithmetic is exact.  This module also
-carries the resultant (via Sylvester/Bareiss), Newton power sums and their
-inverse (the kernel of composed products and powers in algnum) and the
-cyclotomic-order test, all of which the higher layers lean on.
+carries integer determinants (Bareiss), the resultant (via Sylvester/Bareiss),
+Newton power sums and their inverse (the kernel of norms, traces,
+characteristic polynomials, composed products and powers in the higher
+layers) and the cyclotomic-order test.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ValidationError
-from .linalgq import det_int_bareiss
 
 
 def _as_fraction(c) -> Fraction:
@@ -320,6 +320,32 @@ X = QPoly((0, 1))
 def from_ints(*coeffs: int) -> QPoly:
     """Convenience constructor, constant term first."""
     return QPoly(tuple(Fraction(c) for c in coeffs))
+
+
+def det_int_bareiss(matrix: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix (Bareiss fraction-free)."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pk - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pk
+    return sign * m[n - 1][n - 1]
 
 
 def resultant(a: QPoly, b: QPoly) -> Fraction:

@@ -2,7 +2,8 @@
 
 Basis 1, i, j, k with i^2 = alpha, j^2 = beta, ij = k = -ji.  Elements carry
 exact base-field coordinates; reduced trace, norm and characteristic
-polynomials are exact.  Definiteness is certified from embedding signs.
+polynomials are exact, the last one over Q built from Newton power sums.
+Definiteness is certified from embedding signs.
 
 Division-ness is not decided in general.  The module offers three sound
 partial answers: totally definite algebras are division algebras; over base
@@ -17,9 +18,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import PrecisionExhausted, ValidationError
-from .linalgq import _interpolate
 from .numfield import NFElement, NumberField, is_totally_real
-from .qpoly import QPoly
+from .qpoly import QPoly, from_power_sums
 
 TOTALLY_DEFINITE = "TotallyDefinite"
 TOTALLY_INDEFINITE = "TotallyIndefinite"
@@ -191,17 +191,20 @@ class QuatElement:
     def reduced_charpoly_q(self) -> QPoly:
         """Monic degree-2e rational polynomial with roots sigma(t1), sigma(t2).
 
-        Obtained as the norm form of the reduced quadratic: interpolation of
-        N_{F/Q}(k^2 - Trd*k + Nrd) through 2e+1 integer points.
+        t1, t2 are the roots of the reduced quadratic x^2 - Trd*x + Nrd, so it
+        is N_{F/Q}(x^2 - Trd*x + Nrd).  Its k-th power sum is Tr_{F/Q}(P_k)
+        with P_k = t1^k + t2^k, from P_0 = 2, P_1 = Trd and
+        P_k = Trd*P_{k-1} - Nrd*P_{k-2}.
         """
         e = self.algebra.base.degree
         trd = self.reduced_trace()
         nrd = self.reduced_norm()
-        points = []
-        for k in range(2 * e + 1):
-            val = (nrd - trd * k + Fraction(k * k)).norm_q()
-            points.append((Fraction(k), val))
-        return QPoly(_interpolate(points))
+        prev, cur = self.algebra.base.element(2), trd
+        sums = [2 * e, cur.trace_q()]
+        for _ in range(2, 2 * e + 1):
+            prev, cur = cur, trd * cur - nrd * prev
+            sums.append(cur.trace_q())
+        return from_power_sums(sums, 2 * e)
 
     def norm_to_q(self) -> Fraction:
         """Composite norm to Q: ordinary norm of the reduced norm."""

@@ -16,11 +16,20 @@ from endoscope.numfield import (
     rationals_field,
     relative_norm_trace,
 )
-from endoscope.qpoly import from_ints, resultant
+from endoscope.qpoly import QPoly, from_ints
 
 
 def F(*coeffs):
     return NumberField(from_ints(*coeffs))
+
+
+def _fraction(r) -> Fraction:
+    return Fraction(int(r.p), int(r.q))
+
+
+def _sympy_poly(coeffs, var):
+    sympy = pytest.importorskip("sympy")
+    return sum(sympy.Rational(c.numerator, c.denominator) * var**i for i, c in enumerate(coeffs))
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +87,10 @@ def test_norms_and_traces(sqrt13, golden):
 
 
 def test_norm_equals_resultant(sqrt13):
+    sympy = pytest.importorskip("sympy")
+    y = sympy.symbols("y")
     x = (3 + 2 * sqrt13.gen()) / 5
-    assert x.norm_q() == resultant(sqrt13.minpoly, x.poly)
+    assert x.norm_q() == _fraction(sympy.resultant(y**2 - 13, (3 + 2 * y) / 5, y))
 
 
 def test_totally_real_flags(sqrt13, gauss):
@@ -198,3 +209,42 @@ def test_cm_norm_form_positive(xc):
     for emb in y.embeddings(128):
         assert abs(emb.im) <= emb.radius or emb.im == 0
         assert emb.re + emb.radius >= 0
+
+
+# ---------------------------------------------------------------------------
+# norms, traces and characteristic polynomials against sympy's resultant
+
+
+@pytest.fixture(scope="module")
+def kernel_fields():
+    return [
+        rationals_field(),
+        F(-13, 0, 1),
+        NumberField(QPoly([Fraction(1, 3), Fraction(1, 2), 1])),  # x^2 + x/2 + 1/3
+        F(-2, 0, 0, 1),
+        F(1, 1, 1, 1, 1),
+        F(1, -1, 0, 0, 0, 1),
+        F(1, 1, 1, 1, 1, 1, 1),
+    ]
+
+
+coords = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=6)
+
+
+@given(st.integers(min_value=0, max_value=6), coords)
+def test_norm_trace_charpoly_match_sympy(kernel_fields, index, xc):
+    # N(a) = Res(m, a) and charpoly(a) = Res_y(m(y), x - a(y)) for monic m;
+    # the trace is minus the next-to-leading charpoly coefficient.  sympy
+    # takes a reduced modulo m (which leaves both resultants unchanged): its
+    # resultant has the wrong sign when deg m < deg a and both are odd, e.g.
+    # resultant(y, y**3 + 1, y) == -1 against a Sylvester determinant of 1
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    field = kernel_fields[index]
+    a = field.element(xc)
+    m = _sympy_poly(field.minpoly.coeffs, y)
+    ay = sympy.rem(_sympy_poly(xc, y), m, y)
+    assert a.norm_q() == _fraction(sympy.resultant(m, ay, y))
+    expected = sympy.Poly(sympy.resultant(m, x - ay, y), x).all_coeffs()
+    assert a.charpoly_q() == QPoly([_fraction(c) for c in reversed(expected)])
+    assert a.trace_q() == -_fraction(expected[1])

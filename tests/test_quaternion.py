@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from endoscope.errors import ValidationError
 from endoscope.numfield import NumberField, rationals_field
-from endoscope.qpoly import from_ints
+from endoscope.qpoly import QPoly, from_ints
 from endoscope.quaternion import (
     MIXED,
     TOTALLY_DEFINITE,
@@ -86,8 +86,7 @@ def test_reduced_charpoly_q_salem(salem_unit):
 def test_charpoly_q_matches_regular_representation(b13, salem_unit):
     # the multiplication action of f on the 4e-dimensional Q-vector space of
     # the algebra has characteristic polynomial (reduced charpoly)^2
-    from endoscope.linalgq import charpoly
-    from endoscope.qpoly import QPoly
+    sympy = pytest.importorskip("sympy")
 
     f = salem_unit
     e = b13.base.degree
@@ -107,9 +106,9 @@ def test_charpoly_q_matches_regular_representation(b13, salem_unit):
         return out
 
     cols = [flatten(f * v) for v in basis]
-    mat = [[cols[j][i] for j in range(4 * e)] for i in range(4 * e)]
-    cp = QPoly(charpoly(mat))
-    assert cp == f.reduced_charpoly_q() ** 2
+    mat = sympy.Matrix(4 * e, 4 * e, lambda i, j: sympy.Rational(cols[j][i].numerator, cols[j][i].denominator))
+    cp = [Fraction(int(c.p), int(c.q)) for c in reversed(mat.charpoly().all_coeffs())]
+    assert QPoly(cp) == f.reduced_charpoly_q() ** 2
 
 
 def test_definiteness_classification(b13, hamilton):
@@ -208,3 +207,39 @@ def test_definite_norms_positive(xd):
         return
     for emb in x.reduced_norm().embeddings(128):
         assert emb.re - emb.radius > 0
+
+
+# ---------------------------------------------------------------------------
+# reduced characteristic polynomials against sympy's resultant
+
+
+@pytest.fixture(scope="module")
+def kernel_algebras():
+    half = NumberField(QPoly([Fraction(-1, 3), Fraction(-1, 2), 1]))  # x^2 - x/2 - 1/3
+    cubic = NumberField(from_ints(1, -3, 0, 1))  # totally real, 2cos(2pi/9)
+    return [
+        QuatAlgebra(rationals_field(), -1, -1),
+        QuatAlgebra(NumberField(from_ints(-13, 0, 1)), [-2, -2], [2]),
+        QuatAlgebra(half, [Fraction(1, 2), 1], [-3]),
+        QuatAlgebra(cubic, [-1], [0, 1]),
+    ]
+
+
+quat_coords = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=1, max_size=3)
+
+
+@given(st.integers(min_value=0, max_value=3), quat_coords, quat_coords, quat_coords, quat_coords)
+def test_reduced_charpoly_matches_sympy(kernel_algebras, index, a, b, c, d):
+    # N_{F/Q}(x^2 - Trd x + Nrd) = Res_y(m(y), x^2 - trd(y) x + nrd(y)) for monic m
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    algebra = kernel_algebras[index]
+    f = algebra.element(a, b, c, d)
+
+    def at_y(elem):
+        return sum(sympy.Rational(q.numerator, q.denominator) * y**i for i, q in enumerate(elem.coeffs))
+
+    m = at_y(algebra.base.minpoly)
+    trd, nrd = reduced_trace_norm(f)
+    expected = sympy.Poly(sympy.resultant(m, x**2 - at_y(trd) * x + at_y(nrd), y), x).all_coeffs()
+    assert f.reduced_charpoly_q() == QPoly([Fraction(int(q.p), int(q.q)) for q in reversed(expected)])
