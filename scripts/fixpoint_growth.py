@@ -18,7 +18,7 @@ from endoscope import (
     EndomorphismSpec,
     NumberField,
     QuatAlgebra,
-    fixed_point_counts,
+    fixed_point_table,
     from_ints,
     rational_eigenvalues,
     rationals_field,
@@ -57,7 +57,7 @@ def main():
     for label, spec in sample_specs():
         expected = limit_rate(spec)
         print(f"\n== {label} (expected rate {expected:.6f})")
-        for n, fix in enumerate(fixed_point_counts(spec, nmax), 1):
+        for n, fix in enumerate(fixed_point_table(spec, nmax), 1):
             rate = fix ** (1 / n) if fix else float("nan")
             show = str(fix) if fix < 10**15 else f"~{float(fix):.3e}"
             if n <= 8 or n % 4 == 0:

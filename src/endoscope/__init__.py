@@ -35,7 +35,6 @@ from .lefschetz import (
     EigenvalueMultiset,
     EndomorphismSpec,
     companion_oracle,
-    fixed_point_counts,
     fixed_point_table,
     fixed_points_exact,
     fixed_points_via_eigenvalues,

@@ -30,7 +30,7 @@ from .errors import (
     NotSimpleAlbertType,
     ValidationError,
 )
-from .lefschetz import EndomorphismSpec, fixed_point_counts, rational_eigenvalues
+from .lefschetz import EndomorphismSpec, fixed_point_table, rational_eigenvalues
 from .numfield import CM, TOTALLY_REAL, apply_conjugation, cm_structure
 from .qpoly import ONE, QPoly, X, cyclotomic_order
 from .quaternion import MIXED, TOTALLY_DEFINITE, definiteness
@@ -258,7 +258,7 @@ def classify_growth(spec: EndomorphismSpec) -> GrowthReport:
 
 
 def _realized_period(spec: EndomorphismSpec, order_lcm: int) -> int:
-    seq = fixed_point_counts(spec, 2 * order_lcm)
+    seq = fixed_point_table(spec, 2 * order_lcm)
     for cand in sorted(d for d in range(1, order_lcm + 1) if order_lcm % d == 0):
         if all(seq[i] == seq[i + cand] for i in range(len(seq) - cand)):
             return cand

@@ -118,8 +118,8 @@ def _cmd_salem(args) -> int:
             raw = json.loads(text)
         else:
             raw = [tok for tok in text.replace(",", " ").split() if tok]
-        poly = QPoly([Fraction(str(c)) for c in raw])
-    except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
+        poly = QPoly(raw)
+    except (ValidationError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse coefficients: {exc}") from exc
     report = classify.is_salem_polynomial(poly)
     print(json.dumps({"op": "salem", **jobs.salem_json(report, poly)}, indent=2))

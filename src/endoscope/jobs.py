@@ -210,7 +210,7 @@ def run_command(spec: EndomorphismSpec | None, cmd: dict, precision: int) -> dic
         out["charpoly_q"] = spec.charpoly_q().to_json()
         return out
     if op == "fixpoints":
-        table = fixed_point_table(spec, cmd["nmax"], precision)
+        table = fixed_point_table(spec, cmd["nmax"])
         return {"op": op, "fix": [{"n": n, "fix": str(fix)} for n, fix in enumerate(table, 1)]}
     if op == "entropy":
         rep = classify.entropy(spec, precision)

@@ -8,9 +8,13 @@ block-doubled integer matrix of the multiplication-by-P(t) model on a product
 of elliptic curves and takes |det(I - M^n)| directly.  The three must agree;
 the test suites enforce it.
 
-A table fix(f^1..f^nmax) runs the first two paths side by side, each taking
-one step per n: a running f^n in the algebra and running enclosures of every
-mu^n, so neither recomputes a power from scratch.
+A table fix(f^1..f^nmax) runs two exact paths side by side, each taking one
+step per n.  The norm path reads only the element: it keeps f^n as a running
+product in the algebra.  The resultant path reads only the monic reduced
+characteristic polynomial chi: it keeps x^n mod chi as a running remainder
+and takes |Res(chi, 1 - x^n mod chi)|^(2g/(d e)), where the resultant is the
+product of (1 - mu^n) over the roots mu of chi.  As the paths share no input,
+a fault on either side shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from . import factorq
 from .enclosures import ComplexEnclosure, align_enclosures, isolate_roots
 from .errors import CrossCheckError, PrecisionExhausted, ValidationError
 from .numfield import NumberField
-from .qpoly import QPoly, cyclotomic_order, det_int_bareiss
+from .qpoly import ONE, X, QPoly, cyclotomic_order, det_int_bareiss, resultant
 from .quaternion import QuatAlgebra, QuatElement
 
 ITERATE_CAP = 10**6
@@ -118,13 +122,6 @@ def fixed_points_exact(spec: EndomorphismSpec, n: int) -> int:
     return _abs_norm(spec, spec.algebra.one() - spec.element**n) ** spec.exponent()
 
 
-def fixed_point_counts(spec: EndomorphismSpec, nmax: int) -> list[int]:
-    """fix(f^1), ..., fix(f^nmax) on the norm path alone, one multiplication per n."""
-    _check_iterate(nmax)
-    _admissibility(spec)
-    return list(_norm_counts(spec, nmax))
-
-
 def _norm_counts(spec: EndomorphismSpec, nmax: int):
     one, exponent = spec.algebra.one(), spec.exponent()
     power = one
@@ -135,10 +132,13 @@ def _norm_counts(spec: EndomorphismSpec, nmax: int):
 
 def _abs_norm(spec: EndomorphismSpec, x) -> int:
     """|N(x)| down to Q for an integral x of the spec's algebra."""
-    norm = x.norm_q() if spec.is_field_case else x.norm_to_q()
-    if norm.denominator != 1:
-        raise CrossCheckError("norm of an integral element is not an integer")
-    return abs(int(norm))
+    return _abs_integer(x.norm_q() if spec.is_field_case else x.norm_to_q(), "norm of an integral element")
+
+
+def _abs_integer(value: Fraction, what: str) -> int:
+    if value.denominator != 1:
+        raise CrossCheckError(f"{what} is not an integer")
+    return abs(value.numerator)
 
 
 class EigenvalueMultiset:
@@ -216,47 +216,36 @@ def fixed_points_via_eigenvalues(ev: EigenvalueMultiset, n: int) -> int:
         _escalate(ev)
 
 
-def _eigenvalue_counts(ev: EigenvalueMultiset, nmax: int):
-    """fix(f^1), ..., fix(f^nmax) from running enclosures of every mu^n.
+def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:
+    """fix(f^1), ..., fix(f^nmax), every entry computed by two independent exact paths.
 
-    Each step multiplies the previous power by mu.  When a product does not
-    settle, the multiset is refined, the powers are rebuilt at the current n
-    from the sharper roots and the same n is tried again.
-    """
-    roots = ev.roots
-    powers = [[ComplexEnclosure(1, 0, 0)] * len(es) for es in roots]
-    for n in range(1, nmax + 1):
-        work = ev.bits + 64
-        powers = [[(p * e).rounded(work) for p, e in zip(ps, es)] for ps, es in zip(powers, roots)]
-        if ev._vanishes_at(n):
-            yield 0
-            continue
-        value = _settled_product(ev, powers, work)
-        while value is None:
-            _escalate(ev)
-            roots = ev.roots
-            work = ev.bits + 64
-            powers = _powers_at(roots, n, work)
-            value = _settled_product(ev, powers, work)
-        yield value
-
-
-def fixed_point_table(spec: EndomorphismSpec, nmax: int, precision_bits: int = 128) -> list[int]:
-    """fix(f^1), ..., fix(f^nmax), every entry computed by two independent paths.
-
-    The norm path keeps f^n as a running product in the algebra; the
-    eigenvalue path keeps certified enclosures of every mu^n as running
-    products.  Any disagreement raises CrossCheckError.
+    The norm path keeps f^n as a running product in the algebra and reads
+    only the element; the resultant path keeps x^n mod chi as a running
+    remainder and reads only chi = spec.charpoly_q().  Any disagreement
+    raises CrossCheckError.
     """
     _check_iterate(nmax)
-    ev = rational_eigenvalues(spec, precision_bits)
+    _admissibility(spec)
     rows = []
-    paths = zip(_norm_counts(spec, nmax), _eigenvalue_counts(ev, nmax))
+    paths = zip(_norm_counts(spec, nmax), _resultant_counts(spec.charpoly_q(), spec.exponent(), nmax))
     for n, (exact, via) in enumerate(paths, 1):
         if exact != via:
             raise CrossCheckError(f"fixed-point paths disagree at n={n}: {exact} vs {via}")
         rows.append(exact)
     return rows
+
+
+def _resultant_counts(chi: QPoly, exponent: int, nmax: int):
+    """|Res(chi, 1 - x^n mod chi)|^exponent for n = 1..nmax, for a monic chi.
+
+    Res(chi, h) is the product of h over the roots of chi, so each entry is
+    the product of (1 - mu^n) over them; x^n mod chi takes one
+    multiplication by x and one reduction per n.
+    """
+    power = ONE
+    for _ in range(nmax):
+        power = (power * X) % chi
+        yield _abs_integer(resultant(chi, ONE - power), "Res(chi, 1 - x^n)") ** exponent
 
 
 def _powers_at(roots, n: int, work: int) -> list[list[ComplexEnclosure]]:

@@ -10,18 +10,25 @@ layers) and the cyclotomic-order test.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
 from .errors import ValidationError
+
+# the documented coefficient strings "n" and "n/d": an optional minus sign and
+# decimal digits, so the length of the string bounds the size of the number
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
     if isinstance(c, str):
+        if not _RATIONAL.fullmatch(c):
+            raise ValidationError(f"coefficient {c!r} is not of the form 'n' or 'n/d'")
         return Fraction(c)
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c)
     raise ValidationError(f"not an exact rational coefficient: {c!r}")
 

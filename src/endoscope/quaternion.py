@@ -110,10 +110,6 @@ class QuatElement:
     def is_zero(self) -> bool:
         return self.a.is_zero and self.b.is_zero and self.c.is_zero and self.d.is_zero
 
-    @property
-    def is_central(self) -> bool:
-        return self.b.is_zero and self.c.is_zero and self.d.is_zero
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.algebra.element(other)

@@ -86,6 +86,25 @@ def test_salem_rejects_garbage(capsys):
     assert json.loads(out)["error"]["kind"] == "validation"
 
 
+def test_salem_rejects_exponent_notation(capsys):
+    # "1e999999" is 9 characters but would parse to a 3.3-million-bit integer
+    code, out = run_cli(capsys, "salem", "1e999999,1")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "validation"
+    assert "'1e999999'" in err["detail"]
+
+
+def test_exponent_notation_rejected_at_field(tmp_path, capsys):
+    algebra = {"kind": "field", "minpoly": ["1e999999", "1/1"]}
+    job = dict(MINUS_ONE_JOB, spec=dict(MINUS_ONE_JOB["spec"], algebra=algebra))
+    code, out = run_cli(capsys, "run", write_job(tmp_path, job))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "validation"
+    assert "spec.algebra.minpoly" in err["detail"]
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"spec": ')

@@ -13,7 +13,6 @@ from endoscope.factorq import factor
 from endoscope.lefschetz import (
     EndomorphismSpec,
     companion_oracle,
-    fixed_point_counts,
     fixed_point_table,
     fixed_points_exact,
     fixed_points_via_eigenvalues,
@@ -172,8 +171,6 @@ def test_iterate_validation():
             fixed_points_via_eigenvalues(ev, bad)
         with pytest.raises(ValidationError):
             fixed_point_table(spec, bad)
-        with pytest.raises(ValidationError):
-            fixed_point_counts(spec, bad)
 
 
 def test_divisibility_and_integrality_guards():
@@ -220,7 +217,6 @@ def test_table_matches_single_n_paths_and_companion(index):
     nmax = 30
     table = fixed_point_table(spec, nmax)
     assert table == [fixed_points_exact(spec, n) for n in range(1, nmax + 1)]
-    assert table == fixed_point_counts(spec, nmax)
     ev = rational_eigenvalues(spec)
     assert table == [fixed_points_via_eigenvalues(ev, n) for n in range(1, nmax + 1)]
     # the doubled companion model of charpoly_q computes prod (1 - mu^n)^2
@@ -230,30 +226,25 @@ def test_table_matches_single_n_paths_and_companion(index):
         assert fix**2 == companion_oracle(cp, n) ** spec.exponent(), n
 
 
-def test_table_refines_mid_table(monkeypatch):
-    rebuilt_at = []
-    rebuild = lefschetz._powers_at
-
-    def recording(roots, n, work):
-        rebuilt_at.append(n)
-        return rebuild(roots, n, work)
-
-    monkeypatch.setattr(lefschetz, "_powers_at", recording)
+def test_eigenvalue_path_refines_at_high_n():
+    # fix(f^200) is near 2^313: at 64 bits the single-n eigenvalue path must
+    # refine its enclosures before the product pins an integer
     spec = sqrt13_salem_spec()
-    table = fixed_point_table(spec, 200, precision_bits=64)
-    # fix(f^200) is near 2^313, beyond the 128 working bits the table starts with
-    assert any(n > 1 for n in rebuilt_at)
-    assert table == [fixed_points_exact(spec, n) for n in range(1, 201)]
+    table = fixed_point_table(spec, 200)
+    ev = rational_eigenvalues(spec, 64)
+    for n in (75, 197, 200):
+        assert fixed_points_via_eigenvalues(ev, n) == table[n - 1], n
+    assert ev.bits > 64
 
 
 def test_table_raises_when_paths_disagree(monkeypatch, tmp_path, capsys):
-    honest = lefschetz._eigenvalue_counts
+    honest = lefschetz._resultant_counts
 
-    def off_by_one(ev, nmax):
-        for n, fix in enumerate(honest(ev, nmax), 1):
+    def off_by_one(chi, exponent, nmax):
+        for n, fix in enumerate(honest(chi, exponent, nmax), 1):
             yield fix + 1 if n == 3 else fix
 
-    monkeypatch.setattr(lefschetz, "_eigenvalue_counts", off_by_one)
+    monkeypatch.setattr(lefschetz, "_resultant_counts", off_by_one)
     spec = field_spec((-2, 0, 1), [1, 1], 2)
     with pytest.raises(CrossCheckError, match="n=3"):
         fixed_point_table(spec, 5)
@@ -266,3 +257,12 @@ def test_table_raises_when_paths_disagree(monkeypatch, tmp_path, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["kind"] == "internal-cross-check"
     assert "n=3" in error["detail"]
+
+
+def test_table_paths_share_no_input():
+    # a wrong charpoly reaches only the resultant path: the norm path still
+    # reads fix(f) = 1 off the element, Res(chi, 1 - x)^2 = chi(1)^2 = 9
+    spec = sqrt13_salem_spec()
+    spec._charpoly_q = from_ints(1, -3, 1, -3, 1)
+    with pytest.raises(CrossCheckError, match="n=1: 1 vs 9"):
+        fixed_point_table(spec, 5)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from endoscope.errors import ValidationError
 from endoscope.qpoly import ONE, QPoly, cyclotomic_order, from_ints, from_power_sums, power_sums, resultant
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -68,6 +69,21 @@ def test_xgcd_bezout(a, b):
 @given(polys)
 def test_json_round_trip(p):
     assert QPoly.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize(
+    "text, value", [("3", 3), ("-3", -3), ("007", 7), ("3/4", Fraction(3, 4)), ("-6/4", Fraction(-3, 2))]
+)
+def test_json_coefficient_forms(text, value):
+    assert QPoly.from_json([text]) == QPoly((value,))
+
+
+@pytest.mark.parametrize(
+    "bad", ["1e999999", "1.5", "+1", " 1", "1_000", "3/-4", "-", "", "inf", "\u0661", True, 1.5]
+)
+def test_json_rejects_other_coefficient_forms(bad):
+    with pytest.raises(ValidationError):
+        QPoly.from_json([bad])
 
 
 def test_reciprocal_and_scale_roots():
