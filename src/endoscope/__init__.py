@@ -4,7 +4,7 @@ and its algebraic certificates, over exact rational / number-field /
 quaternion arithmetic with certified complex enclosures.
 """
 
-from .algnum import AlgebraicNumber, from_rational, from_root, power, product, product_many
+from .algnum import AlgebraicNumber, exterior_power, from_rational, product, root_product
 from .classify import (
     AlbertType,
     EntropyReport,

@@ -1,24 +1,24 @@
 """Algebraic numbers as (irreducible minimal polynomial, certified enclosure)
-pairs, with exact products and powers.
+pairs, with exact products of roots.
 
-Products use the composed product prod (x - a*b) over all roots a of p and b
-of q; the factor the true product sits in is selected by intersecting
-certified enclosures and the selection is refined until it is unique, which
-makes it a proof: the product is a root of the composed product, distinct
-irreducible factors share no roots, and the enclosures are exact.  Powers use
-prod (x - a^k) the same way.  Both polynomials are built from Newton power
-sums (qpoly.power_sums): the k-th power sum of the products a*b is s_k(p) *
-s_k(q), and the j-th power sum of the k-th powers is s_jk(p).
+Products are roots of polynomials built from Newton power sums
+(Bostan-Flajolet-Salvy-Schost 2006): the composed product prod (x - a*b) over
+the roots a of p, b of q has j-th power sum s_j(p) s_j(q), and the exterior
+power prod over k-subsets S of (x - prod_S a^m) has j-th power sum
+e_k(a^(mj)).  The factor holding the true product is the unique one whose
+certified root enclosure meets the product of the operands' enclosures, so
+the selection is a proof: distinct irreducible factors share no roots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from . import factorq
-from .enclosures import MAX_BITS, ComplexEnclosure, isolate_roots
+from .enclosures import MAX_BITS, ComplexEnclosure, isolate_roots, pow_rounded
 from .errors import CrossCheckError, PrecisionExhausted, ValidationError
-from .qpoly import QPoly, X, from_power_sums, power_sums
+from .qpoly import QPoly, X, _exact, from_power_sums, power_sums
 
 
 class AlgebraicNumber:
@@ -68,16 +68,13 @@ def from_rational(q) -> AlgebraicNumber:
     return AlgebraicNumber(X - QPoly((q,)), ComplexEnclosure(q, 0, 0), MAX_BITS)
 
 
-def from_root(minpoly: QPoly, enclosure: ComplexEnclosure, bits: int = 128) -> AlgebraicNumber:
-    return AlgebraicNumber(minpoly, enclosure, bits)
-
-
-def _select_root(candidates: list[QPoly], disk_of, bits: int) -> tuple[QPoly, ComplexEnclosure, int]:
-    """Pick the unique (factor, root enclosure) meeting the target disk.
+def _select_root(poly: QPoly, disk_of, bits: int) -> tuple[QPoly, ComplexEnclosure, int]:
+    """Pick the unique (irreducible factor of poly, root enclosure) meeting the target disk.
 
     disk_of(bits) must return a certified enclosure of the target value at the
-    given precision; the target is known to be a root of one candidate.
+    given precision; the target is known to be a root of poly.
     """
+    candidates = [q for q, _ in factorq.factor(poly)]
     while bits <= MAX_BITS:
         disk = disk_of(bits)
         hits: list[tuple[QPoly, ComplexEnclosure]] = []
@@ -100,10 +97,25 @@ def _product_resultant(pa: QPoly, pb: QPoly) -> QPoly:
     return from_power_sums(sums, n)
 
 
-def _power_polynomial(p: QPoly, k: int) -> QPoly:
-    """Monic prod (x - a^k) over the roots a of p."""
-    n = p.degree
-    return from_power_sums(power_sums(p, n * k)[::k], n)
+def _exterior_sums(p: QPoly, k: int, m: int, count: int) -> list:
+    """[P_0, ..., P_count] with P_j = e_k(a^(mj)) over the roots a of p: the
+    power sums of the roots of exterior_power(p, k, m)."""
+    s = power_sums(p, k * m * count)
+    sums = [comb(p.degree, k)]
+    for j in range(1, count + 1):
+        t = s[m * j : k * m * j + 1 : m * j]  # power sums of the a^(mj)
+        e = [1]
+        for i in range(1, k + 1):
+            acc = sum((-1) ** (l - 1) * e[i - l] * t[l - 1] for l in range(1, i + 1))
+            e.append(_exact(Fraction(acc) / i))
+        sums.append(e[k])
+    return sums
+
+
+def exterior_power(p: QPoly, k: int, m: int = 1) -> QPoly:
+    """Monic prod over the k-subsets S of the roots of p of (x - prod_{a in S} a^m)."""
+    count = comb(p.degree, k)
+    return from_power_sums(_exterior_sums(p, k, m, count), count)
 
 
 def product(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
@@ -119,8 +131,6 @@ def product(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
         scaled = a.minpoly.scale_roots(r)
         return AlgebraicNumber(scaled, a.enclosure * r, a.bits)
 
-    res = _product_resultant(a.minpoly, b.minpoly)
-    candidates = sorted({q for q, _ in factorq.factor(res)}, key=lambda q: (q.degree, q.coeffs))
     state = {"a": a, "b": b}
 
     def disk_of(bits: int) -> ComplexEnclosure:
@@ -128,34 +138,47 @@ def product(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
         state["b"] = state["b"].refined(bits)
         return state["a"].enclosure * state["b"].enclosure
 
-    q, e, bits = _select_root(candidates, disk_of, max(a.bits, b.bits))
+    q, e, bits = _select_root(_product_resultant(a.minpoly, b.minpoly), disk_of, max(a.bits, b.bits))
     return AlgebraicNumber(q, e, bits)
 
 
-def power(a: AlgebraicNumber, k: int) -> AlgebraicNumber:
-    """The algebraic number a**k, k >= 0."""
-    if k < 0:
-        raise ValidationError("negative powers not supported here")
-    if k == 0:
-        return from_rational(1)
-    if k == 1:
-        return a
-    if a.is_rational:
-        return from_rational(a.as_fraction() ** k)
-    pk = _power_polynomial(a.minpoly, k)
-    candidates = sorted({q for q, _ in factorq.factor(pk)}, key=lambda q: (q.degree, q.coeffs))
-    state = {"a": a}
+def root_product(p: QPoly, roots: list[ComplexEnclosure], m: int = 1) -> AlgebraicNumber:
+    """prod a^m over the roots a of the irreducible p pinned by the enclosures.
+
+    For k enclosures it is a root of exterior_power(p, k, m).  When 2k = deg p,
+    subsets pair with their complements, whose products r and N/r multiply to
+    N = ((-1)^n p(0))^m.  So the polynomial T of half the degree with the roots
+    r + N/r is factored instead: its i-th power sum is the sum over 2l <= i of
+    C(i, l) N^l P_(i-2l), with P the exterior power's sums and P_0 = deg T.
+    The product is then a root of x^(deg t) t(x + N/x), t the factor of T.
+    """
+    n, k = p.degree, len(roots)
+    nums = [AlgebraicNumber(p, e) for e in roots]
 
     def disk_of(bits: int) -> ComplexEnclosure:
-        state["a"] = state["a"].refined(bits)
-        return state["a"].enclosure ** k
+        nums[:] = [a.refined(bits) for a in nums]
+        disk = ComplexEnclosure(1, 0, 0)
+        for a in nums:
+            disk = (disk * a.enclosure).rounded(bits)
+        return pow_rounded(disk, m, bits)
 
-    q, e, bits = _select_root(candidates, disk_of, a.bits)
+    if 2 * k != n:
+        q, e, bits = _select_root(exterior_power(p, k, m), disk_of, 128)
+        return AlgebraicNumber(q, e, bits)
+
+    big_n = _exact(((-1) ** n * p.monic()[0]) ** m)
+    half = comb(n, k) // 2
+    sums = _exterior_sums(p, k, m, half)
+    sums[0] = half
+    folded = [sum(comb(i, l) * big_n**l * sums[i - 2 * l] for l in range(i // 2 + 1)) for i in range(half + 1)]
+
+    def folded_disk_of(bits: int) -> ComplexEnclosure:
+        disk = disk_of(bits)
+        return disk + disk.invert() * big_n
+
+    t, _, bits = _select_root(from_power_sums(folded, half), folded_disk_of, 128)
+    unfolded = QPoly()
+    for i in range(t.degree, -1, -1):
+        unfolded = unfolded * (X * X + big_n) + X ** (t.degree - i) * t[i]
+    q, e, bits = _select_root(unfolded, disk_of, bits)
     return AlgebraicNumber(q, e, bits)
-
-
-def product_many(items: list[AlgebraicNumber]) -> AlgebraicNumber:
-    acc = from_rational(1)
-    for item in items:
-        acc = product(acc, item)
-    return acc

@@ -5,6 +5,10 @@ Exact algebraic criteria decide everything; enclosure arithmetic only selects
 among exact alternatives or cross-checks.  Where the two could disagree the
 code raises CrossCheckError instead of picking a side: the criteria are
 provably equivalent, so a disagreement is a bug, not data.
+
+The entropy is log(gamma), gamma the Mahler measure of the eigenvalue
+multiset (Lind-Schmidt-Ward, Invent. Math. 1990): one root of an exterior
+power per eigenvalue factor, and the certificate divides into another.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from math import lcm
 
 from mpmath import mp, mpf
 
-from . import algnum
+from . import algnum, factorq
 from .enclosures import (
     INSIDE,
     ON_CIRCLE,
@@ -197,22 +201,19 @@ def _spectrum(spec: EndomorphismSpec) -> list[_FactorSpectrum]:
 # growth classification
 
 
+_PERIODICITY_WITNESS = {
+    TOTALLY_REAL_FIELD: "f == +-1 in a totally real field",
+    CM_FIELD: "f * conj(f) == 1 in a CM field",
+    TOTALLY_DEFINITE_QUATERNION: "Nrd(f) == 1 in a totally definite quaternion algebra",
+}
+
+
 def _periodicity_criterion(spec: EndomorphismSpec, at: AlbertType) -> tuple[bool | None, str]:
-    """The exact per-type test equivalent to 'all eigenvalues on the circle'."""
-    f = spec.element
-    if at.kind == TOTALLY_REAL_FIELD:
-        one = spec.algebra.one()
-        return f == one or f == -one, "f == +-1 in a totally real field"
-    if at.kind == CM_FIELD:
-        rep = cm_structure(spec.algebra)
-        value = f * apply_conjugation(rep, f)
-        return value == spec.algebra.one(), "f * conj(f) == 1 in a CM field"
-    if at.kind == TOTALLY_DEFINITE_QUATERNION:
-        return (
-            spec.element.reduced_norm() == spec.algebra.base.one(),
-            "Nrd(f) == 1 in a totally definite quaternion algebra",
-        )
-    return None, "eigenvalue multiset analysis (totally indefinite)"
+    """The exact per-type test equivalent to 'all eigenvalues on the circle':
+    the subfield element f^2, f*conj(f) or Nrd(f) is 1 (f^2 = 1 iff f = +-1)."""
+    if at.kind not in _DICHOTOMY_KINDS:
+        return None, "eigenvalue multiset analysis (totally indefinite)"
+    return _structure_element(spec, at) == 1, _PERIODICITY_WITNESS[at.kind]
 
 
 def classify_growth(spec: EndomorphismSpec) -> GrowthReport:
@@ -290,8 +291,6 @@ def is_salem_polynomial(p: QPoly, precision_bits: int = 128) -> SalemReport:
         return SalemReport(False, None, "degree must be even and at least 4")
     if p != p.reciprocal():
         return SalemReport(False, None, "not reciprocal")
-    from . import factorq
-
     if not factorq.is_irreducible(p):
         return SalemReport(False, None, "not irreducible")
     statuses = unit_circle_status(p, precision_bits)
@@ -313,47 +312,20 @@ def is_salem_polynomial(p: QPoly, precision_bits: int = 128) -> SalemReport:
 # entropy and the structure certificate
 
 
-@dataclass(frozen=True)
-class _GammaPart:
-    value: algnum.AlgebraicNumber  # one conjugate-pair product, real > 1
-    count: int
-    source: QPoly
-
-
-def _gamma_parts(spec: EndomorphismSpec) -> list[_GammaPart]:
-    if spec._gamma_parts_cache is not None:
-        return spec._gamma_parts_cache
-    parts: list[_GammaPart] = []
-    for fs in _spectrum(spec):
-        outside = [e for e, s in fs.statuses if s == OUTSIDE]
-        if not outside:
-            continue
-        reals = [e for e in outside if e.is_real]
-        uppers = [e for e in outside if e.im > 0]
-        lowers = {e for e in outside if e.im < 0}
-        for e in reals:
-            if fs.mult % 2:
-                raise CrossCheckError("real eigenvalue with odd multiplicity outside the circle")
-            mu = algnum.from_root(fs.poly, e)
-            parts.append(_GammaPart(algnum.power(mu, 2), fs.mult // 2, fs.poly))
-        for e in uppers:
-            mirror = e.conjugate()
-            if mirror not in lowers:
-                raise CrossCheckError("eigenvalue multiset is not conjugation-closed")
-            lowers.discard(mirror)
-            v = algnum.product(algnum.from_root(fs.poly, e), algnum.from_root(fs.poly, mirror))
-            parts.append(_GammaPart(v, fs.mult, fs.poly))
-        if lowers:
-            raise CrossCheckError("unpaired non-real eigenvalue outside the circle")
-    spec._gamma_parts_cache = parts
-    return parts
-
-
 def _gamma_of(spec: EndomorphismSpec) -> algnum.AlgebraicNumber:
+    """gamma = prod |mu| over the eigenvalues outside the circle, with
+    multiplicity: per factor of multiplicity m, the product of a^m over its
+    roots a outside (a conjugate pair gives |a|^(2m), and a real a gives
+    |a|^m as m is even), then the product over the factors."""
     if spec._gamma_cache is not None:
         return spec._gamma_cache
-    parts = _gamma_parts(spec)
-    gamma = algnum.product_many([algnum.power(p.value, p.count) for p in parts])
+    gamma = algnum.from_rational(1)
+    for fs in _spectrum(spec):
+        outside = [e for e, s in fs.statuses if s == OUTSIDE]
+        if fs.mult % 2 and any(e.is_real for e in outside):
+            raise CrossCheckError("real eigenvalue with odd multiplicity outside the circle")
+        if outside:
+            gamma = algnum.product(gamma, algnum.root_product(fs.poly, outside, fs.mult))
     spec._gamma_cache = gamma
     return gamma
 
@@ -361,23 +333,21 @@ def _gamma_of(spec: EndomorphismSpec) -> algnum.AlgebraicNumber:
 def entropy(spec: EndomorphismSpec, precision_bits: int = 128) -> EntropyReport:
     """Entropy value log(gamma) with gamma's exact minimal polynomial.
 
-    gamma is the product of the rational eigenvalues outside the unit circle
-    (each conjugate pair contributes its modulus squared), so the value is
-    the sum of mult * log|mu| over those eigenvalues; both readings are
-    computed and must agree.
+    gamma is the product of |mu| over the rational eigenvalues outside the
+    unit circle, so the value is the sum of mult * log|mu| over those
+    eigenvalues; both readings are computed and must agree.
     """
     at = admissibility_check(spec)
     growth = classify_growth(spec)
     gamma = _gamma_of(spec)
 
-    if gamma.is_rational and gamma.as_fraction() == 1:
-        if growth.growth_class not in (PERIODIC, UNIT_CIRCLE_NON_TORSION):
+    periodic = growth.growth_class in (PERIODIC, UNIT_CIRCLE_NON_TORSION)
+    if gamma.minpoly == X - ONE:
+        if not periodic:
             raise CrossCheckError("gamma = 1 for a spec classified as exponential")
-        value = mpf(0)
         ok, note = _structure_result(spec, at, trivial=True)
-        return EntropyReport(value, X - ONE, ComplexEnclosure(1, 0, 0), False, ok, note)
-
-    if growth.growth_class in (PERIODIC, UNIT_CIRCLE_NON_TORSION):
+        return EntropyReport(mpf(0), gamma.minpoly, gamma.enclosure, False, ok, note)
+    if periodic:
         raise CrossCheckError("gamma > 1 for a spec classified as periodic")
 
     # tighten gamma until log() is reliable well below the 1e-9 tolerances
@@ -431,42 +401,35 @@ def _structure_result(spec: EndomorphismSpec, at: AlbertType, trivial: bool) -> 
         "every |mu|^2 factor of gamma is a conjugate of an explicit element of the "
         "maximal totally real subfield, so gamma lies in its normal closure"
     )
-    return ok, note if ok else "pair products failed to match the totally real subfield"
+    return ok, note if ok else "gamma is not a root of the exterior power of the totally real subfield element"
 
 
 def structure_certificate_for(spec: EndomorphismSpec, at: AlbertType | None = None) -> bool:
     """Exact check that gamma lives in the normal closure of the maximal
     totally real subfield of the endomorphism algebra.
 
-    gamma is a product of pair values mu * conj(mu); each pair value is shown
-    to be a conjugate of the explicit subfield element y (f^2, f*conj(f) or
-    Nrd(f)) by comparing exact minimal polynomials, and the pair resultant
-    divisibility pins the construction: minpoly(y) must divide the pair
-    resultant of the source factor with itself.
+    The subfield element y (f^2, f*conj(f) or Nrd(f)) is totally positive;
+    each conjugate is a value |mu|^2, and gamma is the product of b^(g/n')
+    over the k' conjugates b > 1, n' = deg minpoly(y).  k' is the number of
+    sign changes of minpoly(y)(x + 1), exact by Descartes' rule as y is
+    totally real.  So minpoly(gamma) must divide the exterior power.
     """
     if at is None:
         at = admissibility_check(spec)
     if at.kind not in _DICHOTOMY_KINDS:
         raise ValidationError("structure certificate only covers the dichotomy types")
-    parts = _gamma_parts(spec)
-    if not parts:
-        return True
-    y = _structure_element(spec, at)
-    minpoly_y = y.minimal_polynomial()
-    if any(part.value.minpoly != minpoly_y for part in parts):
-        return False
-    sources = {part.source for part in parts}
-    return all(minpoly_y.divides(algnum._product_resultant(q, q)) for q in sources)
+    minpoly_y = _structure_element(spec, at).minimal_polynomial()
+    if spec.g % minpoly_y.degree:
+        raise CrossCheckError("the degree of the totally real subfield element does not divide g")
+    signs = [c > 0 for c in minpoly_y.compose(X + ONE).coeffs if c]
+    above_one = sum(a != b for a, b in zip(signs, signs[1:]))
+    power = algnum.exterior_power(minpoly_y, above_one, spec.g // minpoly_y.degree)
+    return _gamma_of(spec).minpoly.divides(power)
 
 
 def structure_certificate(report: EntropyReport, spec: EndomorphismSpec) -> bool:
     """Public form of the certificate, run against a finished entropy report."""
     at = admissibility_check(spec)
-    if at.kind not in _DICHOTOMY_KINDS:
-        raise ValidationError("structure certificate only covers the dichotomy types")
-    if report.is_zero:
-        return True
-    gamma = _gamma_of(spec)
-    if gamma.minpoly != report.gamma_minpoly:
+    if at.kind in _DICHOTOMY_KINDS and _gamma_of(spec).minpoly != report.gamma_minpoly:
         raise CrossCheckError("entropy report does not belong to this spec")
     return structure_certificate_for(spec, at)

@@ -119,7 +119,7 @@ def _cmd_salem(args) -> int:
         else:
             raw = [tok for tok in text.replace(",", " ").split() if tok]
         poly = QPoly(raw)
-    except (ValidationError, ValueError, ZeroDivisionError) as exc:
+    except (ValidationError, ValueError) as exc:
         raise ValidationError(f"cannot parse coefficients: {exc}") from exc
     report = classify.is_salem_polynomial(poly)
     print(json.dumps({"op": "salem", **jobs.salem_json(report, poly)}, indent=2))

@@ -211,6 +211,18 @@ class ComplexEnclosure:
         }
 
 
+def pow_rounded(base: ComplexEnclosure, n: int, bits: int) -> ComplexEnclosure:
+    """Enclosure of base^n by repeated squaring, rounded to bits after every step."""
+    result = ComplexEnclosure(1, 0, 0)
+    while n:
+        if n & 1:
+            result = (result * base).rounded(bits)
+        n >>= 1
+        if n:
+            base = (base * base).rounded(bits)
+    return result
+
+
 def _decimal(q: Fraction, digits: int, round_up: bool = False) -> str:
     sign = "-" if q < 0 else ""
     n, d = abs(q.numerator), q.denominator

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import from_rational
 
 from . import classify
-from .enclosures import fraction_to_mpf
-from .errors import ValidationError
+from .algnum import AlgebraicNumber
+from .enclosures import MAX_BITS
+from .errors import PrecisionExhausted, ValidationError
 from .lefschetz import ITERATE_CAP, EndomorphismSpec, fixed_point_table
 from .lefschetz import fixed_points_exact  # noqa: F401  re-export; perfbench/tests checks the tracer patches it
 from .numfield import NumberField, cm_structure
@@ -40,10 +42,7 @@ def _fail(path: str, detail: str):
 def _poly(data, path: str) -> QPoly:
     if not isinstance(data, list) or not data:
         _fail(path, "expected a non-empty array of coefficient strings")
-    try:
-        return QPoly.from_json(data)
-    except (ValidationError, ValueError, ZeroDivisionError) as exc:
-        _fail(path, f"bad coefficient array: {exc}")
+    return _poly_or_zero(data, path)
 
 
 def parse_spec(data, path: str = "spec") -> EndomorphismSpec:
@@ -98,7 +97,7 @@ def _poly_or_zero(data, path: str) -> QPoly:
         return QPoly()
     try:
         return QPoly.from_json(data)
-    except (ValidationError, ValueError, ZeroDivisionError) as exc:
+    except (ValidationError, ValueError) as exc:
         _fail(path, f"bad coefficient array: {exc}")
 
 
@@ -161,14 +160,26 @@ def growth_json(rep: classify.GrowthReport) -> dict:
     }
 
 
-def _value_decimal(value) -> str:
-    with mp.workprec(200):
-        return mp.nstr(value, 18, strip_zeros=False)
+def _certified_decimal(x: AlgebraicNumber, f=mp.mpf) -> str:
+    """f(x) to 18 significant digits, correctly rounded, for a real x and an
+    increasing f: x is refined until f at both ends of its enclosure, rounded
+    outward and pushed out by 16 ulps, prints the same digits (Ziv's method)."""
+    while x.bits <= MAX_BITS:
+        e, ends = x.enclosure, set()
+        with mp.workprec(x.bits + 64):
+            for end, rounding, side in ((e.re - e.radius, "f", -1), (e.re + e.radius, "c", 1)):
+                v = f(mp.make_mpf(from_rational(end.numerator, end.denominator, mp.prec, rounding)))
+                ends.add(mp.nstr(v + side * mp.ldexp(abs(v), 4 - mp.prec), 18, strip_zeros=False))
+        if len(ends) == 1:
+            return ends.pop()
+        x = x.refined(2 * x.bits)
+    raise PrecisionExhausted(f"no certified decimal of {x!r} within {MAX_BITS} bits")
 
 
 def entropy_json(rep: classify.EntropyReport) -> dict:
+    gamma = AlgebraicNumber(rep.gamma_minpoly, rep.gamma_enclosure)
     return {
-        "value_decimal": _value_decimal(rep.value),
+        "value_decimal": _certified_decimal(gamma, mp.log),
         "gamma_minpoly": rep.gamma_minpoly.to_json(),
         "is_salem": rep.is_salem,
         "structure_ok": rep.structure_ok,
@@ -183,8 +194,7 @@ def salem_json(report: classify.SalemReport, poly: QPoly) -> dict:
         "reason": report.reason,
     }
     if report.lead_root is not None:
-        with mp.workprec(200):
-            out["lead_root"] = mp.nstr(fraction_to_mpf(report.lead_root.re), 18, strip_zeros=False)
+        out["lead_root"] = _certified_decimal(AlgebraicNumber(poly, report.lead_root))
     return out
 
 

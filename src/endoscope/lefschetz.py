@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import factorq
-from .enclosures import ComplexEnclosure, align_enclosures, isolate_roots
+from .enclosures import ComplexEnclosure, align_enclosures, isolate_roots, pow_rounded
 from .errors import CrossCheckError, PrecisionExhausted, ValidationError
 from .numfield import NumberField
 from .qpoly import ONE, X, QPoly, cyclotomic_order, det_int_bareiss, resultant
@@ -52,10 +52,9 @@ class EndomorphismSpec:
         self.element = element
         self.g = g
         self._charpoly_q: QPoly | None = None
-        # filled by classify: Albert type, spectrum, pair products and gamma
+        # filled by classify: Albert type, spectrum and gamma
         self._albert = None
         self._spectrum_cache = None
-        self._gamma_parts_cache = None
         self._gamma_cache = None
 
     @property
@@ -250,7 +249,7 @@ def _resultant_counts(chi: QPoly, exponent: int, nmax: int):
 
 def _powers_at(roots, n: int, work: int) -> list[list[ComplexEnclosure]]:
     """Enclosures of mu^n for every root, grouped like roots, by repeated squaring."""
-    return [[_pow_rounded(e, n, work) for e in es] for es in roots]
+    return [[pow_rounded(e, n, work) for e in es] for es in roots]
 
 
 def _settled_product(ev: EigenvalueMultiset, powers, work: int) -> int | None:
@@ -264,7 +263,7 @@ def _settled_product(ev: EigenvalueMultiset, powers, work: int) -> int | None:
         part = ComplexEnclosure(1, 0, 0)
         for p in ps:
             part = (part * (1 - p)).rounded(work)
-        acc = (acc * _pow_rounded(part, mult, work)).rounded(work)
+        acc = (acc * pow_rounded(part, mult, work)).rounded(work)
     val = round(acc.re)
     if abs(acc.re - val) + acc.radius < Fraction(1, 2):
         return int(val)
@@ -276,17 +275,6 @@ def _escalate(ev: EigenvalueMultiset) -> None:
     if bits > 1 << 16:
         raise PrecisionExhausted("eigenvalue product would not settle on an integer")
     ev.refine(bits)
-
-
-def _pow_rounded(base: ComplexEnclosure, n: int, work: int) -> ComplexEnclosure:
-    result = ComplexEnclosure(1, 0, 0)
-    while n:
-        if n & 1:
-            result = (result * base).rounded(work)
-        n >>= 1
-        if n:
-            base = (base * base).rounded(work)
-    return result
 
 
 def companion_oracle(char_poly: QPoly, n: int) -> int:

@@ -27,7 +27,10 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, str):
         if not _RATIONAL.fullmatch(c):
             raise ValidationError(f"coefficient {c!r} is not of the form 'n' or 'n/d'")
-        return Fraction(c)
+        try:
+            return Fraction(c)
+        except ZeroDivisionError:
+            raise ValidationError(f"coefficient {c!r} has a zero denominator") from None
     if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c)
     raise ValidationError(f"not an exact rational coefficient: {c!r}")

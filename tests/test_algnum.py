@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +12,7 @@ from endoscope.qpoly import QPoly, from_ints
 
 
 def root_of(poly, index, bits=128):
-    return algnum.from_root(poly, isolate_roots(poly, bits)[index], bits)
+    return algnum.AlgebraicNumber(poly, isolate_roots(poly, bits)[index], bits)
 
 
 def test_product_of_square_roots():
@@ -40,36 +42,48 @@ def test_rational_scaling_shortcut():
 
 
 def test_powers():
-    golden = root_of(from_ints(-1, -1, 1), 1)  # (1+sqrt5)/2
-    sq = algnum.power(golden, 2)
-    assert sq.minpoly == from_ints(1, -3, 1)
-    i_pos = root_of(from_ints(1, 0, 1), 1)
-    assert algnum.power(i_pos, 2).minpoly == from_ints(1, 1)
-    assert algnum.power(i_pos, 4).as_fraction() == 1
-    assert algnum.power(golden, 0).as_fraction() == 1
-    assert algnum.power(algnum.from_rational(Fraction(2, 3)), 3).as_fraction() == Fraction(8, 27)
+    golden = from_ints(-1, -1, 1)  # roots (1 +- sqrt5)/2
+    phi = isolate_roots(golden, 128)[1]
+    assert algnum.root_product(golden, [phi], 2).minpoly == from_ints(1, -3, 1)
+    x2_plus_1 = from_ints(1, 0, 1)
+    i_pos = isolate_roots(x2_plus_1, 128)[1]
+    assert algnum.root_product(x2_plus_1, [i_pos], 2).minpoly == from_ints(1, 1)
+    assert algnum.root_product(x2_plus_1, [i_pos], 4).as_fraction() == 1
+    assert algnum.root_product(golden, [], 1).as_fraction() == 1
+    third = from_ints(Fraction(-2, 3), 1)
+    cube = algnum.root_product(third, isolate_roots(third, 128), 3)
+    assert cube.as_fraction() == Fraction(8, 27)
 
 
-def test_product_many_salem_pairs():
+def test_root_product_salem_pairs():
     # the two unit-circle roots of the Salem quartic multiply to exactly 1
     quartic = from_ints(1, -1, -1, -1, 1)
     roots = isolate_roots(quartic, 128)
-    circle = [algnum.from_root(quartic, e) for e in roots if not e.is_real]
-    prod = algnum.product_many(circle)
+    prod = algnum.root_product(quartic, [e for e in roots if not e.is_real])
     assert prod.is_rational and prod.as_fraction() == 1
     # lead root times its reciprocal root is 1 as well
-    reals = [algnum.from_root(quartic, e) for e in roots if e.is_real]
-    prod = algnum.product_many(reals)
+    prod = algnum.root_product(quartic, [e for e in roots if e.is_real])
     assert prod.as_fraction() == 1
 
 
 def test_product_minpoly_irreducible_and_refinable():
-    lead = root_of(from_ints(1, -1, -1, -1, 1), 3)
-    square = algnum.power(lead, 2)
+    quartic = from_ints(1, -1, -1, -1, 1)
+    square = algnum.root_product(quartic, [isolate_roots(quartic, 128)[3]], 2)
     assert is_irreducible(square.minpoly)
     tighter = square.refined(512)
     assert tighter.enclosure.radius <= square.enclosure.radius
     assert tighter.minpoly == square.minpoly
+
+
+def test_root_product_folds_half_subsets():
+    # 2k = n: x^4 - 6x^2 + 4 has the roots +-(sqrt10 +- sqrt2)/2, two of them
+    # outside the circle, whose product is -(3 + sqrt5); N = p(0)^m is not 1
+    quartic = from_ints(4, 0, -6, 0, 1)
+    outside = [e for e in isolate_roots(quartic, 128) if abs(e.re) > 1]
+    prod = algnum.root_product(quartic, outside)
+    assert prod.minpoly == from_ints(4, 6, 1) and prod.enclosure.re < -5
+    square = algnum.root_product(quartic, outside, 2)
+    assert square.minpoly == from_ints(16, -28, 1) and square.enclosure.re > 27
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +110,30 @@ def test_product_resultant_matches_sympy(pa, pb):
 
 
 @given(monic_polys, st.integers(min_value=1, max_value=9))
-def test_power_polynomial_matches_sympy(p, k):
+def test_exterior_power_of_one_root_matches_sympy(p, m):
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
     a = sum(int(c) * y**i for i, c in enumerate(p.coeffs))
-    assert algnum._power_polynomial(p, k) == _sympy_monic(sympy.resultant(a, x - y**k, y), x)
+    assert algnum.exterior_power(p, 1, m) == _sympy_monic(sympy.resultant(a, x - y**m, y), x)
+
+
+@given(
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=6),
+    st.data(),
+    st.integers(min_value=1, max_value=3),
+)
+def test_exterior_power_matches_subset_products(roots, data, m):
+    n = len(roots)
+    k = data.draw(st.one_of(st.just(n // 2), st.integers(0, n)))  # n // 2 covers 2k = n
+    p = QPoly([1])
+    for r in roots:
+        p = p * from_ints(-r, 1)
+    direct = QPoly([1])
+    for subset in combinations(roots, k):
+        direct = direct * from_ints(-prod(r**m for r in subset), 1)
+    assert algnum.exterior_power(p, k, m) == direct
+
+
+@given(monic_polys)
+def test_exterior_squares_make_the_self_product(p):
+    assert algnum.exterior_power(p, 2) ** 2 * algnum.exterior_power(p, 1, 2) == algnum._product_resultant(p, p)

@@ -411,3 +411,37 @@ def test_entropy_g8_quaternion_with_huge_gamma_candidates(tmp_path, capsys):
     with mp.workprec(100):
         roots = mp.polyroots([int(c) for c in reversed(charpoly.coeffs)])
         assert min(abs(r) for r in roots) > 2
+
+
+def test_entropy_degree8_cm_folds_the_exterior_power(monkeypatch):
+    # 4 of the 8 roots of the charpoly lie outside the circle, and C(8, 4) = 70
+    # is above the factorization cap; folding the subsets with their
+    # complements halves the degree
+    from endoscope import algnum
+
+    calls = []
+    exterior_sums = algnum._exterior_sums
+
+    def spy(p, k, m, count):
+        calls.append((p.degree, k, count))
+        return exterior_sums(p, k, m, count)
+
+    monkeypatch.setattr(algnum, "_exterior_sums", spy)
+    spec = field_spec((1, 0, 0, 0, 0, 0, 0, 0, 1), [0, 0, 0, -1, -1, 0, 1, 1], 4)  # Q(zeta16)
+    rep = entropy(spec)
+    assert rep.gamma_minpoly == from_ints(16, -224, 280, -56, 1)
+    assert rep.structure_ok is True
+    assert (8, 4, 35) in calls
+
+
+def test_structure_certificate_reads_gamma():
+    # 2 + zeta5 in Q(zeta5), g = 2: the certificate holds for the true gamma
+    # and fails once gamma is replaced by another number
+    from endoscope import algnum
+    from endoscope.classify import structure_certificate_for
+
+    spec = field_spec((1, 1, 1, 1, 1), [2, 1], 2)
+    rep = entropy(spec)
+    assert rep.structure_ok is True and structure_certificate_for(spec) is True
+    spec._gamma_cache = algnum.product(classify._gamma_of(spec), algnum.from_rational(2))
+    assert structure_certificate_for(spec) is False

@@ -95,6 +95,36 @@ def test_salem_rejects_exponent_notation(capsys):
     assert "'1e999999'" in err["detail"]
 
 
+def test_salem_rejects_zero_denominator(capsys):
+    code, out = run_cli(capsys, "salem", "1/0,1")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "validation"
+    assert "'1/0'" in err["detail"] and "zero denominator" in err["detail"]
+
+
+def test_zero_denominator_rejected_at_field(tmp_path, capsys):
+    job = dict(MINUS_ONE_JOB, spec=dict(MINUS_ONE_JOB["spec"], element={"coords": ["1/00"]}))
+    code, out = run_cli(capsys, "run", write_job(tmp_path, job))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "validation"
+    assert "'1/00'" in err["detail"] and "zero denominator" in err["detail"]
+    assert "spec.element.coords" in err["detail"]
+
+
+def test_certified_decimal_refines_a_wide_enclosure():
+    from fractions import Fraction
+
+    from endoscope.algnum import AlgebraicNumber
+    from endoscope.enclosures import ComplexEnclosure
+    from endoscope.jobs import _certified_decimal
+    from endoscope.qpoly import from_ints
+
+    wide = AlgebraicNumber(from_ints(-2, 0, 1), ComplexEnclosure(Fraction(3, 2), 0, Fraction(1, 4)), 64)
+    assert _certified_decimal(wide) == "1.41421356237309505"
+
+
 def test_exponent_notation_rejected_at_field(tmp_path, capsys):
     algebra = {"kind": "field", "minpoly": ["1e999999", "1/1"]}
     job = dict(MINUS_ONE_JOB, spec=dict(MINUS_ONE_JOB["spec"], algebra=algebra))
