@@ -6,6 +6,11 @@ among exact alternatives or cross-checks.  Where the two could disagree the
 code raises CrossCheckError instead of picking a side: the criteria are
 provably equivalent, so a disagreement is a bug, not data.
 
+Every real-root decision is an exact Sturm count (qpoly): the roots of an
+eigenvalue factor on |z| = 1 (the census by which the growth class labels the
+eigenvalue enclosures), the Salem test, the conjugates of the structure
+element above 1.  No working precision enters any answer.
+
 The entropy is log(gamma), gamma the Mahler measure of the eigenvalue
 multiset (Lind-Schmidt-Ward, Invent. Math. 1990): one root of an exterior
 power per eigenvalue factor, and the certificate divides into another.
@@ -19,14 +24,7 @@ from math import lcm
 from mpmath import mp, mpf
 
 from . import algnum, factorq
-from .enclosures import (
-    INSIDE,
-    ON_CIRCLE,
-    OUTSIDE,
-    ComplexEnclosure,
-    fraction_to_mpf,
-    unit_circle_status,
-)
+from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, fraction_to_mpf, isolate_roots, unit_circle_status
 from .errors import (
     CrossCheckError,
     DivisibilityViolation,
@@ -36,7 +34,7 @@ from .errors import (
 )
 from .lefschetz import EndomorphismSpec, fixed_point_table, rational_eigenvalues
 from .numfield import CM, TOTALLY_REAL, apply_conjugation, cm_structure
-from .qpoly import ONE, QPoly, X, cyclotomic_order
+from .qpoly import ONE, QPoly, X, count_real_roots, cyclotomic_order, trace_polynomial
 from .quaternion import MIXED, TOTALLY_DEFINITE, definiteness
 
 TOTALLY_REAL_FIELD = "TotallyRealField"
@@ -187,12 +185,8 @@ def _spectrum(spec: EndomorphismSpec) -> list[_FactorSpectrum]:
     ev = rational_eigenvalues(spec)
     out = []
     for q, mult in ev.factors:
-        order = ev.order_of(q)
-        if order is not None:
-            statuses = tuple((e, ON_CIRCLE) for e in ev.enclosures_of(q))
-        else:
-            statuses = tuple(unit_circle_status(q))
-        out.append(_FactorSpectrum(q, mult, order, statuses))
+        statuses = tuple(unit_circle_status(q, ev.enclosures_of(q)))
+        out.append(_FactorSpectrum(q, mult, ev.order_of(q), statuses))
     spec._spectrum_cache = out
     return out
 
@@ -280,9 +274,15 @@ def is_automorphism(spec: EndomorphismSpec) -> bool:
 # Salem polynomials
 
 
-def is_salem_polynomial(p: QPoly, precision_bits: int = 128) -> SalemReport:
+def is_salem_polynomial(p: QPoly) -> SalemReport:
     """Salem test: reciprocal, irreducible, one real root each side of 1,
-    everything else certified on the unit circle."""
+    everything else on the unit circle.
+
+    Two Sturm counts on T, p = x^m T(x + 1/x), decide it: m - 1 roots of T in
+    (-2, 2) put 2m - 2 roots of p on the circle, and the last root t of T
+    gives the two real roots off it, positive iff t > 2.  Root isolation
+    only pins the lead root for printing.
+    """
     if not p.is_integral:
         raise ValidationError("Salem test needs integer coefficients")
     if not p.is_monic:
@@ -293,18 +293,12 @@ def is_salem_polynomial(p: QPoly, precision_bits: int = 128) -> SalemReport:
         return SalemReport(False, None, "not reciprocal")
     if not factorq.is_irreducible(p):
         return SalemReport(False, None, "not irreducible")
-    statuses = unit_circle_status(p, precision_bits)
-    outside = [e for e, s in statuses if s == OUTSIDE]
-    inside = [e for e, s in statuses if s == INSIDE]
-    if len(outside) != 1 or len(inside) != 1:
+    t = trace_polynomial(p)
+    if count_real_roots(t, -2, 2) != t.degree - 1:
         return SalemReport(False, None, "more than one root off the unit circle on some side")
-    lead, small = outside[0], inside[0]
-    if not (lead.is_real and small.is_real):
-        return SalemReport(False, None, "off-circle roots are not real")
-    if not (lead.re - lead.radius > 0 and small.re - small.radius > 0):
+    if count_real_roots(t, 2) != 1:
         return SalemReport(False, None, "real roots are not positive")
-    # reciprocity pairs the two real roots exactly: p(x)=0 iff p(1/x)=0,
-    # so the root in (0,1) is literally 1/lead; nothing numeric remains.
+    lead = max((e for e in isolate_roots(p) if e.is_real), key=lambda e: e.re)
     return SalemReport(True, lead, "reciprocal, irreducible, lead root real > 1, rest on |z| = 1")
 
 
@@ -330,7 +324,7 @@ def _gamma_of(spec: EndomorphismSpec) -> algnum.AlgebraicNumber:
     return gamma
 
 
-def entropy(spec: EndomorphismSpec, precision_bits: int = 128) -> EntropyReport:
+def entropy(spec: EndomorphismSpec) -> EntropyReport:
     """Entropy value log(gamma) with gamma's exact minimal polynomial.
 
     gamma is the product of |mu| over the rational eigenvalues outside the
@@ -350,11 +344,6 @@ def entropy(spec: EndomorphismSpec, precision_bits: int = 128) -> EntropyReport:
     if periodic:
         raise CrossCheckError("gamma > 1 for a spec classified as periodic")
 
-    # tighten gamma until log() is reliable well below the 1e-9 tolerances
-    bits = max(gamma.bits, precision_bits)
-    while gamma.enclosure.radius * (1 << 80) > gamma.enclosure.re and bits < 1 << 14:
-        bits *= 2
-        gamma = gamma.refined(bits)
     if not gamma.enclosure.is_real or gamma.enclosure.re - gamma.enclosure.radius <= 1:
         raise CrossCheckError("gamma enclosure is not certified real and > 1")
 
@@ -410,9 +399,9 @@ def structure_certificate_for(spec: EndomorphismSpec, at: AlbertType | None = No
 
     The subfield element y (f^2, f*conj(f) or Nrd(f)) is totally positive;
     each conjugate is a value |mu|^2, and gamma is the product of b^(g/n')
-    over the k' conjugates b > 1, n' = deg minpoly(y).  k' is the number of
-    sign changes of minpoly(y)(x + 1), exact by Descartes' rule as y is
-    totally real.  So minpoly(gamma) must divide the exterior power.
+    over the k' conjugates b > 1, n' = deg minpoly(y), and k' is a Sturm
+    count of the roots of minpoly(y) in (1, inf).  So minpoly(gamma) must
+    divide the exterior power.
     """
     if at is None:
         at = admissibility_check(spec)
@@ -421,8 +410,7 @@ def structure_certificate_for(spec: EndomorphismSpec, at: AlbertType | None = No
     minpoly_y = _structure_element(spec, at).minimal_polynomial()
     if spec.g % minpoly_y.degree:
         raise CrossCheckError("the degree of the totally real subfield element does not divide g")
-    signs = [c > 0 for c in minpoly_y.compose(X + ONE).coeffs if c]
-    above_one = sum(a != b for a, b in zip(signs, signs[1:]))
+    above_one = count_real_roots(minpoly_y, 1)
     power = algnum.exterior_power(minpoly_y, above_one, spec.g // minpoly_y.degree)
     return _gamma_of(spec).minpoly.divides(power)
 

@@ -36,7 +36,9 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run the commands of a JSON job file")
     run_p.add_argument("job", help="path to the job file")
-    run_p.add_argument("--precision", type=int, default=None, help="working precision in bits (64..2048)")
+    run_p.add_argument(
+        "--precision", type=int, default=None, help="precision_bits echoed in the report (64..2048); answers are exact"
+    )
     run_p.add_argument("--table", action="store_true", help="human-readable output instead of JSON")
     run_p.add_argument("--nmax", type=int, default=None, help="override nmax of fixpoints commands")
 
@@ -88,7 +90,7 @@ def _cmd_run(args) -> int:
     for cmd in job.commands:
         if args.nmax is not None and cmd["op"] == "fixpoints":
             cmd = {"op": "fixpoints", "nmax": args.nmax}
-        results.append(jobs.run_command(job.spec, cmd, precision))
+        results.append(jobs.run_command(job.spec, cmd))
     report = {"precision_bits": precision, "results": results}
     if args.table:
         _print_table(report)
@@ -171,7 +173,7 @@ def _check_row(row) -> list[dict]:
         )
 
     add("definiteness", "TotallyIndefinite", definiteness(spec.algebra).kind)
-    add("reduced_norm", "1/1", _nf_str(spec.element.reduced_norm()))
+    add("reduced_norm", "1/1", _poly_str(spec.element.reduced_norm().poly) or "0")
     charpoly = spec.charpoly_q()
     add("charpoly_q", _poly_str(row["expected_charpoly"]), _poly_str(charpoly))
     add("root_of_unity_order", None, classify.is_root_of_unity(charpoly))
@@ -191,14 +193,8 @@ def _check_row(row) -> list[dict]:
     return checks
 
 
-def _nf_str(x) -> str:
-    if x.poly.is_zero:
-        return "0"
-    return ",".join(f"{c.numerator}/{c.denominator}" for c in x.poly.coeffs)
-
-
 def _poly_str(p: QPoly) -> str:
-    return ",".join(f"{c.numerator}/{c.denominator}" for c in p.coeffs)
+    return ",".join(p.to_json())
 
 
 def _cmd_self_test(args) -> int:

@@ -18,6 +18,10 @@ square roots, so no floating-point step is trusted.
 Real roots are recognized by an exact sign change across the disk's real
 diameter and reported with exact zero imaginary part; non-real enclosures
 are mirrored into exact conjugate pairs.
+
+Which roots lie on the unit circle is counted exactly (Sturm counts on the
+trace polynomial, see circle_root_count); enclosures only say which roots
+those are.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .qpoly import QPoly
+from .qpoly import QPoly, count_real_roots, root_bound_exponent, trace_polynomial
 
 MAX_BITS = 4096
 
@@ -182,10 +186,6 @@ class ComplexEnclosure:
             raise ValidationError("cannot invert an enclosure that may contain zero")
         return ComplexEnclosure(self.re / den, -self.im / den, self.radius / den)
 
-    def invert_conjugate(self) -> ComplexEnclosure:
-        """Enclosure of 1/conj(z): the reciprocal-conjugate image of the disk."""
-        return self.conjugate().invert()
-
     def rounded(self, bits: int) -> ComplexEnclosure:
         """Sound coarsening: midpoints snapped to denominator 2^bits, radius
         rounded up and padded by the snap distance.
@@ -258,23 +258,6 @@ def _reval(ints: list[int], x: Fraction) -> Fraction:
     for c in reversed(ints):
         acc = acc * x + c
     return acc
-
-
-def root_bound_exponent(ints: list[int]) -> int:
-    """An exponent k >= 0, read off the coefficient bit lengths, with every
-    root of the integer polynomial below 2^k in modulus.
-
-    Fujiwara's bound |z| <= 2 max_i |a_{n-i}/a_n|^(1/i), with each ratio
-    below 2^(bitlen(a_{n-i}) - bitlen(a_n) + 1).
-    """
-    n = len(ints) - 1
-    top = ints[-1].bit_length()
-    k = 0
-    for i in range(1, n + 1):
-        c = ints[n - i]
-        if c:
-            k = max(k, 1 + -(-(c.bit_length() - top + 1) // i))
-    return k
 
 
 def _seeds(ints: list[int], wp: int):
@@ -362,75 +345,34 @@ def _attempt(ints, n, wp, target):
             if dr * dr + di * di <= s * s:
                 return None
 
-    out: list[ComplexEnclosure | None] = [None] * n
-    positives = []
-    negatives = {}
-    for i, (re, im, rad) in enumerate(disks):
+    result, positives, negatives = [], [], []
+    for re, im, rad in disks:
         if im == 0:
             a, b = re - rad, re + rad
             pa, pb = _reval(ints, a), _reval(ints, b)
             if pa == 0:
-                out[i] = ComplexEnclosure(a, 0, 0)
+                result.append(ComplexEnclosure(a, 0, 0))
             elif pb == 0:
-                out[i] = ComplexEnclosure(b, 0, 0)
+                result.append(ComplexEnclosure(b, 0, 0))
             elif (pa < 0) != (pb < 0):
-                out[i] = ComplexEnclosure(re, 0, rad)
+                result.append(ComplexEnclosure(re, 0, rad))
             else:
                 return None
         elif abs(im) <= rad:
             return None
-        elif im > 0:
-            positives.append(i)
         else:
-            negatives[i] = True
-
-    for i in positives:
-        re, im, rad = disks[i]
-        mirror = ComplexEnclosure(re, -im, rad)
-        hit = None
-        for j in list(negatives):
-            dr = mirror.re - disks[j][0]
-            di = mirror.im - disks[j][1]
-            s = mirror.radius + disks[j][2]
-            if dr * dr + di * di <= s * s:
-                if hit is not None:
-                    return None
-                hit = j
-        if hit is None:
+            (positives if im > 0 else negatives).append(ComplexEnclosure(re, im, rad))
+    if len(positives) != len(negatives):
+        return None
+    # each upper disk's mirror must meet exactly one lower disk, which it replaces
+    for e in positives:
+        hits = [f for f in negatives if e.conjugate().meets(f)]
+        if len(hits) != 1:
             return None
-        del negatives[hit]
-        out[i] = ComplexEnclosure(re, im, rad)
-        out[hit] = mirror
-    if negatives:
-        return None
-
-    result = [e for e in out if e is not None]
-    if len(result) != n:
-        return None
+        negatives.remove(hits[0])
+        result += [e, e.conjugate()]
     result.sort(key=lambda e: (e.re, e.im))
     return result
-
-
-def align_enclosures(old: list[ComplexEnclosure], new: list[ComplexEnclosure]) -> list[ComplexEnclosure]:
-    """Reorder a refined enclosure list to match an older one root-for-root."""
-    from .errors import CrossCheckError
-
-    used = [False] * len(new)
-    out = []
-    for e in old:
-        hit = None
-        for j, f in enumerate(new):
-            if used[j]:
-                continue
-            if e.meets(f):
-                if hit is not None:
-                    raise CrossCheckError("ambiguous enclosure refinement")
-                hit = j
-        if hit is None:
-            raise CrossCheckError("refined enclosure lost a root")
-        used[hit] = True
-        out.append(new[hit])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -439,44 +381,40 @@ def align_enclosures(old: list[ComplexEnclosure], new: list[ComplexEnclosure]) -
 INSIDE, ON_CIRCLE, OUTSIDE = -1, 0, 1
 
 
-def unit_circle_status(q: QPoly, precision_bits: int = 128) -> list[tuple[ComplexEnclosure, int]]:
+def circle_root_count(q: QPoly) -> int:
+    """Exact number of roots of the irreducible q on |z| = 1.
+
+    A root mu on the circle has 1/mu = conj(mu) again a root, so q shares it
+    with its reciprocal: q is x - 1, x + 1 or palindromic of degree 2m, and
+    then two roots lie on the circle per root of T in (-2, 2), q = x^m T(x + 1/x).
+    """
+    if q.degree == 1:
+        return int(abs(q[0]) == abs(q[1]))
+    if q != q.reciprocal():
+        return 0
+    return 2 * count_real_roots(trace_polynomial(q), -2, 2)
+
+
+def unit_circle_status(q: QPoly, enclosures=None) -> list[tuple[ComplexEnclosure, int]]:
     """Certified position of each root of irreducible q relative to |z| = 1.
 
-    If q is not self-reciprocal it shares no root with its reciprocal, so no
-    root sits on the circle and refinement settles every side.  If q is
-    self-reciprocal, a root mu has 1/conj(mu) again a root; when the
-    reciprocal-conjugate image of mu's enclosure meets only mu's own
-    enclosure the two roots coincide, which is exactly |mu| = 1.
+    enclosures, when given, are q's roots as isolate_roots returned them.
+    An enclosure certified off the circle takes its side; the roots are
+    isolated again at doubled precision until exactly circle_root_count(q)
+    enclosures are left, which then hold the roots on the circle.
     """
     if not q.is_monic or not q.is_integral:
         raise ValidationError("unit-circle test expects a monic integer polynomial")
-    selfrec = q.coeffs[0] in (1, -1) and q == q.reciprocal().monic()
-    bits = precision_bits
-    while bits <= MAX_BITS:
-        encl = isolate_roots(q, bits)
-        statuses: list[int | None] = []
-        for e in encl:
-            if e.abs_lb() > 1:
-                statuses.append(OUTSIDE)
-            elif e.abs_ub() < 1:
-                statuses.append(INSIDE)
-            elif not selfrec:
-                statuses.append(None)
-            else:
-                try:
-                    image = e.invert_conjugate()
-                except ValidationError:
-                    statuses.append(None)
-                    continue
-                hits = [f for f in encl if image.meets(f)]
-                if len(hits) == 1 and hits[0] is e:
-                    statuses.append(ON_CIRCLE)
-                else:
-                    statuses.append(None)
-        if all(s is not None for s in statuses):
+    on_circle, bits = circle_root_count(q), 128
+    encl = isolate_roots(q, bits) if enclosures is None else enclosures
+    while True:
+        statuses = [OUTSIDE if e.abs_lb() > 1 else INSIDE if e.abs_ub() < 1 else ON_CIRCLE for e in encl]
+        if statuses.count(ON_CIRCLE) == on_circle:
             return list(zip(encl, statuses))
         bits *= 2
-    raise PrecisionExhausted(f"unit-circle position of {q!r} unresolved at {MAX_BITS} bits")
+        if bits > MAX_BITS:
+            raise PrecisionExhausted(f"unit-circle position of {q!r} unresolved at {MAX_BITS} bits")
+        encl = isolate_roots(q, bits)
 
 
 # ---------------------------------------------------------------------------

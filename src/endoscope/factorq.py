@@ -219,17 +219,8 @@ def _symmetric(a: list[int], m: int) -> list[int]:
     return _trim([c - m if c > half else c for c in [x % m for x in a]])
 
 
-def _int_content(a: list[int]) -> int:
-    g = 0
-    for c in a:
-        g = gcd(g, abs(c))
-    return g or 1
-
-
 def _primitive(a: list[int]) -> list[int]:
-    g = _int_content(a)
-    if a and a[-1] < 0:
-        g = -g
+    g = (gcd(*a) or 1) * (-1 if a and a[-1] < 0 else 1)
     return [c // g for c in a]
 
 

@@ -5,7 +5,8 @@ spec carries either {"kind": "field", "minpoly": [...]} or {"kind":
 "quaternion", "base_minpoly": [...], "alpha": [...], "beta": [...]} plus the
 element and the dimension g.  Polynomial coefficient arrays are strings
 "num/den", constant term first.  Validation errors carry a JSON-pointer-ish
-path to the offending field.
+path to the offending field.  precision_bits is validated and echoed in the
+report; no answer depends on it, as every decision is exact.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .enclosures import MAX_BITS
 from .errors import PrecisionExhausted, ValidationError
 from .lefschetz import ITERATE_CAP, EndomorphismSpec, fixed_point_table
 from .lefschetz import fixed_points_exact  # noqa: F401  re-export; perfbench/tests checks the tracer patches it
-from .numfield import NumberField, cm_structure
-from .qpoly import QPoly
+from .numfield import NumberField, cm_structure, is_totally_real
+from .qpoly import QPoly, exact_decimal
 from .quaternion import QuatAlgebra, definiteness
 
 KNOWN_OPS = ("check-algebra", "classify", "fixpoints", "entropy", "salem")
@@ -45,6 +46,14 @@ def _poly(data, path: str) -> QPoly:
     return _poly_or_zero(data, path)
 
 
+def _at(path: str, make, *args):
+    """make(*args), with a ValidationError it raises pointed at path."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        _fail(path, str(exc))
+
+
 def parse_spec(data, path: str = "spec") -> EndomorphismSpec:
     if not isinstance(data, dict):
         _fail(path, "spec must be an object")
@@ -59,31 +68,27 @@ def parse_spec(data, path: str = "spec") -> EndomorphismSpec:
         _fail(f"{path}.g", "g must be a positive integer")
 
     if alg["kind"] == "field":
-        field = NumberField(_poly(alg.get("minpoly"), f"{path}.algebra.minpoly"))
+        field = _at(f"{path}.algebra.minpoly", NumberField, _poly(alg.get("minpoly"), f"{path}.algebra.minpoly"))
         elt = data["element"]
         if not isinstance(elt, dict) or "coords" not in elt:
             _fail(f"{path}.element.coords", "field element needs a 'coords' array")
         coords = _poly_or_zero(elt["coords"], f"{path}.element.coords")
-        try:
-            return EndomorphismSpec(field, field.element(coords), g)
-        except ValidationError as exc:
-            _fail(path, str(exc))
+        return _at(path, EndomorphismSpec, field, field.element(coords), g)
     elif alg["kind"] == "quaternion":
-        algebra = QuatAlgebra(
-            NumberField(_poly(alg.get("base_minpoly"), f"{path}.algebra.base_minpoly")),
-            _poly_or_zero(alg.get("alpha"), f"{path}.algebra.alpha"),
-            _poly_or_zero(alg.get("beta"), f"{path}.algebra.beta"),
-        )
+        base_path = f"{path}.algebra.base_minpoly"
+        base = _at(base_path, NumberField, _poly(alg.get("base_minpoly"), base_path))
+        alpha, beta = (base.element(_poly_or_zero(alg.get(k), f"{path}.algebra.{k}")) for k in ("alpha", "beta"))
+        for key, value in (("alpha", alpha), ("beta", beta)):
+            if value.is_zero:
+                _fail(f"{path}.algebra.{key}", f"{key} must be nonzero in the base field")
+        if not is_totally_real(base):
+            _fail(base_path, "quaternion base field must be totally real")
+        algebra = QuatAlgebra(base, alpha, beta)
         elt = data["element"]
         if not isinstance(elt, dict):
             _fail(f"{path}.element", "quaternion element needs arrays a, b, c, d")
-        coords = []
-        for key in ("a", "b", "c", "d"):
-            coords.append(_poly_or_zero(elt.get(key, []), f"{path}.element.{key}"))
-        try:
-            return EndomorphismSpec(algebra, algebra.element(*coords), g)
-        except ValidationError as exc:
-            _fail(path, str(exc))
+        coords = [_poly_or_zero(elt.get(key, []), f"{path}.element.{key}") for key in "abcd"]
+        return _at(path, EndomorphismSpec, algebra, algebra.element(*coords), g)
     else:
         _fail(f"{path}.algebra.kind", f"unknown algebra kind {alg['kind']!r}")
 
@@ -130,6 +135,7 @@ def parse_job(data) -> Job:
         if cmd["op"] == "salem":
             if "poly" not in cmd:
                 _fail(f"commands[{k}].poly", "salem command needs a 'poly' array")
+            cmd = {"op": "salem", "poly": _poly(cmd["poly"], f"commands[{k}].poly")}
         normalized.append(cmd)
     precision = data.get("precision_bits")
     if precision is not None and (not isinstance(precision, int) or not 64 <= precision <= 2048):
@@ -198,12 +204,11 @@ def salem_json(report: classify.SalemReport, poly: QPoly) -> dict:
     return out
 
 
-def run_command(spec: EndomorphismSpec | None, cmd: dict, precision: int) -> dict:
+def run_command(spec: EndomorphismSpec | None, cmd: dict) -> dict:
+    """The report of one command as parse_job normalized it."""
     op = cmd["op"]
     if op == "salem":
-        poly = _poly(cmd["poly"], "commands[..].poly")
-        report = classify.is_salem_polynomial(poly, precision)
-        return {"op": op, **salem_json(report, poly)}
+        return {"op": op, **salem_json(classify.is_salem_polynomial(cmd["poly"]), cmd["poly"])}
 
     assert spec is not None
     if op == "check-algebra":
@@ -221,14 +226,14 @@ def run_command(spec: EndomorphismSpec | None, cmd: dict, precision: int) -> dic
         return out
     if op == "fixpoints":
         table = fixed_point_table(spec, cmd["nmax"])
-        return {"op": op, "fix": [{"n": n, "fix": str(fix)} for n, fix in enumerate(table, 1)]}
+        return {"op": op, "fix": [{"n": n, "fix": exact_decimal(fix)} for n, fix in enumerate(table, 1)]}
     if op == "entropy":
-        rep = classify.entropy(spec, precision)
+        rep = classify.entropy(spec)
         return {"op": op, "entropy": entropy_json(rep)}
     if op == "classify":
         at = classify.admissibility_check(spec)
         growth = classify.classify_growth(spec)
-        rep = classify.entropy(spec, precision)
+        rep = classify.entropy(spec)
         return {
             "op": op,
             "albert_type": albert_json(at),

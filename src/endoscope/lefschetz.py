@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import factorq
-from .enclosures import ComplexEnclosure, align_enclosures, isolate_roots, pow_rounded
+from .enclosures import ComplexEnclosure, isolate_roots, pow_rounded
 from .errors import CrossCheckError, PrecisionExhausted, ValidationError
 from .numfield import NumberField
 from .qpoly import ONE, X, QPoly, cyclotomic_order, det_int_bareiss, resultant
@@ -102,9 +102,7 @@ class EndomorphismSpec:
 def _admissibility(spec: EndomorphismSpec):
     from . import classify
 
-    if spec._albert is None:
-        spec._albert = classify.admissibility_check(spec)
-    return spec._albert
+    return classify.admissibility_check(spec)
 
 
 def _check_iterate(n) -> None:
@@ -177,11 +175,11 @@ class EigenvalueMultiset:
         return out
 
     def refine(self, bits: int) -> None:
+        """Isolate every factor again at bits (products over a factor's roots ignore their order)."""
         if bits <= self.bits:
             return
         for q, _ in self.factors:
-            fresh = isolate_roots(q, bits)
-            self._enclosures[q] = tuple(align_enclosures(list(self._enclosures[q]), fresh))
+            self._enclosures[q] = tuple(isolate_roots(q, bits))
         self.bits = bits
 
 

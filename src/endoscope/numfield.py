@@ -3,6 +3,9 @@ traces (absolute and relative), embedding enclosures, and the field-type
 classification: totally real, CM (with its conjugation automorphism and
 maximal totally real subfield), or neither.
 
+Whether a field is totally real, or has a real embedding at all, is a Sturm
+count of the real roots of its minimal polynomial against the degree.
+
 Absolute norms are resultants, N(a) = Res(m, a) for the monic m; traces are
 read off the Newton power sums of m, and characteristic polynomials are
 rebuilt from the traces of the powers of the element.
@@ -25,7 +28,6 @@ from mpmath import mp, mpc, matrix as mp_matrix, lu_solve
 from . import factorq
 from .enclosures import (
     ComplexEnclosure,
-    align_enclosures,
     eval_poly_enclosure,
     fraction_to_mpf,
     isolate_roots,
@@ -33,7 +35,7 @@ from .enclosures import (
     rational_reconstruct,
 )
 from .errors import CrossCheckError, ValidationError
-from .qpoly import ONE, QPoly, X, from_power_sums, power_sums, resultant
+from .qpoly import ONE, QPoly, X, count_real_roots, from_power_sums, power_sums, resultant
 
 TOTALLY_REAL = "TotallyReal"
 CM = "CM"
@@ -55,8 +57,6 @@ class NumberField:
         self.degree = minpoly.degree
         # Tr(alpha^j) for j < degree: the trace is linear in the coordinates
         self._power_sums = power_sums(minpoly, self.degree - 1)
-        self._embeddings: list[ComplexEnclosure] | None = None
-        self._emb_bits = 0
         self._cm_report: FieldTypeReport | None = None
 
     def __repr__(self):
@@ -69,19 +69,8 @@ class NumberField:
         return hash(self.minpoly)
 
     def embeddings(self, precision_bits: int = 128) -> list[ComplexEnclosure]:
-        """Enclosures of the roots of minpoly, one per embedding into C.
-
-        Refining keeps the embedding order stable: new enclosures are aligned
-        with the cached ones root-for-root.
-        """
-        if self._embeddings is None:
-            self._embeddings = isolate_roots(self.minpoly, precision_bits)
-            self._emb_bits = precision_bits
-        elif precision_bits > self._emb_bits:
-            fresh = isolate_roots(self.minpoly, precision_bits)
-            self._embeddings = align_enclosures(self._embeddings, fresh)
-            self._emb_bits = precision_bits
-        return self._embeddings
+        """Enclosures of the roots of minpoly, one per embedding into C."""
+        return isolate_roots(self.minpoly, precision_bits)
 
     def element(self, coeffs) -> NFElement:
         if isinstance(coeffs, NFElement):
@@ -263,7 +252,7 @@ class NFElement:
 
 def is_totally_real(field: NumberField) -> bool:
     """True iff every embedding of the field lands in the reals."""
-    return all(e.is_real for e in field.embeddings())
+    return count_real_roots(field.minpoly) == field.degree
 
 
 @dataclass(frozen=True)
@@ -322,7 +311,7 @@ def _cm_structure_uncached(field: NumberField) -> FieldTypeReport:
     if is_totally_real(field):
         return FieldTypeReport(TOTALLY_REAL, field.gen(), field.minpoly)
     e = field.degree
-    if e % 2 == 1 or any(r.is_real for r in field.embeddings()):
+    if e % 2 == 1 or count_real_roots(field.minpoly) > 0:
         return FieldTypeReport(OTHER, None, None)
 
     bits = 192

@@ -5,20 +5,41 @@ polynomial is the empty tuple.  All arithmetic is exact.  This module also
 carries integer determinants (Bareiss), the resultant (via Sylvester/Bareiss),
 Newton power sums and their inverse (the kernel of norms, traces,
 characteristic polynomials, composed products and powers in the higher
-layers) and the cyclotomic-order test.
+layers), the cyclotomic-order test, and the exact real-root kernel: Sturm
+sequences count real roots in an interval and read the sign of one
+polynomial at the real roots of another, so every real-root decision of the
+higher layers (unit circle, Salem, totally real, definiteness) is exact.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf, lcm
 
-from .errors import ValidationError
+from .errors import NonSquarefreeInput, ValidationError
 
 # the documented coefficient strings "n" and "n/d": an optional minus sign and
 # decimal digits, so the length of the string bounds the size of the number
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _integer_multiple(p) -> tuple[int, list[int]]:
+    """(den, ints): den the lcm of the denominators of p, ints the coefficients of den * p."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def exact_decimal(n: int) -> str:
+    """str(n) for an int of any length: Decimal prints the same digits and is
+    exempt from Python's limit on int-to-str conversion."""
+    return str(Decimal(n))
+
+
+def _fraction_str(c: Fraction) -> str:
+    num = exact_decimal(c.numerator)
+    return num if c.denominator == 1 else f"{num}/{exact_decimal(c.denominator)}"
 
 
 def _as_fraction(c) -> Fraction:
@@ -97,11 +118,11 @@ class QPoly:
             if c == 0:
                 continue
             if i == 0:
-                terms.append(str(c))
+                terms.append(_fraction_str(c))
             elif i == 1:
-                terms.append(f"{c}*x" if c != 1 else "x")
+                terms.append(f"{_fraction_str(c)}*x" if c != 1 else "x")
             else:
-                terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
+                terms.append(f"{_fraction_str(c)}*x^{i}" if c != 1 else f"x^{i}")
         return "QPoly(" + " + ".join(terms) + ")"
 
     # -- arithmetic ----------------------------------------------------------
@@ -298,22 +319,14 @@ class QPoly:
         """
         if self.is_zero:
             return Fraction(0), []
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        sign = 1 if ints[-1] > 0 else -1
-        g *= sign
-        ints = [v // g for v in ints]
-        return Fraction(g, den), ints
+        den, ints = _integer_multiple(self)
+        g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+        return Fraction(g, den), [v // g for v in ints]
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> list[str]:
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+        return [f"{exact_decimal(c.numerator)}/{exact_decimal(c.denominator)}" for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data) -> QPoly:
@@ -367,26 +380,9 @@ def resultant(a: QPoly, b: QPoly) -> Fraction:
         return a.lc ** m
     if m == 0:
         return b.lc ** n
-    da = 1
-    for c in a.coeffs:
-        da = da * c.denominator // gcd(da, c.denominator)
-    db = 1
-    for c in b.coeffs:
-        db = db * c.denominator // gcd(db, c.denominator)
-    ai = [int(c * da) for c in a.coeffs]
-    bi = [int(c * db) for c in b.coeffs]
-    size = n + m
-    rows: list[list[int]] = []
-    for k in range(m):
-        row = [0] * size
-        for i, c in enumerate(reversed(ai)):
-            row[k + i] = c
-        rows.append(row)
-    for k in range(n):
-        row = [0] * size
-        for i, c in enumerate(reversed(bi)):
-            row[k + i] = c
-        rows.append(row)
+    (da, ai), (db, bi) = _integer_multiple(a), _integer_multiple(b)
+    rows = [[0] * k + ai[::-1] + [0] * (m - 1 - k) for k in range(m)]
+    rows += [[0] * k + bi[::-1] + [0] * (n - 1 - k) for k in range(n)]
     det = det_int_bareiss(rows)
     # Res(da*a, db*b) = da^m db^n Res(a, b)
     return Fraction(det, da**m * db**n)
@@ -465,3 +461,110 @@ def cyclotomic_order(q: QPoly) -> int | None:
         if X.pow_mod(k, q) == ONE % q:
             return k
     return None
+
+
+# ---------------------------------------------------------------------------
+# real roots: Sturm sequences (Basu-Pollack-Roy, Algorithms in Real Algebraic
+# Geometry, ch. 2) on integer polynomials; only signs matter, so every
+# remainder is scaled by a positive constant to a primitive one
+
+
+def root_bound_exponent(ints: list[int]) -> int:
+    """An exponent k >= 0, read off the coefficient bit lengths, with every
+    root of the integer polynomial below 2^k in modulus.
+
+    Fujiwara's bound |z| <= 2 max_i |a_{n-i}/a_n|^(1/i), with each ratio
+    below 2^(bitlen(a_{n-i}) - bitlen(a_n) + 1).
+    """
+    n = len(ints) - 1
+    top = ints[-1].bit_length()
+    k = 0
+    for i in range(1, n + 1):
+        c = ints[n - i]
+        if c:
+            k = max(k, 1 + -(-(c.bit_length() - top + 1) // i))
+    return k
+
+
+def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b, -rem(a, b), ... up to positive factors."""
+    chain = [a]
+    while b:
+        chain.append(b)
+        r, scale = list(a), abs(b[-1])
+        while len(r) >= len(b):
+            c, shift = r[-1] * (scale // b[-1]), len(r) - len(b)
+            r = [x * scale for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+            while r and not r[-1]:
+                r.pop()
+        g = gcd(*r)
+        a, b = b, [-x // g for x in r]
+    return chain
+
+
+def _sign_at(c: list[int], x) -> int:
+    """Sign of the integer polynomial c at a rational x or at +-inf."""
+    if x in (inf, -inf):
+        v = c[-1] if x > 0 or len(c) % 2 else -c[-1]
+    else:
+        x, v, dpow = Fraction(x), 0, 1
+        for a in reversed(c):  # den(x)^deg times the value, by homogeneous Horner
+            v, dpow = v * x.numerator + a * dpow, dpow * x.denominator
+    return (v > 0) - (v < 0)
+
+
+def _variations(chain: list[list[int]], x) -> int:
+    signs = [s for s in (_sign_at(c, x) for c in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sturm_sequence(p: QPoly) -> list[list[int]]:
+    chain = _remainder_sequence(_integer_multiple(p)[1], _integer_multiple(p.derivative())[1])
+    if p.is_zero or len(chain[-1]) > 1:
+        raise NonSquarefreeInput("Sturm sequences need a nonzero squarefree polynomial")
+    return chain
+
+
+def count_real_roots(p: QPoly, lo=-inf, hi=inf) -> int:
+    """Number of roots of the squarefree p in (lo, hi], lo and hi rational or +-inf."""
+    chain = _sturm_sequence(p)
+    return _variations(chain, lo) - _variations(chain, hi) if lo < hi else 0
+
+
+def signs_at_real_roots(q: QPoly, p: QPoly) -> list[int]:
+    """The sign of q at each real root of the squarefree p, roots ascending.
+
+    Bisection isolates each root in an interval (lo, hi) with ends that are
+    not roots, where the sign variations of the remainder sequence of p and
+    p'q drop by the sign of q at the root (Sylvester's theorem).
+    """
+    chain = _sturm_sequence(p)
+    query = _remainder_sequence(chain[0], _integer_multiple(p.derivative() * q)[1])
+    bound = Fraction(1 << root_bound_exponent(chain[0]))
+    signs, todo = [], [(-bound, bound)]
+    while todo:
+        lo, hi = todo.pop()
+        roots = _variations(chain, lo) - _variations(chain, hi)
+        if roots == 1:
+            signs.append(_variations(query, lo) - _variations(query, hi))
+        elif roots > 1:
+            mid = (lo + hi) / 2
+            while _sign_at(chain[0], mid) == 0:
+                mid = (mid + hi) / 2
+            todo += [(mid, hi), (lo, mid)]
+    return signs
+
+
+def trace_polynomial(q: QPoly) -> QPoly:
+    """T with q = x^m T(x + 1/x), for a palindromic q of degree 2m: x^k + x^-k
+    is D_k(x + 1/x), D_0 = 2, D_1 = y, D_(k+1) = y D_k - D_(k-1).  The roots
+    x, 1/x of q over a root t of T lie on |x| = 1 iff t is real in [-2, 2]."""
+    if q.degree < 0 or q.degree % 2 or q != q.reciprocal():
+        raise ValidationError("trace polynomial needs a palindromic polynomial of even degree")
+    m = q.degree // 2
+    t, prev, cur = QPoly((q[m],)), QPoly((2,)), X
+    for k in range(1, m + 1):
+        t, prev, cur = t + cur * q[m + k], cur, X * cur - prev
+    return t

@@ -3,7 +3,9 @@
 Basis 1, i, j, k with i^2 = alpha, j^2 = beta, ij = k = -ji.  Elements carry
 exact base-field coordinates; reduced trace, norm and characteristic
 polynomials are exact, the last one over Q built from Newton power sums.
-Definiteness is certified from embedding signs.
+Definiteness reads the exact signs of alpha and beta at each real root of
+the base field's minimal polynomial (Sturm sequences, see
+qpoly.signs_at_real_roots), the roots in ascending order.
 
 Division-ness is not decided in general.  The module offers three sound
 partial answers: totally definite algebras are division algebras; over base
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .errors import PrecisionExhausted, ValidationError
+from .errors import ValidationError
 from .numfield import NFElement, NumberField, is_totally_real
-from .qpoly import QPoly, from_power_sums
+from .qpoly import QPoly, from_power_sums, signs_at_real_roots
 
 TOTALLY_DEFINITE = "TotallyDefinite"
 TOTALLY_INDEFINITE = "TotallyIndefinite"
@@ -224,25 +226,11 @@ def reduced_trace_norm(x: QuatElement) -> tuple[NFElement, NFElement]:
 # definiteness
 
 
-def _embedding_sign(x: NFElement, index: int) -> int:
-    """Certified sign of sigma(x) at the index-th embedding of a totally real field."""
-    bits = 128
-    while bits <= 4096:
-        emb = x.embeddings(bits)[index]
-        if emb.re - emb.radius > 0:
-            return 1
-        if emb.re + emb.radius < 0:
-            return -1
-        bits *= 2
-    raise PrecisionExhausted("embedding sign did not separate from zero")
-
-
 def definiteness(algebra: QuatAlgebra) -> DefinitenessReport:
-    """Classify by signs of (sigma(alpha), sigma(beta)) at every real place."""
-    e = algebra.base.degree
-    signs = tuple(
-        (_embedding_sign(algebra.alpha, k), _embedding_sign(algebra.beta, k)) for k in range(e)
-    )
+    """Classify by signs of (sigma(alpha), sigma(beta)) at every real place,
+    the places in ascending order of the root of the base minimal polynomial."""
+    m = algebra.base.minpoly
+    signs = tuple(zip(signs_at_real_roots(algebra.alpha.poly, m), signs_at_real_roots(algebra.beta.poly, m)))
     if all(sa < 0 and sb < 0 for sa, sb in signs):
         kind = TOTALLY_DEFINITE
     elif all(sa > 0 or sb > 0 for sa, sb in signs):

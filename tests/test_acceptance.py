@@ -95,11 +95,11 @@ SALEM_QUARTICS = (
 def test_criterion_2_salem_suite(capsys):
     tol = Fraction(1, 10**10)
     for quartic in SALEM_QUARTICS:
-        report = is_salem_polynomial(quartic, precision_bits=128)
+        report = is_salem_polynomial(quartic)
         assert report.is_salem, quartic
         # reciprocity is exact, so the two real roots multiply to exactly 1
         assert quartic == quartic.reciprocal()
-        statuses = unit_circle_status(quartic, 128)
+        statuses = unit_circle_status(quartic)
         circle = [e for e, s in statuses if s == ON_CIRCLE]
         assert len(circle) == 2
         for e in circle:

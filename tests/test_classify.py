@@ -200,7 +200,7 @@ def test_lehmer_polynomial_is_salem():
 
 
 def test_salem_circle_certificates_tight():
-    rep = is_salem_polynomial(from_ints(1, -1, -1, -1, 1), precision_bits=128)
+    rep = is_salem_polynomial(from_ints(1, -1, -1, -1, 1))
     assert rep.is_salem
 
 

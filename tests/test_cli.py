@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from endoscope.cli import main
+from endoscope.jobs import KNOWN_OPS
 
 
 def run_cli(capsys, *argv):
@@ -241,3 +245,204 @@ def test_self_test_command_passes(capsys):
     assert len(report["rows"]) == 3
     notes = [row["note"] for row in report["rows"] if row["note"]]
     assert any("x^4-7x^3-x^2-7x+1" in note for note in notes)
+
+
+# ---------------------------------------------------------------------------
+# integers longer than Python's 4300-digit int-to-str limit
+
+
+def test_fix_rows_print_integers_past_the_digit_limit(tmp_path, capsys):
+    job = {
+        "spec": {"algebra": {"kind": "field", "minpoly": ["0/1", "1/1"]}, "element": {"coords": ["100000/1"]}, "g": 1},
+        "commands": [{"op": "fixpoints", "nmax": 500}],
+    }
+    code, out = run_cli(capsys, "run", write_job(tmp_path, job))
+    assert code == 0
+    rows = json.loads(out)["results"][0]["fix"]
+    # (10^2500 - 1)^2 = 10^5000 - 2 * 10^2500 + 1
+    assert rows[-1] == {"n": 500, "fix": "9" * 2499 + "8" + "0" * 2499 + "1"}
+
+
+def test_charpoly_prints_integers_past_the_digit_limit(tmp_path, capsys):
+    job = {
+        "spec": {
+            "algebra": {"kind": "field", "minpoly": ["-2/1", "0/1", "1/1"]},
+            "element": {"coords": ["1" + "0" * 2200 + "/1", "1/1"]},
+            "g": 2,
+        },
+        "commands": ["check-algebra"],
+    }
+    code, out = run_cli(capsys, "run", write_job(tmp_path, job))
+    assert code == 0
+    # a = 10^2200 + sqrt2 has charpoly x^2 - 2*10^2200 x + 10^4400 - 2
+    assert json.loads(out)["results"][0]["charpoly_q"] == ["9" * 4399 + "8/1", "-2" + "0" * 2200 + "/1", "1/1"]
+
+
+# ---------------------------------------------------------------------------
+# constructor errors point at the field that caused them
+
+
+def _algebra_job(algebra, commands=("check-algebra",)):
+    element = {"coords": ["1/1"]} if algebra["kind"] == "field" else {"a": ["1/1"], "b": ["1/1"]}
+    return {"spec": {"algebra": algebra, "element": element, "g": 4}, "commands": list(commands)}
+
+
+QUAT = {"kind": "quaternion", "base_minpoly": ["-13/1", "0/1", "1/1"], "alpha": ["-2/1", "-2/1"], "beta": ["2/1"]}
+
+
+@pytest.mark.parametrize(
+    "job, pointer",
+    [
+        (_algebra_job({"kind": "field", "minpoly": ["-1/1", "0/1", "1/1"]}), "spec.algebra.minpoly"),  # reducible
+        (_algebra_job({"kind": "field", "minpoly": ["1/1", "2/1"]}), "spec.algebra.minpoly"),  # not monic
+        (_algebra_job(dict(QUAT, base_minpoly=["-4/1", "0/1", "1/1"])), "spec.algebra.base_minpoly"),  # reducible
+        (_algebra_job(dict(QUAT, base_minpoly=["13/1", "0/1", "1/1"])), "spec.algebra.base_minpoly"),  # not totally real
+        (_algebra_job(dict(QUAT, alpha=["-13/1", "0/1", "1/1"])), "spec.algebra.alpha"),  # zero in the base field
+        (_algebra_job(dict(QUAT, beta=[])), "spec.algebra.beta"),
+        (_algebra_job(QUAT, ["check-algebra", {"op": "salem", "poly": ["1/1", "x"]}]), "commands[1].poly"),
+    ],
+)
+def test_constructor_errors_point_at_their_field(tmp_path, capsys, job, pointer):
+    code, out = run_cli(capsys, "run", write_job(tmp_path, job))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "validation"
+    assert err["detail"].endswith(f"(at {pointer})")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every job file ends in a documented exit code and one JSON object
+
+WRONG = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.just([]),
+    st.just({}),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.sampled_from(["", "x", "1e3", "1.5", "+1", " 2", "1/0"]),
+)
+COEFF = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 4)),
+    st.integers(0, 20).map(lambda k: "1" + "0" * k),
+)
+LONG_COEFF = st.integers(0, 5000).map(lambda k: "1" + "0" * k)
+# degree <= 4 for the field, and <= 2 for the quaternion base: charpolys of degree <= 4
+FIELDS = [[0, 1], [-2, 0, 1], [1, 0, 1], [-1, -1, 1], [-1, -3, 0, 1], [1, 1, 1, 1, 1], [1, 0, -10, 0, 1]]
+BASES = [[0, 1], [-2, 0, 1], [-5, 0, 1], [-13, 0, 1]]
+
+
+def _coeffs(terms):
+    return st.lists(COEFF, min_size=1, max_size=terms)
+
+
+def _ints(pool):
+    return st.one_of(st.sampled_from(pool), st.lists(st.integers(-4, 4), min_size=1, max_size=5)).map(
+        lambda cs: [f"{c}/1" for c in cs]
+    )
+
+
+FIELD_SPEC = st.fixed_dictionaries(
+    {
+        "algebra": st.fixed_dictionaries({"kind": st.just("field"), "minpoly": _ints(FIELDS)}),
+        "element": st.fixed_dictionaries({"coords": _coeffs(4)}),
+        "g": st.integers(1, 4),
+    }
+)
+QUATERNION_SPEC = st.fixed_dictionaries(
+    {
+        "algebra": st.fixed_dictionaries(
+            {"kind": st.just("quaternion"), "base_minpoly": _ints(BASES), "alpha": _coeffs(2), "beta": _coeffs(2)}
+        ),
+        "element": st.fixed_dictionaries({k: _coeffs(2) for k in "abcd"}),
+        "g": st.sampled_from([2, 4]),
+    }
+)
+COMMAND = st.one_of(
+    st.sampled_from(KNOWN_OPS + ("explode",)),
+    st.fixed_dictionaries({"op": st.just("fixpoints"), "nmax": st.integers(1, 50)}),
+    st.fixed_dictionaries({"op": st.just("salem"), "poly": _coeffs(5)}),
+)
+VALID_JOB = st.fixed_dictionaries(
+    {"spec": st.one_of(FIELD_SPEC, QUATERNION_SPEC), "commands": st.lists(COMMAND, min_size=1, max_size=2)},
+    optional={"precision_bits": st.integers(64, 2048)},
+)
+NMAX_EDGES = st.sampled_from([0, -1, 1, 50, 10**6 + 1, True, 2.5, "8", None])
+
+
+def _paths(node, prefix=()):
+    """Every path to a value inside a job, containers included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replace(job, path, value):
+    if not path:
+        return value
+    parent = job
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return job
+
+
+@st.composite
+def fuzzed_jobs(draw):
+    """A well-formed job with at most one change: a value of the wrong type
+    anywhere, one coefficient string of up to about 5000 digits, or a
+    fixpoints command with an edge value of nmax.
+
+    The printed fixed-point counts have about nmax times as many digits as
+    the coefficients, so a job with a long coefficient keeps nmax <= 2."""
+    job = draw(VALID_JOB)
+    mutation = draw(st.sampled_from(["none", "none", "wrong", "long", "nmax"]))
+    paths = list(_paths(job))
+    if mutation == "wrong":
+        job = _replace(job, draw(st.sampled_from(paths)), draw(st.one_of(WRONG, COEFF)))
+    elif mutation == "long":
+        coefficients = [p for p in paths if len(p) > 1 and isinstance(p[-1], int) and p[-2] != "commands"]
+        job = _replace(job, draw(st.sampled_from(coefficients)), draw(LONG_COEFF))
+        for cmd in job["commands"]:
+            if isinstance(cmd, dict) and "nmax" in cmd:
+                cmd["nmax"] = min(cmd["nmax"], 2)
+    elif mutation == "nmax":
+        job["commands"].append({"op": "fixpoints", "nmax": draw(NMAX_EDGES)})
+    return job
+
+
+@given(fuzzed_jobs())
+@settings(max_examples=60)
+@example(  # fix(f^50) has 10^4 digits
+    {
+        "spec": {"algebra": {"kind": "field", "minpoly": ["0/1", "1/1"]}, "element": {"coords": ["1" + "0" * 100]}, "g": 1},
+        "commands": [{"op": "fixpoints", "nmax": 50}],
+    }
+)
+@example(  # a charpoly coefficient has 4401 digits
+    {
+        "spec": {
+            "algebra": {"kind": "field", "minpoly": ["-2/1", "0/1", "1/1"]},
+            "element": {"coords": ["1" + "0" * 2200, "1"]},
+            "g": 2,
+        },
+        "commands": ["check-algebra"],
+    }
+)
+def test_fuzzed_job_files_end_in_a_documented_exit(tmp_path_factory, job):
+    path = tmp_path_factory.mktemp("fuzz") / "job.json"
+    path.write_text(json.dumps(job))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["run", str(path)])
+    assert code in (0, 2, 3)
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict)
+    if code:
+        assert set(report) == {"error"} and {"kind", "detail"} <= set(report["error"])
+    else:
+        assert "results" in report
