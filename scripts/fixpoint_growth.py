@@ -11,8 +11,9 @@ Usage: python scripts/fixpoint_growth.py [nmax]
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from endoscope import (
     EndomorphismSpec,

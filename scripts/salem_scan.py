@@ -9,8 +9,9 @@ Usage: python scripts/salem_scan.py [amax] [bmax]
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from endoscope import from_ints, is_salem_polynomial
 

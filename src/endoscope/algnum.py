@@ -18,7 +18,7 @@ from math import comb
 from . import factorq
 from .enclosures import MAX_BITS, ComplexEnclosure, isolate_roots, pow_rounded
 from .errors import CrossCheckError, PrecisionExhausted, ValidationError
-from .qpoly import QPoly, X, _exact, from_power_sums, power_sums
+from .qpoly import QPoly, X, _exact, from_power_sums, newton_coefficients, power_sums
 
 
 class AlgebraicNumber:
@@ -103,12 +103,9 @@ def _exterior_sums(p: QPoly, k: int, m: int, count: int) -> list:
     s = power_sums(p, k * m * count)
     sums = [comb(p.degree, k)]
     for j in range(1, count + 1):
-        t = s[m * j : k * m * j + 1 : m * j]  # power sums of the a^(mj)
-        e = [1]
-        for i in range(1, k + 1):
-            acc = sum((-1) ** (l - 1) * e[i - l] * t[l - 1] for l in range(1, i + 1))
-            e.append(_exact(Fraction(acc) / i))
-        sums.append(e[k])
+        # s_0 and the power sums of the a^(mj); e_k is (-1)^k times the
+        # constant term of the polynomial with these power sums
+        sums.append((-1) ** k * newton_coefficients(s[: k * m * j + 1 : m * j], k)[0])
     return sums
 
 

@@ -70,10 +70,18 @@ def _emit_error(exc: EndoscopeError) -> None:
     print(json.dumps({"error": {"kind": exc.kind, "detail": str(exc)}}, indent=2))
 
 
+def _json_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than Python parses; coefficient strings take any length
+        detail = f"JSON integer {digits[:12]}... has {len(digits.lstrip('-'))} digits"
+        raise ValidationError(f"{detail}, more than any integer field takes") from None
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.job, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ValidationError(f"cannot read job file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -117,7 +125,7 @@ def _cmd_salem(args) -> int:
     text = args.coeffs.strip()
     try:
         if text.startswith("["):
-            raw = json.loads(text)
+            raw = json.loads(text, parse_int=_json_int)
         else:
             raw = [tok for tok in text.replace(",", " ").split() if tok]
         poly = QPoly(raw)

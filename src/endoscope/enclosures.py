@@ -36,7 +36,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .qpoly import QPoly, count_real_roots, root_bound_exponent, trace_polynomial
+from .qpoly import QPoly, _sign_at, binary_power, count_real_roots, root_bound_exponent, trace_polynomial
 
 MAX_BITS = 4096
 
@@ -55,20 +55,14 @@ def sqrt_ub(q: Fraction) -> Fraction:
 
 
 def sqrt_lb(q: Fraction) -> Fraction:
-    if q <= 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    s = _SQRT_GUARD
-    return Fraction(isqrt(n * d * s * s), d * s)
+    """Rational lower bound for sqrt(q): sqrt_ub(q) less its rounding step."""
+    return sqrt_ub(q) - Fraction(1, q.denominator * _SQRT_GUARD) if q > 0 else Fraction(0)
 
 
 def mpf_to_fraction(x) -> Fraction:
     sign, man, exp, _ = x._mpf_
     man, exp = int(man), int(exp)  # mpmath may hand back gmpy2 integers
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(-man if sign else man)
-    return v * Fraction(2) ** exp if exp >= 0 else v / (Fraction(2) ** -exp)
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 def fraction_to_mpf(q: Fraction):
@@ -170,14 +164,7 @@ class ComplexEnclosure:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = ComplexEnclosure(1, 0, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, ComplexEnclosure(1, 0, 0), ComplexEnclosure.__mul__)
 
     def invert(self) -> ComplexEnclosure:
         """Exact enclosure of 1/z; requires 0 outside the disk."""
@@ -213,14 +200,7 @@ class ComplexEnclosure:
 
 def pow_rounded(base: ComplexEnclosure, n: int, bits: int) -> ComplexEnclosure:
     """Enclosure of base^n by repeated squaring, rounded to bits after every step."""
-    result = ComplexEnclosure(1, 0, 0)
-    while n:
-        if n & 1:
-            result = (result * base).rounded(bits)
-        n >>= 1
-        if n:
-            base = (base * base).rounded(bits)
-    return result
+    return binary_power(base, n, ComplexEnclosure(1, 0, 0), lambda a, b: (a * b).rounded(bits))
 
 
 def _decimal(q: Fraction, digits: int, round_up: bool = False) -> str:
@@ -234,14 +214,6 @@ def _decimal(q: Fraction, digits: int, round_up: bool = False) -> str:
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
-def eval_poly_enclosure(coeffs, z: ComplexEnclosure) -> ComplexEnclosure:
-    """Horner evaluation of a Fraction-coefficient polynomial at an enclosure."""
-    acc = ComplexEnclosure(0, 0, 0)
-    for c in reversed(tuple(coeffs)):
-        acc = acc * z + Fraction(c)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # root isolation
 
@@ -251,13 +223,6 @@ def _ceval(ints: list[int], re: Fraction, im: Fraction) -> tuple[Fraction, Fract
     for c in reversed(ints):
         ar, ai = ar * re - ai * im + c, ar * im + ai * re
     return ar, ai
-
-
-def _reval(ints: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
 
 
 def _seeds(ints: list[int], wp: int):
@@ -349,12 +314,12 @@ def _attempt(ints, n, wp, target):
     for re, im, rad in disks:
         if im == 0:
             a, b = re - rad, re + rad
-            pa, pb = _reval(ints, a), _reval(ints, b)
+            pa, pb = _sign_at(ints, a), _sign_at(ints, b)
             if pa == 0:
                 result.append(ComplexEnclosure(a, 0, 0))
             elif pb == 0:
                 result.append(ComplexEnclosure(b, 0, 0))
-            elif (pa < 0) != (pb < 0):
+            elif pa != pb:
                 result.append(ComplexEnclosure(re, 0, rad))
             else:
                 return None

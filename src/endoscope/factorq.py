@@ -9,11 +9,12 @@ modular factor counts stay tiny for everything this library produces.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
 from math import gcd, isqrt
 
 from .errors import DegreeCapExceeded, ValidationError
-from .qpoly import QPoly
+from .qpoly import QPoly, binary_power
 
 DEGREE_CAP = 64
 
@@ -100,14 +101,7 @@ def _zxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], li
 
 
 def _zpow_mod(a: list[int], n: int, f: list[int], m: int) -> list[int]:
-    result = [1]
-    base = _zdivmod(a, f, m)[1]
-    while n:
-        if n & 1:
-            result = _zdivmod(_zmul(result, base, m), f, m)[1]
-        base = _zdivmod(_zmul(base, base, m), f, m)[1]
-        n >>= 1
-    return result
+    return binary_power(_zdivmod(a, f, m)[1], n, [1], lambda u, v: _zdivmod(_zmul(u, v, m), f, m)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +194,8 @@ def _lift_factors(f: list[int], facs: list[list[int]], p: int, pk: int) -> list[
     if len(facs) == 1:
         return [_zmonic(_zmod(f, pk), pk)]
     mid = len(facs) // 2
-    g0 = [f[-1] % p]
-    for fac in facs[:mid]:
-        g0 = _zmul(g0, fac, p)
-    h0 = [1]
-    for fac in facs[mid:]:
-        h0 = _zmul(h0, fac, p)
+    g0 = reduce(lambda u, v: _zmul(u, v, p), facs[:mid], [f[-1] % p])
+    h0 = reduce(lambda u, v: _zmul(u, v, p), facs[mid:], [1])
     g, h = _lift_split(_zmod(f, pk), g0, h0, p, pk)
     return _lift_factors(g, facs[:mid], p, pk) + _lift_factors(h, facs[mid:], p, pk)
 
@@ -267,9 +257,7 @@ def _factor_squarefree_z(g: list[int], rng: random.Random) -> list[QPoly]:
     while 2 * size <= len(remaining):
         hit = False
         for combo in combinations(remaining, size):
-            cand = [g[-1] % pk]
-            for i in combo:
-                cand = _zmul(cand, lifted[i], pk)
+            cand = reduce(lambda u, v: _zmul(u, v, pk), (lifted[i] for i in combo), [g[-1] % pk])
             cand = _primitive(_symmetric(cand, pk))
             quot = _zx_divides(cand, g)
             if quot is not None:

@@ -20,12 +20,13 @@ a fault on either side shows up as a disagreement.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import factorq
 from .enclosures import ComplexEnclosure, isolate_roots, pow_rounded
 from .errors import CrossCheckError, PrecisionExhausted, ValidationError
 from .numfield import NumberField
-from .qpoly import ONE, X, QPoly, cyclotomic_order, det_int_bareiss, resultant
+from .qpoly import ONE, X, QPoly, binary_power, cyclotomic_order, det_int_bareiss, resultant
 from .quaternion import QuatAlgebra, QuatElement
 
 ITERATE_CAP = 10**6
@@ -141,15 +142,19 @@ def _abs_integer(value: Fraction, what: str) -> int:
 class EigenvalueMultiset:
     """Roots of charpoly_q(f)^(2g/(de)), conjugation-closed, total 2g."""
 
-    def __init__(self, factors, enclosures, total: int, source_poly: QPoly, bits: int):
-        self.factors = tuple(factors)  # (irreducible QPoly, multiplicity)
+    def __init__(self, factors, enclosures, total: int, bits: int):
+        self.factors = tuple(factors)  # (monic irreducible QPoly, multiplicity)
         self._enclosures = dict(enclosures)  # QPoly -> tuple of enclosures
         self.total = total
-        self.source_poly = source_poly
         self.bits = bits
         self._orders = {
             q: cyclotomic_order(q) if q.is_integral and q.is_monic else None for q, _ in self.factors
         }
+
+    @property
+    def source_poly(self) -> QPoly:
+        """charpoly_q(f)^(2g/(de)), the product of the factors to their multiplicities."""
+        return prod((q**mult for q, mult in self.factors), start=ONE)
 
     def enclosures_of(self, q: QPoly) -> tuple[ComplexEnclosure, ...]:
         return self._enclosures[q]
@@ -192,7 +197,7 @@ def rational_eigenvalues(spec: EndomorphismSpec, precision_bits: int = 128) -> E
     total = sum(mult * q.degree for q, mult in factors)
     if total != 2 * spec.g:
         raise CrossCheckError("eigenvalue multiset total differs from 2g")
-    return EigenvalueMultiset(factors, enclosures, total, cp**scale, precision_bits)
+    return EigenvalueMultiset(factors, enclosures, total, precision_bits)
 
 
 def fixed_points_via_eigenvalues(ev: EigenvalueMultiset, n: int) -> int:
@@ -304,21 +309,10 @@ def companion_oracle(char_poly: QPoly, n: int) -> int:
             for t in (0, 1):
                 doubled[2 * i + t][2 * j + t] = comp[i][j]
 
-    power = _int_mat_pow(doubled, n)
-    diff = [[(1 if i == j else 0) - power[i][j] for j in range(2 * deg)] for i in range(2 * deg)]
+    identity = [[int(i == j) for j in range(2 * deg)] for i in range(2 * deg)]
+    power = binary_power(doubled, n, identity, _int_mat_mul)
+    diff = [[identity[i][j] - power[i][j] for j in range(2 * deg)] for i in range(2 * deg)]
     return abs(det_int_bareiss(diff))
-
-
-def _int_mat_pow(m: list[list[int]], n: int) -> list[list[int]]:
-    size = len(m)
-    result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    base = [row[:] for row in m]
-    while n:
-        if n & 1:
-            result = _int_mat_mul(result, base)
-        base = _int_mat_mul(base, base)
-        n >>= 1
-    return result
 
 
 def _int_mat_mul(a, b):

@@ -8,7 +8,11 @@ count of the real roots of its minimal polynomial against the degree.
 
 Absolute norms are resultants, N(a) = Res(m, a) for the monic m; traces are
 read off the Newton power sums of m, and characteristic polynomials are
-rebuilt from the traces of the powers of the element.
+rebuilt from the traces of the powers of the element.  Relative norms and
+traces over a subfield Q(s) take no linear algebra either: the relative
+trace is a combination of absolute traces with the basis dual to the powers
+of s (Euler's lemma), and the relative norm follows from the relative traces
+of the powers by Newton's identities over the subfield.
 
 The CM test is numeric-guess / exact-certificate: the candidate conjugation
 is read off from high-precision embeddings and rationally reconstructed, then
@@ -23,19 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpc, matrix as mp_matrix, lu_solve
+from mpmath import mp, mpc
 
 from . import factorq
 from .enclosures import (
     ComplexEnclosure,
-    eval_poly_enclosure,
     fraction_to_mpf,
     isolate_roots,
     mpf_to_fraction,
     rational_reconstruct,
 )
 from .errors import CrossCheckError, ValidationError
-from .qpoly import ONE, QPoly, X, count_real_roots, from_power_sums, power_sums, resultant
+from .qpoly import ONE, QPoly, X, count_real_roots, from_power_sums, newton_coefficients, power_sums, resultant
 
 TOTALLY_REAL = "TotallyReal"
 CM = "CM"
@@ -215,12 +218,7 @@ class NFElement:
         Tr(self^k); Newton's identities turn the traces into coefficients.
         """
         e = self.parent.degree
-        traces = [e]
-        acc = self.parent.one()
-        for _ in range(e):
-            acc = acc * self
-            traces.append(acc.trace_q())
-        return from_power_sums(traces, e)
+        return from_power_sums(_power_traces(self, e, NFElement.trace_q), e)
 
     def minimal_polynomial(self) -> QPoly:
         """Monic irreducible annihilator; its degree divides the field degree."""
@@ -240,7 +238,7 @@ class NFElement:
 
     def embeddings(self, precision_bits: int = 128) -> list[ComplexEnclosure]:
         """sigma(self) for every embedding, aligned with the field's root order."""
-        return [eval_poly_enclosure(self.coeffs, r) for r in self.parent.embeddings(precision_bits)]
+        return [self.poly(r) for r in self.parent.embeddings(precision_bits)]
 
     def to_json(self) -> dict:
         return {"field": self.parent.to_json(), "coords": self.poly.to_json()}
@@ -263,23 +261,21 @@ class FieldTypeReport:
 
 
 def _conjugation_candidate(field: NumberField, bits: int) -> QPoly | None:
-    """Interpolate alpha -> conj(alpha) through all embeddings and reconstruct."""
-    roots = field.embeddings(bits)
+    """Interpolate alpha -> conj(alpha) through all embeddings and reconstruct.
+
+    The interpolant is found without a linear solve: Newton divided
+    differences, then expanded into the power basis (Bjorck-Pereyra).
+    """
     e = field.degree
     with mp.workprec(bits + 30):
-        a = mp_matrix(e, e)
-        rhs = mp_matrix(e, 1)
-        for k, r in enumerate(roots):
-            z = mpc(fraction_to_mpf(r.re), fraction_to_mpf(r.im))
-            acc = mpc(1)
-            for j in range(e):
-                a[k, j] = acc
-                acc *= z
-            rhs[k] = mpc(fraction_to_mpf(r.re), -fraction_to_mpf(r.im))
-        try:
-            sol = lu_solve(a, rhs)
-        except Exception:
-            return None
+        z = [mpc(fraction_to_mpf(r.re), fraction_to_mpf(r.im)) for r in field.embeddings(bits)]
+        sol = [w.conjugate() for w in z]
+        for k in range(e - 1):
+            for i in range(e - 1, k, -1):
+                sol[i] = (sol[i] - sol[i - 1]) / (z[i] - z[i - k - 1])
+        for k in range(e - 2, -1, -1):
+            for i in range(k, e - 1):
+                sol[i] -= z[k] * sol[i + 1]
         bound = 1 << max(bits // 4, 32)
         coeffs = []
         tol = mp.mpf(2) ** (-(bits // 2))
@@ -374,99 +370,46 @@ def norm_and_trace(x: NFElement, over="Q"):
         if over != "Q":
             raise ValidationError("over must be 'Q' or a subfield generator")
         return x.norm_q(), x.trace_q()
-    norm, trace, _ = relative_norm_trace(x, over)
-    return norm, trace
+    return relative_norm_trace(x, over)[:2]
 
 
 def relative_norm_trace(x: NFElement, s: NFElement) -> tuple[NFElement, NFElement, NumberField]:
-    """Norm and trace of x for the extension F / Q(s), plus the subfield Q(s).
+    """Norm and trace of x for the extension F / Q(s), plus the subfield K = Q(s).
 
-    Exact linear algebra: {s^t * alpha^u} is a Q-basis of F, multiplication by
-    x is written as a matrix over K = Q(s), and its determinant and trace are
-    computed with field arithmetic in K.
+    No linear algebra: with ms the minimal polynomial of s and
+    ms(X) / (X - s) = sum_j b_j X^j over K, the b_j / ms'(s) are the basis
+    dual to 1, s, ..., s^(l-1) under Tr_{K/Q} (Euler), so
+    Tr_{F/K}(y) = sum_j Tr_{F/Q}(y s^j) b_j / ms'(s).  The norm follows by
+    Newton's identities over K from Tr_{F/K}(x^k), k = 1..[F:K].
     """
     field = x.parent
     if s.parent != field:
         raise ValidationError("subfield generator lives in a different field")
     ms = s.minimal_polynomial()
     l = ms.degree
-    e = field.degree
-    if e % l != 0:
+    if field.degree % l != 0:
         raise CrossCheckError("subfield degree does not divide the field degree")
-    m = e // l
+    m = field.degree // l
     sub = NumberField(ms, check_irreducible=False)
 
-    basis: list[NFElement] = []
-    for t in range(l):
-        st = s**t
-        for u in range(m):
-            basis.append(st * field.gen() ** u)
-    mat = [[basis[col].poly[row] for col in range(e)] for row in range(e)]
+    b = [sub.one()]  # b_(l-1), ..., b_0 by synthetic division
+    for a in reversed(ms.coeffs[1:-1]):
+        b.append(b[-1] * sub.gen() + a)
+    scale = sub.element(ms.derivative()).inverse()
+    duals = [(bj * scale, s**j) for j, bj in enumerate(reversed(b))]
 
-    cols_k: list[list[NFElement]] = []
-    for u in range(m):
-        w = x * field.gen() ** u
-        rhs = [w.poly[row] for row in range(e)]
-        try:
-            v = _solve_fraction(mat, rhs)
-        except ZeroDivisionError as exc:
-            raise ValidationError("claimed generator does not induce a subfield basis") from exc
-        col = []
-        for uprime in range(m):
-            coeffs = [v[t * m + uprime] for t in range(l)]
-            col.append(sub.element(coeffs))
-        cols_k.append(col)
-    mk = [[cols_k[u][uprime] for u in range(m)] for uprime in range(m)]
+    def trace(y: NFElement) -> NFElement:
+        return sum((dual * (y * sj).trace_q() for dual, sj in duals), sub.zero())
 
-    trace = sub.zero()
-    for u in range(m):
-        trace = trace + mk[u][u]
-    norm = _det_nf(mk, sub)
-    return norm, trace, sub
+    traces = _power_traces(x, m, trace)
+    return newton_coefficients(traces, m)[0] * (-1) ** m, traces[1], sub
 
 
-def _solve_fraction(matrix, rhs):
-    """Solve M x = rhs exactly; raises ZeroDivisionError on singular input."""
-    n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [c * inv for c in m[k]]
-        for i in range(n):
-            if i != k and m[i][k] != 0:
-                f = m[i][k]
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return [m[i][n] for i in range(n)]
-
-
-def _det_nf(matrix: list[list[NFElement]], field: NumberField) -> NFElement:
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = field.one()
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if not m[i][k].is_zero:
-                piv = i
-                break
-        if piv is None:
-            return field.zero()
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det = det * m[k][k]
-        inv = m[k][k].inverse()
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f.is_zero:
-                continue
-            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
+def _power_traces(x: NFElement, count: int, trace) -> list:
+    """[count, trace(x), trace(x^2), ..., trace(x^count)], the power sums
+    Newton's identities turn into a characteristic polynomial."""
+    out, acc = [count], x.parent.one()
+    for _ in range(count):
+        acc = acc * x
+        out.append(trace(acc))
+    return out

@@ -9,12 +9,14 @@ layers), the cyclotomic-order test, and the exact real-root kernel: Sturm
 sequences count real roots in an interval and read the sign of one
 polynomial at the real roots of another, so every real-root decision of the
 higher layers (unit circle, Salem, totally real, definiteness) is exact.
+binary_power is the one square-and-multiply loop behind every power in the
+library, and exact_decimal prints ints of any length.
 """
 
 from __future__ import annotations
 
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import gcd, inf, lcm
 
@@ -31,10 +33,53 @@ def _integer_multiple(p) -> tuple[int, list[int]]:
     return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
+# ints up to this many bits are converted by one Decimal(n) call
+_DECIMAL_SPLIT_BITS = 1 << 13
+
+
 def exact_decimal(n: int) -> str:
     """str(n) for an int of any length: Decimal prints the same digits and is
-    exempt from Python's limit on int-to-str conversion."""
-    return str(Decimal(n))
+    exempt from Python's limit on int-to-str conversion.
+
+    Decimal(n) is quadratic in the digits, so a long n is split by bits, both
+    halves are converted and joined by an exact Decimal multiply-add with a
+    cached power of two: subquadratic, as Decimal multiplies large numbers
+    by number-theoretic transforms.
+    """
+    if n.bit_length() <= _DECIMAL_SPLIT_BITS:
+        return str(Decimal(n))
+    two_pows: dict[int, Decimal] = {}
+
+    def two_pow(k: int) -> Decimal:
+        if k not in two_pows:
+            small = k <= _DECIMAL_SPLIT_BITS
+            two_pows[k] = Decimal(1 << k) if small else two_pow(k // 2) * two_pow(k - k // 2)
+        return two_pows[k]
+
+    def convert(m: int, bits: int) -> Decimal:
+        if bits <= _DECIMAL_SPLIT_BITS:
+            return Decimal(m)
+        half = bits // 2
+        return convert(m >> half, bits - half) * two_pow(half) + convert(m & ((1 << half) - 1), half)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+def binary_power(base, n: int, one, mul):
+    """base^n for n >= 0 by square-and-multiply: mul(result, base) on each set
+    bit of n, lowest first, and mul(base, base) between bits."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
 
 
 def _fraction_str(c: Fraction) -> str:
@@ -48,8 +93,11 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, str):
         if not _RATIONAL.fullmatch(c):
             raise ValidationError(f"coefficient {c!r} is not of the form 'n' or 'n/d'")
+        # each digit run goes through Decimal, which Python's limit on
+        # str-to-int conversion does not cover
+        num, _, den = c.partition("/")
         try:
-            return Fraction(c)
+            return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
         except ZeroDivisionError:
             raise ValidationError(f"coefficient {c!r} has a zero denominator") from None
     if isinstance(c, int) and not isinstance(c, bool):
@@ -160,14 +208,7 @@ class QPoly:
     def __pow__(self, n: int) -> QPoly:
         if n < 0:
             raise ValidationError("negative polynomial power")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, ONE, QPoly.__mul__)
 
     @staticmethod
     def _coerce(other) -> QPoly:
@@ -240,19 +281,14 @@ class QPoly:
         return QPoly(tuple(self.coeffs[i] * i for i in range(1, len(self.coeffs))))
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, complex, mpmath values."""
-        if self.is_zero:
-            return 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        acc = self.coeffs[-1]
+        """Horner evaluation; works for Fraction, complex, mpmath and ComplexEnclosure values."""
+        acc = 0 * x + self.lc
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
 
     def compose(self, inner: QPoly) -> QPoly:
-        acc = QPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + QPoly((c,))
-        return acc
+        return self(inner)
 
     def compose_mod(self, inner: QPoly, mod: QPoly) -> QPoly:
         acc = QPoly()
@@ -262,14 +298,7 @@ class QPoly:
         return acc
 
     def pow_mod(self, n: int, mod: QPoly) -> QPoly:
-        result = ONE % mod
-        base = self % mod
-        while n:
-            if n & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            n >>= 1
-        return result
+        return binary_power(self % mod, n, ONE % mod, lambda a, b: (a * b) % mod)
 
     # -- structure helpers ---------------------------------------------------
 
@@ -388,9 +417,9 @@ def resultant(a: QPoly, b: QPoly) -> Fraction:
     return Fraction(det, da**m * db**n)
 
 
-def _exact(c: Fraction):
-    """c as an int when it is one, so the Newton recurrences stay in ints."""
-    return c.numerator if c.denominator == 1 else c
+def _exact(c):
+    """c as an int when it is an integral Fraction, so the Newton recurrences stay in ints."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
 def power_sums(p: QPoly, count: int) -> list:
@@ -412,18 +441,26 @@ def power_sums(p: QPoly, count: int) -> list:
     return s
 
 
-def from_power_sums(s, n: int) -> QPoly:
-    """The monic polynomial of degree n whose roots have power sums s[1..n].
+def newton_coefficients(s, n: int) -> list:
+    """Coefficients, constant term first, of the monic polynomial of degree n
+    whose roots have power sums s[1..n]: Newton's identities solved for them.
 
-    Inverse of power_sums: Newton's identities solved for the coefficients.
+    s may hold rationals or elements of any number field (anything closed
+    under +, * and multiplication by a Fraction).
     """
     c = [0] * n + [1]
     for k in range(1, n + 1):
         acc = s[k]
         for i in range(1, k):
             acc += c[n - i] * s[k - i]
-        c[n - k] = _exact(-Fraction(acc) / k)
-    return QPoly(c)
+        c[n - k] = _exact(acc * Fraction(-1, k))
+    return c
+
+
+def from_power_sums(s, n: int) -> QPoly:
+    """The monic polynomial of degree n whose rational power sums are s[1..n];
+    the inverse of power_sums."""
+    return QPoly(newton_coefficients(s, n))
 
 
 def _euler_phi(k: int) -> int:

@@ -21,7 +21,7 @@ from itertools import product as iter_product
 
 from .errors import ValidationError
 from .numfield import NFElement, NumberField, is_totally_real
-from .qpoly import QPoly, from_power_sums, signs_at_real_roots
+from .qpoly import QPoly, binary_power, from_power_sums, signs_at_real_roots
 
 TOTALLY_DEFINITE = "TotallyDefinite"
 TOTALLY_INDEFINITE = "TotallyIndefinite"
@@ -167,14 +167,7 @@ class QuatElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValidationError("negative quaternion power")
-        result = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, self.algebra.one(), QuatElement.__mul__)
 
     def conjugate(self) -> QuatElement:
         return QuatElement(self.algebra, self.a, -self.b, -self.c, -self.d)

@@ -278,6 +278,25 @@ def test_charpoly_prints_integers_past_the_digit_limit(tmp_path, capsys):
     assert json.loads(out)["results"][0]["charpoly_q"] == ["9" * 4399 + "8/1", "-2" + "0" * 2200 + "/1", "1/1"]
 
 
+def test_salem_accepts_coefficients_past_the_digit_limit(capsys):
+    big = "1" + "0" * 4400
+    code, out = run_cli(capsys, "salem", f"1,{big},1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["poly"] == ["1/1", f"{big}/1", "1/1"] and report["is_salem"] is False
+
+
+def test_json_integer_past_the_digit_limit_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(MINUS_ONE_JOB).replace('"nmax": 4', '"nmax": 1' + "0" * 5000))
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "validation"
+    assert error["detail"].startswith("JSON integer 100000000000... has 5001 digits")
+    assert "sys." not in error["detail"]
+
+
 # ---------------------------------------------------------------------------
 # constructor errors point at the field that caused them
 

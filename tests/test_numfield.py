@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from endoscope.errors import ValidationError
 from endoscope.numfield import (
@@ -159,6 +159,54 @@ def test_relative_norm_foreign_generator_rejected(zeta5, sqrt13):
 elements = st.lists(
     st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=4
 )
+
+
+# (label, minpoly of F, generator s of the subfield K as a function of alpha)
+SUBFIELD_PAIRS = [
+    ("Q(zeta5)/Q(sqrt5)", (1, 1, 1, 1, 1), lambda z: z + z**4),
+    ("Q(zeta7)/cubic", (1, 1, 1, 1, 1, 1, 1), lambda z: z + z**6),
+    ("Q(zeta7)/Q(sqrt-7)", (1, 1, 1, 1, 1, 1, 1), lambda z: z + z**2 + z**4),
+    ("Q(sqrt2,sqrt3)/Q(sqrt2)", (1, 0, -10, 0, 1), lambda a: (a**3 - 9 * a) / 2),
+    ("Q(zeta16)/Q(zeta8)", (1, 0, 0, 0, 0, 0, 0, 0, 1), lambda z: z**2),
+    ("s rational", (1, 1, 1, 1, 1), lambda z: z.parent.element(3)),
+    ("s generates F", (1, 1, 1, 1, 1, 1, 1), lambda z: 1 - z**3),
+]
+
+
+@pytest.mark.parametrize("label, minpoly, generator", SUBFIELD_PAIRS, ids=[p[0] for p in SUBFIELD_PAIRS])
+@settings(max_examples=10)
+@given(xc=elements, yc=elements)
+def test_relative_norm_trace_laws(label, minpoly, generator, xc, yc):
+    field = F(*minpoly)
+    s = generator(field.gen())
+    x, y = field.element(xc), field.element(yc)
+    nx, tx, sub = relative_norm_trace(x, s)
+    ny, ty, _ = relative_norm_trace(y, s)
+    nxy, _, _ = relative_norm_trace(x * y, s)
+    _, txy, _ = relative_norm_trace(x + y, s)
+    m = field.degree // sub.degree
+    assert sub.minpoly == s.minimal_polynomial()
+    # tower law down to Q
+    assert nx.norm_q() == x.norm_q() and tx.trace_q() == x.trace_q()
+    # multiplicative norm, additive trace
+    assert nxy == nx * ny and txy == tx + ty
+    # on K itself: an element h(s) has norm h(s)^m and trace m h(s)
+    h = QPoly(xc)
+    nh, th, _ = relative_norm_trace(field.element(h.compose_mod(s.poly, field.minpoly)), s)
+    assert nh == sub.element(h) ** m and th == sub.element(h) * m
+
+
+def test_relative_norm_trace_edge_subfields(zeta5):
+    z = zeta5.gen()
+    x = 2 - z + z**3 / 3
+    # over a rational s the subfield is Q and the pair is the absolute one
+    n, t, sub = relative_norm_trace(x, zeta5.element(Fraction(1, 2)))
+    assert sub.degree == 1 and (n, t) == (x.norm_q(), x.trace_q())
+    # over a generator of F, norm and trace are x itself, written in s
+    s = z + 2 * z**2
+    n, t, sub = relative_norm_trace(x, s)
+    assert sub.degree == 4 and n == t
+    assert zeta5.element(n.poly.compose_mod(s.poly, zeta5.minpoly)) == x
 
 
 @given(elements, elements)

@@ -1,0 +1,96 @@
+"""Every power entry point agrees with repeated multiplication.
+
+All of them run on the one square-and-multiply loop, qpoly.binary_power; the
+enclosure powers round, so for them the check is that the result still holds
+the exact power of every point of the base disk that is tested.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from endoscope.enclosures import ComplexEnclosure, pow_rounded
+from endoscope.factorq import _zpow_mod
+from endoscope.numfield import NumberField
+from endoscope.qpoly import ONE, QPoly, from_ints
+from endoscope.quaternion import QuatAlgebra
+
+exponents = st.integers(min_value=0, max_value=12)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+polys = st.lists(small, max_size=4).map(QPoly)
+moduli = st.lists(small, min_size=1, max_size=3).map(lambda cs: QPoly(cs + [1]))
+
+ZETA5 = NumberField(from_ints(1, 1, 1, 1, 1))
+QUAT = QuatAlgebra(NumberField(from_ints(-13, 0, 1)), [-2, -2], [2])
+
+
+def repeated(base, n, one):
+    result = one
+    for _ in range(n):
+        result = result * base
+    return result
+
+
+@given(polys, exponents)
+def test_qpoly_pow(p, n):
+    assert p**n == repeated(p, n, ONE)
+
+
+@given(polys, moduli, exponents)
+def test_pow_mod(p, mod, n):
+    assert p.pow_mod(n, mod) == repeated(p, n, ONE) % mod
+
+
+@given(st.lists(small, min_size=1, max_size=4), st.integers(min_value=-12, max_value=12))
+def test_number_field_pow(coords, n):
+    x = ZETA5.element(coords)
+    if x.is_zero:
+        return
+    base = x if n >= 0 else x.inverse()
+    assert x**n == repeated(base, abs(n), ZETA5.one())
+
+
+@given(st.lists(st.lists(small, max_size=2), min_size=4, max_size=4), exponents)
+def test_quaternion_pow(coords, n):
+    x = QUAT.element(*coords)
+    assert x**n == repeated(x, n, QUAT.one())
+
+
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=6),
+    st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=4),
+    st.sampled_from([3, 7, 101]),
+    exponents,
+)
+def test_zpow_mod_matches_a_naive_loop(a, f_low, p, n):
+    f = f_low + [1]
+    # f is monic, so remainders by f stay integral and reducing mod p commutes with them
+    naive = repeated(QPoly(a), n, ONE) % QPoly(f)
+    naive_mod_p = [int(c) % p for c in naive.coeffs]
+    while naive_mod_p and not naive_mod_p[-1]:
+        naive_mod_p.pop()
+    assert _zpow_mod(a, n, f, p) == naive_mod_p
+
+
+def _cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _points(e: ComplexEnclosure):
+    """The midpoint and four points on the boundary of the disk."""
+    r = e.radius
+    return [(e.re, e.im), (e.re + r, e.im), (e.re - r, e.im), (e.re, e.im + r), (e.re, e.im - r)]
+
+
+radii = st.fractions(min_value=0, max_value=Fraction(1, 8), max_denominator=64)
+disks = st.builds(ComplexEnclosure, small, small, radii)
+
+
+@given(disks, exponents, st.sampled_from([None, 16, 64]))
+def test_enclosure_powers_hold_the_exact_power(e, n, bits):
+    power = e**n if bits is None else pow_rounded(e, n, bits)
+    for z in _points(e):
+        exact = (Fraction(1), Fraction(0))
+        for _ in range(n):
+            exact = _cmul(exact, z)
+        assert power.contains_point(*exact)

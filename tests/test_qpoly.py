@@ -1,10 +1,22 @@
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from endoscope.errors import ValidationError
-from endoscope.qpoly import ONE, QPoly, cyclotomic_order, from_ints, from_power_sums, power_sums, resultant
+from endoscope.qpoly import (
+    _DECIMAL_SPLIT_BITS,
+    ONE,
+    QPoly,
+    cyclotomic_order,
+    exact_decimal,
+    from_ints,
+    from_power_sums,
+    power_sums,
+    resultant,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 polys = st.lists(rationals, min_size=0, max_size=7).map(QPoly)
@@ -144,3 +156,22 @@ def test_power_sums_known_values():
 def test_power_sums_round_trip(p):
     n = p.degree
     assert from_power_sums(power_sums(p, n), n) == p.monic()
+
+
+def test_exact_decimal_matches_decimal():
+    rng = random.Random(20261018)
+    cut = _DECIMAL_SPLIT_BITS
+    samples = [0, 1, 10**4300, (1 << cut) - 1, 1 << cut, (1 << cut) + 1, (1 << 3 * cut) - 1]
+    samples += [rng.getrandbits(rng.randrange(1, 340_000)) for _ in range(8)]  # up to about 10^5 digits
+    for n in samples:
+        for v in (n, -n):
+            assert exact_decimal(v) == str(Decimal(v))
+
+
+def test_coefficient_strings_past_the_digit_limit():
+    big = "1" + "0" * 5000
+    assert QPoly.from_json([big, f"-{big}/3", f"7/{big}"]).coeffs == (
+        Fraction(10**5000),
+        Fraction(-(10**5000), 3),
+        Fraction(7, 10**5000),
+    )
