@@ -1,9 +1,9 @@
 """Certified complex enclosures for polynomial roots.
 
 Floating seeds come from mpmath's simultaneous-iteration root finder, run on
-the rescaled polynomial p(2^k y) whose roots all lie in the unit disk (k from
-a root bound, see root_bound_exponent) and scaled back by 2^k; the
-certificate is exact.  For seeds z_1..z_n and Weierstrass corrections
+q(2^k y), q = p(x + c) recentred at the roots' centroid, whose roots all lie
+in the unit disk (k from a root bound, see root_bound_exponent), and moved
+back; the certificate is exact.  For seeds z_1..z_n and Weierstrass corrections
 
     W_i = p(z_i) / (lc * prod_{j != i} (z_i - z_j)),
 
@@ -36,7 +36,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .qpoly import QPoly, _sign_at, binary_power, count_real_roots, root_bound_exponent, trace_polynomial
+from .qpoly import QPoly, X, _sign_at, binary_power, count_real_roots, root_bound_exponent, trace_polynomial
 
 MAX_BITS = 4096
 
@@ -226,18 +226,22 @@ def _ceval(ints: list[int], re: Fraction, im: Fraction) -> tuple[Fraction, Fract
 
 
 def _seeds(ints: list[int], wp: int):
-    """Untrusted root approximations, found on p(2^k y) whose roots are
-    below 1, so the iteration's absolute stopping rule means the same for
-    large roots as for small ones; 2^k scaling is exact in binary floats."""
+    """Untrusted root approximations, found on q(2^k y) for q = p(x + c), c
+    the integer part of the roots' centroid -a_(n-1) / (n a_n): a tight
+    cluster far from 0 is seen at its own scale, and the roots of q(2^k y)
+    are below 1, so the iteration's absolute stopping rule means the same
+    for large roots as for small ones.  Both moves are exact."""
     n = len(ints) - 1
-    k = root_bound_exponent(ints)
+    c = -ints[n - 1] // (n * ints[n])
+    shifted = QPoly(ints).compose(X + c).num if c else ints  # Taylor shift by Horner's rule
+    k = root_bound_exponent(shifted)
     with mp.workprec(wp + 30):
-        coeffs = [mp.ldexp(mpf(ints[j]), k * (j - n)) for j in range(n, -1, -1)]
+        coeffs = [mp.ldexp(mpf(shifted[j]), k * (j - n)) for j in range(n, -1, -1)]
         try:
             roots = polyroots(coeffs, maxsteps=400, extraprec=64)
         except Exception:
             return None
-    return [(mpf_to_fraction(mp.ldexp(r.real, k)), mpf_to_fraction(mp.ldexp(r.imag, k))) for r in roots]
+    return [(mpf_to_fraction(mp.ldexp(r.real, k)) + c, mpf_to_fraction(mp.ldexp(r.imag, k))) for r in roots]
 
 
 def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]:

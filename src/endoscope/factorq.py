@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import combinations
-from math import gcd, isqrt
+from itertools import combinations, zip_longest
+from math import isqrt
 
 from .errors import DegreeCapExceeded, ValidationError
-from .qpoly import QPoly, binary_power
+from .qpoly import QPoly, X, _convolve, _divmod_z, _poly, _prime_factors, binary_power
 
 DEGREE_CAP = 64
 
@@ -33,25 +33,15 @@ def _zmod(a: list[int], m: int) -> list[int]:
 
 
 def _zmul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % m
-    return _trim(out)
+    return _zmod(_convolve(a, b), m)
 
 
 def _zadd(a: list[int], b: list[int], m: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)])
+    return _zmod([x + y for x, y in zip_longest(a, b, fillvalue=0)], m)
 
 
 def _zsub(a: list[int], b: list[int], m: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)])
+    return _zmod([x - y for x, y in zip_longest(a, b, fillvalue=0)], m)
 
 
 def _zdivmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
@@ -209,17 +199,10 @@ def _symmetric(a: list[int], m: int) -> list[int]:
     return _trim([c - m if c > half else c for c in [x % m for x in a]])
 
 
-def _primitive(a: list[int]) -> list[int]:
-    g = (gcd(*a) or 1) * (-1 if a and a[-1] < 0 else 1)
-    return [c // g for c in a]
-
-
 def _zx_divides(h: list[int], g: list[int]) -> list[int] | None:
-    """Exact quotient g/h over Z, or None."""
-    q, r = QPoly(g).divmod(QPoly(h))
-    if not r.is_zero or not q.is_integral:
-        return None
-    return [int(c) for c in q.coeffs]
+    """Exact quotient g/h in Z[x], or None: the division must not scale or leave a remainder."""
+    q, r, s = _divmod_z(list(g), h)
+    return q if s == 1 and not any(r) else None
 
 
 def _factor_squarefree_z(g: list[int], rng: random.Random) -> list[QPoly]:
@@ -258,11 +241,11 @@ def _factor_squarefree_z(g: list[int], rng: random.Random) -> list[QPoly]:
         hit = False
         for combo in combinations(remaining, size):
             cand = reduce(lambda u, v: _zmul(u, v, pk), (lifted[i] for i in combo), [g[-1] % pk])
-            cand = _primitive(_symmetric(cand, pk))
+            cand = _poly(_symmetric(cand, pk)).clear_denominators()[1]
             quot = _zx_divides(cand, g)
             if quot is not None:
                 found.append(QPoly(cand).monic())
-                g = _primitive(quot)
+                g = _poly(quot).clear_denominators()[1]
                 remaining = [i for i in remaining if i not in combo]
                 hit = True
                 break
@@ -274,13 +257,10 @@ def _factor_squarefree_z(g: list[int], rng: random.Random) -> list[QPoly]:
 
 
 def _next_prime(p: int) -> int:
-    q = p + 1 if p == 2 else p + 2
-    if q == 3:
-        return 3
-    while True:
-        if all(q % r for r in range(3, isqrt(q) + 1, 2)) and q % 2:
-            return q
-        q += 2
+    p += 1
+    while _prime_factors(p) != [p]:
+        p += 1
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +283,10 @@ def factor(p: QPoly) -> list[tuple[QPoly, int]]:
     rng = random.Random(0x5A55)
 
     out: list[tuple[QPoly, int]] = []
-    coeffs = list(p.coeffs)
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
+    shift = next(i for i, c in enumerate(p.num) if c)
     if shift:
-        out.append((QPoly((0, 1)), shift))
-    body = QPoly(coeffs)
+        out.append((X, shift))
+    body = _poly(list(p.num[shift:]), p.den)
     for part, mult in body.squarefree_decomposition():
         _, ints = part.clear_denominators()
         for irr in _factor_squarefree_z(ints, rng):

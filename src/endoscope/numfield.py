@@ -3,6 +3,9 @@ traces (absolute and relative), embedding enclosures, and the field-type
 classification: totally real, CM (with its conjugation automorphism and
 maximal totally real subfield), or neither.
 
+An element is its residue of degree below [F:Q], one QPoly: an integer
+numerator over one denominator, reduced modulo m in the integers.
+
 Whether a field is totally real, or has a real embedding at all, is a Sturm
 count of the real roots of its minimal polynomial against the degree.
 
@@ -38,7 +41,8 @@ from .enclosures import (
     rational_reconstruct,
 )
 from .errors import CrossCheckError, ValidationError
-from .qpoly import ONE, QPoly, X, count_real_roots, from_power_sums, newton_coefficients, power_sums, resultant
+from .qpoly import ONE, QPoly, X, _combine, _mul_mod, count_real_roots, from_power_sums, newton_coefficients
+from .qpoly import power_sums, resultant
 
 TOTALLY_REAL = "TotallyReal"
 CM = "CM"
@@ -116,10 +120,10 @@ class NFElement:
     __slots__ = ("parent", "poly")
 
     def __init__(self, parent: NumberField, poly: QPoly):
-        object.__setattr__(self, "parent", parent)
         if poly.degree >= parent.degree:
             poly = poly % parent.minpoly
-        object.__setattr__(self, "poly", poly)
+        _set_parent(self, parent)
+        _set_poly(self, poly)
 
     def __setattr__(self, name, value):
         raise AttributeError("NFElement is immutable")
@@ -158,31 +162,37 @@ class NFElement:
 
     def _coerce(self, other) -> NFElement:
         if isinstance(other, NFElement):
-            if other.parent != self.parent:
+            if other.parent is not self.parent and other.parent != self.parent:
                 raise ValidationError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
             return NFElement(self.parent, QPoly((Fraction(other),)))
         raise ValidationError(f"cannot coerce {other!r} into the field")
 
+    # sums of reduced representatives are reduced and _mul_mod reduces, so no constructor check
+
     def __add__(self, other):
-        other = self._coerce(other)
-        return NFElement(self.parent, self.poly + other.poly)
+        if other.__class__ is not NFElement or other.parent is not self.parent:
+            other = self._coerce(other)
+        return _element(self.parent, _combine(self.poly, other.poly, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElement(self.parent, -self.poly)
+        return _element(self.parent, -self.poly)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if other.__class__ is not NFElement or other.parent is not self.parent:
+            other = self._coerce(other)
+        return _element(self.parent, _combine(self.poly, other.poly, -1))
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return _element(self.parent, _combine(self._coerce(other).poly, self.poly, -1))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return NFElement(self.parent, self.poly * other.poly)
+        if other.__class__ is not NFElement or other.parent is not self.parent:
+            other = self._coerce(other)
+        return _element(self.parent, _mul_mod(self.poly, other.poly, self.parent.minpoly))
 
     __rmul__ = __mul__
 
@@ -234,7 +244,7 @@ class NFElement:
         return resultant(self.parent.minpoly, self.poly)
 
     def trace_q(self) -> Fraction:
-        return sum((c * s for c, s in zip(self.coeffs, self.parent._power_sums)), Fraction(0))
+        return Fraction(sum(c * s for c, s in zip(self.poly.num, self.parent._power_sums))) / self.poly.den
 
     def embeddings(self, precision_bits: int = 128) -> list[ComplexEnclosure]:
         """sigma(self) for every embedding, aligned with the field's root order."""
@@ -242,6 +252,17 @@ class NFElement:
 
     def to_json(self) -> dict:
         return {"field": self.parent.to_json(), "coords": self.poly.to_json()}
+
+
+_set_parent, _set_poly = NFElement.parent.__set__, NFElement.poly.__set__
+
+
+def _element(parent: NumberField, poly: QPoly) -> NFElement:
+    """The element with the reduced representative poly."""
+    x = object.__new__(NFElement)
+    _set_parent(x, parent)
+    _set_poly(x, poly)
+    return x
 
 
 # ---------------------------------------------------------------------------

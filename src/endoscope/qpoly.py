@@ -1,16 +1,18 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored constant-term first as a tuple of Fraction; the zero
-polynomial is the empty tuple.  All arithmetic is exact.  This module also
-carries integer determinants (Bareiss), the resultant (via Sylvester/Bareiss),
-Newton power sums and their inverse (the kernel of norms, traces,
-characteristic polynomials, composed products and powers in the higher
-layers), the cyclotomic-order test, and the exact real-root kernel: Sturm
-sequences count real roots in an interval and read the sign of one
-polynomial at the real roots of another, so every real-root decision of the
-higher layers (unit circle, Salem, totally real, definiteness) is exact.
-binary_power is the one square-and-multiply loop behind every power in the
-library, and exact_decimal prints ints of any length.
+A polynomial is one integer numerator over one denominator (FLINT's fmpq_poly
+layout): num, a tuple of ints constant term first without trailing zeros, over
+den > 0 with gcd(content(num), den) = 1; zero is ((), 1).  Arithmetic runs on
+the integers, and division by a monic integer polynomial stays in Z.  This
+module also carries integer determinants (Bareiss), resultants, Newton power
+sums and their inverse (the kernel of norms, traces, characteristic
+polynomials, composed products and powers in the higher layers), the
+cyclotomic-order test, and the exact real-root kernel: Sturm sequences count
+real roots in an interval and read the sign of one polynomial at the real
+roots of another, so every real-root decision of the higher layers (unit
+circle, Salem, totally real, definiteness) is exact.  binary_power is the one
+square-and-multiply loop behind every power in the library; numbers of any
+length are printed and parsed in subquadratic time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import re
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, prod
 
 from .errors import NonSquarefreeInput, ValidationError
 
@@ -26,11 +28,29 @@ from .errors import NonSquarefreeInput, ValidationError
 # decimal digits, so the length of the string bounds the size of the number
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
+# digit runs up to this length are parsed by one int() call, below Python's
+# 4300-digit limit on str-to-int conversion
+_PARSE_SPLIT_DIGITS = 3000
 
-def _integer_multiple(p) -> tuple[int, list[int]]:
-    """(den, ints): den the lcm of the denominators of p, ints the coefficients of den * p."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+def _parse_digits(s: str) -> int:
+    """int(s) for a run of decimal digits of any length.
+
+    int() is quadratic in the digits and refuses more than 4300 of them, so a
+    long run is split in halves, both are parsed, and they are joined by one
+    multiply with a cached power of ten: subquadratic, like exact_decimal.
+    """
+    ten_pows: dict[int, int] = {}
+
+    def parse(t: str) -> int:
+        if len(t) <= _PARSE_SPLIT_DIGITS:
+            return int(t)
+        low = len(t) // 2
+        if low not in ten_pows:
+            ten_pows[low] = 10**low
+        return parse(t[:-low]) * ten_pows[low] + parse(t[-low:])
+
+    return parse(s)
 
 
 # ints up to this many bits are converted by one Decimal(n) call
@@ -87,34 +107,33 @@ def _fraction_str(c: Fraction) -> str:
     return num if c.denominator == 1 else f"{num}/{exact_decimal(c.denominator)}"
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _rational_pair(c) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an int, a Fraction or an "n"/"n/d" string."""
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+        return c.numerator, c.denominator
     if isinstance(c, str):
         if not _RATIONAL.fullmatch(c):
             raise ValidationError(f"coefficient {c!r} is not of the form 'n' or 'n/d'")
-        # each digit run goes through Decimal, which Python's limit on
-        # str-to-int conversion does not cover
         num, _, den = c.partition("/")
-        try:
-            return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
-        except ZeroDivisionError:
-            raise ValidationError(f"coefficient {c!r} has a zero denominator") from None
-    if isinstance(c, int) and not isinstance(c, bool):
-        return Fraction(c)
+        d = _parse_digits(den) if den else 1
+        if not d:
+            raise ValidationError(f"coefficient {c!r} has a zero denominator")
+        return (-_parse_digits(num[1:]) if num[0] == "-" else _parse_digits(num)), d
     raise ValidationError(f"not an exact rational coefficient: {c!r}")
 
 
 class QPoly:
-    """Immutable dense polynomial over the rationals."""
+    """Immutable dense polynomial over the rationals: the integer numerator
+    num over the positive denominator den, in lowest terms."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        pairs = [_rational_pair(c) for c in coeffs]
+        den = lcm(*(d for _, d in pairs))
+        p = _poly([n * (den // d) for n, d in pairs], den)
+        object.__setattr__(self, "num", p.num)
+        object.__setattr__(self, "den", p.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -122,38 +141,41 @@ class QPoly:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, constant term first."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def lc(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self[len(self.num) - 1]
 
     @property
     def is_monic(self) -> bool:
-        return not self.is_zero and self.coeffs[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.num):
+            return Fraction(self.num[i], self.den)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        return isinstance(other, QPoly) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero
@@ -176,32 +198,19 @@ class QPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> QPoly:
-        return QPoly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.num], self.den)
 
     def __add__(self, other) -> QPoly:
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(tuple(self[i] + other[i] for i in range(n)))
+        return _combine(self, self._coerce(other), 1)
 
     def __sub__(self, other) -> QPoly:
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(tuple(self[i] - other[i] for i in range(n)))
+        return _combine(self, self._coerce(other), -1)
 
     def __mul__(self, other) -> QPoly:
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return QPoly(tuple(c * f for c in self.coeffs))
+            return _poly([c * other.numerator for c in self.num], self.den * other.denominator)
         other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
+        return _poly(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -222,19 +231,9 @@ class QPoly:
         """Exact long division; raises on a zero divisor."""
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.degree < other.degree:
-            return QPoly(), self
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        quot = [Fraction(0)] * (dq + 1)
-        dlc = other.lc
-        for k in range(dq, -1, -1):
-            c = rem[other.degree + k] / dlc
-            quot[k] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] -= c * b
-        return QPoly(quot), QPoly(rem[: other.degree])
+        # s * num = q * other.num + r, so self = (q * other.den) / (s * den) * other + r / (s * den)
+        q, r, s = _divmod_z(list(self.num), other.num)
+        return _poly([c * other.den for c in q], s * self.den), _poly(r, s * self.den)
 
     def __floordiv__(self, other: QPoly) -> QPoly:
         return self.divmod(other)[0]
@@ -245,28 +244,23 @@ class QPoly:
     def divides(self, other: QPoly) -> bool:
         if self.is_zero:
             return other.is_zero
-        return other.divmod(self)[1].is_zero
+        return (other % self).is_zero
 
     def monic(self) -> QPoly:
         if self.is_zero or self.is_monic:
             return self
-        inv = 1 / self.lc
-        return QPoly(tuple(c * inv for c in self.coeffs))
+        # c/den over lc/den is c/lc
+        lc = self.num[-1]
+        return _poly([c if lc > 0 else -c for c in self.num], abs(lc))
 
     def gcd(self, other: QPoly) -> QPoly:
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
+        """Monic greatest common divisor: the last entry of the integer remainder sequence."""
+        return _poly(list(_remainder_sequence(self.num, other.num)[-1])).monic()
 
     def xgcd(self, other: QPoly) -> tuple[QPoly, QPoly, QPoly]:
         """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
         r0, r1 = self, other
-        s0, s1 = ONE, QPoly()
-        t0, t1 = QPoly(), ONE
+        s0, s1, t0, t1 = ONE, ZERO, ZERO, ONE
         while not r1.is_zero:
             q, r = r0.divmod(r1)
             r0, r1 = r1, r
@@ -278,7 +272,7 @@ class QPoly:
         return r0 * inv, s0 * inv, t0 * inv
 
     def derivative(self) -> QPoly:
-        return QPoly(tuple(self.coeffs[i] * i for i in range(1, len(self.coeffs))))
+        return _poly([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction, complex, mpmath and ComplexEnclosure values."""
@@ -291,11 +285,10 @@ class QPoly:
         return self(inner)
 
     def compose_mod(self, inner: QPoly, mod: QPoly) -> QPoly:
-        acc = QPoly()
-        inner = inner % mod
-        for c in reversed(self.coeffs):
-            acc = (acc * inner + QPoly((c,))) % mod
-        return acc
+        acc, inner = ZERO, inner % mod
+        for c in reversed(self.num):
+            acc = (acc * inner + c) % mod
+        return acc * Fraction(1, self.den)
 
     def pow_mod(self, n: int, mod: QPoly) -> QPoly:
         return binary_power(self % mod, n, ONE % mod, lambda a, b: (a * b) % mod)
@@ -304,7 +297,7 @@ class QPoly:
 
     def reciprocal(self) -> QPoly:
         """x^deg * p(1/x): the coefficient sequence reversed."""
-        return QPoly(tuple(reversed(self.coeffs)))
+        return _poly(list(self.num[::-1]), self.den)
 
     def scale_roots(self, r: Fraction) -> QPoly:
         """Monic polynomial whose roots are r times the roots of self.
@@ -313,9 +306,10 @@ class QPoly:
         """
         if not self.is_monic:
             raise ValidationError("scale_roots expects a monic polynomial")
-        n = self.degree
-        r = Fraction(r)
-        return QPoly(tuple(self.coeffs[i] * r ** (n - i) for i in range(n + 1)))
+        n, r = self.degree, Fraction(r)
+        a, b = r.numerator, r.denominator
+        # b^n r^(n-i) = a^(n-i) b^i
+        return _poly([c * a ** (n - i) * b**i for i, c in enumerate(self.num)], self.den * b**n)
 
     def squarefree_part(self) -> QPoly:
         if self.degree <= 0:
@@ -348,9 +342,8 @@ class QPoly:
         """
         if self.is_zero:
             return Fraction(0), []
-        den, ints = _integer_multiple(self)
-        g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-        return Fraction(g, den), [v // g for v in ints]
+        g = gcd(*self.num) if self.num[-1] > 0 else -gcd(*self.num)
+        return Fraction(g, self.den), [v // g for v in self.num]
 
     # -- serialization ---------------------------------------------------------
 
@@ -361,10 +354,81 @@ class QPoly:
     def from_json(cls, data) -> QPoly:
         if not isinstance(data, (list, tuple)):
             raise ValidationError("polynomial JSON must be an array of coefficient strings")
-        return cls(tuple(_as_fraction(c) for c in data))
+        return cls(data)
 
 
-ZERO = QPoly()
+# the integer core: a QPoly is built from its fields without the constructor
+_set_num, _set_den = QPoly.num.__set__, QPoly.den.__set__
+
+
+def _poly(num: list[int], den: int = 1) -> QPoly:
+    """The QPoly num/den for den > 0, in canonical form: trailing zeros
+    dropped, the fraction in lowest terms (a gcd only when den > 1)."""
+    while num and not num[-1]:
+        num.pop()
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+    p = object.__new__(QPoly)
+    _set_num(p, tuple(num))
+    _set_den(p, den)
+    return p
+
+
+def _combine(a: QPoly, b: QPoly, sign: int) -> QPoly:
+    """a + sign * b."""
+    den = a.den if a.den == b.den else lcm(a.den, b.den)
+    sa, sb = den // a.den, sign * (den // b.den)
+    out = [c * sa for c in a.num] + [0] * (len(b.num) - len(a.num))
+    for i, c in enumerate(b.num):
+        out[i] += c * sb
+    return _poly(out, den)
+
+
+def _convolve(a, b) -> list[int]:
+    """The product of two integer polynomials."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _mul_mod(a: QPoly, b: QPoly, m: QPoly) -> QPoly:
+    """a * b mod m, brought to canonical form once."""
+    _, r, s = _divmod_z(_convolve(a.num, b.num), m.num)
+    return _poly(r, s * a.den * b.den)
+
+
+def _divmod_z(a: list[int], b) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s * a = q * b + r, deg r < deg b, for integer polynomials;
+    s > 0 grows only at steps that need it, so it is 1 when b is monic or
+    divides a in Z[x].  a is overwritten, and r may keep trailing zeros."""
+    db, lc = len(b) - 1, b[-1]
+    q, s = [0] * (len(a) - db), 1
+    for k in range(len(a) - db - 1, -1, -1):
+        c = a[db + k]
+        if not c:
+            continue
+        if lc != 1:
+            scale = abs(lc) // gcd(c, lc)
+            if scale != 1:
+                a = [x * scale for x in a[: db + k + 1]]
+                q = [x * scale for x in q]
+                s *= scale
+                c *= scale
+            c //= lc
+        q[k] = c
+        for j in range(db):
+            a[j + k] -= c * b[j]
+    return q, a[:db], s
+
+
+ZERO = _poly([])
 ONE = QPoly((1,))
 X = QPoly((0, 1))
 
@@ -380,17 +444,13 @@ def det_int_bareiss(matrix: list[list[int]]) -> int:
     if n == 0:
         return 1
     m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
                 return 0
+            m[k], m[i], sign = m[i], m[k], -sign
         pk = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
@@ -401,7 +461,9 @@ def det_int_bareiss(matrix: list[list[int]]) -> int:
 
 
 def resultant(a: QPoly, b: QPoly) -> Fraction:
-    """Res(a, b), computed from the Sylvester matrix by fraction-free elimination."""
+    """Res(a, b) by fraction-free elimination: for a monic integral a, of the
+    n x n matrix of multiplication by b on Q[x]/(a) (the product of b over the
+    roots of a), otherwise of the Sylvester matrix."""
     if a.is_zero or b.is_zero:
         return Fraction(0)
     n, m = a.degree, b.degree
@@ -409,12 +471,18 @@ def resultant(a: QPoly, b: QPoly) -> Fraction:
         return a.lc ** m
     if m == 0:
         return b.lc ** n
-    (da, ai), (db, bi) = _integer_multiple(a), _integer_multiple(b)
-    rows = [[0] * k + ai[::-1] + [0] * (m - 1 - k) for k in range(m)]
-    rows += [[0] * k + bi[::-1] + [0] * (n - 1 - k) for k in range(n)]
+    if a.num[-1] == a.den == 1:
+        b = b % a
+        cols = [list(b.num) + [0] * (n - len(b.num))]  # x^i b mod a, times den(b)
+        for _ in range(n - 1):
+            top = cols[-1][-1]
+            cols.append([c - top * ac for c, ac in zip([0] + cols[-1][:-1], a.num)])
+        return Fraction(det_int_bareiss(cols), b.den**n)
+    rows = [[0] * k + list(a.num[::-1]) + [0] * (m - 1 - k) for k in range(m)]
+    rows += [[0] * k + list(b.num[::-1]) + [0] * (n - 1 - k) for k in range(n)]
     det = det_int_bareiss(rows)
-    # Res(da*a, db*b) = da^m db^n Res(a, b)
-    return Fraction(det, da**m * db**n)
+    # Res(num_a, num_b) = den_a^m den_b^n Res(a, b)
+    return Fraction(det, a.den**m * b.den**n)
 
 
 def _exact(c):
@@ -431,7 +499,8 @@ def power_sums(p: QPoly, count: int) -> list:
     if p.degree < 0:
         raise ValidationError("the zero polynomial has no power sums")
     n = p.degree
-    c = [_exact(x) for x in p.monic().coeffs]
+    monic = p.monic()
+    c = monic.num if monic.is_integral else monic.coeffs
     s = [n]
     for k in range(1, count + 1):
         acc = k * c[n - k] if k <= n else 0
@@ -463,19 +532,16 @@ def from_power_sums(s, n: int) -> QPoly:
     return QPoly(newton_coefficients(s, n))
 
 
-def _euler_phi(k: int) -> int:
-    result = k
-    p = 2
-    kk = k
-    while p * p <= kk:
-        if kk % p == 0:
-            while kk % p == 0:
-                kk //= p
-            result -= result // p
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if kk > 1:
-        result -= result // kk
-    return result
+    return out + [n] if n > 1 else out
 
 
 def cyclotomic_order(q: QPoly) -> int | None:
@@ -490,10 +556,11 @@ def cyclotomic_order(q: QPoly) -> int | None:
     d = q.degree
     if d < 1:
         return None
-    if q.coeffs[0] not in (1, -1):
+    if q.num[0] not in (1, -1):
         return None
     for k in range(1, 2 * d * d + 3):
-        if _euler_phi(k) != d:
+        primes = _prime_factors(k)
+        if k // prod(primes) * prod(p - 1 for p in primes) != d:  # Euler's phi(k)
             continue
         if X.pow_mod(k, q) == ONE % q:
             return k
@@ -523,19 +590,13 @@ def root_bound_exponent(ints: list[int]) -> int:
     return k
 
 
-def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
-    """a, b, -rem(a, b), ... up to positive factors."""
+def _remainder_sequence(a, b) -> list:
+    """a, b, -rem(a, b), ... up to positive factors, each remainder made
+    primitive; the last entry is gcd(a, b) up to a constant."""
     chain = [a]
     while b:
         chain.append(b)
-        r, scale = list(a), abs(b[-1])
-        while len(r) >= len(b):
-            c, shift = r[-1] * (scale // b[-1]), len(r) - len(b)
-            r = [x * scale for x in r]
-            for i, y in enumerate(b):
-                r[shift + i] -= c * y
-            while r and not r[-1]:
-                r.pop()
+        r = _poly(_divmod_z(list(a), b)[1]).num
         g = gcd(*r)
         a, b = b, [-x // g for x in r]
     return chain
@@ -558,7 +619,7 @@ def _variations(chain: list[list[int]], x) -> int:
 
 
 def _sturm_sequence(p: QPoly) -> list[list[int]]:
-    chain = _remainder_sequence(_integer_multiple(p)[1], _integer_multiple(p.derivative())[1])
+    chain = _remainder_sequence(p.num, p.derivative().num)
     if p.is_zero or len(chain[-1]) > 1:
         raise NonSquarefreeInput("Sturm sequences need a nonzero squarefree polynomial")
     return chain
@@ -578,7 +639,7 @@ def signs_at_real_roots(q: QPoly, p: QPoly) -> list[int]:
     p'q drop by the sign of q at the root (Sylvester's theorem).
     """
     chain = _sturm_sequence(p)
-    query = _remainder_sequence(chain[0], _integer_multiple(p.derivative() * q)[1])
+    query = _remainder_sequence(chain[0], (p.derivative() * q).num)
     bound = Fraction(1 << root_bound_exponent(chain[0]))
     signs, todo = [], [(-bound, bound)]
     while todo:

@@ -21,7 +21,7 @@ from itertools import product as iter_product
 
 from .errors import ValidationError
 from .numfield import NFElement, NumberField, is_totally_real
-from .qpoly import QPoly, binary_power, from_power_sums, signs_at_real_roots
+from .qpoly import QPoly, _prime_factors, binary_power, from_power_sums, signs_at_real_roots
 
 TOTALLY_DEFINITE = "TotallyDefinite"
 TOTALLY_INDEFINITE = "TotallyIndefinite"
@@ -43,6 +43,7 @@ class QuatAlgebra:
             raise ValidationError("alpha and beta must be nonzero")
         if not is_totally_real(base):
             raise ValidationError("quaternion base field must be totally real")
+        self._alpha_beta = self.alpha * self.beta
 
     def __repr__(self):
         return f"QuatAlgebra(alpha={self.alpha.poly!r}, beta={self.beta.poly!r} over {self.base!r})"
@@ -126,7 +127,7 @@ class QuatElement:
 
     def _coerce(self, other) -> QuatElement:
         if isinstance(other, QuatElement):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ValidationError("elements of different quaternion algebras")
             return other
         if isinstance(other, (int, Fraction, NFElement)):
@@ -143,21 +144,22 @@ class QuatElement:
         return QuatElement(self.algebra, -self.a, -self.b, -self.c, -self.d)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return QuatElement(self.algebra, self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
-        al, be = self.algebra.alpha, self.algebra.beta
+        alg = self.algebra
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = o.a, o.b, o.c, o.d
         return QuatElement(
-            self.algebra,
-            a1 * a2 + al * (b1 * b2) + be * (c1 * c2) - al * be * (d1 * d2),
-            a1 * b2 + b1 * a2 - be * (c1 * d2) + be * (d1 * c2),
-            a1 * c2 + c1 * a2 + al * (b1 * d2) - al * (d1 * b2),
+            alg,
+            a1 * a2 + alg.alpha * (b1 * b2) + alg.beta * (c1 * c2) - alg._alpha_beta * (d1 * d2),
+            a1 * b2 + b1 * a2 + alg.beta * (d1 * c2 - c1 * d2),
+            a1 * c2 + c1 * a2 + alg.alpha * (b1 * d2 - d1 * b2),
             a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
         )
 
@@ -176,8 +178,8 @@ class QuatElement:
         return self.a + self.a
 
     def reduced_norm(self) -> NFElement:
-        al, be = self.algebra.alpha, self.algebra.beta
-        return self.a * self.a - al * (self.b * self.b) - be * (self.c * self.c) + al * be * (self.d * self.d)
+        a, b, c, d, alg = self.a, self.b, self.c, self.d, self.algebra
+        return a * a - alg.alpha * (b * b) - alg.beta * (c * c) + alg._alpha_beta * (d * d)
 
     def reduced_charpoly_q(self) -> QPoly:
         """Monic degree-2e rational polynomial with roots sigma(t1), sigma(t2).
@@ -288,18 +290,7 @@ def hilbert_symbol(a: Fraction, b: Fraction, place: int | None) -> int:
 
 
 def _rational_places(a: Fraction, b: Fraction) -> list[int | None]:
-    primes = {2}
-    for x in (a, b):
-        for n in (abs(x.numerator), x.denominator):
-            d = 2
-            while d * d <= n:
-                if n % d == 0:
-                    primes.add(d)
-                    while n % d == 0:
-                        n //= d
-                d += 1
-            if n > 1:
-                primes.add(n)
+    primes = {2}.union(*(_prime_factors(n) for x in (a, b) for n in (abs(x.numerator), x.denominator)))
     return sorted(primes) + [None]
 
 

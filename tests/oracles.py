@@ -45,3 +45,135 @@ def count_real_roots_between(p: QPoly, a: Fraction, b: Fraction) -> int:
     lo = _sign_changes([q(Fraction(a)) for q in chain])
     hi = _sign_changes([q(Fraction(b)) for q in chain])
     return lo - hi
+
+
+# ---------------------------------------------------------------------------
+# Fraction-tuple polynomial arithmetic: the plain schoolbook algorithms on
+# tuples of Fractions, constant term first and without trailing zeros, as a
+# reference for the integer-backed QPoly
+
+
+def ref_trim(cs) -> tuple:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    return ref_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_neg(a) -> tuple:
+    return tuple(-c for c in a)
+
+
+def ref_sub(a, b) -> tuple:
+    return ref_add(a, ref_neg(b))
+
+
+def ref_scale(a, c) -> tuple:
+    return ref_trim(x * c for x in a)
+
+
+def ref_mul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b) -> tuple[tuple, tuple]:
+    rem, db = list(a), len(b) - 1
+    if len(a) - 1 < db:
+        return (), tuple(a)
+    quot = [Fraction(0)] * (len(a) - db)
+    for k in range(len(a) - db - 1, -1, -1):
+        c = rem[db + k] / b[-1]
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[j + k] -= c * y
+    return ref_trim(quot), ref_trim(rem[:db])
+
+
+def ref_monic(a) -> tuple:
+    return ref_scale(a, 1 / a[-1]) if a else ()
+
+
+def ref_gcd(a, b) -> tuple:
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_xgcd(a, b) -> tuple[tuple, tuple, tuple]:
+    r0, r1, s0, s1, t0, t1 = a, b, (Fraction(1),), (), (), (Fraction(1),)
+    while r1:
+        q, r = ref_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, ref_sub(s0, ref_mul(q, s1))
+        t0, t1 = t1, ref_sub(t0, ref_mul(q, t1))
+    if not r0:
+        return r0, s0, t0
+    inv = 1 / r0[-1]
+    return ref_scale(r0, inv), ref_scale(s0, inv), ref_scale(t0, inv)
+
+
+def ref_derivative(a) -> tuple:
+    return ref_trim(i * c for i, c in enumerate(a) if i)
+
+
+def ref_pow_mod(a, n: int, m) -> tuple:
+    out = ref_divmod((Fraction(1),), m)[1]
+    for _ in range(n):
+        out = ref_divmod(ref_mul(out, a), m)[1]
+    return out
+
+
+def ref_compose_mod(p, inner, m) -> tuple:
+    acc = ()
+    for c in reversed(p):
+        acc = ref_divmod(ref_add(ref_mul(acc, inner), (c,)), m)[1]
+    return acc
+
+
+def ref_resultant(a, b) -> Fraction:
+    """Determinant of the Sylvester matrix by Gaussian elimination over Q."""
+    n, m = len(a) - 1, len(b) - 1
+    if n < 0 or m < 0:
+        return Fraction(0)
+    size = n + m
+    if size == 0:
+        return Fraction(1)
+    rows = [[Fraction(0)] * k + list(a[::-1]) + [Fraction(0)] * (m - 1 - k) for k in range(m)]
+    rows += [[Fraction(0)] * k + list(b[::-1]) + [Fraction(0)] * (n - 1 - k) for k in range(n)]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            f = rows[r][col] / rows[col][col]
+            for c in range(col, size):
+                rows[r][c] -= f * rows[col][c]
+    return det
+
+
+def ref_power_sums(p, count: int) -> list:
+    """Newton's identities on the monic p, over the rationals."""
+    c, n = ref_monic(p), len(p) - 1
+    s = [Fraction(n)]
+    for k in range(1, count + 1):
+        acc = k * c[n - k] if k <= n else Fraction(0)
+        for i in range(1, min(k - 1, n) + 1):
+            acc += c[n - i] * s[k - i]
+        s.append(-acc)
+    return s

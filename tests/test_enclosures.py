@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from endoscope.enclosures import (
     unit_circle_status,
 )
 from endoscope.errors import NonSquarefreeInput, ValidationError
-from endoscope.qpoly import QPoly, from_ints
+from endoscope.cli import main
+from endoscope.qpoly import QPoly, X, from_ints
 
 from .oracles import count_real_roots
 
@@ -175,6 +177,38 @@ def test_isolate_roots_with_roots_near_2_to_the_67():
         total = total + e
     assert total.contains_point(-BIG_QUARTIC[3], Fraction(0))
     assert root_bound_exponent([int(c) for c in BIG_QUARTIC.coeffs]) >= 70
+
+
+def _shifted_cyclotomic(shift: int, p: int) -> QPoly:
+    """Minimal polynomial of shift + zeta_p for a prime p: Phi_p(x - shift)."""
+    return QPoly([1] * p).compose(X - shift)
+
+
+@pytest.mark.parametrize("shift, p", [(10**6, 7), (100, 13), (300, 13), (5000, 11)])
+def test_isolate_roots_of_a_tight_cluster_far_from_zero(shift, p):
+    # the roots shift + zeta_p^k lie on a unit circle around shift; the seeds
+    # are found after moving the cluster's centroid to 0
+    encl = isolate_roots(_shifted_cyclotomic(shift, p), 128)
+    assert len(encl) == p - 1
+    for i, a in enumerate(encl):
+        for b in encl[i + 1 :]:
+            assert not a.meets(b)
+        assert abs((a.re - shift) ** 2 + a.im**2 - 1) < Fraction(1, 2**100)
+
+
+def test_field_job_on_a_cluster_far_from_zero(tmp_path, capsys):
+    minpoly = _shifted_cyclotomic(10**6, 7).to_json()
+    job = {
+        "spec": {"algebra": {"kind": "field", "minpoly": minpoly}, "element": {"coords": ["0/1", "1/1"]}, "g": 3},
+        "commands": ["check-algebra", "classify"],
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main(["run", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    check, classify = report["results"]
+    assert check["field_type"] == "CM" and check["charpoly_q"] == minpoly
+    assert classify["growth"]["class"] == "ExponentialPure"
 
 
 @given(

@@ -1,0 +1,196 @@
+"""The integer-backed QPoly against the plain Fraction-tuple reference in
+tests/oracles.py: every operation gives the same coefficients, and every
+result is in canonical form (den > 0, gcd(content(num), den) = 1, no trailing
+zeros), so equal polynomials compare and hash equal.  NFElement and
+QuatElement arithmetic, which runs on QPoly, is checked the same way."""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, strategies as st
+
+from endoscope.numfield import NumberField
+from endoscope.qpoly import QPoly, from_ints, power_sums, resultant
+from endoscope.quaternion import QuatAlgebra
+
+from .oracles import (
+    ref_add,
+    ref_compose_mod,
+    ref_derivative,
+    ref_divmod,
+    ref_gcd,
+    ref_monic,
+    ref_mul,
+    ref_neg,
+    ref_pow_mod,
+    ref_power_sums,
+    ref_resultant,
+    ref_scale,
+    ref_sub,
+    ref_trim,
+    ref_xgcd,
+)
+
+small = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+large = st.builds(Fraction, st.integers(min_value=-(2**70), max_value=2**70), st.integers(min_value=1, max_value=2**35))
+rationals = st.one_of(small, small, large)
+coeff_lists = st.lists(rationals, max_size=6)
+nonzero_lists = coeff_lists.filter(lambda cs: any(cs))
+scalars = st.one_of(st.integers(min_value=-(2**40), max_value=2**40), rationals)
+
+
+def canonical(p: QPoly, ref: tuple) -> bool:
+    """p has the coefficients ref and its fields are in canonical form."""
+    assert p.den > 0 and all(type(c) is int for c in p.num)
+    assert not p.num or p.num[-1] != 0
+    assert gcd(p.den, *p.num) == 1
+    assert p.coeffs == ref
+    return True
+
+
+@given(coeff_lists, st.integers(min_value=1, max_value=10**6))
+def test_construction_is_canonical_and_equal_polynomials_hash_equal(cs, k):
+    p = QPoly(cs)
+    assert canonical(p, ref_trim(cs))
+    # the same coefficients as unreduced strings n*k / d*k
+    q = QPoly([f"{c.numerator * k}/{c.denominator * k}" for c in cs])
+    assert q == p and hash(q) == hash(p) and (q.num, q.den) == (p.num, p.den)
+
+
+@given(coeff_lists, coeff_lists)
+def test_add_sub_neg(a, b):
+    pa, pb, ra, rb = QPoly(a), QPoly(b), ref_trim(a), ref_trim(b)
+    assert canonical(pa + pb, ref_add(ra, rb))
+    assert canonical(pa - pb, ref_sub(ra, rb))
+    assert canonical(-pa, ref_neg(ra))
+    back = (pa + pb) - pb
+    assert back == pa and hash(back) == hash(pa)
+
+
+@given(coeff_lists, scalars)
+def test_mul_by_scalar(a, c):
+    assert canonical(QPoly(a) * c, ref_scale(ref_trim(a), c))
+    assert canonical(c * QPoly(a), ref_scale(ref_trim(a), c))
+
+
+@given(coeff_lists, coeff_lists)
+def test_mul_by_polynomial(a, b):
+    assert canonical(QPoly(a) * QPoly(b), ref_mul(ref_trim(a), ref_trim(b)))
+
+
+@given(coeff_lists, nonzero_lists)
+def test_divmod(a, b):
+    q, r = QPoly(a).divmod(QPoly(b))
+    rq, rr = ref_divmod(ref_trim(a), ref_trim(b))
+    assert canonical(q, rq) and canonical(r, rr)
+    assert canonical(QPoly(a) % QPoly(b), rr)
+
+
+@given(coeff_lists, st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=1, max_size=4))
+def test_divmod_by_a_monic_integer_polynomial(a, low):
+    m = low + [1]
+    q, r = QPoly(a).divmod(QPoly(m))
+    rq, rr = ref_divmod(ref_trim(a), ref_trim(m))
+    assert canonical(q, rq) and canonical(r, rr)
+
+
+@given(coeff_lists, coeff_lists)
+def test_gcd_and_xgcd(a, b):
+    pa, pb, ra, rb = QPoly(a), QPoly(b), ref_trim(a), ref_trim(b)
+    assert canonical(pa.gcd(pb), ref_gcd(ra, rb))
+    for got, want in zip(pa.xgcd(pb), ref_xgcd(ra, rb)):
+        assert canonical(got, want)
+
+
+@given(coeff_lists)
+def test_monic_derivative_and_reciprocal(a):
+    p, ra = QPoly(a), ref_trim(a)
+    assert canonical(p.monic(), ref_monic(ra))
+    assert canonical(p.derivative(), ref_derivative(ra))
+    assert canonical(p.reciprocal(), ref_trim(ra[::-1]))
+
+
+@given(coeff_lists, nonzero_lists, st.integers(min_value=0, max_value=8))
+def test_pow_mod(a, m, n):
+    assert canonical(QPoly(a).pow_mod(n, QPoly(m)), ref_pow_mod(ref_trim(a), n, ref_trim(m)))
+
+
+@given(coeff_lists, coeff_lists, nonzero_lists)
+def test_compose_mod(p, inner, m):
+    got = QPoly(p).compose_mod(QPoly(inner), QPoly(m))
+    assert canonical(got, ref_compose_mod(ref_trim(p), ref_divmod(ref_trim(inner), ref_trim(m))[1], ref_trim(m)))
+
+
+@given(nonzero_lists, nonzero_lists)
+def test_resultant(a, b):
+    got = resultant(QPoly(a), QPoly(b))
+    assert isinstance(got, Fraction) and got == ref_resultant(ref_trim(a), ref_trim(b))
+
+
+@given(nonzero_lists, st.integers(min_value=0, max_value=12))
+def test_power_sums(a, count):
+    assert power_sums(QPoly(a), count) == ref_power_sums(ref_trim(a), count)
+
+
+FIELDS = [
+    NumberField(from_ints(-2, 0, 1)),
+    NumberField(from_ints(1, 1, 1, 1, 1)),
+    NumberField(from_ints(-1, -3, 0, 1)),
+    NumberField(QPoly([Fraction(-1, 3), 0, 1])),  # monic with a rational coefficient
+]
+fields = st.sampled_from(FIELDS)
+
+
+def coords(field_degree: int):
+    return st.lists(rationals, max_size=field_degree)
+
+
+@given(fields, st.data())
+def test_number_field_mul_and_inverse(field, data):
+    e, m = field.degree, ref_trim(field.minpoly.coeffs)
+    a, b = data.draw(coords(e)), data.draw(coords(e))
+    x, y = field.element(a), field.element(b)
+    assert canonical((x * y).poly, ref_divmod(ref_mul(ref_trim(a), ref_trim(b)), m)[1])
+    if not x.is_zero:
+        g, u, _ = ref_xgcd(ref_trim(a), m)
+        assert g == (Fraction(1),)
+        assert canonical(x.inverse().poly, ref_divmod(u, m)[1])
+
+
+QUAT = QuatAlgebra(NumberField(from_ints(-13, 0, 1)), [-2, -2], [2])
+
+
+def ref_quat_mul(p, q, alpha, beta, m):
+    """(a1 + b1 i + c1 j + d1 k)(a2 + b2 i + c2 j + d2 k) with i^2 = alpha, j^2 = beta, ij = -ji = k."""
+
+    def mul(*factors):
+        out = (Fraction(1),)
+        for f in factors:
+            out = ref_divmod(ref_mul(out, f), m)[1]
+        return out
+
+    def total(*terms):
+        out = ()
+        for sign, term in terms:
+            out = ref_add(out, term) if sign > 0 else ref_sub(out, term)
+        return out
+
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        total((1, mul(a1, a2)), (1, mul(alpha, b1, b2)), (1, mul(beta, c1, c2)), (-1, mul(alpha, beta, d1, d2))),
+        total((1, mul(a1, b2)), (1, mul(b1, a2)), (-1, mul(beta, c1, d2)), (1, mul(beta, d1, c2))),
+        total((1, mul(a1, c2)), (1, mul(c1, a2)), (1, mul(alpha, b1, d2)), (-1, mul(alpha, d1, b2))),
+        total((1, mul(a1, d2)), (1, mul(d1, a2)), (1, mul(b1, c2)), (-1, mul(c1, b2))),
+    )
+
+
+@given(st.lists(coords(2), min_size=4, max_size=4), st.lists(coords(2), min_size=4, max_size=4))
+def test_quaternion_mul(p, q):
+    x, y = QUAT.element(*p), QUAT.element(*q)
+    m = ref_trim(QUAT.base.minpoly.coeffs)
+    alpha, beta = QUAT.alpha.poly.coeffs, QUAT.beta.poly.coeffs
+    want = ref_quat_mul([ref_trim(c) for c in p], [ref_trim(c) for c in q], alpha, beta, m)
+    prod = x * y
+    for got, ref in zip((prod.a, prod.b, prod.c, prod.d), want):
+        assert canonical(got.poly, ref)

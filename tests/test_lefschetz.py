@@ -208,10 +208,12 @@ def table_specs():
         sqrt13_salem_spec(),
         EndomorphismSpec(hamilton, hamilton.element(half, half, half, half), 2),  # order-6 unit
         EndomorphismSpec(definite, definite.element(1, 1), 4),
+        field_spec((-5, 0, 1), [half, half], 2),  # golden unit: coordinates with den 2
+        field_spec((-1, -3, 0, 1), [1, 1], 3),  # 1+theta on the cyclic cubic
     ]
 
 
-@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("index", range(len(table_specs())))
 def test_table_matches_single_n_paths_and_companion(index):
     spec = table_specs()[index]
     nmax = 30
@@ -224,6 +226,16 @@ def test_table_matches_single_n_paths_and_companion(index):
     cp = spec.charpoly_q()
     for n, fix in enumerate(table, 1):
         assert fix**2 == companion_oracle(cp, n) ** spec.exponent(), n
+
+
+@pytest.mark.parametrize("index", range(len(table_specs())))
+def test_table_matches_companion_at_high_n(index):
+    # the benchmark's largest nmax is 200
+    spec = table_specs()[index]
+    table = fixed_point_table(spec, 200)
+    cp = spec.charpoly_q()
+    for n in (97, 150, 200):
+        assert table[n - 1] ** 2 == companion_oracle(cp, n) ** spec.exponent(), n
 
 
 def test_eigenvalue_path_refines_at_high_n():

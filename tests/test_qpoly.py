@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from endoscope.errors import ValidationError
 from endoscope.qpoly import (
     _DECIMAL_SPLIT_BITS,
+    _PARSE_SPLIT_DIGITS,
+    _parse_digits,
     ONE,
     QPoly,
     cyclotomic_order,
@@ -175,3 +177,16 @@ def test_coefficient_strings_past_the_digit_limit():
         Fraction(-(10**5000), 3),
         Fraction(7, 10**5000),
     )
+
+
+def test_parse_digits_matches_decimal():
+    rng = random.Random(20261019)
+    cut = _PARSE_SPLIT_DIGITS
+    lengths = [1, cut - 1, cut, cut + 1, 2 * cut - 1, 2 * cut, 2 * cut + 1, 4 * cut + 3, 4301]
+    lengths += [rng.randrange(1, 100_000) for _ in range(6)]  # up to about 10^5 digits
+    for length in lengths:
+        digits = "".join(rng.choice("0123456789") for _ in range(length))
+        for s in (digits, "0" * cut + digits):  # leading zeros may fill a whole half
+            assert _parse_digits(s) == int(Decimal(s)), length
+    s = "".join(rng.choice("0123456789") for _ in range(3 * cut))
+    assert QPoly.from_json([f"-{s}/{s[::-1]}"]) == QPoly((Fraction(-int(Decimal(s)), int(Decimal(s[::-1]))),))
