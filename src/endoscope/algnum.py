@@ -72,20 +72,19 @@ def _select_root(poly: QPoly, disk_of, bits: int) -> tuple[QPoly, ComplexEnclosu
     """Pick the unique (irreducible factor of poly, root enclosure) meeting the target disk.
 
     disk_of(bits) must return a certified enclosure of the target value at the
-    given precision; the target is known to be a root of poly.
+    given precision; the target is known to be a root of poly.  A factor none
+    of whose enclosures meets the disk does not have the target as a root, so
+    only the factors with a hit are isolated again at the next precision.
     """
     candidates = [q for q, _ in factorq.factor(poly)]
     while bits <= MAX_BITS:
         disk = disk_of(bits)
-        hits: list[tuple[QPoly, ComplexEnclosure]] = []
-        for q in candidates:
-            for e in isolate_roots(q, bits):
-                if e.meets(disk):
-                    hits.append((q, e))
+        hits = [(q, e) for q in candidates for e in isolate_roots(q, bits) if e.meets(disk)]
         if len(hits) == 1:
             return hits[0][0], hits[0][1], bits
         if not hits:
             raise CrossCheckError("target value escaped every certified enclosure")
+        candidates = [q for q in candidates if any(h is q for h, _ in hits)]
         bits *= 2
     raise PrecisionExhausted("could not separate candidate roots")
 

@@ -24,7 +24,7 @@ from math import lcm
 from mpmath import mp, mpf
 
 from . import algnum, factorq
-from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, fraction_to_mpf, isolate_roots, unit_circle_status
+from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, isolate_roots, unit_circle_status
 from .errors import (
     CrossCheckError,
     DivisibilityViolation,
@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .lefschetz import EndomorphismSpec, fixed_point_table, rational_eigenvalues
-from .numfield import CM, TOTALLY_REAL, apply_conjugation, cm_structure
+from .numfield import CM, TOTALLY_REAL, apply_conjugation, cm_structure, fraction_to_mpf
 from .qpoly import ONE, QPoly, X, count_real_roots, cyclotomic_order, trace_polynomial
 from .quaternion import MIXED, TOTALLY_DEFINITE, definiteness
 

@@ -18,10 +18,9 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import classify, jobs
-from .enclosures import fraction_to_mpf
 from .errors import EndoscopeError, PrecisionExhausted, ValidationError
 from .lefschetz import EndomorphismSpec
-from .numfield import NumberField
+from .numfield import NumberField, fraction_to_mpf
 from .qpoly import QPoly, from_ints
 from .quaternion import QuatAlgebra, definiteness
 

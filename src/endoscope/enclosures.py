@@ -1,9 +1,16 @@
 """Certified complex enclosures for polynomial roots.
 
-Floating seeds come from mpmath's simultaneous-iteration root finder, run on
-q(2^k y), q = p(x + c) recentred at the roots' centroid, whose roots all lie
-in the unit disk (k from a root bound, see root_bound_exponent), and moved
-back; the certificate is exact.  For seeds z_1..z_n and Weierstrass corrections
+Seeds are found on a(y) = q(2^k y), where q = p(x + c) is recentred at the
+integer part c of the roots' centroid if that lowers the root bound by two
+bits or more (a tight cluster far from 0), and 2^k is a root bound of q (see
+root_bound_exponent): all roots of a lie in the unit disk, and an absolute
+error means the same for large roots as for small ones.  The Aberth-Ehrlich
+iteration (Aberth, Math. Comp. 1973; Bini, Numer. Algorithms 1996) runs
+first in double precision, started on circles read off the Newton polygon
+of log|a_j|, then on Gaussian integers over 2^u, with q and q' evaluated
+exactly, until every correction is a few units of 2^-u.  No step of either
+pass is trusted: the certificate is exact.  For seeds z_1..z_n and
+Weierstrass corrections
 
     W_i = p(z_i) / (lc * prod_{j != i} (z_i - z_j)),
 
@@ -12,8 +19,9 @@ connected component made of k disks contains exactly k roots (write
 p = lc*(prod(x - z_i) + sum_i W_i prod_{j != i}(x - z_j)) and bound the sum
 term outside the union; a homotopy in the W_i keeps root counts per
 component).  So once the disks are pairwise disjoint, each contains exactly
-one root; everything is checked with Fraction arithmetic and outward-rounded
-square roots, so no floating-point step is trusted.
+one root.  p(z_i) 2^(un) and the products 2^(u(n-1)) lc prod (z_i - z_j) are
+Gaussian integers, so |W_i|^2 is one quotient of integers, and its square
+root is rounded up.  If the disks are too large or meet, u is doubled.
 
 Real roots are recognized by an exact sign change across the disk's real
 diameter and reported with exact zero imaginary part; non-real enclosures
@@ -26,10 +34,10 @@ those are.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from math import isqrt
-
-from mpmath import mp, mpf, polyroots
 
 from .errors import (
     NonSquarefreeInput,
@@ -41,6 +49,17 @@ from .qpoly import QPoly, X, _sign_at, binary_power, count_real_roots, root_boun
 MAX_BITS = 4096
 
 _SQRT_GUARD = 1 << 64
+
+# root seeds: at most _DOUBLE_STEPS double-precision Aberth sweeps; start
+# circles turned by _SIGMA plus the golden angle per Newton-polygon edge, of
+# radius at least e^_LOG_TINY; a fixed-point root is done once its step is at
+# most _FEW_UNITS units
+_DOUBLE_STEPS = 100
+_SIGMA = 0.7
+_GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
+_LOG_TINY = -1000 * math.log(2)
+_FEW_UNITS = 2
+_LN2 = math.log(2)
 
 
 def sqrt_ub(q: Fraction) -> Fraction:
@@ -57,16 +76,6 @@ def sqrt_ub(q: Fraction) -> Fraction:
 def sqrt_lb(q: Fraction) -> Fraction:
     """Rational lower bound for sqrt(q): sqrt_ub(q) less its rounding step."""
     return sqrt_ub(q) - Fraction(1, q.denominator * _SQRT_GUARD) if q > 0 else Fraction(0)
-
-
-def mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(man), int(exp)  # mpmath may hand back gmpy2 integers
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
-
-
-def fraction_to_mpf(q: Fraction):
-    return mpf(q.numerator) / mpf(q.denominator)
 
 
 class ComplexEnclosure:
@@ -218,30 +227,133 @@ def _decimal(q: Fraction, digits: int, round_up: bool = False) -> str:
 # root isolation
 
 
-def _ceval(ints: list[int], re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
-    ar, ai = Fraction(0), Fraction(0)
-    for c in reversed(ints):
-        ar, ai = ar * re - ai * im + c, ar * im + ai * re
+def _horner(c: list[int], zr: int, zi: int, w: int) -> tuple[int, int]:
+    """2^(w deg c) c(z) at the Gaussian dyadic z = (zr + i zi) / 2^w, exactly:
+    homogeneous Horner on Gaussian integers."""
+    ar, ai, shift = c[-1], 0, 0
+    for a in reversed(c[:-1]):
+        shift += w
+        ar, ai = ar * zr - ai * zi + (a << shift), ar * zi + ai * zr
     return ar, ai
 
 
-def _seeds(ints: list[int], wp: int):
-    """Untrusted root approximations, found on q(2^k y) for q = p(x + c), c
-    the integer part of the roots' centroid -a_(n-1) / (n a_n): a tight
-    cluster far from 0 is seen at its own scale, and the roots of q(2^k y)
-    are below 1, so the iteration's absolute stopping rule means the same
-    for large roots as for small ones.  Both moves are exact."""
-    n = len(ints) - 1
-    c = -ints[n - 1] // (n * ints[n])
-    shifted = QPoly(ints).compose(X + c).num if c else ints  # Taylor shift by Horner's rule
+def _cdiv(ar: int, ai: int, br: int, bi: int, shift: int = 0) -> tuple[int, int]:
+    """2^shift a / b for Gaussian integers a and b != 0, rounded to a Gaussian integer."""
+    m = 2 * (br * br + bi * bi)
+    return (((ar * br + ai * bi) << (shift + 1)) + m // 2) // m, (((ai * br - ar * bi) << (shift + 1)) + m // 2) // m
+
+
+def _seeds(shifted: list[int]) -> tuple[int, list[complex]]:
+    """k and untrusted double approximations of the roots y of a(y) = q(2^k y),
+    all in the unit disk, by the Aberth-Ehrlich iteration.
+
+    The start points lie on the circles read off the Newton polygon of a:
+    for each edge of the upper convex hull of (j, log|a_j|), as many points
+    as the edge is wide on the circle of radius r = (|a_i| / |a_j|)^(1/(j-i)),
+    turned by the golden angle times the edge's first index so that edges of
+    equal radius do not start on the same points; a zero constant term puts
+    one start at the root 0.  Near a point y, a is evaluated as a(r t) for
+    t = y / r, r the nearest radius, with its coefficients a_j r^j divided
+    by the largest: so a root far smaller than the largest does not push the
+    coefficients out of the double-precision range.
+    """
+    n = len(shifted) - 1
     k = root_bound_exponent(shifted)
-    with mp.workprec(wp + 30):
-        coeffs = [mp.ldexp(mpf(shifted[j]), k * (j - n)) for j in range(n, -1, -1)]
-        try:
-            roots = polyroots(coeffs, maxsteps=400, extraprec=64)
-        except Exception:
-            return None
-    return [(mpf_to_fraction(mp.ldexp(r.real, k)) + c, mpf_to_fraction(mp.ldexp(r.imag, k))) for r in roots]
+    logs = [(j, math.log(abs(a)) + k * j * _LN2) for j, a in enumerate(shifted) if a]
+    hull: list[tuple[int, float]] = []
+    for j, lj in logs:
+        while len(hull) > 1:  # drop the last vertex while it is on or below the chord to (j, lj)
+            (i0, l0), (i1, l1) = hull[-2], hull[-1]
+            if (l1 - l0) * (j - i0) > (lj - l0) * (i1 - i0):
+                break
+            hull.pop()
+        hull.append((j, lj))
+    starts, scales = [0j] * logs[0][0], []
+    for (i, li), (j, lj) in zip(hull, hull[1:]):
+        rho = max((li - lj) / (j - i), _LOG_TINY)  # log of the edge's radius
+        top = max(lm + m * rho for m, lm in logs)
+        coeffs = [0.0] * (n + 1)
+        for m, lm in logs:
+            coeffs[m] = math.exp(lm + m * rho - top) if shifted[m] > 0 else -math.exp(lm + m * rho - top)
+        r, turn = math.exp(rho), _SIGMA + _GOLDEN_ANGLE * i
+        scales.append((rho, r, coeffs))
+        starts += [cmath.rect(r, turn + 2 * math.pi * t / (j - i)) for t in range(j - i)]
+
+    def newton_step(y: complex) -> complex:
+        """a(y) / a'(y)."""
+        _, r, coeffs = min(scales, key=lambda e: abs(e[0] - math.log(abs(y)))) if len(scales) > 1 else scales[0]
+        t, v, d = y / r, complex(coeffs[n]), 0j
+        for a in reversed(coeffs[:-1]):
+            d = d * t + v
+            v = v * t + a
+        return r * v / d
+
+    z = list(starts)
+    live = [i for i, y in enumerate(z) if y]  # a start at 0 is the root 0 itself
+    for _ in range(_DOUBLE_STEPS):
+        moved = []
+        for i in live:
+            y = z[i]
+            try:
+                ratio = newton_step(y)
+                step = ratio / (1 - ratio * sum(1 / (y - x) for j, x in enumerate(z) if j != i))
+                if cmath.isfinite(step):
+                    z[i] = y - step
+                    if abs(step) > 2.0**-50 * abs(y):
+                        moved.append(i)
+            except (ZeroDivisionError, OverflowError, ValueError):
+                pass
+        if not moved:
+            break
+        live = moved
+    # a point that left the unit disk's neighbourhood restarts where it began
+    return k, [y if abs(y.real) <= 2 and abs(y.imag) <= 2 else y0 for y, y0 in zip(z, starts)]
+
+
+def _fixed(x: float, w: int) -> int:
+    """x * 2^w rounded to an integer, for |x| < 2^20."""
+    e = min(w, 1000)
+    return round(math.ldexp(x, e)) << (w - e)
+
+
+def _polish(shifted: list[int], pts: list[tuple[int, int]], u: int) -> list[tuple[int, int]] | None:
+    """Aberth-Ehrlich steps on the Gaussian dyadics (re + i im) / 2^u, with
+    q and q' evaluated exactly, until every correction is at most a few
+    units of 2^-u or a step cap that grows with degree and precision is met.
+    None if two points meet."""
+    n = len(pts)
+    dq = [j * a for j, a in enumerate(shifted)][1:]
+    one = 1 << u
+    live = list(range(n))
+    for _ in range(n + u):
+        moved = []
+        for i in live:
+            yr, yi = pts[i]
+            vr, vi = _horner(shifted, yr, yi, u)
+            if not (vr or vi):
+                continue
+            dr, di = _horner(dq, yr, yi, u)
+            if not (dr or di):
+                return None
+            nr, ni = _cdiv(vr, vi, dr, di)  # Newton step q / q' in units of 2^-u
+            sr = si = 0
+            for j, (xr, xi) in enumerate(pts):
+                if j != i:
+                    er, ei = yr - xr, yi - xi
+                    if not (er or ei):
+                        return None
+                    tr, ti = _cdiv(1, 0, er, ei, 2 * u)  # sum of 1 / (y - x) in units of 2^-u
+                    sr, si = sr + tr, si + ti
+            # the Aberth step ratio / (1 - ratio * sum)
+            br, bi = one - ((nr * sr - ni * si) >> u), -((nr * si + ni * sr) >> u)
+            cr, ci = _cdiv(nr, ni, br, bi, u) if br or bi else (nr, ni)
+            pts[i] = (yr - cr, yi - ci)
+            if abs(cr) > _FEW_UNITS or abs(ci) > _FEW_UNITS:
+                moved.append(i)
+        if not moved:
+            break
+        live = moved
+    return pts
 
 
 def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]:
@@ -266,56 +378,65 @@ def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]
         root = Fraction(-ints[0], ints[1])
         return [ComplexEnclosure(root, 0, 0)]
 
-    target = Fraction(1, 1 << (precision_bits - 4))
+    # recentre at the roots' centroid c when that lowers the root bound by 2
+    # bits or more: a tight cluster far from 0 is then seen at its own scale,
+    # while roots spread out around 0 stay put
+    c = Fraction(-ints[n - 1], n * ints[n])
+    shifted = QPoly(ints).compose(X + c).clear_denominators()[1] if c else ints  # Taylor shift by Horner's rule
+    if root_bound_exponent(shifted) > root_bound_exponent(ints) - 2:
+        c, shifted = 0, ints
+    k, seeds = _seeds(shifted)
     wp = precision_bits + 32 + 8 * n
     cap = max(8 * precision_bits, MAX_BITS) + 8 * n
     while wp <= cap:
-        got = _attempt(ints, n, wp, target)
+        pts = [(_fixed(y.real, wp + k), _fixed(y.imag, wp + k)) for y in seeds]
+        got = _attempt(ints, shifted, c, _polish(shifted, pts, wp), wp, precision_bits - 4)
         if got is not None:
             return got
         wp *= 2
     raise PrecisionExhausted(f"could not separate roots of {p!r} within {cap} bits")
 
 
-def _attempt(ints, n, wp, target):
-    seeds = _seeds(ints, wp)
-    if seeds is None:
+def _attempt(ints, shifted, c, pts, u, target_bits):
+    """The certified enclosures of the roots c + z_i of p, z_i the Gaussian
+    dyadics pts over 2^u (roots of q = p(x + c)), or None.  The radii
+    n |W_i| are computed over 2^r: 2^(un) q(z_i) by homogeneous Horner and
+    2^(u(n-1)) lc prod (z_i - z_j) as integer products give |W_i|^2 as one
+    quotient of integers, whose square root is rounded up."""
+    if pts is None:
         return None
-    snap = Fraction(1, 1 << (2 * wp // 3))
-    pts = [(re, Fraction(0) if abs(im) <= snap else im) for re, im in seeds]
-    if len({pt for pt in pts}) != n:
+    n = len(pts)
+    snap = 1 << (u - 2 * u // 3)
+    pts = [(re, 0 if abs(im) <= snap else im) for re, im in pts]
+    if len(set(pts)) != n:
         return None
 
-    lc = ints[-1]
-    disks = []
+    r = u + 64  # radii 64 bits finer than the midpoints, like sqrt_ub's guard
+    lc, radii = shifted[-1], []
     for i, (re, im) in enumerate(pts):
-        vr, vi = _ceval(ints, re, im)
-        dr, di = Fraction(lc), Fraction(0)
+        vr, vi = _horner(shifted, re, im, u)
+        dr, di = lc, 0
         for j, (re2, im2) in enumerate(pts):
-            if j == i:
-                continue
-            xr, xi = re - re2, im - im2
-            dr, di = dr * xr - di * xi, dr * xi + di * xr
-        den = dr * dr + di * di
-        if den == 0:
+            if j != i:
+                xr, xi = re - re2, im - im2
+                dr, di = dr * xr - di * xi, dr * xi + di * xr
+        # |W|^2 = |v|^2 / (|d|^2 2^(2u)), so |W|^2 2^(2r) <= t
+        t = -(-((vr * vr + vi * vi) << (2 * (r - u))) // (dr * dr + di * di))
+        rad = n * (isqrt(t - 1) + 1) if t else 0
+        if rad >= 1 << (r - target_bits):  # n |W| must be below 2^-target_bits
             return None
-        # W = v / d; |W|^2 = |v|^2 / |d|^2
-        wsq = (vr * vr + vi * vi) / den
-        rad = n * sqrt_ub(wsq)
-        if rad >= target:
-            return None
-        disks.append([re, im, rad])
+        radii.append(rad)
 
     for i in range(n):
         for j in range(i + 1, n):
-            dr = disks[i][0] - disks[j][0]
-            di = disks[i][1] - disks[j][1]
-            s = disks[i][2] + disks[j][2]
+            dr, di = (pts[i][0] - pts[j][0]) << (r - u), (pts[i][1] - pts[j][1]) << (r - u)
+            s = radii[i] + radii[j]
             if dr * dr + di * di <= s * s:
                 return None
 
     result, positives, negatives = [], [], []
-    for re, im, rad in disks:
+    for (zr, zi), rad in zip(pts, radii):
+        re, im, rad = c + Fraction(zr, 1 << u), Fraction(zi, 1 << u), Fraction(rad, 1 << r)
         if im == 0:
             a, b = re - rad, re + rad
             pa, pb = _sign_at(ints, a), _sign_at(ints, b)

@@ -20,7 +20,7 @@ from . import classify
 from .algnum import AlgebraicNumber
 from .enclosures import MAX_BITS
 from .errors import PrecisionExhausted, ValidationError
-from .lefschetz import ITERATE_CAP, EndomorphismSpec, fixed_point_table
+from .lefschetz import DIMENSION_CAP, ITERATE_CAP, EndomorphismSpec, fixed_point_table
 from .lefschetz import fixed_points_exact  # noqa: F401  re-export; perfbench/tests checks the tracer patches it
 from .numfield import NumberField, cm_structure, is_totally_real
 from .qpoly import QPoly, exact_decimal
@@ -64,8 +64,8 @@ def parse_spec(data, path: str = "spec") -> EndomorphismSpec:
     if not isinstance(alg, dict) or "kind" not in alg:
         _fail(f"{path}.algebra.kind", "algebra needs a 'kind' of 'field' or 'quaternion'")
     g = data["g"]
-    if isinstance(g, bool) or not isinstance(g, int) or g < 1:
-        _fail(f"{path}.g", "g must be a positive integer")
+    if isinstance(g, bool) or not isinstance(g, int) or not 1 <= g <= DIMENSION_CAP:
+        _fail(f"{path}.g", f"g must be an integer in [1, {DIMENSION_CAP}]")
 
     if alg["kind"] == "field":
         field = _at(f"{path}.algebra.minpoly", NumberField, _poly(alg.get("minpoly"), f"{path}.algebra.minpoly"))

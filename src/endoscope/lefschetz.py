@@ -30,6 +30,8 @@ from .qpoly import ONE, X, QPoly, binary_power, cyclotomic_order, det_int_bareis
 from .quaternion import QuatAlgebra, QuatElement
 
 ITERATE_CAP = 10**6
+# dimension cap: every count is raised to 2g/(de), so the digits printed grow with g
+DIMENSION_CAP = 1024
 
 
 class EndomorphismSpec:

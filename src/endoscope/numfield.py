@@ -30,16 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 from . import factorq
-from .enclosures import (
-    ComplexEnclosure,
-    fraction_to_mpf,
-    isolate_roots,
-    mpf_to_fraction,
-    rational_reconstruct,
-)
+from .enclosures import ComplexEnclosure, isolate_roots, rational_reconstruct
 from .errors import CrossCheckError, ValidationError
 from .qpoly import ONE, QPoly, X, _combine, _mul_mod, count_real_roots, from_power_sums, newton_coefficients
 from .qpoly import power_sums, resultant
@@ -279,6 +273,16 @@ class FieldTypeReport:
     kind: str
     conj_automorphism: NFElement | None
     max_real_subfield_minpoly: QPoly | None
+
+
+def mpf_to_fraction(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    man, exp = int(man), int(exp)  # mpmath may hand back gmpy2 integers
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def fraction_to_mpf(q: Fraction):
+    return mpf(q.numerator) / mpf(q.denominator)
 
 
 def _conjugation_candidate(field: NumberField, bits: int) -> QPoly | None:

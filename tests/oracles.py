@@ -8,6 +8,7 @@ share no code path with the implementations they check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from endoscope.qpoly import QPoly
 
@@ -45,6 +46,23 @@ def count_real_roots_between(p: QPoly, a: Fraction, b: Fraction) -> int:
     lo = _sign_changes([q(Fraction(a)) for q in chain])
     hi = _sign_changes([q(Fraction(b)) for q in chain])
     return lo - hi
+
+
+def roots_inside_unit_disk(c: list[int]) -> bool:
+    """True iff every root of the integer polynomial c (constant term first,
+    c[-1] != 0) lies strictly inside |z| = 1, by the Schur-Cohn recursion:
+    with f* = x^n f(1/x), this holds iff |c_0| < |c_n| and it holds for
+    (c_n f - c_0 f*) / x, one degree lower (Rouche on |z| = 1, where
+    |f*| = |f|)."""
+    c = list(c)
+    while len(c) > 1:
+        low, top = c[0], c[-1]
+        if abs(low) >= abs(top):
+            return False
+        c = [top * c[j] - low * c[-1 - j] for j in range(1, len(c))]
+        g = gcd(*c)
+        c = [x // g for x in c]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from endoscope.classify import (
     structure_certificate,
 )
 from endoscope.cli import main as cli_main
-from endoscope.enclosures import ON_CIRCLE, fraction_to_mpf, isolate_roots, unit_circle_status
+from endoscope.enclosures import ON_CIRCLE, isolate_roots, unit_circle_status
 from endoscope.errors import EndoscopeError
 from endoscope.factorq import factor
 from endoscope.lefschetz import (
@@ -36,7 +36,7 @@ from endoscope.lefschetz import (
     fixed_points_via_eigenvalues,
     rational_eigenvalues,
 )
-from endoscope.numfield import NumberField, rationals_field
+from endoscope.numfield import NumberField, fraction_to_mpf, rationals_field
 from endoscope.qpoly import QPoly, from_ints
 from endoscope.quaternion import QuatAlgebra
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from endoscope import algnum
-from endoscope.enclosures import isolate_roots
+from endoscope.enclosures import ComplexEnclosure, isolate_roots
 from endoscope.factorq import is_irreducible
 from endoscope.qpoly import QPoly, from_ints
 
@@ -137,3 +137,24 @@ def test_exterior_power_matches_subset_products(roots, data, m):
 @given(monic_polys)
 def test_exterior_squares_make_the_self_product(p):
     assert algnum.exterior_power(p, 2) ** 2 * algnum.exterior_power(p, 1, 2) == algnum._product_resultant(p, p)
+
+
+def test_select_root_isolates_only_the_factors_that_hit(monkeypatch):
+    # the target sqrt2 sits in a disk of radius 1 at 128 bits, which also
+    # holds sqrt3, and of radius 1/8 at 256 bits; x - 5 misses both disks
+    sqrt2 = isolate_roots(from_ints(-2, 0, 1), 256)[1]
+    calls = []
+
+    def counted(q, bits):
+        calls.append((q, bits))
+        return isolate_roots(q, bits)
+
+    def disk_of(bits):
+        return ComplexEnclosure(sqrt2.re, 0, Fraction(1) if bits == 128 else Fraction(1, 8))
+
+    monkeypatch.setattr(algnum, "isolate_roots", counted)
+    poly = from_ints(-2, 0, 1) * from_ints(-3, 0, 1) * from_ints(-5, 1)
+    q, e, bits = algnum._select_root(poly, disk_of, 128)
+    assert q == from_ints(-2, 0, 1) and e.contains_point(sqrt2.re, 0) and bits == 256
+    assert len(calls) == 5
+    assert {q for q, b in calls if b == 256} == {from_ints(-2, 0, 1), from_ints(-3, 0, 1)}

@@ -20,7 +20,7 @@ from endoscope.classify import (
     is_salem_polynomial,
     structure_certificate,
 )
-from endoscope.enclosures import fraction_to_mpf, isolate_roots
+from endoscope.enclosures import isolate_roots
 from endoscope.errors import (
     DivisibilityViolation,
     NonIntegralElement,
@@ -28,7 +28,7 @@ from endoscope.errors import (
     ValidationError,
 )
 from endoscope.lefschetz import EndomorphismSpec, fixed_points_exact
-from endoscope.numfield import NumberField, rationals_field
+from endoscope.numfield import NumberField, fraction_to_mpf, rationals_field
 from endoscope.qpoly import QPoly, from_ints
 from endoscope.quaternion import QuatAlgebra
 

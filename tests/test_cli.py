@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from endoscope.cli import main
 from endoscope.jobs import KNOWN_OPS
+from endoscope.lefschetz import DIMENSION_CAP
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +225,28 @@ def test_boolean_dimension_rejected(tmp_path, capsys):
     code, out = run_cli(capsys, "run", write_job(tmp_path, job))
     assert code == 2
     assert "spec.g" in json.loads(out)["error"]["detail"]
+
+
+def _sqrt2_fixpoints_job(g):
+    field = {"kind": "field", "minpoly": ["-2/1", "0/1", "1/1"]}
+    return {"spec": {"algebra": field, "element": {"coords": ["1/1", "1/1"]}, "g": g}, "commands": [{"op": "fixpoints", "nmax": 2}]}
+
+
+def test_dimension_above_cap_rejected(tmp_path, capsys):
+    # under 200 bytes, but its two counts in full would run to about 1.8 MB
+    job = _sqrt2_fixpoints_job(2 * 10**6)
+    assert len(json.dumps(job)) < 200
+    code, out = run_cli(capsys, "run", write_job(tmp_path, job))
+    assert code == 2
+    assert "spec.g" in json.loads(out)["error"]["detail"]
+    assert len(out) < 1000
+
+
+def test_dimension_at_cap_accepted(tmp_path, capsys):
+    code, out = run_cli(capsys, "run", write_job(tmp_path, _sqrt2_fixpoints_job(DIMENSION_CAP)))
+    assert code == 0
+    # fix(f) = |N(1 - (1 + sqrt2))|^(2g/2) = 2^g
+    assert json.loads(out)["results"][0]["fix"][0]["fix"] == str(2**DIMENSION_CAP)
 
 
 def test_table_mode(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from endoscope import enclosures
 from endoscope.enclosures import (
     INSIDE,
     ON_CIRCLE,
@@ -17,7 +20,7 @@ from endoscope.errors import NonSquarefreeInput, ValidationError
 from endoscope.cli import main
 from endoscope.qpoly import QPoly, X, from_ints
 
-from .oracles import count_real_roots
+from .oracles import count_real_roots, roots_inside_unit_disk
 
 
 def test_gaussian_units():
@@ -217,19 +220,91 @@ def test_field_job_on_a_cluster_far_from_zero(tmp_path, capsys):
 )
 @example(low=[-3, -3], lead=2)  # a root at 2.19: the bound needs Fujiwara's factor 2
 def test_root_bound_exponent_bounds_every_root(low, lead):
-    sympy = pytest.importorskip("sympy")
     ints = low + [lead]
     if not any(low):
         return
     k = root_bound_exponent(ints)
     assert k >= 0
-    # exact isolation (real intervals and complex rectangles): nroots cannot
-    # be used here, it does not converge once roots pass about 2^64
-    poly = sympy.Poly(list(reversed(ints)), sympy.Symbol("x"))
-    for eps in (None, sympy.Rational(1, 2**20), sympy.Rational(1, 2**80)):
-        reals, rects = poly.intervals(all=True, eps=eps)
-        boxes = [(a, b) for (a, b), _ in reals] + [corners for corners, _ in rects]
-        far = max(max(abs(sympy.re(c)) for c in box) ** 2 + max(abs(sympy.im(c)) for c in box) ** 2 for box in boxes)
-        if far < 4**k:
-            return
-    pytest.fail(f"a root of {ints} is not provably below 2^{k}")
+    # every root of p(2^k y) strictly inside the unit disk, by an exact
+    # Schur-Cohn count
+    assert roots_inside_unit_disk([c << (k * j) for j, c in enumerate(ints)]), f"a root of {ints} is not below 2^{k}"
+
+
+def _product(*factors: QPoly) -> QPoly:
+    out = QPoly([1])
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _mignotte(n: int, a: int) -> QPoly:
+    """x^n - 2(ax - 1)^2: two real roots within about a^(-(n+2)/2) of 1/a."""
+    return X**n - 2 * (a * X - 1) ** 2
+
+
+HARD_CASES = {
+    "wilkinson-20": _product(*[X - i for i in range(1, 21)]),
+    "mignotte-8-10": _mignotte(8, 10),
+    "mignotte-12-100": _mignotte(12, 100),
+    "mignotte-20-1000": _mignotte(20, 1000),
+    "wide-quartic": (X - 130000) * (X - 10**9 - 7) * (X**2 - 3 * 10**15 * X + 2),
+    # palindromic: Newton-polygon edges of equal radius
+    "palindromic-8": from_ints(1, -2, -1, -2, 0, -2, -1, -2, 1),
+    "x^24-x-1": X**24 - X - 1,
+    # the centroid 10^8/31 is far from every root: recentred there, the 30
+    # roots of unity would form a cluster 2^-21 wide at the scale of 10^8
+    "far-root-and-phi-31": (X - 10**8) * QPoly([1] * 31),
+    # coefficients past the double range; roots near +-10^200 and 10^-400
+    "huge-coefficient": X**3 - 10**400 * X + 1,
+}
+
+
+@pytest.mark.parametrize("name", HARD_CASES)
+def test_hard_cases_isolate(name):
+    p = HARD_CASES[name]
+    encl = isolate_roots(p, 128)  # escalates internally up to MAX_BITS
+    assert len(encl) == p.degree
+    for i, a in enumerate(encl):
+        for b in encl[i + 1 :]:
+            assert not a.meets(b)
+    assert sum(1 for e in encl if e.is_real) == count_real_roots(p)
+    total = ComplexEnclosure(0, 0, 0)
+    for e in encl:
+        total = total + e
+    n = p.degree
+    assert total.contains_point(-p[n - 1] / p[n], Fraction(0))
+
+
+def test_wilkinson_roots_are_exact():
+    encl = isolate_roots(HARD_CASES["wilkinson-20"], 128)
+    assert [(e.re, e.radius) for e in encl] == [(i, 0) for i in range(1, 21)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=-(2**12), max_value=2**12), min_size=3, max_size=9))
+def test_every_disk_holds_exactly_one_mpmath_root(coeffs):
+    mpmath = pytest.importorskip("mpmath")
+    p = QPoly([Fraction(c) for c in coeffs]).squarefree_part()
+    if p.degree < 1:
+        return
+    encl = isolate_roots(p, 64)
+    _, ints = p.clear_denominators()
+    with mpmath.mp.workprec(1024):
+        roots, err = mpmath.polyroots(list(reversed(ints)), maxsteps=500, extraprec=1024, error=True)
+
+        def inside(e, r):
+            mid = mpmath.mpc(mpmath.mpf(e.re.numerator) / e.re.denominator, mpmath.mpf(e.im.numerator) / e.im.denominator)
+            return abs(r - mid) <= mpmath.mpf(e.radius.numerator) / e.radius.denominator + err
+
+        assert err < mpmath.mpf(2) ** -200
+        for e in encl:
+            assert sum(1 for r in roots if inside(e, r)) == 1
+
+
+def test_enclosures_does_not_import_mpmath():
+    tree = ast.parse(Path(enclosures.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "mpmath" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "mpmath"
