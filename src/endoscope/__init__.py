@@ -6,11 +6,9 @@ quaternion arithmetic with certified complex enclosures.
 
 from .algnum import AlgebraicNumber, exterior_power, from_rational, product, root_product
 from .classify import (
-    AlbertType,
     EntropyReport,
     GrowthReport,
     SalemReport,
-    admissibility_check,
     classify_growth,
     entropy,
     is_automorphism,
@@ -32,8 +30,10 @@ from .errors import (
 )
 from .factorq import factor, is_irreducible
 from .lefschetz import (
+    AlbertType,
     EigenvalueMultiset,
     EndomorphismSpec,
+    admissibility_check,
     companion_oracle,
     fixed_point_table,
     fixed_points_exact,

@@ -19,28 +19,20 @@ power per eigenvalue factor, and the certificate divides into another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational
 
 from . import algnum, factorq
 from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, isolate_roots, unit_circle_status
-from .errors import (
-    CrossCheckError,
-    DivisibilityViolation,
-    NonIntegralElement,
-    NotSimpleAlbertType,
-    ValidationError,
-)
-from .lefschetz import EndomorphismSpec, fixed_point_table, rational_eigenvalues
-from .numfield import CM, TOTALLY_REAL, apply_conjugation, cm_structure, fraction_to_mpf
+from .errors import CrossCheckError, NotSimpleAlbertType, ValidationError
+from .lefschetz import TOTALLY_INDEFINITE_QUATERNION  # noqa: F401  re-export
+from .lefschetz import CM_FIELD, TOTALLY_DEFINITE_QUATERNION, TOTALLY_REAL_FIELD, AlbertType, EndomorphismSpec
+from .lefschetz import admissibility_check, fixed_point_table, rational_eigenvalues
+from .numfield import apply_conjugation, cm_structure
 from .qpoly import ONE, QPoly, X, count_real_roots, cyclotomic_order, trace_polynomial
-from .quaternion import MIXED, TOTALLY_DEFINITE, definiteness
-
-TOTALLY_REAL_FIELD = "TotallyRealField"
-CM_FIELD = "CMField"
-TOTALLY_DEFINITE_QUATERNION = "TotallyDefiniteQuaternion"
-TOTALLY_INDEFINITE_QUATERNION = "TotallyIndefiniteQuaternion"
 
 PERIODIC = "Periodic"
 EXPONENTIAL_PURE = "ExponentialPure"
@@ -48,13 +40,6 @@ EXPONENTIAL_MIXED = "ExponentialMixed"
 UNIT_CIRCLE_NON_TORSION = "UnitCircleNonTorsionOnly"
 
 _DICHOTOMY_KINDS = (TOTALLY_REAL_FIELD, CM_FIELD, TOTALLY_DEFINITE_QUATERNION)
-
-
-@dataclass(frozen=True)
-class AlbertType:
-    kind: str
-    d: int
-    e: int
 
 
 @dataclass(frozen=True)
@@ -84,67 +69,6 @@ class EntropyReport:
     @property
     def is_zero(self) -> bool:
         return self.gamma_minpoly == X - ONE
-
-
-# ---------------------------------------------------------------------------
-# admissibility
-
-
-def admissibility_check(spec: EndomorphismSpec) -> AlbertType:
-    """Albert type of the given spec, plus the divisibility and integrality gates.
-
-    Totally real: e | g.  CM: e/2 | g (the norm exponent 2g/e must be a
-    positive integer; an elliptic curve with CM by Q(i) is the g=1, e=2
-    case).  Quaternion: 2e | g.  The element must have an integral
-    characteristic polynomial (order membership proxy); quaternion elements
-    whose reduced norm vanishes, or whose pure part squares to zero, are zero
-    divisors and are rejected outright.
-    """
-    if spec._albert is not None:
-        return spec._albert
-    g = spec.g
-    if spec.is_field_case:
-        report = cm_structure(spec.algebra)
-        e = spec.algebra.degree
-        if report.kind == TOTALLY_REAL:
-            if g % e:
-                raise DivisibilityViolation(f"totally real multiplication needs e | g, got e={e}, g={g}")
-            at = AlbertType(TOTALLY_REAL_FIELD, 1, e)
-        elif report.kind == CM:
-            if (2 * g) % e:
-                raise DivisibilityViolation(f"complex multiplication needs (e/2) | g, got e={e}, g={g}")
-            at = AlbertType(CM_FIELD, 1, e)
-        else:
-            raise NotSimpleAlbertType("field is neither totally real nor CM")
-    else:
-        algebra = spec.algebra
-        e = algebra.base.degree
-        defrep = definiteness(algebra)
-        if defrep.kind == MIXED:
-            raise NotSimpleAlbertType("quaternion algebra is neither totally definite nor totally indefinite")
-        if g % (2 * e):
-            raise DivisibilityViolation(f"quaternion multiplication needs 2e | g, got e={e}, g={g}")
-        f = spec.element
-        if f.reduced_norm().is_zero:
-            raise NotSimpleAlbertType("element has reduced norm zero: a zero divisor")
-        if not (f.b.is_zero and f.c.is_zero and f.d.is_zero):
-            t = (
-                algebra.alpha * (f.b * f.b)
-                + algebra.beta * (f.c * f.c)
-                - algebra.alpha * algebra.beta * (f.d * f.d)
-            )
-            if t.is_zero:
-                raise NotSimpleAlbertType("pure part squares to zero: a nilpotent zero divisor")
-        kind = (
-            TOTALLY_DEFINITE_QUATERNION
-            if defrep.kind == TOTALLY_DEFINITE
-            else TOTALLY_INDEFINITE_QUATERNION
-        )
-        at = AlbertType(kind, 2, e)
-    if not spec.charpoly_q().is_integral:
-        raise NonIntegralElement("characteristic polynomial over Q is not integral")
-    spec._albert = at
-    return at
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +228,12 @@ def is_salem_polynomial(p: QPoly) -> SalemReport:
 
 # ---------------------------------------------------------------------------
 # entropy and the structure certificate
+
+
+def fraction_to_mpf(q: Fraction, rounding: str = "n"):
+    """q as an mpf at the working precision, rounded once in mpmath's direction
+    rounding ("n" nearest, "f" floor, "c" ceiling)."""
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.prec, rounding))
 
 
 def _gamma_of(spec: EndomorphismSpec) -> algnum.AlgebraicNumber:

@@ -20,7 +20,7 @@ from mpmath import mp
 from . import classify, jobs
 from .errors import EndoscopeError, PrecisionExhausted, ValidationError
 from .lefschetz import EndomorphismSpec
-from .numfield import NumberField, fraction_to_mpf
+from .numfield import NumberField
 from .qpoly import QPoly, from_ints
 from .quaternion import QuatAlgebra, definiteness
 
@@ -85,6 +85,8 @@ def _cmd_run(args) -> int:
         raise ValidationError(f"cannot read job file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON: {exc} (at line {exc.lineno}, column {exc.colno})") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"malformed JSON: {exc}") from exc
 
     job = jobs.parse_job(data)
     precision = args.precision if args.precision is not None else (job.precision_bits or 128)
@@ -128,7 +130,7 @@ def _cmd_salem(args) -> int:
         else:
             raw = [tok for tok in text.replace(",", " ").split() if tok]
         poly = QPoly(raw)
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot parse coefficients: {exc}") from exc
     report = classify.is_salem_polynomial(poly)
     print(json.dumps({"op": "salem", **jobs.salem_json(report, poly)}, indent=2))
@@ -191,7 +193,7 @@ def _check_row(row) -> list[dict]:
     add("gamma_is_salem", True, ent.is_salem)
     salem = classify.is_salem_polynomial(charpoly)
     with mp.workprec(200):
-        expected_value = 2 * mp.log(fraction_to_mpf(salem.lead_root.re))
+        expected_value = 2 * mp.log(classify.fraction_to_mpf(salem.lead_root.re))
         add(
             "entropy_is_log_salem_sq",
             True,

@@ -1,16 +1,16 @@
 """Certified complex enclosures for polynomial roots.
 
 Seeds are found on a(y) = q(2^k y), where q = p(x + c) is recentred at the
-integer part c of the roots' centroid if that lowers the root bound by two
-bits or more (a tight cluster far from 0), and 2^k is a root bound of q (see
-root_bound_exponent): all roots of a lie in the unit disk, and an absolute
-error means the same for large roots as for small ones.  The Aberth-Ehrlich
-iteration (Aberth, Math. Comp. 1973; Bini, Numer. Algorithms 1996) runs
-first in double precision, started on circles read off the Newton polygon
-of log|a_j|, then on Gaussian integers over 2^u, with q and q' evaluated
-exactly, until every correction is a few units of 2^-u.  No step of either
-pass is trusted: the certificate is exact.  For seeds z_1..z_n and
-Weierstrass corrections
+roots' centroid, the exact rational c = -a_(n-1) / (n a_n), if that lowers
+the root bound by two bits or more (a tight cluster far from 0), and 2^k is
+a root bound of q (see root_bound_exponent): all roots of a lie in the unit
+disk, and an absolute error means the same for large roots as for small
+ones.  The Aberth-Ehrlich iteration (Aberth, Math. Comp. 1973; Bini,
+Numer. Algorithms 1996) runs first in double precision, started on circles
+read off the Newton polygon of log|a_j|, then on Gaussian integers over
+2^u, with q and q' evaluated exactly, until every correction is a few units
+of 2^-u.  No step of either pass is trusted: the certificate is exact.  For
+seeds z_1..z_n and Weierstrass corrections
 
     W_i = p(z_i) / (lc * prod_{j != i} (z_i - z_j)),
 
@@ -505,24 +505,3 @@ def unit_circle_status(q: QPoly, enclosures=None) -> list[tuple[ComplexEnclosure
         if bits > MAX_BITS:
             raise PrecisionExhausted(f"unit-circle position of {q!r} unresolved at {MAX_BITS} bits")
         encl = isolate_roots(q, bits)
-
-
-# ---------------------------------------------------------------------------
-# rational reconstruction (continued fractions + caller-side exact verification)
-
-
-def rational_reconstruct(x: Fraction, den_bound: int) -> Fraction:
-    """Best continued-fraction convergent of x with denominator <= den_bound."""
-    m2, m1 = 0, 1
-    d2, d1 = 1, 0
-    num, den = x.numerator, x.denominator
-    best = Fraction(0)
-    while den:
-        a = num // den
-        num, den = den, num - a * den
-        m2, m1 = m1, a * m1 + m2
-        d2, d1 = d1, a * d1 + d2
-        if d1 > den_bound:
-            break
-        best = Fraction(m1, d1)
-    return best

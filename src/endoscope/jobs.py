@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp
-from mpmath.libmp import from_rational
 
 from . import classify
 from .algnum import AlgebraicNumber
@@ -174,7 +173,7 @@ def _certified_decimal(x: AlgebraicNumber, f=mp.mpf) -> str:
         e, ends = x.enclosure, set()
         with mp.workprec(x.bits + 64):
             for end, rounding, side in ((e.re - e.radius, "f", -1), (e.re + e.radius, "c", 1)):
-                v = f(mp.make_mpf(from_rational(end.numerator, end.denominator, mp.prec, rounding)))
+                v = f(classify.fraction_to_mpf(end, rounding))
                 ends.add(mp.nstr(v + side * mp.ldexp(abs(v), 4 - mp.prec), 18, strip_zeros=False))
         if len(ends) == 1:
             return ends.pop()

@@ -15,23 +15,40 @@ characteristic polynomial chi: it keeps x^n mod chi as a running remainder
 and takes |Res(chi, 1 - x^n mod chi)|^(2g/(d e)), where the resultant is the
 product of (1 - mu^n) over the roots mu of chi.  As the paths share no input,
 a fault on either side shows up as a disagreement.
+
+Every count first passes the Albert-type gate, admissibility_check, kept here
+with EndomorphismSpec: the type fixes d, e and the exponent 2g/(d e).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 from . import factorq
 from .enclosures import ComplexEnclosure, isolate_roots, pow_rounded
-from .errors import CrossCheckError, PrecisionExhausted, ValidationError
-from .numfield import NumberField
+from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType
+from .errors import PrecisionExhausted, ValidationError
+from .numfield import CM, TOTALLY_REAL, NumberField, cm_structure
 from .qpoly import ONE, X, QPoly, binary_power, cyclotomic_order, det_int_bareiss, resultant
-from .quaternion import QuatAlgebra, QuatElement
+from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness
 
 ITERATE_CAP = 10**6
 # dimension cap: every count is raised to 2g/(de), so the digits printed grow with g
 DIMENSION_CAP = 1024
+
+TOTALLY_REAL_FIELD = "TotallyRealField"
+CM_FIELD = "CMField"
+TOTALLY_DEFINITE_QUATERNION = "TotallyDefiniteQuaternion"
+TOTALLY_INDEFINITE_QUATERNION = "TotallyIndefiniteQuaternion"
+
+
+@dataclass(frozen=True)
+class AlbertType:
+    kind: str
+    d: int
+    e: int
 
 
 class EndomorphismSpec:
@@ -55,7 +72,7 @@ class EndomorphismSpec:
         self.element = element
         self.g = g
         self._charpoly_q: QPoly | None = None
-        # filled by classify: Albert type, spectrum and gamma
+        # filled by admissibility_check, then by classify: spectrum and gamma
         self._albert = None
         self._spectrum_cache = None
         self._gamma_cache = None
@@ -102,10 +119,61 @@ class EndomorphismSpec:
         return f"EndomorphismSpec(g={self.g}, element={self.element!r})"
 
 
-def _admissibility(spec: EndomorphismSpec):
-    from . import classify
+def admissibility_check(spec: EndomorphismSpec) -> AlbertType:
+    """Albert type of the given spec, plus the divisibility and integrality gates.
 
-    return classify.admissibility_check(spec)
+    Totally real: e | g.  CM: e/2 | g (the norm exponent 2g/e must be a
+    positive integer; an elliptic curve with CM by Q(i) is the g=1, e=2
+    case).  Quaternion: 2e | g.  The element must have an integral
+    characteristic polynomial (order membership proxy); quaternion elements
+    whose reduced norm vanishes, or whose pure part squares to zero, are zero
+    divisors and are rejected outright.
+    """
+    if spec._albert is not None:
+        return spec._albert
+    g = spec.g
+    if spec.is_field_case:
+        report = cm_structure(spec.algebra)
+        e = spec.algebra.degree
+        if report.kind == TOTALLY_REAL:
+            if g % e:
+                raise DivisibilityViolation(f"totally real multiplication needs e | g, got e={e}, g={g}")
+            at = AlbertType(TOTALLY_REAL_FIELD, 1, e)
+        elif report.kind == CM:
+            if (2 * g) % e:
+                raise DivisibilityViolation(f"complex multiplication needs (e/2) | g, got e={e}, g={g}")
+            at = AlbertType(CM_FIELD, 1, e)
+        else:
+            raise NotSimpleAlbertType("field is neither totally real nor CM")
+    else:
+        algebra = spec.algebra
+        e = algebra.base.degree
+        defrep = definiteness(algebra)
+        if defrep.kind == MIXED:
+            raise NotSimpleAlbertType("quaternion algebra is neither totally definite nor totally indefinite")
+        if g % (2 * e):
+            raise DivisibilityViolation(f"quaternion multiplication needs 2e | g, got e={e}, g={g}")
+        f = spec.element
+        if f.reduced_norm().is_zero:
+            raise NotSimpleAlbertType("element has reduced norm zero: a zero divisor")
+        if not (f.b.is_zero and f.c.is_zero and f.d.is_zero):
+            t = (
+                algebra.alpha * (f.b * f.b)
+                + algebra.beta * (f.c * f.c)
+                - algebra.alpha * algebra.beta * (f.d * f.d)
+            )
+            if t.is_zero:
+                raise NotSimpleAlbertType("pure part squares to zero: a nilpotent zero divisor")
+        kind = (
+            TOTALLY_DEFINITE_QUATERNION
+            if defrep.kind == TOTALLY_DEFINITE
+            else TOTALLY_INDEFINITE_QUATERNION
+        )
+        at = AlbertType(kind, 2, e)
+    if not spec.charpoly_q().is_integral:
+        raise NonIntegralElement("characteristic polynomial over Q is not integral")
+    spec._albert = at
+    return at
 
 
 def _check_iterate(n) -> None:
@@ -118,7 +186,7 @@ def _check_iterate(n) -> None:
 def fixed_points_exact(spec: EndomorphismSpec, n: int) -> int:
     """|N(1 - f^n)|^(2g/(de)) as an exact integer; 0 reports an identity component."""
     _check_iterate(n)
-    _admissibility(spec)
+    admissibility_check(spec)
     return _abs_norm(spec, spec.algebra.one() - spec.element**n) ** spec.exponent()
 
 
@@ -191,7 +259,7 @@ class EigenvalueMultiset:
 
 
 def rational_eigenvalues(spec: EndomorphismSpec, precision_bits: int = 128) -> EigenvalueMultiset:
-    _admissibility(spec)
+    admissibility_check(spec)
     cp = spec.charpoly_q()
     scale = spec.exponent()
     factors = [(q, mult * scale) for q, mult in factorq.factor(cp)]
@@ -229,7 +297,7 @@ def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:
     raises CrossCheckError.
     """
     _check_iterate(nmax)
-    _admissibility(spec)
+    admissibility_check(spec)
     rows = []
     paths = zip(_norm_counts(spec, nmax), _resultant_counts(spec.charpoly_q(), spec.exponent(), nmax))
     for n, (exact, via) in enumerate(paths, 1):

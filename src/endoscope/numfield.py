@@ -30,10 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
-
 from . import factorq
-from .enclosures import ComplexEnclosure, isolate_roots, rational_reconstruct
+from .enclosures import ComplexEnclosure, _cdiv, isolate_roots
 from .errors import CrossCheckError, ValidationError
 from .qpoly import ONE, QPoly, X, _combine, _mul_mod, count_real_roots, from_power_sums, newton_coefficients
 from .qpoly import power_sums, resultant
@@ -275,45 +273,54 @@ class FieldTypeReport:
     max_real_subfield_minpoly: QPoly | None
 
 
-def mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(man), int(exp)  # mpmath may hand back gmpy2 integers
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
-
-
-def fraction_to_mpf(q: Fraction):
-    return mpf(q.numerator) / mpf(q.denominator)
-
-
 def _conjugation_candidate(field: NumberField, bits: int) -> QPoly | None:
     """Interpolate alpha -> conj(alpha) through all embeddings and reconstruct.
 
     The interpolant is found without a linear solve: Newton divided
-    differences, then expanded into the power basis (Bjorck-Pereyra).
+    differences, then expanded into the power basis (Bjorck-Pereyra), on the
+    embeddings rounded to Gaussian integers over 2^w: every quotient is
+    rounded to one, every product is shifted right by w.
     """
-    e = field.degree
-    with mp.workprec(bits + 30):
-        z = [mpc(fraction_to_mpf(r.re), fraction_to_mpf(r.im)) for r in field.embeddings(bits)]
-        sol = [w.conjugate() for w in z]
-        for k in range(e - 1):
-            for i in range(e - 1, k, -1):
-                sol[i] = (sol[i] - sol[i - 1]) / (z[i] - z[i - k - 1])
-        for k in range(e - 2, -1, -1):
-            for i in range(k, e - 1):
-                sol[i] -= z[k] * sol[i + 1]
-        bound = 1 << max(bits // 4, 32)
-        coeffs = []
-        tol = mp.mpf(2) ** (-(bits // 2))
-        for j in range(e):
-            v = sol[j]
-            if abs(v.imag) > tol:
-                return None
-            approx = mpf_to_fraction(v.real)
-            cand = rational_reconstruct(approx, bound)
-            if abs(cand - approx) > Fraction(1, 1 << (bits // 2)):
-                return None
-            coeffs.append(cand)
+    e, w = field.degree, bits + 30
+    z = [(round(r.re * (1 << w)), round(r.im * (1 << w))) for r in field.embeddings(bits)]
+    sol = [(re, -im) for re, im in z]
+    for k in range(e - 1):
+        for i in range(e - 1, k, -1):
+            (ar, ai), (br, bi), (cr, ci), (dr, di) = sol[i], sol[i - 1], z[i], z[i - k - 1]
+            sol[i] = _cdiv(ar - br, ai - bi, cr - dr, ci - di, w)
+    for k in range(e - 2, -1, -1):
+        zr, zi = z[k]
+        for i in range(k, e - 1):
+            (ar, ai), (br, bi) = sol[i], sol[i + 1]
+            sol[i] = ar - ((zr * br - zi * bi) >> w), ai - ((zr * bi + zi * br) >> w)
+    bound, half = 1 << max(bits // 4, 32), bits // 2
+    coeffs = []
+    for re, im in sol:
+        if abs(im) > 1 << (w - half):
+            return None
+        approx = Fraction(re, 1 << w)
+        cand = rational_reconstruct(approx, bound)
+        if abs(cand - approx) > Fraction(1, 1 << half):
+            return None
+        coeffs.append(cand)
     return QPoly(coeffs)
+
+
+def rational_reconstruct(x: Fraction, den_bound: int) -> Fraction:
+    """Best continued-fraction convergent of x with denominator <= den_bound."""
+    m2, m1 = 0, 1
+    d2, d1 = 1, 0
+    num, den = x.numerator, x.denominator
+    best = Fraction(0)
+    while den:
+        a = num // den
+        num, den = den, num - a * den
+        m2, m1 = m1, a * m1 + m2
+        d2, d1 = d1, a * d1 + d2
+        if d1 > den_bound:
+            break
+        best = Fraction(m1, d1)
+    return best
 
 
 def cm_structure(field: NumberField) -> FieldTypeReport:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import gcd, inf, lcm, prod
+from math import gcd, inf, isinf, lcm, prod
 
 from .errors import NonSquarefreeInput, ValidationError
 
@@ -275,7 +275,7 @@ class QPoly:
         return _poly([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, complex, mpmath and ComplexEnclosure values."""
+        """Horner evaluation at any value with + and * (Fraction, complex, ComplexEnclosure)."""
         acc = 0 * x + self.lc
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
@@ -604,12 +604,14 @@ def _remainder_sequence(a, b) -> list:
 
 def _sign_at(c: list[int], x) -> int:
     """Sign of the integer polynomial c at a rational x or at +-inf."""
-    if x in (inf, -inf):
+    if isinstance(x, float) and isinf(x):
         v = c[-1] if x > 0 or len(c) % 2 else -c[-1]
     else:
-        x, v, dpow = Fraction(x), 0, 1
-        for a in reversed(c):  # den(x)^deg times the value, by homogeneous Horner
-            v, dpow = v * x.numerator + a * dpow, dpow * x.denominator
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        num, den, v, dpow = x.numerator, x.denominator, 0, 1
+        for a in reversed(c):  # den^deg times the value, by homogeneous Horner
+            v, dpow = v * num + a * dpow, dpow * den
     return (v > 0) - (v < 0)
 
 

@@ -20,6 +20,7 @@ from endoscope.classify import (
     admissibility_check,
     classify_growth,
     entropy,
+    fraction_to_mpf,
     is_automorphism,
     is_root_of_unity,
     is_salem_polynomial,
@@ -36,7 +37,7 @@ from endoscope.lefschetz import (
     fixed_points_via_eigenvalues,
     rational_eigenvalues,
 )
-from endoscope.numfield import NumberField, fraction_to_mpf, rationals_field
+from endoscope.numfield import NumberField, rationals_field
 from endoscope.qpoly import QPoly, from_ints
 from endoscope.quaternion import QuatAlgebra
 

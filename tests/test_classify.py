@@ -15,6 +15,7 @@ from endoscope.classify import (
     admissibility_check,
     classify_growth,
     entropy,
+    fraction_to_mpf,
     is_automorphism,
     is_root_of_unity,
     is_salem_polynomial,
@@ -28,7 +29,7 @@ from endoscope.errors import (
     ValidationError,
 )
 from endoscope.lefschetz import EndomorphismSpec, fixed_points_exact
-from endoscope.numfield import NumberField, fraction_to_mpf, rationals_field
+from endoscope.numfield import NumberField, rationals_field
 from endoscope.qpoly import QPoly, from_ints
 from endoscope.quaternion import QuatAlgebra
 

@@ -150,6 +150,20 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert "line" in err["detail"]
 
 
+def test_deeply_nested_job_exit_code(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5)
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
+
+
+def test_salem_rejects_deep_nesting(capsys):
+    code, out = run_cli(capsys, "salem", "[" * 10**5)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
+
+
 def test_validation_error_points_at_field(tmp_path, capsys):
     job = {
         "spec": {

@@ -301,10 +301,33 @@ def test_every_disk_holds_exactly_one_mpmath_root(coeffs):
             assert sum(1 for r in roots if inside(e, r)) == 1
 
 
-def test_enclosures_does_not_import_mpmath():
-    tree = ast.parse(Path(enclosures.__file__).read_text(encoding="utf-8"))
+# the package's layers, lowest first, and the only modules that print through mpmath
+LAYERS = (
+    "errors", "qpoly", "factorq", "enclosures", "numfield", "algnum", "quaternion", "lefschetz", "classify", "jobs", "cli"
+)
+MPMATH_USERS = ("classify", "jobs", "cli")
+
+
+def _imported_modules(tree: ast.AST):
+    """Dotted names of the modules every import in tree reads, at any depth."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            assert not any(a.name.split(".")[0] == "mpmath" for a in node.names)
+            yield from (a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
-            assert (node.module or "").split(".")[0] != "mpmath"
+            base = "endoscope" + (f".{node.module}" if node.module else "") if node.level else node.module
+            yield from ([f"{base}.{a.name}" for a in node.names] if base == "endoscope" else [base])
+
+
+def test_enclosures_does_not_import_mpmath():
+    """Every module imports only endoscope modules below it in LAYERS, and
+    only the modules that print logarithms and decimals import mpmath."""
+    package = Path(enclosures.__file__).parent
+    assert sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__") == sorted(LAYERS)
+    for rank, name in enumerate(LAYERS):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for module in _imported_modules(tree):
+            top, _, rest = module.partition(".")
+            if top == "mpmath":
+                assert name in MPMATH_USERS, f"{name} imports mpmath"
+            if top == "endoscope":
+                assert rest.split(".")[0] in LAYERS[:rank], f"{name} imports {module}, not below it"

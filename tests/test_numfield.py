@@ -16,7 +16,7 @@ from endoscope.numfield import (
     rationals_field,
     relative_norm_trace,
 )
-from endoscope.qpoly import QPoly, from_ints
+from endoscope.qpoly import ONE, QPoly, X, from_ints
 
 
 def F(*coeffs):
@@ -119,10 +119,27 @@ def test_cm_structure_zeta5(zeta5):
     assert apply_conjugation(rep, s) == s
 
 
+def _cyclotomic(n: int) -> QPoly:
+    q = X**n - ONE
+    for d in range(1, n):
+        if n % d == 0:
+            q = q // _cyclotomic(d)
+    return q
+
+
 def test_cm_structure_zeta8():
     rep = cm_structure(F(1, 0, 0, 0, 1))
     assert rep.kind == CM
     assert rep.max_real_subfield_minpoly == from_ints(-2, 0, 1)
+    # a + zeta_n of degree 12, 18 and 24: the interpolation at scale
+    for a, n in ((100, 13), (5000, 19), (3, 35)):
+        field = NumberField(_cyclotomic(n).compose(X - a))
+        rep = cm_structure(field)
+        assert rep.kind == CM
+        alpha = field.gen()
+        conj = apply_conjugation(rep, alpha)
+        assert conj != alpha and apply_conjugation(rep, conj) == alpha
+        assert rep.max_real_subfield_minpoly.degree == field.degree // 2
 
 
 def test_cm_structure_other_cases():
