@@ -5,7 +5,8 @@
     endoscope salem "<coeffs>"
 
 Exit codes: 0 success, 1 self-test failure, 2 validation error,
-3 precision exhaustion.  Reports go to stdout as JSON unless --table.
+3 precision exhaustion, 4 internal error (any exception that is not an
+EndoscopeError: a bug).  Reports go to stdout as JSON unless --table.
 """
 
 from __future__ import annotations
@@ -58,15 +59,18 @@ def main(argv=None) -> int:
             return _cmd_self_test(args)
         return _cmd_salem(args)
     except PrecisionExhausted as exc:
-        _emit_error(exc)
+        _emit_error(exc.kind, str(exc))
         return 3
     except EndoscopeError as exc:
-        _emit_error(exc)
+        _emit_error(exc.kind, str(exc))
         return 2
+    except Exception as exc:  # a bug: still one JSON error, not a traceback
+        _emit_error("internal-error", f"{type(exc).__name__}: {exc}")
+        return 4
 
 
-def _emit_error(exc: EndoscopeError) -> None:
-    print(json.dumps({"error": {"kind": exc.kind, "detail": str(exc)}}, indent=2))
+def _emit_error(kind: str, detail: str) -> None:
+    print(json.dumps({"error": {"kind": kind, "detail": detail}}, indent=2))
 
 
 def _json_int(digits: str) -> int:

@@ -9,12 +9,15 @@ of elliptic curves and takes |det(I - M^n)| directly.  The three must agree;
 the test suites enforce it.
 
 A table fix(f^1..f^nmax) runs two exact paths side by side, each taking one
-step per n.  The norm path reads only the element: it keeps f^n as a running
-product in the algebra.  The resultant path reads only the monic reduced
-characteristic polynomial chi: it keeps x^n mod chi as a running remainder
-and takes |Res(chi, 1 - x^n mod chi)|^(2g/(d e)), where the resultant is the
-product of (1 - mu^n) over the roots mu of chi.  As the paths share no input,
-a fault on either side shows up as a disagreement.
+step per n.  The norm path reads only the element: it keeps f^n as one
+integer vector over one denominator and steps it by the integer matrix of
+x -> x f, built once per table from the algebra's own product.  The resultant
+path reads only the monic reduced characteristic polynomial chi: it keeps
+x^n mod chi as a running remainder and takes
+|Res(chi, 1 - x^n mod chi)|^(2g/(d e)), where the resultant is the product of
+(1 - mu^n) over the roots mu of chi.  As the paths share no input, a fault on
+either side shows up as a disagreement: a faulty algebra product reaches the
+matrix, a faulty chi the remainders.
 
 Every count first passes the Albert-type gate, admissibility_check, kept here
 with EndomorphismSpec: the type fixes d, e and the exponent 2g/(d e).
@@ -24,14 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
+from operator import mul
 
 from . import factorq
 from .enclosures import ComplexEnclosure, isolate_roots, pow_rounded
 from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType
 from .errors import PrecisionExhausted, ValidationError
-from .numfield import CM, TOTALLY_REAL, NumberField, cm_structure
-from .qpoly import ONE, X, QPoly, binary_power, cyclotomic_order, det_int_bareiss, resultant
+from .numfield import CM, TOTALLY_REAL, NFElement, NumberField, cm_structure
+from .qpoly import ONE, X, QPoly, _poly, binary_power, cyclotomic_order, det_int_bareiss, resultant
 from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness
 
 ITERATE_CAP = 10**6
@@ -191,11 +195,64 @@ def fixed_points_exact(spec: EndomorphismSpec, n: int) -> int:
 
 
 def _norm_counts(spec: EndomorphismSpec, nmax: int):
-    one, exponent = spec.algebra.one(), spec.exponent()
-    power = one
+    """|N(1 - f^n)|^exponent for n = 1..nmax, reading only the element.
+
+    f^n is one integer vector v over one denominator s on the Q-basis of
+    _right_multiplication; each step is v <- M v, s <- s D and the common
+    factor of s and v divided out, so v stays as small as f^n itself.
+    """
+    matrix, den = _right_multiplication(spec)
+    exponent = spec.exponent()
+    v, s = [1] + [0] * (len(matrix) - 1), 1
     for _ in range(nmax):
-        power = power * spec.element
-        yield _abs_norm(spec, one - power) ** exponent
+        v = [sum(map(mul, row, v)) for row in matrix]
+        s *= den
+        g = gcd(s, *v)
+        if g != 1:
+            v, s = [c // g for c in v], s // g
+        w = [-c for c in v]
+        w[0] += s
+        yield _abs_norm(spec, _from_vector(spec, w, s)) ** exponent
+
+
+def _right_multiplication(spec: EndomorphismSpec) -> tuple[list[list[int]], int]:
+    """(M, D): the rows of the integer matrix M / D of x -> x f.
+
+    The Q-basis is x^k for a field of degree e, and x^k u for u = 1, i, j, k
+    for a quaternion algebra over one, coordinate u e + k.  The columns come
+    from the algebra's own product: the images u f, then x^k u f by
+    multiplication by the central generator x of the base field.
+    """
+    algebra, f = spec.algebra, spec.element
+    if spec.is_field_case:
+        field, images = algebra, [[f]]
+    else:
+        field = algebra.base
+        units = (algebra.one(), algebra.gen_i(), algebra.gen_j(), algebra.gen_k())
+        images = [[w.a, w.b, w.c, w.d] for w in (u * f for u in units)]
+    e, x = field.degree, field.gen()
+    columns = []
+    for parts in images:
+        for k in range(e):
+            if k:
+                parts = [p * x for p in parts]
+            columns.append([p.poly for p in parts])
+    den = lcm(*(p.den for col in columns for p in col))
+    rows = [[0] * len(columns) for _ in columns]
+    for j, col in enumerate(columns):
+        for block, p in enumerate(col):
+            for k, c in enumerate(p.num):
+                rows[block * e + k][j] = c * (den // p.den)
+    return rows, den
+
+
+def _from_vector(spec: EndomorphismSpec, w: list[int], s: int):
+    """The element with coordinates w / s on the basis of _right_multiplication."""
+    if spec.is_field_case:
+        return NFElement(spec.algebra, _poly(w, s))
+    base = spec.algebra.base
+    e = base.degree
+    return QuatElement(spec.algebra, *(NFElement(base, _poly(w[b : b + e], s)) for b in range(0, 4 * e, e)))
 
 
 def _abs_norm(spec: EndomorphismSpec, x) -> int:
@@ -291,10 +348,10 @@ def fixed_points_via_eigenvalues(ev: EigenvalueMultiset, n: int) -> int:
 def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:
     """fix(f^1), ..., fix(f^nmax), every entry computed by two independent exact paths.
 
-    The norm path keeps f^n as a running product in the algebra and reads
-    only the element; the resultant path keeps x^n mod chi as a running
-    remainder and reads only chi = spec.charpoly_q().  Any disagreement
-    raises CrossCheckError.
+    The norm path steps f^n as an integer vector by the matrix of x -> x f,
+    built once from the algebra's product, and reads only the element; the
+    resultant path keeps x^n mod chi as a running remainder and reads only
+    chi = spec.charpoly_q().  Any disagreement raises CrossCheckError.
     """
     _check_iterate(nmax)
     admissibility_check(spec)

@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 
 from .errors import ValidationError
 from .numfield import NFElement, NumberField, is_totally_real
-from .qpoly import QPoly, _prime_factors, binary_power, from_power_sums, signs_at_real_roots
+from .qpoly import QPoly, _convolve, _divmod_z, _poly, _prime_factors, binary_power, from_power_sums
+from .qpoly import signs_at_real_roots
 
 TOTALLY_DEFINITE = "TotallyDefinite"
 TOTALLY_INDEFINITE = "TotallyIndefinite"
@@ -178,8 +180,26 @@ class QuatElement:
         return self.a + self.a
 
     def reduced_norm(self) -> NFElement:
-        a, b, c, d, alg = self.a, self.b, self.c, self.d, self.algebra
-        return a * a - alg.alpha * (b * b) - alg.beta * (c * c) + alg._alpha_beta * (d * d)
+        """a^2 - alpha b^2 - beta c^2 + alpha beta d^2, summed in Z[x] over one
+        denominator and reduced once modulo the base minimal polynomial."""
+        alg = self.algebra
+        terms = []
+        parts = ((self.a, None, 1), (self.b, alg.alpha, -1), (self.c, alg.beta, -1), (self.d, alg._alpha_beta, 1))
+        for x, coef, sign in parts:
+            if x.is_zero:
+                continue
+            num, den = _convolve(x.poly.num, x.poly.num), x.poly.den**2
+            if coef is not None:
+                num, den = _convolve(coef.poly.num, num), den * coef.poly.den
+            terms.append((num, den, sign))
+        den = lcm(*(d for _, d, _ in terms))
+        total = [0] * max((len(num) for num, _, _ in terms), default=0)
+        for num, d, sign in terms:
+            scale = sign * (den // d)
+            for i, c in enumerate(num):
+                total[i] += c * scale
+        _, r, s = _divmod_z(total, alg.base.minpoly.num)
+        return NFElement(alg.base, _poly(r, s * den))
 
     def reduced_charpoly_q(self) -> QPoly:
         """Monic degree-2e rational polynomial with roots sigma(t1), sigma(t2).

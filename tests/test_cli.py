@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from endoscope import jobs
 from endoscope.cli import main
 from endoscope.jobs import KNOWN_OPS
 from endoscope.lefschetz import DIMENSION_CAP
@@ -148,6 +149,16 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     err = json.loads(out)["error"]
     assert err["kind"] == "validation"
     assert "line" in err["detail"]
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(spec, cmd):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(jobs, "run_command", broken)
+    code, out = run_cli(capsys, "run", write_job(tmp_path, MINUS_ONE_JOB))
+    assert code == 4
+    assert json.loads(out) == {"error": {"kind": "internal-error", "detail": "ZeroDivisionError: division by zero"}}
 
 
 def test_deeply_nested_job_exit_code(tmp_path, capsys):

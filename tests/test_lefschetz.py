@@ -20,7 +20,7 @@ from endoscope.lefschetz import (
 )
 from endoscope.numfield import NumberField, rationals_field
 from endoscope.qpoly import QPoly, from_ints
-from endoscope.quaternion import QuatAlgebra
+from endoscope.quaternion import QuatAlgebra, QuatElement
 
 
 def field_spec(coeffs, element, g):
@@ -210,7 +210,20 @@ def table_specs():
         EndomorphismSpec(definite, definite.element(1, 1), 4),
         field_spec((-5, 0, 1), [half, half], 2),  # golden unit: coordinates with den 2
         field_spec((-1, -3, 0, 1), [1, 1], 3),  # 1+theta on the cyclic cubic
+        cubic_hamilton_spec(),  # the largest norm-path matrix, 12 x 12
     ]
+
+
+def cubic_hamilton_spec():
+    # (1+x) + x i + j in (-1, -1) over x^3 + x^2 - 2x - 1, totally definite
+    algebra = QuatAlgebra(NumberField(from_ints(-1, -2, 1, 1)), [-1], [-1])
+    return EndomorphismSpec(algebra, algebra.element([1, 1], [0, 1], 1), 6)
+
+
+def test_cubic_hamilton_table():
+    spec = cubic_hamilton_spec()
+    assert spec.charpoly_q() == from_ints(56, -56, 56, -20, 10, -4, 1)
+    assert fixed_point_table(spec, 2) == [1849, 76195441]
 
 
 @pytest.mark.parametrize("index", range(len(table_specs())))
@@ -278,3 +291,31 @@ def test_table_paths_share_no_input():
     spec._charpoly_q = from_ints(1, -3, 1, -3, 1)
     with pytest.raises(CrossCheckError, match="n=1: 1 vs 9"):
         fixed_point_table(spec, 5)
+
+
+@pytest.mark.parametrize(
+    "make_spec, fault",
+    [
+        # ij = ji = k: the k coordinate's c1*b2 enters with its sign flipped
+        (cubic_hamilton_spec, lambda x, y: x.algebra.element(0, 0, 0, 2 * (x.c * y.b))),
+        # i^2 = -alpha: the sqrt13 element a + b i lies in the commutative
+        # subfield F(i), where ij = ji changes no product, so break i^2 instead
+        (sqrt13_salem_spec, lambda x, y: x.algebra.element(-2 * (x.algebra.alpha * (x.b * y.b)))),
+    ],
+)
+def test_faulty_product_reaches_only_the_norm_path(monkeypatch, make_spec, fault):
+    # the counterpart of test_table_paths_share_no_input: the product builds
+    # the norm path's matrix, but chi never calls it
+    spec = make_spec()
+    chi = spec.charpoly_q()
+    honest = QuatElement.__mul__
+
+    def faulty_mul(x, y):
+        y = x._coerce(y)
+        return honest(x, y) + fault(x, y)
+
+    monkeypatch.setattr(QuatElement, "__mul__", faulty_mul)
+    faulty = make_spec()
+    assert faulty.charpoly_q() == chi
+    with pytest.raises(CrossCheckError, match="paths disagree|norm of an integral element"):
+        fixed_point_table(faulty, 5)

@@ -243,3 +243,21 @@ def test_reduced_charpoly_matches_sympy(kernel_algebras, index, a, b, c, d):
     trd, nrd = reduced_trace_norm(f)
     expected = sympy.Poly(sympy.resultant(m, x**2 - at_y(trd) * x + at_y(nrd), y), x).all_coeffs()
     assert f.reduced_charpoly_q() == QPoly([Fraction(int(q.p), int(q.q)) for q in reversed(expected)])
+
+
+cubic_coords = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=0, max_size=3
+)
+
+
+@given(st.tuples(cubic_coords, cubic_coords, cubic_coords, cubic_coords))
+def test_reduced_norm_over_a_cubic_with_rational_minpoly(xd):
+    # reduced_norm sums in Z[x] and reduces once; check it against x * conj(x),
+    # which reduces after every product, where the minimal polynomial and
+    # alpha, beta all have denominators
+    base = NumberField(QPoly([Fraction(-1, 2), -2, Fraction(1, 2), 1]))
+    algebra = QuatAlgebra(base, [Fraction(-3, 2), 1], [-5, 0, Fraction(-1, 3)])
+    x = _element(algebra, xd)
+    n = algebra.element(x.reduced_norm())
+    assert x * x.conjugate() == n
+    assert x.conjugate() * x == n
