@@ -216,7 +216,7 @@ def _norm_counts(spec: EndomorphismSpec, nmax: int):
 
 
 def _right_multiplication(spec: EndomorphismSpec) -> tuple[list[list[int]], int]:
-    """(M, D): the rows of the integer matrix M / D of x -> x f.
+    """(rows of M, D) for the integer matrix M with M / D the matrix of x -> x f.
 
     The Q-basis is x^k for a field of degree e, and x^k u for u = 1, i, j, k
     for a quaternion algebra over one, coordinate u e + k.  The columns come
@@ -238,12 +238,8 @@ def _right_multiplication(spec: EndomorphismSpec) -> tuple[list[list[int]], int]
                 parts = [p * x for p in parts]
             columns.append([p.poly for p in parts])
     den = lcm(*(p.den for col in columns for p in col))
-    rows = [[0] * len(columns) for _ in columns]
-    for j, col in enumerate(columns):
-        for block, p in enumerate(col):
-            for k, c in enumerate(p.num):
-                rows[block * e + k][j] = c * (den // p.den)
-    return rows, den
+    flat = [[c * (den // p.den) for p in col for c in p.num + (0,) * (e - len(p.num))] for col in columns]
+    return [list(row) for row in zip(*flat)], den
 
 
 def _from_vector(spec: EndomorphismSpec, w: list[int], s: int):
