@@ -8,16 +8,17 @@ block-doubled integer matrix of the multiplication-by-P(t) model on a product
 of elliptic curves and takes |det(I - M^n)| directly.  The three must agree;
 the test suites enforce it.
 
-A table fix(f^1..f^nmax) runs two exact paths side by side, each taking one
-step per n.  The norm path reads only the element: it keeps f^n as one
-integer vector over one denominator and steps it by the integer matrix of
-x -> x f, built once per table from the algebra's own product.  The resultant
-path reads only the monic reduced characteristic polynomial chi: it keeps
-x^n mod chi as a running remainder and takes
-|Res(chi, 1 - x^n mod chi)|^(2g/(d e)), where the resultant is the product of
-(1 - mu^n) over the roots mu of chi.  As the paths share no input, a fault on
-either side shows up as a disagreement: a faulty algebra product reaches the
-matrix, a faulty chi the remainders.
+A table fix(f^1..f^nmax) runs two exact paths side by side.  The norm path
+reads only the element: it keeps f^n as one integer vector over one
+denominator, steps it by the integer matrix of x -> x f, built once per table
+from the algebra's own product, and takes the norm of 1 - f^n.  The resultant
+path reads only the monic reduced characteristic polynomial chi, of degree m:
+row n is |Res(chi, 1 - x^n)|^(2g/(d e)), the product of (1 - mu^n) over the
+roots mu of chi, read by Newton's identities off s_n, s_2n, ..., s_mn, the
+power sums of chi that are those of the mu^n; one Newton recurrence keeps
+s_0, ..., s_(m nmax).  The paths share neither input nor exact kernel, so a
+fault on either side shows up as a disagreement: a faulty product or
+determinant reaches the norms, a faulty chi or Newton step the power sums.
 
 Every count first passes the Albert-type gate, admissibility_check, kept here
 with EndomorphismSpec: the type fixes d, e and the exponent 2g/(d e).
@@ -35,7 +36,7 @@ from .enclosures import ComplexEnclosure, isolate_roots, pow_rounded
 from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType
 from .errors import PrecisionExhausted, ValidationError
 from .numfield import CM, TOTALLY_REAL, NFElement, NumberField, cm_structure
-from .qpoly import ONE, X, QPoly, _poly, binary_power, cyclotomic_order, det_int_bareiss, resultant
+from .qpoly import ONE, QPoly, _poly, binary_power, cyclotomic_order, det_int_bareiss, newton_coefficients, power_sums
 from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness
 
 ITERATE_CAP = 10**6
@@ -160,14 +161,10 @@ def admissibility_check(spec: EndomorphismSpec) -> AlbertType:
         f = spec.element
         if f.reduced_norm().is_zero:
             raise NotSimpleAlbertType("element has reduced norm zero: a zero divisor")
-        if not (f.b.is_zero and f.c.is_zero and f.d.is_zero):
-            t = (
-                algebra.alpha * (f.b * f.b)
-                + algebra.beta * (f.c * f.c)
-                - algebra.alpha * algebra.beta * (f.d * f.d)
-            )
-            if t.is_zero:
-                raise NotSimpleAlbertType("pure part squares to zero: a nilpotent zero divisor")
+        # the pure part b i + c j + d k squares to -Nrd(b i + c j + d k)
+        pure = algebra.element(0, f.b, f.c, f.d)
+        if not pure.is_zero and pure.reduced_norm().is_zero:
+            raise NotSimpleAlbertType("pure part squares to zero: a nilpotent zero divisor")
         kind = (
             TOTALLY_DEFINITE_QUATERNION
             if defrep.kind == TOTALLY_DEFINITE
@@ -344,10 +341,10 @@ def fixed_points_via_eigenvalues(ev: EigenvalueMultiset, n: int) -> int:
 def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:
     """fix(f^1), ..., fix(f^nmax), every entry computed by two independent exact paths.
 
-    The norm path steps f^n as an integer vector by the matrix of x -> x f,
-    built once from the algebra's product, and reads only the element; the
-    resultant path keeps x^n mod chi as a running remainder and reads only
-    chi = spec.charpoly_q().  Any disagreement raises CrossCheckError.
+    The norm path steps f^n by the matrix of x -> x f and reads only the
+    element; the resultant path reads every row off the m nmax + 1 power sums
+    of chi = spec.charpoly_q(), m = deg chi, and reads only chi.  Any
+    disagreement raises CrossCheckError.
     """
     _check_iterate(nmax)
     admissibility_check(spec)
@@ -361,16 +358,16 @@ def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:
 
 
 def _resultant_counts(chi: QPoly, exponent: int, nmax: int):
-    """|Res(chi, 1 - x^n mod chi)|^exponent for n = 1..nmax, for a monic chi.
+    """|Res(chi, 1 - x^n)|^exponent for n = 1..nmax, for a monic chi of degree m.
 
-    Res(chi, h) is the product of h over the roots of chi, so each entry is
-    the product of (1 - mu^n) over them; x^n mod chi takes one
-    multiplication by x and one reduction per n.
+    Each row is the product of (1 - mu^n) over the roots mu of chi: the value
+    at 1 of the monic polynomial whose roots mu^n have the power sums
+    s_n, s_2n, ..., s_mn of chi, kept as s_0, ..., s_(m nmax) from one recurrence.
     """
-    power = ONE
-    for _ in range(nmax):
-        power = (power * X) % chi
-        yield _abs_integer(resultant(chi, ONE - power), "Res(chi, 1 - x^n)") ** exponent
+    m = chi.degree
+    s = power_sums(chi, m * nmax)
+    for n in range(1, nmax + 1):
+        yield _abs_integer(sum(newton_coefficients(s[: m * n + 1 : n], m)), "Res(chi, 1 - x^n)") ** exponent
 
 
 def _powers_at(roots, n: int, work: int) -> list[list[ComplexEnclosure]]:

@@ -515,14 +515,15 @@ def newton_coefficients(s, n: int) -> list:
     whose roots have power sums s[1..n]: Newton's identities solved for them.
 
     s may hold rationals or elements of any number field (anything closed
-    under +, * and multiplication by a Fraction).
+    under +, * and multiplication by a Fraction); an int sum divisible by k
+    is divided in the integers.
     """
     c = [0] * n + [1]
     for k in range(1, n + 1):
         acc = s[k]
         for i in range(1, k):
             acc += c[n - i] * s[k - i]
-        c[n - k] = _exact(acc * Fraction(-1, k))
+        c[n - k] = -(acc // k) if isinstance(acc, int) and acc % k == 0 else _exact(acc * Fraction(-1, k))
     return c
 
 

@@ -1,14 +1,16 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from endoscope import cli, lefschetz
+from endoscope import cli, lefschetz, qpoly
 from endoscope.enclosures import ComplexEnclosure, isolate_roots
-from endoscope.errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, ValidationError
+from endoscope.errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType
+from endoscope.errors import ValidationError
 from endoscope.factorq import factor
 from endoscope.lefschetz import (
     EndomorphismSpec,
@@ -19,7 +21,7 @@ from endoscope.lefschetz import (
     rational_eigenvalues,
 )
 from endoscope.numfield import NumberField, rationals_field
-from endoscope.qpoly import QPoly, from_ints
+from endoscope.qpoly import ONE, QPoly, X, from_ints
 from endoscope.quaternion import QuatAlgebra, QuatElement
 
 
@@ -285,8 +287,9 @@ def test_table_raises_when_paths_disagree(monkeypatch, tmp_path, capsys):
 
 
 def test_table_paths_share_no_input():
-    # a wrong charpoly reaches only the resultant path: the norm path still
-    # reads fix(f) = 1 off the element, Res(chi, 1 - x)^2 = chi(1)^2 = 9
+    # a wrong charpoly reaches only the resultant path, through its power
+    # sums: the norm path still reads fix(f) = 1 off the element, while
+    # Res(chi, 1 - x)^2 = chi(1)^2 = 9
     spec = sqrt13_salem_spec()
     spec._charpoly_q = from_ints(1, -3, 1, -3, 1)
     with pytest.raises(CrossCheckError, match="n=1: 1 vs 9"):
@@ -319,3 +322,82 @@ def test_faulty_product_reaches_only_the_norm_path(monkeypatch, make_spec, fault
     assert faulty.charpoly_q() == chi
     with pytest.raises(CrossCheckError, match="paths disagree|norm of an integral element"):
         fixed_point_table(faulty, 5)
+
+
+def _break_every_copy(monkeypatch, name, fault):
+    # the kernel qpoly.<name> is replaced wherever an endoscope module bound it
+    honest = getattr(qpoly, name)
+
+    def faulty(*args):
+        return fault(honest(*args))
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "endoscope" and getattr(module, name, None) is honest:
+            monkeypatch.setattr(module, name, faulty)
+
+
+# a fault in each exact kernel, and the path that must not see it
+KERNEL_FAULTS = {
+    "det_int_bareiss": (lambda d: d + 1, "resultant"),
+    "newton_coefficients": (lambda c: [c[0] + 1] + c[1:], "norm"),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_FAULTS))
+@pytest.mark.parametrize("index", [0, 3])  # 1+sqrt2 and the sqrt13 quaternion
+def test_table_paths_share_no_exact_kernel(monkeypatch, kernel, index):
+    # determinants serve only the norms, Newton's identities only the power
+    # sums of chi: a faulty kernel leaves the other path's rows as they were
+    spec = table_specs()[index]
+    lefschetz.admissibility_check(spec)  # builds and caches chi and the Albert type
+    chi, exponent = spec.charpoly_q(), spec.exponent()
+    table = fixed_point_table(spec, 5)
+    fault, honest_path = KERNEL_FAULTS[kernel]
+    _break_every_copy(monkeypatch, kernel, fault)
+    if honest_path == "norm":
+        assert list(lefschetz._norm_counts(spec, 5)) == table
+    else:
+        assert list(lefschetz._resultant_counts(chi, exponent, 5)) == table
+    with pytest.raises(CrossCheckError, match="paths disagree|norm of an integral element"):
+        fixed_point_table(spec, 5)
+
+
+def test_pure_part_squaring_to_zero_is_rejected():
+    # f = 2 + i + k in (1, 1) over Q: Nrd(f) = 4 - 1 + 1 = 4 passes the
+    # zero-divisor check, but (i + k)^2 = 1 - 1 = 0
+    algebra = QuatAlgebra(rationals_field(), 1, 1)
+    f = algebra.element(2, 1, 0, 1)
+    assert f.reduced_norm().poly == from_ints(4)
+    with pytest.raises(NotSimpleAlbertType, match="pure part squares to zero"):
+        lefschetz.admissibility_check(EndomorphismSpec(algebra, f, 2))
+
+
+def _monic(rng, degree, bound=3):
+    return QPoly([rng.randint(-bound, bound) for _ in range(degree)] + [1])
+
+
+def _chi_samples():
+    rng = random.Random(14)
+    phi = {3: from_ints(1, 1, 1), 4: from_ints(1, 0, 1), 5: from_ints(1, 1, 1, 1, 1), 12: from_ints(1, 0, -1, 0, 1)}
+    samples = [_monic(rng, degree) for degree in range(1, 17)]
+    samples += [_monic(rng, degree) ** 2 for degree in (1, 2, 4, 8)]  # the quaternion shape
+    samples += [phi[5] * _monic(rng, 3), phi[3] * phi[4] * phi[12] * _monic(rng, 4), phi[12] ** 2]
+    samples.append(from_ints(-(10**6), 1) * _monic(rng, 3))  # one large root
+    return samples
+
+
+@pytest.mark.parametrize("index", range(len(_chi_samples())))
+def test_resultant_counts_match_independent_oracles(index):
+    chi = _chi_samples()[index]
+    rows = list(lefschetz._resultant_counts(chi, 1, 30))
+    for n, fix in enumerate(rows, 1):
+        assert fix**2 == companion_oracle(chi, n), n
+        assert fix == abs(qpoly.resultant(chi, ONE - X**n)), n
+
+
+def test_resultant_counts_at_degree_64():
+    chi = _monic(random.Random(64), 64, 2)
+    rows = list(lefschetz._resultant_counts(chi, 1, 8))
+    for n, fix in enumerate(rows, 1):
+        assert fix**2 == companion_oracle(chi, n), n
+        assert fix == abs(qpoly.resultant(chi, ONE - X**n)), n

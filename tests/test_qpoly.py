@@ -16,9 +16,11 @@ from endoscope.qpoly import (
     exact_decimal,
     from_ints,
     from_power_sums,
+    newton_coefficients,
     power_sums,
     resultant,
 )
+from endoscope.numfield import NFElement, NumberField
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 polys = st.lists(rationals, min_size=0, max_size=7).map(QPoly)
@@ -158,6 +160,55 @@ def test_power_sums_known_values():
 def test_power_sums_round_trip(p):
     n = p.degree
     assert from_power_sums(power_sums(p, n), n) == p.monic()
+
+
+def _newton_by_fractions(s, n):
+    # Newton's identities with every division by k done in Fraction
+    c = [0] * n + [1]
+    for k in range(1, n + 1):
+        acc = s[k]
+        for i in range(1, k):
+            acc += c[n - i] * s[k - i]
+        q = acc * Fraction(-1, k)
+        c[n - k] = q.numerator if isinstance(q, Fraction) and q.denominator == 1 else q
+    return c
+
+
+def _typed(c):
+    return [(type(x), x) for x in c]
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9))
+def test_newton_coefficients_on_int_sums_match_the_fraction_route(tail):
+    # arbitrary integer sums: some divisions by k are exact, some are not
+    s, n = [len(tail)] + tail, len(tail)
+    assert _typed(newton_coefficients(s, n)) == _typed(_newton_by_fractions(s, n))
+
+
+@given(st.lists(rationals, min_size=1, max_size=7))
+def test_newton_coefficients_on_rational_sums_match_the_fraction_route(tail):
+    s, n = [len(tail)] + tail, len(tail)
+    assert _typed(newton_coefficients(s, n)) == _typed(_newton_by_fractions(s, n))
+
+
+def test_newton_coefficients_types():
+    # integral power sums give ints; s = [2, 1, 0] needs 1/2
+    assert _typed(newton_coefficients(power_sums(from_ints(-6, 11, -6, 1), 3), 3)) == _typed([-6, 11, -6, 1])
+    assert _typed(newton_coefficients([2, 1, 0], 2)) == _typed([Fraction(1, 2), -1, 1])
+    # sums in a number field take the Fraction route unchanged, as in numfield's relative norms
+    field = NumberField(from_ints(-13, 0, 1))
+    x = field.gen()
+    s = [3, x, 2 * x + 1, x * x - 5]
+    got, want = newton_coefficients(s, 3), _newton_by_fractions(s, 3)
+    assert got == want and all(isinstance(c, NFElement) for c in got[:3])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [from_ints(-6, 11, -6, 1), from_ints(7, 0, -3, 1, 1) ** 2, QPoly([Fraction(1, 3), Fraction(-5, 2), 4, 1])],
+)
+def test_from_power_sums_inverts_power_sums(p):
+    assert from_power_sums(power_sums(p, p.degree), p.degree) == p
 
 
 def test_exact_decimal_matches_decimal():
