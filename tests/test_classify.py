@@ -79,6 +79,12 @@ def test_admissibility_rejections():
     split = QuatAlgebra(rationals_field(), 1, 1)
     with pytest.raises(NotSimpleAlbertType):
         admissibility_check(EndomorphismSpec(split, split.one() + split.gen_i(), 2))
+    # f = 2 + i + k: Nrd(f) = 4 - 1 + 1 = 4 passes the zero-divisor check,
+    # but the pure part squares to (i + k)^2 = 1 - 1 = 0
+    f = split.element(2, 1, 0, 1)
+    assert f.reduced_norm().poly == from_ints(4)
+    with pytest.raises(NotSimpleAlbertType, match="pure part squares to zero"):
+        admissibility_check(EndomorphismSpec(split, f, 2))
 
 
 # ---------------------------------------------------------------------------

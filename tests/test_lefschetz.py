@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 
 from endoscope import cli, lefschetz, qpoly
 from endoscope.enclosures import ComplexEnclosure, isolate_roots
-from endoscope.errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType
-from endoscope.errors import ValidationError
+from endoscope.errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, ValidationError
 from endoscope.factorq import factor
 from endoscope.lefschetz import (
     EndomorphismSpec,
@@ -360,16 +359,6 @@ def test_table_paths_share_no_exact_kernel(monkeypatch, kernel, index):
         assert list(lefschetz._resultant_counts(chi, exponent, 5)) == table
     with pytest.raises(CrossCheckError, match="paths disagree|norm of an integral element"):
         fixed_point_table(spec, 5)
-
-
-def test_pure_part_squaring_to_zero_is_rejected():
-    # f = 2 + i + k in (1, 1) over Q: Nrd(f) = 4 - 1 + 1 = 4 passes the
-    # zero-divisor check, but (i + k)^2 = 1 - 1 = 0
-    algebra = QuatAlgebra(rationals_field(), 1, 1)
-    f = algebra.element(2, 1, 0, 1)
-    assert f.reduced_norm().poly == from_ints(4)
-    with pytest.raises(NotSimpleAlbertType, match="pure part squares to zero"):
-        lefschetz.admissibility_check(EndomorphismSpec(algebra, f, 2))
 
 
 def _monic(rng, degree, bound=3):
