@@ -366,27 +366,19 @@ def _monic(rng, degree, bound=3):
 
 
 def _chi_samples():
+    # (chi, nmax)
     rng = random.Random(14)
     phi = {3: from_ints(1, 1, 1), 4: from_ints(1, 0, 1), 5: from_ints(1, 1, 1, 1, 1), 12: from_ints(1, 0, -1, 0, 1)}
     samples = [_monic(rng, degree) for degree in range(1, 17)]
     samples += [_monic(rng, degree) ** 2 for degree in (1, 2, 4, 8)]  # the quaternion shape
     samples += [phi[5] * _monic(rng, 3), phi[3] * phi[4] * phi[12] * _monic(rng, 4), phi[12] ** 2]
     samples.append(from_ints(-(10**6), 1) * _monic(rng, 3))  # one large root
-    return samples
+    return [(chi, 30) for chi in samples] + [(_monic(rng, 64, 2), 8)]
 
 
 @pytest.mark.parametrize("index", range(len(_chi_samples())))
 def test_resultant_counts_match_independent_oracles(index):
-    chi = _chi_samples()[index]
-    rows = list(lefschetz._resultant_counts(chi, 1, 30))
-    for n, fix in enumerate(rows, 1):
-        assert fix**2 == companion_oracle(chi, n), n
-        assert fix == abs(qpoly.resultant(chi, ONE - X**n)), n
-
-
-def test_resultant_counts_at_degree_64():
-    chi = _monic(random.Random(64), 64, 2)
-    rows = list(lefschetz._resultant_counts(chi, 1, 8))
-    for n, fix in enumerate(rows, 1):
+    chi, nmax = _chi_samples()[index]
+    for n, fix in enumerate(lefschetz._resultant_counts(chi, 1, nmax), 1):
         assert fix**2 == companion_oracle(chi, n), n
         assert fix == abs(qpoly.resultant(chi, ONE - X**n)), n
