@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from mpmath import mp
 
@@ -26,7 +27,9 @@ from .qpoly import QPoly, from_ints
 from .quaternion import QuatAlgebra, definiteness
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="endoscope",
         description="Exact fixed-point counts, growth classes and entropy for "
@@ -50,8 +53,11 @@ def main(argv=None) -> int:
 
     sa_p = sub.add_parser("salem", help="Salem test for a polynomial, coefficients constant-first")
     sa_p.add_argument("coeffs", help='e.g. "1,-1,-1,-1,1" or a JSON array')
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -35,9 +35,10 @@ from . import factorq
 from .enclosures import ComplexEnclosure, isolate_roots, pow_rounded
 from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType
 from .errors import PrecisionExhausted, ValidationError
-from .numfield import CM, TOTALLY_REAL, NFElement, NumberField, cm_structure
-from .qpoly import ONE, QPoly, _poly, binary_power, cyclotomic_order, det_int_bareiss, newton_coefficients, power_sums
-from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness
+from .numfield import CM, TOTALLY_REAL, NumberField, cm_structure
+from .qpoly import ONE, QPoly, binary_power, cyclotomic_order, det_int_bareiss, newton_coefficients, power_sums
+from .qpoly import resultant_int
+from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness, reduced_norm_int
 
 ITERATE_CAP = 10**6
 # dimension cap: every count is raised to 2g/(de), so the digits printed grow with g
@@ -196,10 +197,16 @@ def _norm_counts(spec: EndomorphismSpec, nmax: int):
 
     f^n is one integer vector v over one denominator s on the Q-basis of
     _right_multiplication; each step is v <- M v, s <- s D and the common
-    factor of s and v divided out, so v stays as small as f^n itself.
+    factor of s and v divided out, so v stays as small as f^n itself.  The
+    norm of 1 - f^n = w / s runs on (w, s) through the integer kernels: over
+    the field Q[x]/(m) it is Res(m, w / s), and over a quaternion algebra the
+    same resultant of the reduced norm of w / s.
     """
     matrix, den = _right_multiplication(spec)
     exponent = spec.exponent()
+    quaternion = not spec.is_field_case
+    field = spec.algebra.base if quaternion else spec.algebra
+    e, m = field.degree, field.minpoly
     v, s = [1] + [0] * (len(matrix) - 1), 1
     for _ in range(nmax):
         v = [sum(map(mul, row, v)) for row in matrix]
@@ -207,9 +214,11 @@ def _norm_counts(spec: EndomorphismSpec, nmax: int):
         g = gcd(s, *v)
         if g != 1:
             v, s = [c // g for c in v], s // g
-        w = [-c for c in v]
+        w, t = [-c for c in v], s
         w[0] += s
-        yield _abs_norm(spec, _from_vector(spec, w, s)) ** exponent
+        if quaternion:
+            w, t = reduced_norm_int(spec.algebra, [w[b : b + e] for b in range(0, 4 * e, e)], s)
+        yield _abs_integer(*resultant_int(m.num, m.den, w, t), "norm of an integral element") ** exponent
 
 
 def _right_multiplication(spec: EndomorphismSpec) -> tuple[list[list[int]], int]:
@@ -239,24 +248,18 @@ def _right_multiplication(spec: EndomorphismSpec) -> tuple[list[list[int]], int]
     return [list(row) for row in zip(*flat)], den
 
 
-def _from_vector(spec: EndomorphismSpec, w: list[int], s: int):
-    """The element with coordinates w / s on the basis of _right_multiplication."""
-    if spec.is_field_case:
-        return NFElement(spec.algebra, _poly(w, s))
-    base = spec.algebra.base
-    e = base.degree
-    return QuatElement(spec.algebra, *(NFElement(base, _poly(w[b : b + e], s)) for b in range(0, 4 * e, e)))
-
-
 def _abs_norm(spec: EndomorphismSpec, x) -> int:
     """|N(x)| down to Q for an integral x of the spec's algebra."""
-    return _abs_integer(x.norm_q() if spec.is_field_case else x.norm_to_q(), "norm of an integral element")
+    value = x.norm_q() if spec.is_field_case else x.norm_to_q()
+    return _abs_integer(value.numerator, value.denominator, "norm of an integral element")
 
 
-def _abs_integer(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
+def _abs_integer(num: int, den: int, what: str) -> int:
+    """|num / den|, which must be an integer."""
+    q, r = divmod(num, den)
+    if r:
         raise CrossCheckError(f"{what} is not an integer")
-    return abs(value.numerator)
+    return abs(q)
 
 
 class EigenvalueMultiset:
@@ -367,7 +370,8 @@ def _resultant_counts(chi: QPoly, exponent: int, nmax: int):
     m = chi.degree
     s = power_sums(chi, m * nmax)
     for n in range(1, nmax + 1):
-        yield _abs_integer(sum(newton_coefficients(s[: m * n + 1 : n], m)), "Res(chi, 1 - x^n)") ** exponent
+        value = sum(newton_coefficients(s[: m * n + 1 : n], m))
+        yield _abs_integer(value.numerator, value.denominator, "Res(chi, 1 - x^n)") ** exponent
 
 
 def _powers_at(roots, n: int, work: int) -> list[list[ComplexEnclosure]]:

@@ -231,8 +231,6 @@ class NFElement:
         return mp_
 
     def norm_q(self) -> Fraction:
-        if self.is_rational:
-            return self.poly[0] ** self.parent.degree
         return resultant(self.parent.minpoly, self.poly)
 
     def trace_q(self) -> Fraction:

@@ -461,28 +461,40 @@ def det_int_bareiss(matrix: list[list[int]]) -> int:
 
 
 def resultant(a: QPoly, b: QPoly) -> Fraction:
-    """Res(a, b) by fraction-free elimination: for a monic integral a, of the
-    n x n matrix of multiplication by b on Q[x]/(a) (the product of b over the
-    roots of a), otherwise of the Sylvester matrix."""
-    if a.is_zero or b.is_zero:
-        return Fraction(0)
-    n, m = a.degree, b.degree
+    """Res(a, b), by resultant_int on the numerators and denominators."""
+    return Fraction(*resultant_int(a.num, a.den, b.num, b.den))
+
+
+def resultant_int(a, da: int, b, db: int) -> tuple[int, int]:
+    """(num, den > 0) with Res(a / da, b / db) = num / den, for integer
+    coefficient sequences a and b, constant term first (a without trailing
+    zeros, b with any), and denominators da, db > 0.
+
+    For a monic integral a it is the determinant of the n x n matrix of
+    multiplication by b on Q[x]/(a), the product of b over the roots of a;
+    b is reduced modulo a only when deg b >= deg a.  Otherwise it is the
+    Sylvester determinant, Res(a, b) = Res(num_a, num_b) / (da^deg b db^deg a).
+    Both are fraction-free eliminations (det_int_bareiss).
+    """
+    n, m = len(a) - 1, len(b) - 1
+    while m >= 0 and not b[m]:
+        m -= 1
+    if n < 0 or m < 0:
+        return 0, 1
     if n == 0:
-        return a.lc ** m
+        return a[0] ** m, da**m
     if m == 0:
-        return b.lc ** n
-    if a.num[-1] == a.den == 1:
-        b = b % a
-        cols = [list(b.num) + [0] * (n - len(b.num))]  # x^i b mod a, times den(b)
+        return b[0] ** n, db**n
+    if da == a[n] == 1:
+        b = list(b[: m + 1]) if m < n else _divmod_z(list(b[: m + 1]), a)[1]
+        cols = [b + [0] * (n - len(b))]  # x^i b mod a, times db
         for _ in range(n - 1):
             top = cols[-1][-1]
-            cols.append([c - top * ac for c, ac in zip([0] + cols[-1][:-1], a.num)])
-        return Fraction(det_int_bareiss(cols), b.den**n)
-    rows = [[0] * k + list(a.num[::-1]) + [0] * (m - 1 - k) for k in range(m)]
-    rows += [[0] * k + list(b.num[::-1]) + [0] * (n - 1 - k) for k in range(n)]
-    det = det_int_bareiss(rows)
-    # Res(num_a, num_b) = den_a^m den_b^n Res(a, b)
-    return Fraction(det, a.den**m * b.den**n)
+            cols.append([c - top * ac for c, ac in zip([0] + cols[-1][:-1], a)])
+        return det_int_bareiss(cols), db**n
+    rows = [[0] * k + list(a[::-1]) + [0] * (m - 1 - k) for k in range(m)]
+    rows += [[0] * k + list(b[m::-1]) + [0] * (n - 1 - k) for k in range(n)]
+    return det_int_bareiss(rows), da**m * db**n
 
 
 def _exact(c):

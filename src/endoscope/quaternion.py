@@ -22,7 +22,7 @@ from math import lcm
 
 from .errors import ValidationError
 from .numfield import NFElement, NumberField, is_totally_real
-from .qpoly import QPoly, _convolve, _divmod_z, _poly, _prime_factors, binary_power, from_power_sums
+from .qpoly import ONE, QPoly, _convolve, _divmod_z, _poly, _prime_factors, binary_power, from_power_sums
 from .qpoly import signs_at_real_roots
 
 TOTALLY_DEFINITE = "TotallyDefinite"
@@ -46,6 +46,11 @@ class QuatAlgebra:
         if not is_totally_real(base):
             raise ValidationError("quaternion base field must be totally real")
         self._alpha_beta = self.alpha * self.beta
+        # the coefficients 1, -alpha, -beta, alpha beta of the reduced norm
+        # form, as integer polynomials over one denominator
+        coefs = (ONE, -self.alpha.poly, -self.beta.poly, self._alpha_beta.poly)
+        den = lcm(*(p.den for p in coefs))
+        self._norm_form = [[c * (den // p.den) for c in p.num] for p in coefs], den
 
     def __repr__(self):
         return f"QuatAlgebra(alpha={self.alpha.poly!r}, beta={self.beta.poly!r} over {self.base!r})"
@@ -180,26 +185,12 @@ class QuatElement:
         return self.a + self.a
 
     def reduced_norm(self) -> NFElement:
-        """a^2 - alpha b^2 - beta c^2 + alpha beta d^2, summed in Z[x] over one
-        denominator and reduced once modulo the base minimal polynomial."""
-        alg = self.algebra
-        terms = []
-        parts = ((self.a, None, 1), (self.b, alg.alpha, -1), (self.c, alg.beta, -1), (self.d, alg._alpha_beta, 1))
-        for x, coef, sign in parts:
-            if x.is_zero:
-                continue
-            num, den = _convolve(x.poly.num, x.poly.num), x.poly.den**2
-            if coef is not None:
-                num, den = _convolve(coef.poly.num, num), den * coef.poly.den
-            terms.append((num, den, sign))
-        den = lcm(*(d for _, d, _ in terms))
-        total = [0] * max((len(num) for num, _, _ in terms), default=0)
-        for num, d, sign in terms:
-            scale = sign * (den // d)
-            for i, c in enumerate(num):
-                total[i] += c * scale
-        _, r, s = _divmod_z(total, alg.base.minpoly.num)
-        return NFElement(alg.base, _poly(r, s * den))
+        """a^2 - alpha b^2 - beta c^2 + alpha beta d^2, by reduced_norm_int on
+        the coordinates over their common denominator."""
+        polys = (self.a.poly, self.b.poly, self.c.poly, self.d.poly)
+        s = lcm(*(p.den for p in polys))
+        r, t = reduced_norm_int(self.algebra, [[c * (s // p.den) for c in p.num] for p in polys], s)
+        return NFElement(self.algebra.base, _poly(r, t))
 
     def reduced_charpoly_q(self) -> QPoly:
         """Monic degree-2e rational polynomial with roots sigma(t1), sigma(t2).
@@ -235,6 +226,26 @@ class QuatElement:
 def reduced_trace_norm(x: QuatElement) -> tuple[NFElement, NFElement]:
     """(Trd(x), Nrd(x)) as a pair of base-field elements."""
     return x.reduced_trace(), x.reduced_norm()
+
+
+def reduced_norm_int(algebra: QuatAlgebra, coords, s: int) -> tuple[list[int], int]:
+    """(r, t) with Nrd(x) = r / t, for the element x whose coordinates on
+    1, i, j, k are the integer polynomials coords[0..3] over s > 0.
+
+    r is a^2 - alpha b^2 - beta c^2 + alpha beta d^2 summed in Z[x] over one
+    denominator and reduced once modulo the numerator of the base minimal
+    polynomial; it may keep trailing zeros and a factor in common with t.
+    """
+    forms, den = algebra._norm_form
+    total = []
+    for x, form in zip(coords, forms):
+        if any(x):
+            term = _convolve(form, _convolve(x, x))
+            total += [0] * (len(term) - len(total))
+            for i, c in enumerate(term):
+                total[i] += c
+    _, r, scale = _divmod_z(total, algebra.base.minpoly.num)
+    return r, scale * den * s * s
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,39 @@ def test_self_test_command_passes(capsys):
     assert any("x^4-7x^3-x^2-7x+1" in note for note in notes)
 
 
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one call, a SystemExit from argparse included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_in_one_process(tmp_path, capsys):
+    # the argument parser is built on the first call and kept: every later
+    # call must print what the first one did
+    job = write_job(tmp_path, MINUS_ONE_JOB)
+    cases = [
+        ["run", job],
+        ["run", job, "--table", "--nmax", "3"],
+        ["salem", "1,-1,-1,-1,1"],
+        ["paper-examples", "--json"],
+        ["--help"],
+        ["run", "--help"],
+        ["run", job, "--nmax", "three"],
+        ["bogus"],
+    ]
+    first = [_call(capsys, argv) for argv in cases]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 0, 2, 2]
+    assert first[4][1].startswith("usage: endoscope") and first[5][1].startswith("usage: endoscope run")
+    assert "argument --nmax: invalid int value: 'three'" in first[6][2]
+    assert "invalid choice: 'bogus'" in first[7][2]
+    for _ in range(2):
+        assert [_call(capsys, argv) for argv in cases] == first
+
+
 # ---------------------------------------------------------------------------
 # integers longer than Python's 4300-digit int-to-str limit
 

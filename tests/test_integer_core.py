@@ -2,16 +2,20 @@
 tests/oracles.py: every operation gives the same coefficients, and every
 result is in canonical form (den > 0, gcd(content(num), den) = 1, no trailing
 zeros), so equal polynomials compare and hash equal.  NFElement and
-QuatElement arithmetic, which runs on QPoly, is checked the same way."""
+QuatElement arithmetic, which runs on QPoly, is checked the same way, and the integer
+kernels of the norm path, resultant_int and reduced_norm_int, against sympy
+and against x * conj(x)."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
 from endoscope.numfield import NumberField
-from endoscope.qpoly import QPoly, from_ints, power_sums, resultant
-from endoscope.quaternion import QuatAlgebra
+from endoscope.qpoly import QPoly, from_ints, power_sums, resultant, resultant_int
+from endoscope.quaternion import QuatAlgebra, reduced_norm_int
 
 from .oracles import (
     ref_add,
@@ -194,3 +198,60 @@ def test_quaternion_mul(p, q):
     prod = x * y
     for got, ref in zip((prod.a, prod.b, prod.c, prod.d), want):
         assert canonical(got.poly, ref)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels of the norm path against independent code
+
+
+def _random_monic(rng, degree: int, rational: bool) -> QPoly:
+    den = (lambda: rng.randint(1, 6)) if rational else (lambda: 1)
+    return QPoly([Fraction(rng.randint(-9, 9), den()) for _ in range(degree)] + [1])
+
+
+def test_resultant_int_against_sympy():
+    # Res(m, w / s) on integer w over a denominator s, m monic of degree 1..8
+    # with integer or rational coefficients; w may be zero, constant, longer
+    # than deg m (the monic route reduces it) or end in zeros
+    sympy = pytest.importorskip("sympy")
+    y = sympy.symbols("y")
+    rng = random.Random(15)
+
+    def at_y(coeffs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * y**i for i, c in enumerate(coeffs))
+
+    for degree in range(1, 9):
+        for rational in (False, True):
+            for _ in range(4):
+                m = _random_monic(rng, degree, rational)
+                w = [rng.randint(-50, 50) for _ in range(rng.randint(0, degree + 2))] + [0] * rng.randint(0, 2)
+                s = rng.randint(1, 12)
+                num, den = resultant_int(m.num, m.den, w, s)
+                expected = sympy.resultant(at_y(m.coeffs), at_y([Fraction(c, s) for c in w]), y)
+                assert den > 0 and Fraction(num, den) == Fraction(int(expected.p), int(expected.q)), (m, w, s)
+
+
+NORM_ALGEBRAS = [
+    QUAT,
+    QuatAlgebra(NumberField(from_ints(-1, -2, 1, 1)), [-1], [-1]),
+    QuatAlgebra(NumberField(QPoly([Fraction(-1, 2), 0, 1])), [Fraction(-3, 2), 1], [-1, Fraction(1, 3)]),
+    QuatAlgebra(NumberField(QPoly([Fraction(-1, 2), -2, Fraction(1, 2), 1])), [Fraction(-3, 2), 1], [-5, 0, Fraction(-1, 3)]),
+    QuatAlgebra(NumberField(from_ints(0, 1)), [Fraction(-2, 3)], [-7]),
+]
+
+
+def test_reduced_norm_int_against_conjugate_product():
+    # Nrd(x) is the a-coordinate of x * conj(x), which the product computes
+    # with a reduction after every field multiplication; b, c and d vanish
+    rng = random.Random(15)
+    for algebra in NORM_ALGEBRAS:
+        e = algebra.base.degree
+        for _ in range(25):
+            coords = [[rng.randint(-30, 30) for _ in range(rng.randint(0, e))] for _ in range(4)]
+            s = rng.randint(1, 12)
+            r, t = reduced_norm_int(algebra, coords, s)
+            assert t > 0 and len(r) <= e
+            x = algebra.element(*([Fraction(c, s) for c in part] for part in coords))
+            product = x * x.conjugate()
+            assert QPoly([Fraction(c, t) for c in r]) == product.a.poly
+            assert product.b.is_zero and product.c.is_zero and product.d.is_zero

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from endoscope import cli, lefschetz, qpoly
+from endoscope import cli, lefschetz, qpoly, quaternion
 from endoscope.enclosures import ComplexEnclosure, isolate_roots
 from endoscope.errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, ValidationError
 from endoscope.factorq import factor
@@ -212,6 +212,7 @@ def table_specs():
         field_spec((-5, 0, 1), [half, half], 2),  # golden unit: coordinates with den 2
         field_spec((-1, -3, 0, 1), [1, 1], 3),  # 1+theta on the cyclic cubic
         cubic_hamilton_spec(),  # the largest norm-path matrix, 12 x 12
+        *rational_minpoly_specs(),  # the Sylvester route of the norm path
     ]
 
 
@@ -221,10 +222,31 @@ def cubic_hamilton_spec():
     return EndomorphismSpec(algebra, algebra.element([1, 1], [0, 1], 1), 6)
 
 
+def rational_minpoly_specs():
+    # Q(sqrt2) presented as Q[x]/(x^2 - 1/2), x = 1/sqrt2, whose minimal
+    # polynomial is monic but not integral: 1 + 2x = 1 + sqrt2, and
+    # (1 + 2x) + 2x i + j in (-1, -1) over it, totally definite
+    field = NumberField(QPoly([Fraction(-1, 2), 0, 1]))
+    algebra = QuatAlgebra(field, [-1], [-1])
+    return [
+        EndomorphismSpec(field, field.element([1, 2]), 2),
+        EndomorphismSpec(algebra, algebra.element([1, 2], [0, 2], 1), 4),
+    ]
+
+
 def test_cubic_hamilton_table():
     spec = cubic_hamilton_spec()
     assert spec.charpoly_q() == from_ints(56, -56, 56, -20, 10, -4, 1)
     assert fixed_point_table(spec, 2) == [1849, 76195441]
+
+
+def test_rational_minpoly_tables():
+    sqrt2, definite = rational_minpoly_specs()
+    assert not sqrt2.algebra.minpoly.is_integral
+    assert sqrt2.charpoly_q() == from_ints(-1, -2, 1)
+    assert fixed_point_table(sqrt2, 6) == [4, 16, 196, 1024, 6724, 38416]
+    assert definite.charpoly_q() == from_ints(28, -8, 8, -4, 1)
+    assert fixed_point_table(definite, 4) == [625, 1500625, 324900625, 313404030625]
 
 
 @pytest.mark.parametrize("index", range(len(table_specs())))
@@ -323,9 +345,9 @@ def test_faulty_product_reaches_only_the_norm_path(monkeypatch, make_spec, fault
         fixed_point_table(faulty, 5)
 
 
-def _break_every_copy(monkeypatch, name, fault):
-    # the kernel qpoly.<name> is replaced wherever an endoscope module bound it
-    honest = getattr(qpoly, name)
+def _break_every_copy(monkeypatch, home, name, fault):
+    # the kernel home.<name> is replaced wherever an endoscope module bound it
+    honest = getattr(home, name)
 
     def faulty(*args):
         return fault(honest(*args))
@@ -337,22 +359,27 @@ def _break_every_copy(monkeypatch, name, fault):
 
 # a fault in each exact kernel, and the path that must not see it
 KERNEL_FAULTS = {
-    "det_int_bareiss": (lambda d: d + 1, "resultant"),
-    "newton_coefficients": (lambda c: [c[0] + 1] + c[1:], "norm"),
+    "det_int_bareiss": (qpoly, lambda d: d + 1, "resultant"),
+    "newton_coefficients": (qpoly, lambda c: [c[0] + 1] + c[1:], "norm"),
+    # twice the reduced norm: no row of the sqrt13 quaternion is zero
+    "reduced_norm_int": (quaternion, lambda rt: ([2 * c for c in rt[0]], rt[1]), "resultant"),
 }
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_FAULTS))
-@pytest.mark.parametrize("index", [0, 3])  # 1+sqrt2 and the sqrt13 quaternion
+@pytest.mark.parametrize(
+    "index, kernel",  # 0 is 1+sqrt2, 3 the sqrt13 quaternion
+    [(0, "det_int_bareiss"), (0, "newton_coefficients")] + [(3, kernel) for kernel in sorted(KERNEL_FAULTS)],
+)
 def test_table_paths_share_no_exact_kernel(monkeypatch, kernel, index):
-    # determinants serve only the norms, Newton's identities only the power
-    # sums of chi: a faulty kernel leaves the other path's rows as they were
+    # determinants and reduced norms serve only the norms, Newton's identities
+    # only the power sums of chi: a faulty kernel leaves the other path's rows
+    # as they were
     spec = table_specs()[index]
     lefschetz.admissibility_check(spec)  # builds and caches chi and the Albert type
     chi, exponent = spec.charpoly_q(), spec.exponent()
     table = fixed_point_table(spec, 5)
-    fault, honest_path = KERNEL_FAULTS[kernel]
-    _break_every_copy(monkeypatch, kernel, fault)
+    home, fault, honest_path = KERNEL_FAULTS[kernel]
+    _break_every_copy(monkeypatch, home, kernel, fault)
     if honest_path == "norm":
         assert list(lefschetz._norm_counts(spec, 5)) == table
     else:
