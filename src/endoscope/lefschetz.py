@@ -11,14 +11,19 @@ the test suites enforce it.
 A table fix(f^1..f^nmax) runs two exact paths side by side.  The norm path
 reads only the element: it keeps f^n as one integer vector over one
 denominator, steps it by the integer matrix of x -> x f, built once per table
-from the algebra's own product, and takes the norm of 1 - f^n.  The resultant
-path reads only the monic reduced characteristic polynomial chi, of degree m:
+from the algebra's own product, and takes the norm of 1 - f^n = w / s on the
+integer vector w and s, with no element object per row, through the integer
+kernels behind every norm: qpoly.resultant_int, after
+quaternion.reduced_norm_int for a quaternion algebra.  The resultant path
+reads only the monic reduced characteristic polynomial chi, of degree m:
 row n is |Res(chi, 1 - x^n)|^(2g/(d e)), the product of (1 - mu^n) over the
 roots mu of chi, read by Newton's identities off s_n, s_2n, ..., s_mn, the
 power sums of chi that are those of the mu^n; one Newton recurrence keeps
 s_0, ..., s_(m nmax).  The paths share neither input nor exact kernel, so a
-fault on either side shows up as a disagreement: a faulty product or
-determinant reaches the norms, a faulty chi or Newton step the power sums.
+fault on either side shows up as a disagreement: a faulty product, reduced
+norm or determinant reaches the norms, a faulty chi or Newton step the power
+sums.  (chi is built once per spec, before the first row, and for a
+quaternion it reads the reduced norm of f.)
 
 Every count first passes the Albert-type gate, admissibility_check, kept here
 with EndomorphismSpec: the type fixes d, e and the exponent 2g/(d e).

@@ -2,9 +2,9 @@
 tests/oracles.py: every operation gives the same coefficients, and every
 result is in canonical form (den > 0, gcd(content(num), den) = 1, no trailing
 zeros), so equal polynomials compare and hash equal.  NFElement and
-QuatElement arithmetic, which runs on QPoly, is checked the same way, and the integer
-kernels of the norm path, resultant_int and reduced_norm_int, against sympy
-and against x * conj(x)."""
+QuatElement arithmetic, which runs on QPoly, is checked the same way.  The
+integer kernels of the norm path, resultant_int and reduced_norm_int, are
+checked against sympy and against x * conj(x)."""
 
 import random
 from fractions import Fraction
