@@ -14,7 +14,6 @@ from .classify import (
     is_automorphism,
     is_root_of_unity,
     is_salem_polynomial,
-    structure_certificate,
 )
 from .enclosures import ComplexEnclosure, isolate_roots, unit_circle_status
 from .errors import (
@@ -37,7 +36,6 @@ from .lefschetz import (
     companion_oracle,
     fixed_point_table,
     fixed_points_exact,
-    fixed_points_via_eigenvalues,
     rational_eigenvalues,
 )
 from .numfield import (
@@ -46,9 +44,7 @@ from .numfield import (
     NumberField,
     cm_structure,
     is_totally_real,
-    norm_and_trace,
     rationals_field,
-    relative_norm_trace,
 )
 from .qpoly import QPoly, cyclotomic_order, from_ints, resultant
 from .quaternion import (
@@ -59,7 +55,6 @@ from .quaternion import (
     hilbert_symbol,
     is_division,
     rational_quaternion_is_division,
-    reduced_trace_norm,
     split_witness_search,
 )
 

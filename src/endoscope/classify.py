@@ -343,11 +343,3 @@ def structure_certificate_for(spec: EndomorphismSpec, at: AlbertType | None = No
     above_one = count_real_roots(minpoly_y, 1)
     power = algnum.exterior_power(minpoly_y, above_one, spec.g // minpoly_y.degree)
     return _gamma_of(spec).minpoly.divides(power)
-
-
-def structure_certificate(report: EntropyReport, spec: EndomorphismSpec) -> bool:
-    """Public form of the certificate, run against a finished entropy report."""
-    at = admissibility_check(spec)
-    if at.kind in _DICHOTOMY_KINDS and _gamma_of(spec).minpoly != report.gamma_minpoly:
-        raise CrossCheckError("entropy report does not belong to this spec")
-    return structure_certificate_for(spec, at)

@@ -1,12 +1,5 @@
-"""Fixed-point counts of iterates, three ways.
-
-The exact path evaluates the norm form |N(1 - f^n)|^(2g/(d e)) with d, e the
-degree data of the endomorphism algebra.  The eigenvalue path multiplies
-certified enclosures of (1 - mu^n) over the rational eigenvalue multiset and
-rounds to the unique integer in range.  The companion oracle builds the
-block-doubled integer matrix of the multiplication-by-P(t) model on a product
-of elliptic curves and takes |det(I - M^n)| directly.  The three must agree;
-the test suites enforce it.
+"""Fixed-point counts of iterates: fix(f^n) = |N(1 - f^n)|^(2g/(d e)), with d, e
+the degree data of the endomorphism algebra.
 
 A table fix(f^1..f^nmax) runs two exact paths side by side.  The norm path
 reads only the element: it keeps f^n as one integer vector over one
@@ -25,6 +18,12 @@ norm or determinant reaches the norms, a faulty chi or Newton step the power
 sums.  (chi is built once per spec, before the first row, and for a
 quaternion it reads the reduced norm of f.)
 
+fixed_points_exact is the single-n count, the norm of the element 1 - f^n.
+companion_oracle is an independent brute-force count for a benchmark's
+correctness judge: |det(I - M^n)| for the block-doubled integer companion
+matrix M of an integer polynomial.  rational_eigenvalues encloses the roots
+of chi with their multiplicities, for the growth and entropy classifiers.
+
 Every count first passes the Albert-type gate, admissibility_check, kept here
 with EndomorphismSpec: the type fixes d, e and the exponent 2g/(d e).
 """
@@ -32,16 +31,14 @@ with EndomorphismSpec: the type fixes d, e and the exponent 2g/(d e).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 from . import factorq
-from .enclosures import ComplexEnclosure, isolate_roots, pow_rounded
-from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType
-from .errors import PrecisionExhausted, ValidationError
+from .enclosures import ComplexEnclosure, isolate_roots
+from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType, ValidationError
 from .numfield import CM, TOTALLY_REAL, NumberField, cm_structure
-from .qpoly import ONE, QPoly, binary_power, cyclotomic_order, det_int_bareiss, newton_coefficients, power_sums
+from .qpoly import QPoly, binary_power, cyclotomic_order, det_int_bareiss, newton_coefficients, power_sums
 from .qpoly import resultant_int
 from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness, reduced_norm_int
 
@@ -270,19 +267,13 @@ def _abs_integer(num: int, den: int, what: str) -> int:
 class EigenvalueMultiset:
     """Roots of charpoly_q(f)^(2g/(de)), conjugation-closed, total 2g."""
 
-    def __init__(self, factors, enclosures, total: int, bits: int):
+    def __init__(self, factors, enclosures, total: int):
         self.factors = tuple(factors)  # (monic irreducible QPoly, multiplicity)
         self._enclosures = dict(enclosures)  # QPoly -> tuple of enclosures
         self.total = total
-        self.bits = bits
         self._orders = {
             q: cyclotomic_order(q) if q.is_integral and q.is_monic else None for q, _ in self.factors
         }
-
-    @property
-    def source_poly(self) -> QPoly:
-        """charpoly_q(f)^(2g/(de)), the product of the factors to their multiplicities."""
-        return prod((q**mult for q, mult in self.factors), start=ONE)
 
     def enclosures_of(self, q: QPoly) -> tuple[ComplexEnclosure, ...]:
         return self._enclosures[q]
@@ -290,30 +281,6 @@ class EigenvalueMultiset:
     def order_of(self, q: QPoly) -> int | None:
         """Root-of-unity order of the roots of the factor q; None when q is not cyclotomic."""
         return self._orders[q]
-
-    def _vanishes_at(self, n: int) -> bool:
-        """A cyclotomic factor whose order divides n puts 1 among the mu^n."""
-        return any(order is not None and n % order == 0 for order in self._orders.values())
-
-    @property
-    def roots(self) -> list[tuple[ComplexEnclosure, ...]]:
-        """Enclosures of the roots of each factor, in the order of factors."""
-        return [self._enclosures[q] for q, _ in self.factors]
-
-    @property
-    def entries(self) -> list[tuple[ComplexEnclosure, int]]:
-        out = []
-        for q, mult in self.factors:
-            out.extend((e, mult) for e in self._enclosures[q])
-        return out
-
-    def refine(self, bits: int) -> None:
-        """Isolate every factor again at bits (products over a factor's roots ignore their order)."""
-        if bits <= self.bits:
-            return
-        for q, _ in self.factors:
-            self._enclosures[q] = tuple(isolate_roots(q, bits))
-        self.bits = bits
 
 
 def rational_eigenvalues(spec: EndomorphismSpec, precision_bits: int = 128) -> EigenvalueMultiset:
@@ -325,25 +292,7 @@ def rational_eigenvalues(spec: EndomorphismSpec, precision_bits: int = 128) -> E
     total = sum(mult * q.degree for q, mult in factors)
     if total != 2 * spec.g:
         raise CrossCheckError("eigenvalue multiset total differs from 2g")
-    return EigenvalueMultiset(factors, enclosures, total, precision_bits)
-
-
-def fixed_points_via_eigenvalues(ev: EigenvalueMultiset, n: int) -> int:
-    """prod(1 - mu^n) over the multiset, certified to the nearest integer.
-
-    Cyclotomic factors whose order divides n force the exact answer 0 before
-    any numeric work; otherwise enclosure arithmetic is refined until the
-    result disk pins a single integer.
-    """
-    _check_iterate(n)
-    if ev._vanishes_at(n):
-        return 0
-    while True:
-        work = ev.bits + 64
-        value = _settled_product(ev, _powers_at(ev.roots, n, work), work)
-        if value is not None:
-            return value
-        _escalate(ev)
+    return EigenvalueMultiset(factors, enclosures, total)
 
 
 def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:
@@ -379,36 +328,6 @@ def _resultant_counts(chi: QPoly, exponent: int, nmax: int):
         yield _abs_integer(value.numerator, value.denominator, "Res(chi, 1 - x^n)") ** exponent
 
 
-def _powers_at(roots, n: int, work: int) -> list[list[ComplexEnclosure]]:
-    """Enclosures of mu^n for every root, grouped like roots, by repeated squaring."""
-    return [[pow_rounded(e, n, work) for e in es] for es in roots]
-
-
-def _settled_product(ev: EigenvalueMultiset, powers, work: int) -> int | None:
-    """The integer prod (1 - mu^n) pins down, or None if its disk is too wide.
-
-    powers holds mu^n per factor of ev; a factor's roots share its
-    multiplicity, so their product is raised to it once.
-    """
-    acc = ComplexEnclosure(1, 0, 0)
-    for ps, (_, mult) in zip(powers, ev.factors):
-        part = ComplexEnclosure(1, 0, 0)
-        for p in ps:
-            part = (part * (1 - p)).rounded(work)
-        acc = (acc * pow_rounded(part, mult, work)).rounded(work)
-    val = round(acc.re)
-    if abs(acc.re - val) + acc.radius < Fraction(1, 2):
-        return int(val)
-    return None
-
-
-def _escalate(ev: EigenvalueMultiset) -> None:
-    bits = max(2 * ev.bits, 256)
-    if bits > 1 << 16:
-        raise PrecisionExhausted("eigenvalue product would not settle on an integer")
-    ev.refine(bits)
-
-
 def companion_oracle(char_poly: QPoly, n: int) -> int:
     """|det(I - M^n)| for the block-doubled companion model of char_poly.
 
@@ -416,8 +335,7 @@ def companion_oracle(char_poly: QPoly, n: int) -> int:
     (the (-1)^deg convention is accepted); the doubled model acts on the
     rank-2*deg homology lattice of a product of elliptic curves.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("iterate index must be a positive integer")
+    _check_iterate(n)
     if not char_poly.is_integral:
         raise ValidationError("companion oracle needs integer coefficients")
     if char_poly.lc == -1:

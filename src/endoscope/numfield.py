@@ -1,7 +1,7 @@
 """Number fields Q(alpha) = Q[x]/(m) with exact element arithmetic, norms and
-traces (absolute and relative), embedding enclosures, and the field-type
-classification: totally real, CM (with its conjugation automorphism and
-maximal totally real subfield), or neither.
+traces over Q, embedding enclosures, and the field-type classification:
+totally real, CM (with its conjugation automorphism and maximal totally real
+subfield), or neither.
 
 An element is its residue of degree below [F:Q], one QPoly: an integer
 numerator over one denominator, reduced modulo m in the integers.
@@ -9,13 +9,9 @@ numerator over one denominator, reduced modulo m in the integers.
 Whether a field is totally real, or has a real embedding at all, is a Sturm
 count of the real roots of its minimal polynomial against the degree.
 
-Absolute norms are resultants, N(a) = Res(m, a) for the monic m; traces are
-read off the Newton power sums of m, and characteristic polynomials are
-rebuilt from the traces of the powers of the element.  Relative norms and
-traces over a subfield Q(s) take no linear algebra either: the relative
-trace is a combination of absolute traces with the basis dual to the powers
-of s (Euler's lemma), and the relative norm follows from the relative traces
-of the powers by Newton's identities over the subfield.
+Norms are resultants, N(a) = Res(m, a) for the monic m; traces are read off
+the Newton power sums of m, and characteristic polynomials are rebuilt from
+the traces of the powers of the element.
 
 The CM test is numeric-guess / exact-certificate: the candidate conjugation
 is read off from high-precision embeddings and rationally reconstructed, then
@@ -33,8 +29,7 @@ from fractions import Fraction
 from . import factorq
 from .enclosures import ComplexEnclosure, _cdiv, isolate_roots
 from .errors import CrossCheckError, ValidationError
-from .qpoly import ONE, QPoly, X, _combine, _mul_mod, count_real_roots, from_power_sums, newton_coefficients
-from .qpoly import power_sums, resultant
+from .qpoly import ONE, QPoly, X, _combine, _mul_mod, count_real_roots, from_power_sums, power_sums, resultant
 
 TOTALLY_REAL = "TotallyReal"
 CM = "CM"
@@ -188,23 +183,9 @@ class NFElement:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> NFElement:
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero field element")
-        g, u, _ = self.poly.xgcd(self.parent.minpoly)
-        if g.degree != 0:
-            raise CrossCheckError("reducible minimal polynomial slipped through")
-        return NFElement(self.parent, u * (1 / g[0]))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValidationError("negative field element power")
         return NFElement(self.parent, self.poly.pow_mod(n, self.parent.minpoly))
 
     def apply_poly(self, h: QPoly) -> NFElement:
@@ -220,7 +201,11 @@ class NFElement:
         Tr(self^k); Newton's identities turn the traces into coefficients.
         """
         e = self.parent.degree
-        return from_power_sums(_power_traces(self, e, NFElement.trace_q), e)
+        traces, acc = [e], self.parent.one()
+        for _ in range(e):
+            acc = acc * self
+            traces.append(acc.trace_q())
+        return from_power_sums(traces, e)
 
     def minimal_polynomial(self) -> QPoly:
         """Monic irreducible annihilator; its degree divides the field degree."""
@@ -383,63 +368,3 @@ def apply_conjugation(report: FieldTypeReport, x: NFElement) -> NFElement:
     if report.kind != CM or report.conj_automorphism is None:
         raise ValidationError("field has no conjugation automorphism")
     return x.apply_poly(report.conj_automorphism.poly)
-
-
-# ---------------------------------------------------------------------------
-# relative norms and traces
-
-
-def norm_and_trace(x: NFElement, over="Q"):
-    """Norm and trace of x, over Q or over the subfield generated by an element.
-
-    over="Q" returns a pair of Fractions.  Passing an NFElement s of the same
-    field returns a pair of elements of the subfield K = Q(s), represented on
-    the power basis of s.
-    """
-    if isinstance(over, str):
-        if over != "Q":
-            raise ValidationError("over must be 'Q' or a subfield generator")
-        return x.norm_q(), x.trace_q()
-    return relative_norm_trace(x, over)[:2]
-
-
-def relative_norm_trace(x: NFElement, s: NFElement) -> tuple[NFElement, NFElement, NumberField]:
-    """Norm and trace of x for the extension F / Q(s), plus the subfield K = Q(s).
-
-    No linear algebra: with ms the minimal polynomial of s and
-    ms(X) / (X - s) = sum_j b_j X^j over K, the b_j / ms'(s) are the basis
-    dual to 1, s, ..., s^(l-1) under Tr_{K/Q} (Euler), so
-    Tr_{F/K}(y) = sum_j Tr_{F/Q}(y s^j) b_j / ms'(s).  The norm follows by
-    Newton's identities over K from Tr_{F/K}(x^k), k = 1..[F:K].
-    """
-    field = x.parent
-    if s.parent != field:
-        raise ValidationError("subfield generator lives in a different field")
-    ms = s.minimal_polynomial()
-    l = ms.degree
-    if field.degree % l != 0:
-        raise CrossCheckError("subfield degree does not divide the field degree")
-    m = field.degree // l
-    sub = NumberField(ms, check_irreducible=False)
-
-    b = [sub.one()]  # b_(l-1), ..., b_0 by synthetic division
-    for a in reversed(ms.coeffs[1:-1]):
-        b.append(b[-1] * sub.gen() + a)
-    scale = sub.element(ms.derivative()).inverse()
-    duals = [(bj * scale, s**j) for j, bj in enumerate(reversed(b))]
-
-    def trace(y: NFElement) -> NFElement:
-        return sum((dual * (y * sj).trace_q() for dual, sj in duals), sub.zero())
-
-    traces = _power_traces(x, m, trace)
-    return newton_coefficients(traces, m)[0] * (-1) ** m, traces[1], sub
-
-
-def _power_traces(x: NFElement, count: int, trace) -> list:
-    """[count, trace(x), trace(x^2), ..., trace(x^count)], the power sums
-    Newton's identities turn into a characteristic polynomial."""
-    out, acc = [count], x.parent.one()
-    for _ in range(count):
-        acc = acc * x
-        out.append(trace(acc))
-    return out

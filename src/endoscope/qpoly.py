@@ -257,20 +257,6 @@ class QPoly:
         """Monic greatest common divisor: the last entry of the integer remainder sequence."""
         return _poly(list(_remainder_sequence(self.num, other.num)[-1])).monic()
 
-    def xgcd(self, other: QPoly) -> tuple[QPoly, QPoly, QPoly]:
-        """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
-        r0, r1 = self, other
-        s0, s1, t0, t1 = ONE, ZERO, ZERO, ONE
-        while not r1.is_zero:
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero:
-            return r0, s0, t0
-        inv = 1 / r0.lc
-        return r0 * inv, s0 * inv, t0 * inv
-
     def derivative(self) -> QPoly:
         return _poly([i * c for i, c in enumerate(self.num)][1:], self.den)
 

@@ -223,11 +223,6 @@ class QuatElement:
         }
 
 
-def reduced_trace_norm(x: QuatElement) -> tuple[NFElement, NFElement]:
-    """(Trd(x), Nrd(x)) as a pair of base-field elements."""
-    return x.reduced_trace(), x.reduced_norm()
-
-
 def reduced_norm_int(algebra: QuatAlgebra, coords, s: int) -> tuple[list[int], int]:
     """(r, t) with Nrd(x) = r / t, for the element x whose coordinates on
     1, i, j, k are the integer polynomials coords[0..3] over s > 0.

@@ -1,8 +1,11 @@
 """Independent brute-force oracles used only by the tests.
 
 Kept deliberately separate from the library: a Sturm chain for real-root
-counts, and a naive enclosure-product reading of fixed-point counts.  These
-share no code path with the implementations they check.
+counts, a Schur-Cohn test for roots inside the unit disk, a naive
+enclosure-product reading of fixed-point counts, and schoolbook polynomial
+arithmetic on tuples of Fractions.  These share no code path with the
+implementations they check: the fixed-point oracle reads root enclosures,
+which neither exact path of the fixed-point tables uses.
 """
 
 from __future__ import annotations
@@ -10,7 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from endoscope.enclosures import ComplexEnclosure, isolate_roots
+from endoscope.factorq import factor
+from endoscope.lefschetz import rational_eigenvalues
 from endoscope.qpoly import QPoly
+
+# the eigenvalue oracle gives up rather than isolate roots beyond this
+EIGENVALUE_BITS_CAP = 1 << 14
 
 
 def sturm_chain(p: QPoly) -> list[QPoly]:
@@ -63,6 +72,49 @@ def roots_inside_unit_disk(c: list[int]) -> bool:
         g = gcd(*c)
         c = [x // g for x in c]
     return True
+
+
+def eigenvalue_counts(source, ns, bits: int = 128) -> list[int]:
+    """prod (1 - mu^n) over a multiset of algebraic numbers mu, for each n in ns.
+
+    source is a spec, whose multiset is rational_eigenvalues(spec, bits), the
+    roots of chi with the multiplicities that make fix(f^n); or a QPoly,
+    whose multiset is its roots with their multiplicities.  The product is
+    taken in disk arithmetic; while its disk holds more than one integer,
+    bits doubles and the roots are isolated again.  A disk that never pins
+    one integer fails the caller instead of being rounded.
+    """
+    roots, out = _root_multiset(source, bits), []
+    for n in ns:
+        while (value := _pinned_product(roots, n, bits)) is None:
+            bits *= 2
+            if bits > EIGENVALUE_BITS_CAP:
+                raise AssertionError(f"the eigenvalue product at n={n} pins no integer")
+            roots = _root_multiset(source, bits)
+        out.append(value)
+    return out
+
+
+def _root_multiset(source, bits: int) -> list[tuple[list[ComplexEnclosure], int]]:
+    """(enclosures of the roots of one factor, its multiplicity) per factor."""
+    if isinstance(source, QPoly):
+        return [(isolate_roots(q, bits), mult) for q, mult in factor(source)]
+    ev = rational_eigenvalues(source, bits)
+    return [(ev.enclosures_of(q), mult) for q, mult in ev.factors]
+
+
+def _pinned_product(roots, n: int, bits: int) -> int | None:
+    """The one integer in the disk of prod (1 - mu^n), or None."""
+    acc = ComplexEnclosure(1, 0, 0)
+    for enclosures, mult in roots:
+        for mu in enclosures:
+            power = mu
+            for _ in range(n - 1):
+                power = (power * mu).rounded(bits)
+            for _ in range(mult):
+                acc = (acc * (1 - power)).rounded(bits)
+    value = round(acc.re)
+    return value if abs(acc.re - value) + acc.radius < Fraction(1, 2) else None
 
 
 # ---------------------------------------------------------------------------

@@ -318,16 +318,34 @@ def _imported_modules(tree: ast.AST):
             yield from ([f"{base}.{a.name}" for a in node.names] if base == "endoscope" else [base])
 
 
+def _unused_imports(tree: ast.Module, lines: list[str]):
+    """Names a module-level import binds that the module never reads, except
+    on lines marked "# noqa: F401" (deliberate re-exports)."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    yield bound
+
+
 def test_enclosures_does_not_import_mpmath():
-    """Every module imports only endoscope modules below it in LAYERS, and
-    only the modules that print logarithms and decimals import mpmath."""
+    """Every module imports only endoscope modules below it in LAYERS, only
+    the modules that print logarithms and decimals import mpmath, and no
+    module keeps an import it never uses."""
     package = Path(enclosures.__file__).parent
     assert sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__") == sorted(LAYERS)
     for rank, name in enumerate(LAYERS):
-        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        source = (package / f"{name}.py").read_text(encoding="utf-8")
+        tree = ast.parse(source)
         for module in _imported_modules(tree):
             top, _, rest = module.partition(".")
             if top == "mpmath":
                 assert name in MPMATH_USERS, f"{name} imports mpmath"
             if top == "endoscope":
                 assert rest.split(".")[0] in LAYERS[:rank], f"{name} imports {module}, not below it"
+        unused = list(_unused_imports(tree, source.splitlines()))
+        assert not unused, f"{name} imports {unused} and never uses them"

@@ -8,20 +8,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from endoscope import cli, lefschetz, qpoly, quaternion
-from endoscope.enclosures import ComplexEnclosure, isolate_roots
 from endoscope.errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, ValidationError
-from endoscope.factorq import factor
 from endoscope.lefschetz import (
+    ITERATE_CAP,
     EndomorphismSpec,
     companion_oracle,
     fixed_point_table,
     fixed_points_exact,
-    fixed_points_via_eigenvalues,
     rational_eigenvalues,
 )
 from endoscope.numfield import NumberField, rationals_field
 from endoscope.qpoly import ONE, QPoly, X, from_ints
 from endoscope.quaternion import QuatAlgebra, QuatElement
+
+from .oracles import eigenvalue_counts
 
 
 def field_spec(coeffs, element, g):
@@ -39,15 +39,13 @@ def test_minus_identity_counts():
 def test_gaussian_period_four():
     spec = field_spec((1, 0, 1), [0, 1], 1)
     assert [fixed_points_exact(spec, n) for n in range(1, 5)] == [2, 4, 2, 0]
-    ev = rational_eigenvalues(spec)
-    assert [fixed_points_via_eigenvalues(ev, n) for n in range(1, 5)] == [2, 4, 2, 0]
+    assert eigenvalue_counts(spec, range(1, 5)) == [2, 4, 2, 0]
 
 
 def test_golden_ratio_count():
     spec = field_spec((-5, 0, 1), [Fraction(1, 2), Fraction(1, 2)], 2)
     assert fixed_points_exact(spec, 1) == 1
-    ev = rational_eigenvalues(spec)
-    assert fixed_points_via_eigenvalues(ev, 1) == 1
+    assert eigenvalue_counts(spec, [1]) == [1]
 
 
 def test_silver_ratio_multiset():
@@ -55,7 +53,7 @@ def test_silver_ratio_multiset():
     ev = rational_eigenvalues(spec)
     assert ev.total == 4
     assert ev.factors == ((from_ints(-1, -2, 1), 2),)
-    assert ev.source_poly == from_ints(-1, -2, 1) ** 2
+    assert math.prod((q**mult for q, mult in ev.factors), start=ONE) == from_ints(-1, -2, 1) ** 2
     assert fixed_points_exact(spec, 1) == 4
 
 
@@ -69,7 +67,7 @@ def test_quaternion_multiset_and_counts():
     assert ev.total == 8
     exact = [fixed_points_exact(spec, n) for n in range(1, 6)]
     assert exact[0] == 1  # automorphism: a single honest fixed point
-    assert exact == [fixed_points_via_eigenvalues(ev, n) for n in range(1, 6)]
+    assert exact == eigenvalue_counts(spec, range(1, 6))
 
 
 def test_conjugation_closure():
@@ -81,7 +79,7 @@ def test_conjugation_closure():
         EndomorphismSpec(algebra, f, 4),
     ):
         ev = rational_eigenvalues(spec)
-        entries = {(e.re, e.im, e.radius, m) for e, m in ev.entries}
+        entries = {(e.re, e.im, e.radius, m) for q, m in ev.factors for e in ev.enclosures_of(q)}
         mirrored = {(re, -im, rad, m) for re, im, rad, m in entries}
         assert entries == mirrored
 
@@ -98,17 +96,8 @@ def test_companion_oracle_examples():
         companion_oracle(from_ints(1, 2), 1)
 
 
-def _eigenvalue_product_doubled(p: QPoly, n: int) -> int:
-    """Brute-force |det(I - M^n)| via enclosures of the doubled root multiset."""
-    acc = ComplexEnclosure(1, 0, 0)
-    for q, mult in factor(p):
-        for e in isolate_roots(q, 128):
-            acc = acc * (1 - e**n) ** (2 * mult)
-    assert abs(acc.re - round(acc.re)) + acc.radius < Fraction(1, 2)
-    return int(round(acc.re))
-
-
 def test_companion_matches_eigenvalue_product():
+    # the doubled companion model of p has the roots of p^2 as its eigenvalues
     rng = random.Random(7)
     for _ in range(50):
         deg = rng.randint(1, 6)
@@ -117,7 +106,7 @@ def test_companion_matches_eigenvalue_product():
         if p[0] == 0:
             continue
         n = rng.randint(1, 5)
-        assert companion_oracle(p, n) == _eigenvalue_product_doubled(p, n)
+        assert [companion_oracle(p, n)] == eigenvalue_counts(p * p, [n])
 
 
 def test_companion_matches_norm_path():
@@ -145,33 +134,18 @@ def test_growth_rate_converges():
 def test_dual_path_on_sextic_cm():
     zeta7 = NumberField(from_ints(1, 1, 1, 1, 1, 1, 1))
     spec = EndomorphismSpec(zeta7, zeta7.element([1, 1]), 3)
-    ev = rational_eigenvalues(spec)
-    for n in range(1, 7):
-        assert fixed_points_exact(spec, n) == fixed_points_via_eigenvalues(ev, n)
-
-
-def test_multiset_refinement_keeps_structure():
-    spec = field_spec((1, 1, 1, 1, 1), [2, 1], 2)
-    ev = rational_eigenvalues(spec, 64)
-    before = {q: [e.radius for e in ev.enclosures_of(q)] for q, _ in ev.factors}
-    ev.refine(512)
-    for q, _ in ev.factors:
-        after = ev.enclosures_of(q)
-        assert all(b <= a for a, b in zip(before[q], (e.radius for e in after)))
-    entries = {(e.re, e.im, m) for e, m in ev.entries}
-    assert entries == {(re, -im, m) for re, im, m in entries}
+    assert [fixed_points_exact(spec, n) for n in range(1, 7)] == eigenvalue_counts(spec, range(1, 7))
 
 
 def test_iterate_validation():
     spec = EndomorphismSpec(rationals_field(), 2, 1)
-    ev = rational_eigenvalues(spec)
-    for bad in (0, -5, True, 10**6 + 1):
+    for bad in (0, -5, True, ITERATE_CAP + 1):
         with pytest.raises(ValidationError):
             fixed_points_exact(spec, bad)
         with pytest.raises(ValidationError):
-            fixed_points_via_eigenvalues(ev, bad)
-        with pytest.raises(ValidationError):
             fixed_point_table(spec, bad)
+        with pytest.raises(ValidationError):
+            companion_oracle(from_ints(-2, 1), bad)
 
 
 def test_divisibility_and_integrality_guards():
@@ -213,6 +187,7 @@ def table_specs():
         field_spec((-1, -3, 0, 1), [1, 1], 3),  # 1+theta on the cyclic cubic
         cubic_hamilton_spec(),  # the largest norm-path matrix, 12 x 12
         *rational_minpoly_specs(),  # the Sylvester route of the norm path
+        indefinite_sqrt13_spec(),  # c, d != 0: the j and k columns of the norm path's matrix
     ]
 
 
@@ -220,6 +195,12 @@ def cubic_hamilton_spec():
     # (1+x) + x i + j in (-1, -1) over x^3 + x^2 - 2x - 1, totally definite
     algebra = QuatAlgebra(NumberField(from_ints(-1, -2, 1, 1)), [-1], [-1])
     return EndomorphismSpec(algebra, algebra.element([1, 1], [0, 1], 1), 6)
+
+
+def indefinite_sqrt13_spec():
+    # 1 + i + j + k in the totally indefinite (-2-2*sqrt13, 2) over Q(sqrt13)
+    algebra = QuatAlgebra(NumberField(from_ints(-13, 0, 1)), [-2, -2], [2])
+    return EndomorphismSpec(algebra, algebra.element(1, 1, 1, 1), 4)
 
 
 def rational_minpoly_specs():
@@ -240,6 +221,19 @@ def test_cubic_hamilton_table():
     assert fixed_point_table(spec, 2) == [1849, 76195441]
 
 
+def test_indefinite_sqrt13_table():
+    spec = indefinite_sqrt13_spec()
+    assert spec.charpoly_q() == from_ints(-43, 12, -2, -4, 1)
+    assert fixed_point_table(spec, 6) == [
+        1296,
+        3504384,
+        11088090000,
+        12071677722624,
+        20875590423983376,
+        37408455346523040000,
+    ]
+
+
 def test_rational_minpoly_tables():
     sqrt2, definite = rational_minpoly_specs()
     assert not sqrt2.algebra.minpoly.is_integral
@@ -255,8 +249,7 @@ def test_table_matches_single_n_paths_and_companion(index):
     nmax = 30
     table = fixed_point_table(spec, nmax)
     assert table == [fixed_points_exact(spec, n) for n in range(1, nmax + 1)]
-    ev = rational_eigenvalues(spec)
-    assert table == [fixed_points_via_eigenvalues(ev, n) for n in range(1, nmax + 1)]
+    assert table == eigenvalue_counts(spec, range(1, nmax + 1))
     # the doubled companion model of charpoly_q computes prod (1 - mu^n)^2
     # over the roots of charpoly_q, so fix^2 = oracle^(2g/(de))
     cp = spec.charpoly_q()
@@ -272,17 +265,6 @@ def test_table_matches_companion_at_high_n(index):
     cp = spec.charpoly_q()
     for n in (97, 150, 200):
         assert table[n - 1] ** 2 == companion_oracle(cp, n) ** spec.exponent(), n
-
-
-def test_eigenvalue_path_refines_at_high_n():
-    # fix(f^200) is near 2^313: at 64 bits the single-n eigenvalue path must
-    # refine its enclosures before the product pins an integer
-    spec = sqrt13_salem_spec()
-    table = fixed_point_table(spec, 200)
-    ev = rational_eigenvalues(spec, 64)
-    for n in (75, 197, 200):
-        assert fixed_points_via_eigenvalues(ev, n) == table[n - 1], n
-    assert ev.bits > 64
 
 
 def test_table_raises_when_paths_disagree(monkeypatch, tmp_path, capsys):
@@ -325,13 +307,15 @@ def test_table_paths_share_no_input():
         # i^2 = -alpha: the sqrt13 element a + b i lies in the commutative
         # subfield F(i), where ij = ji changes no product, so break i^2 instead
         (sqrt13_salem_spec, lambda x, y: x.algebra.element(-2 * (x.algebra.alpha * (x.b * y.b)))),
+        # ij = ji again, on an element with j and k parts over a real quadratic base
+        (indefinite_sqrt13_spec, lambda x, y: x.algebra.element(0, 0, 0, 2 * (x.c * y.b))),
     ],
 )
 def test_faulty_product_reaches_only_the_norm_path(monkeypatch, make_spec, fault):
     # the counterpart of test_table_paths_share_no_input: the product builds
     # the norm path's matrix, but chi never calls it
     spec = make_spec()
-    chi = spec.charpoly_q()
+    chi, table = spec.charpoly_q(), fixed_point_table(spec, 5)
     honest = QuatElement.__mul__
 
     def faulty_mul(x, y):
@@ -341,6 +325,7 @@ def test_faulty_product_reaches_only_the_norm_path(monkeypatch, make_spec, fault
     monkeypatch.setattr(QuatElement, "__mul__", faulty_mul)
     faulty = make_spec()
     assert faulty.charpoly_q() == chi
+    assert list(lefschetz._resultant_counts(chi, faulty.exponent(), 5)) == table
     with pytest.raises(CrossCheckError, match="paths disagree|norm of an integral element"):
         fixed_point_table(faulty, 5)
 

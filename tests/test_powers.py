@@ -7,9 +7,11 @@ the exact power of every point of the base disk that is tested.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from endoscope.enclosures import ComplexEnclosure, pow_rounded
+from endoscope.errors import ValidationError
 from endoscope.factorq import _zpow_mod
 from endoscope.numfield import NumberField
 from endoscope.qpoly import ONE, QPoly, from_ints
@@ -41,13 +43,17 @@ def test_pow_mod(p, mod, n):
     assert p.pow_mod(n, mod) == repeated(p, n, ONE) % mod
 
 
-@given(st.lists(small, min_size=1, max_size=4), st.integers(min_value=-12, max_value=12))
+@given(st.lists(small, min_size=1, max_size=4), exponents)
 def test_number_field_pow(coords, n):
     x = ZETA5.element(coords)
-    if x.is_zero:
-        return
-    base = x if n >= 0 else x.inverse()
-    assert x**n == repeated(base, abs(n), ZETA5.one())
+    assert x**n == repeated(x, n, ZETA5.one())
+
+
+def test_negative_powers_raise():
+    # no inverses: a negative exponent is rejected, as for polynomials and quaternions
+    for x in (ZETA5.gen(), QUAT.one(), ONE):
+        with pytest.raises(ValidationError):
+            x**-1
 
 
 @given(st.lists(st.lists(small, max_size=2), min_size=4, max_size=4), exponents)

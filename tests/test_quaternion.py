@@ -15,7 +15,6 @@ from endoscope.quaternion import (
     hilbert_symbol,
     is_division,
     rational_quaternion_is_division,
-    reduced_trace_norm,
     split_witness_search,
 )
 
@@ -60,7 +59,6 @@ def test_reduced_trace_norm(b13, salem_unit):
     f = salem_unit
     assert f.reduced_norm() == b13.base.element(1)
     assert f.reduced_trace() == b13.base.element([Fraction(1, 2), Fraction(-1, 2)])
-    assert reduced_trace_norm(f) == (f.reduced_trace(), f.reduced_norm())
 
 
 def test_sqrt17_unit_norm():
@@ -240,7 +238,7 @@ def test_reduced_charpoly_matches_sympy(kernel_algebras, index, a, b, c, d):
         return sum(sympy.Rational(q.numerator, q.denominator) * y**i for i, q in enumerate(elem.coeffs))
 
     m = at_y(algebra.base.minpoly)
-    trd, nrd = reduced_trace_norm(f)
+    trd, nrd = f.reduced_trace(), f.reduced_norm()
     expected = sympy.Poly(sympy.resultant(m, x**2 - at_y(trd) * x + at_y(nrd), y), x).all_coeffs()
     assert f.reduced_charpoly_q() == QPoly([Fraction(int(q.p), int(q.q)) for q in reversed(expected)])
 
