@@ -22,9 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from mpmath import mp, mpf
-from mpmath.libmp import from_rational
-
 from . import algnum, factorq
 from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, isolate_roots, unit_circle_status
 from .errors import CrossCheckError, NotSimpleAlbertType, ValidationError
@@ -233,6 +230,9 @@ def is_salem_polynomial(p: QPoly) -> SalemReport:
 def fraction_to_mpf(q: Fraction, rounding: str = "n"):
     """q as an mpf at the working precision, rounded once in mpmath's direction
     rounding ("n" nearest, "f" floor, "c" ceiling)."""
+    from mpmath import mp
+    from mpmath.libmp import from_rational
+
     return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.prec, rounding))
 
 
@@ -261,6 +261,8 @@ def entropy(spec: EndomorphismSpec) -> EntropyReport:
     unit circle, so the value is the sum of mult * log|mu| over those
     eigenvalues; both readings are computed and must agree.
     """
+    from mpmath import mp, mpf
+
     at = admissibility_check(spec)
     growth = classify_growth(spec)
     gamma = _gamma_of(spec)

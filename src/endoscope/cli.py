@@ -6,7 +6,9 @@
 
 Exit codes: 0 success, 1 self-test failure, 2 validation error,
 3 precision exhaustion, 4 internal error (any exception that is not an
-EndoscopeError: a bug).  Reports go to stdout as JSON unless --table.
+EndoscopeError: a bug).  Reports go to stdout as JSON unless --table,
+written by _dumps: one recursive writer of the bytes that json.dumps
+writes with indent=2, whose indented encoder is pure Python.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-
-from mpmath import mp
+from json.encoder import encode_basestring_ascii
 
 from . import classify, jobs
 from .errors import EndoscopeError, PrecisionExhausted, ValidationError
@@ -75,8 +76,31 @@ def main(argv=None) -> int:
         return 4
 
 
+def _dumps(obj, newline: str = "\n") -> str:
+    """The bytes of json.dumps with indent=2, for objects with str keys:
+    strings are escaped to ASCII, ints printed by int.__repr__, empty
+    containers as [] and {}, and any other scalar by json.dumps.  newline is
+    a line break and the indent of the line obj ends on."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + newline + "]"
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    return json.dumps(obj)
+
+
 def _emit_error(kind: str, detail: str) -> None:
-    print(json.dumps({"error": {"kind": kind, "detail": detail}}, indent=2))
+    print(_dumps({"error": {"kind": kind, "detail": detail}}))
 
 
 def _json_int(digits: str) -> int:
@@ -114,7 +138,7 @@ def _cmd_run(args) -> int:
     if args.table:
         _print_table(report)
     else:
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
     return 0
 
 
@@ -143,7 +167,7 @@ def _cmd_salem(args) -> int:
     except (ValidationError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot parse coefficients: {exc}") from exc
     report = classify.is_salem_polynomial(poly)
-    print(json.dumps({"op": "salem", **jobs.salem_json(report, poly)}, indent=2))
+    print(_dumps({"op": "salem", **jobs.salem_json(report, poly)}))
     return 0
 
 
@@ -183,6 +207,8 @@ def _published_rows():
 
 
 def _check_row(row) -> list[dict]:
+    from mpmath import mp
+
     spec = row["spec"]
     checks = []
 
@@ -225,7 +251,7 @@ def _cmd_self_test(args) -> int:
         all_ok = all_ok and ok
         rows.append({"algebra": row["label"], "ok": ok, "note": row["note"], "checks": checks})
     if args.json:
-        print(json.dumps({"rows": rows, "ok": all_ok}, indent=2))
+        print(_dumps({"rows": rows, "ok": all_ok}))
     else:
         for row in rows:
             print(f"== {row['algebra']}  [{'PASS' if row['ok'] else 'FAIL'}]")

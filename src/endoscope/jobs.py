@@ -13,15 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp
-
 from . import classify
 from .algnum import AlgebraicNumber
 from .enclosures import MAX_BITS
 from .errors import PrecisionExhausted, ValidationError
 from .lefschetz import DIMENSION_CAP, ITERATE_CAP, EndomorphismSpec, fixed_point_table
 from .lefschetz import fixed_points_exact  # noqa: F401  re-export; perfbench/tests checks the tracer patches it
-from .numfield import NumberField, cm_structure, is_totally_real
+from .numfield import NumberField, cm_structure
 from .qpoly import QPoly, exact_decimal
 from .quaternion import QuatAlgebra, definiteness
 
@@ -80,9 +78,7 @@ def parse_spec(data, path: str = "spec") -> EndomorphismSpec:
         for key, value in (("alpha", alpha), ("beta", beta)):
             if value.is_zero:
                 _fail(f"{path}.algebra.{key}", f"{key} must be nonzero in the base field")
-        if not is_totally_real(base):
-            _fail(base_path, "quaternion base field must be totally real")
-        algebra = QuatAlgebra(base, alpha, beta)
+        algebra = _at(base_path, QuatAlgebra, base, alpha, beta)
         elt = data["element"]
         if not isinstance(elt, dict):
             _fail(f"{path}.element", "quaternion element needs arrays a, b, c, d")
@@ -165,10 +161,14 @@ def growth_json(rep: classify.GrowthReport) -> dict:
     }
 
 
-def _certified_decimal(x: AlgebraicNumber, f=mp.mpf) -> str:
-    """f(x) to 18 significant digits, correctly rounded, for a real x and an
-    increasing f: x is refined until f at both ends of its enclosure, rounded
-    outward and pushed out by 16 ulps, prints the same digits (Ziv's method)."""
+def _certified_decimal(x: AlgebraicNumber, log: bool = False) -> str:
+    """x, or log(x) when log is set, to 18 significant digits, correctly
+    rounded, for a real x (> 0 for log): x is refined until the value at both
+    ends of its enclosure, rounded outward and pushed out by 16 ulps, prints
+    the same digits (Ziv's method)."""
+    from mpmath import mp
+
+    f = mp.log if log else mp.mpf
     while x.bits <= MAX_BITS:
         e, ends = x.enclosure, set()
         with mp.workprec(x.bits + 64):
@@ -184,7 +184,7 @@ def _certified_decimal(x: AlgebraicNumber, f=mp.mpf) -> str:
 def entropy_json(rep: classify.EntropyReport) -> dict:
     gamma = AlgebraicNumber(rep.gamma_minpoly, rep.gamma_enclosure)
     return {
-        "value_decimal": _certified_decimal(gamma, mp.log),
+        "value_decimal": _certified_decimal(gamma, log=True),
         "gamma_minpoly": rep.gamma_minpoly.to_json(),
         "is_salem": rep.is_salem,
         "structure_ok": rep.structure_ok,

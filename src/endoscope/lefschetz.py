@@ -38,8 +38,8 @@ from . import factorq
 from .enclosures import ComplexEnclosure, isolate_roots
 from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType, ValidationError
 from .numfield import CM, TOTALLY_REAL, NumberField, cm_structure
-from .qpoly import QPoly, binary_power, cyclotomic_order, det_int_bareiss, newton_coefficients, power_sums
-from .qpoly import resultant_int
+from .qpoly import QPoly, binary_power, cyclotomic_order, det_int_bareiss, multiplication_columns, newton_coefficients
+from .qpoly import over_common_denominator, power_sums, resultant_int
 from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness, reduced_norm_int
 
 ITERATE_CAP = 10**6
@@ -224,30 +224,32 @@ def _norm_counts(spec: EndomorphismSpec, nmax: int):
 
 
 def _right_multiplication(spec: EndomorphismSpec) -> tuple[list[list[int]], int]:
-    """(rows of M, D) for the integer matrix M with M / D the matrix of x -> x f.
+    """(rows of M, D) for the integer matrix M with M / D the matrix of x -> x f,
+    D the least common denominator of its entries.
 
     The Q-basis is x^k for a field of degree e, and x^k u for u = 1, i, j, k
-    for a quaternion algebra over one, coordinate u e + k.  The columns come
-    from the algebra's own product: the images u f, then x^k u f by
-    multiplication by the central generator x of the base field.
+    for a quaternion algebra over one, coordinate u e + k.  The columns of
+    block u are x^k u f: each coordinate of u f on 1, i, j, k times x^k in
+    the base field (qpoly.multiplication_columns).  1 f is f itself, and
+    i f, j f, k f come from the algebra's own product.
     """
     algebra, f = spec.algebra, spec.element
     if spec.is_field_case:
-        field, images = algebra, [[f]]
+        m, images = algebra.minpoly, [[f.poly]]
     else:
-        field = algebra.base
-        units = (algebra.one(), algebra.gen_i(), algebra.gen_j(), algebra.gen_k())
-        images = [[w.a, w.b, w.c, w.d] for w in (u * f for u in units)]
-    e, x = field.degree, field.gen()
-    columns = []
+        m = algebra.base.minpoly
+        units = (algebra.gen_i(), algebra.gen_j(), algebra.gen_k())
+        images = [[w.a.poly, w.b.poly, w.c.poly, w.d.poly] for w in (f, *(u * f for u in units))]
+    blocks = []
     for parts in images:
-        for k in range(e):
-            if k:
-                parts = [p * x for p in parts]
-            columns.append([p.poly for p in parts])
-    den = lcm(*(p.den for col in columns for p in col))
-    flat = [[c * (den // p.den) for p in col for c in p.num + (0,) * (e - len(p.num))] for col in columns]
-    return [list(row) for row in zip(*flat)], den
+        nums, s = over_common_denominator(parts)
+        per_coordinate = [multiplication_columns(m.num, m.den, p, s) for p in nums]
+        # the coordinates are reduced, so their columns share one denominator
+        blocks.append(([sum(cols, []) for cols in zip(*(c for c, _ in per_coordinate))], per_coordinate[0][1]))
+    den = lcm(*(d for _, d in blocks))
+    columns = [[c * (den // d) for c in col] for cols, d in blocks for col in cols]
+    g = gcd(den, *(c for col in columns for c in col))
+    return [[c // g for c in row] for row in zip(*columns)], den // g
 
 
 def _abs_norm(spec: EndomorphismSpec, x) -> int:

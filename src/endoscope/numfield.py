@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import factorq
 from .enclosures import ComplexEnclosure, _cdiv, isolate_roots
 from .errors import CrossCheckError, ValidationError
-from .qpoly import ONE, QPoly, X, _combine, _mul_mod, count_real_roots, from_power_sums, power_sums, resultant
+from .qpoly import ONE, QPoly, X, _combine, _mul_mod, _poly, count_real_roots, from_power_sums, power_sums, resultant
 
 TOTALLY_REAL = "TotallyReal"
 CM = "CM"
@@ -71,8 +71,8 @@ class NumberField:
             if coeffs.parent != self:
                 raise ValidationError("element belongs to a different field")
             return coeffs
-        if isinstance(coeffs, (int, Fraction)):
-            return NFElement(self, QPoly((Fraction(coeffs),)))
+        if isinstance(coeffs, (int, Fraction)):  # a constant is reduced
+            return _element(self, _poly([coeffs.numerator], coeffs.denominator))
         if isinstance(coeffs, QPoly):
             return NFElement(self, coeffs)
         return NFElement(self, QPoly(tuple(Fraction(c) for c in coeffs)))
@@ -351,8 +351,7 @@ def _verify_cm(field: NumberField, h: QPoly) -> FieldTypeReport | None:
     extra = gen * conj_gen
     preferred = base.minimal_polynomial()
     for c in range(2 * field.degree + 1):
-        s = base + extra * c
-        ms = s.minimal_polynomial()
+        ms = (base + extra * c).minimal_polynomial() if c else preferred
         if ms.degree != field.degree // 2:
             continue
         if is_totally_real(NumberField(ms, check_irreducible=False)):

@@ -271,13 +271,16 @@ class QPoly:
         return self(inner)
 
     def compose_mod(self, inner: QPoly, mod: QPoly) -> QPoly:
+        """self(inner) mod mod by Horner's rule on the integer numerator of
+        self: each step is one _mul_mod, the next coefficient added before
+        the reduction."""
         acc, inner = ZERO, inner % mod
         for c in reversed(self.num):
-            acc = (acc * inner + c) % mod
-        return acc * Fraction(1, self.den)
+            acc = _mul_mod(acc, inner, mod, c)
+        return _poly(list(acc.num), acc.den * self.den)
 
     def pow_mod(self, n: int, mod: QPoly) -> QPoly:
-        return binary_power(self % mod, n, ONE % mod, lambda a, b: (a * b) % mod)
+        return binary_power(self % mod, n, ONE % mod, lambda a, b: _mul_mod(a, b, mod))
 
     # -- structure helpers ---------------------------------------------------
 
@@ -384,10 +387,22 @@ def _convolve(a, b) -> list[int]:
     return out
 
 
-def _mul_mod(a: QPoly, b: QPoly, m: QPoly) -> QPoly:
-    """a * b mod m, brought to canonical form once."""
-    _, r, s = _divmod_z(_convolve(a.num, b.num), m.num)
-    return _poly(r, s * a.den * b.den)
+def _mul_mod(a: QPoly, b: QPoly, m: QPoly, c: int = 0) -> QPoly:
+    """a * b + c mod m for an int c, brought to canonical form once."""
+    den = a.den * b.den
+    num = _convolve(a.num, b.num)
+    if c:
+        num = num or [0]
+        num[0] += c * den
+    _, r, s = _divmod_z(num, m.num)
+    return _poly(r, s * den)
+
+
+def over_common_denominator(polys) -> tuple[list[list[int]], int]:
+    """(nums, den): the numerators of the QPolys polys over den, the least
+    common denominator of their coefficients."""
+    den = lcm(*(p.den for p in polys))
+    return [[c * (den // p.den) for c in p.num] for p in polys], den
 
 
 def _divmod_z(a: list[int], b) -> tuple[list[int], list[int], int]:
@@ -472,15 +487,36 @@ def resultant_int(a, da: int, b, db: int) -> tuple[int, int]:
     if m == 0:
         return b[0] ** n, db**n
     if da == a[n] == 1:
-        b = list(b[: m + 1]) if m < n else _divmod_z(list(b[: m + 1]), a)[1]
-        cols = [b + [0] * (n - len(b))]  # x^i b mod a, times db
-        for _ in range(n - 1):
-            top = cols[-1][-1]
-            cols.append([c - top * ac for c, ac in zip([0] + cols[-1][:-1], a)])
-        return det_int_bareiss(cols), db**n
+        cols, den = multiplication_columns(a, 1, b[: m + 1], db)
+        return det_int_bareiss(cols), den**n
     rows = [[0] * k + list(a[::-1]) + [0] * (m - 1 - k) for k in range(m)]
     rows += [[0] * k + list(b[m::-1]) + [0] * (n - 1 - k) for k in range(n)]
     return det_int_bareiss(rows), da**m * db**n
+
+
+def multiplication_columns(a, da: int, b, db: int) -> tuple[list[list[int]], int]:
+    """(cols, den) with cols[k] / den the coefficients of x^k b / db mod a / da
+    for k < n = deg a: the columns of the matrix of multiplication by b / db
+    on Q[x]/(a / da), for a monic a / da (a[n] = da, n >= 1) and integer
+    coefficient sequences a and b, constant term first.
+
+    b is reduced modulo a only when deg b >= n.  A step x c mod a is the
+    shift of c less its top coefficient times a / da, so column k is over
+    db da^k; all columns are brought to den = db da^(n-1).
+    """
+    n = len(a) - 1
+    b = list(b)
+    if len(b) > n:
+        _, b, scale = _divmod_z(b, a)
+        db *= scale
+    cols = [b + [0] * (n - len(b))]
+    for _ in range(n - 1):
+        col = cols[-1]
+        shifted = [0] + col[:-1] if da == 1 else [0] + [c * da for c in col[:-1]]
+        cols.append([c - col[-1] * t for c, t in zip(shifted, a)])
+    if da != 1:
+        cols = [[c * da ** (n - 1 - k) for c in col] for k, col in enumerate(cols)]
+    return cols, db * da ** (n - 1)
 
 
 def _exact(c):

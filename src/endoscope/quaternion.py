@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
 
 from .errors import ValidationError
-from .numfield import NFElement, NumberField, is_totally_real
+from .numfield import NFElement, NumberField, _element, is_totally_real
 from .qpoly import ONE, QPoly, _convolve, _divmod_z, _poly, _prime_factors, binary_power, from_power_sums
-from .qpoly import signs_at_real_roots
+from .qpoly import over_common_denominator, signs_at_real_roots
 
 TOTALLY_DEFINITE = "TotallyDefinite"
 TOTALLY_INDEFINITE = "TotallyIndefinite"
@@ -45,12 +44,10 @@ class QuatAlgebra:
             raise ValidationError("alpha and beta must be nonzero")
         if not is_totally_real(base):
             raise ValidationError("quaternion base field must be totally real")
-        self._alpha_beta = self.alpha * self.beta
         # the coefficients 1, -alpha, -beta, alpha beta of the reduced norm
         # form, as integer polynomials over one denominator
-        coefs = (ONE, -self.alpha.poly, -self.beta.poly, self._alpha_beta.poly)
-        den = lcm(*(p.den for p in coefs))
-        self._norm_form = [[c * (den // p.den) for c in p.num] for p in coefs], den
+        alpha_beta = (self.alpha * self.beta).poly
+        self._norm_form = over_common_denominator((ONE, -self.alpha.poly, -self.beta.poly, alpha_beta))
 
     def __repr__(self):
         return f"QuatAlgebra(alpha={self.alpha.poly!r}, beta={self.beta.poly!r} over {self.base!r})"
@@ -158,17 +155,31 @@ class QuatElement:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        """(a1 + b1 i + c1 j + d1 k)(a2 + b2 i + c2 j + d2 k) on integer
+        coordinates: each operand over one denominator, the 16 coordinate
+        products by convolution, weighted by the integer norm form
+        1, -alpha, -beta, alpha beta over its denominator, and each coordinate
+        reduced once modulo the numerator of the base minimal polynomial."""
         o = self._coerce(other)
         alg = self.algebra
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return QuatElement(
-            alg,
-            a1 * a2 + alg.alpha * (b1 * b2) + alg.beta * (c1 * c2) - alg._alpha_beta * (d1 * d2),
-            a1 * b2 + b1 * a2 + alg.beta * (d1 * c2 - c1 * d2),
-            a1 * c2 + c1 * a2 + alg.alpha * (b1 * d2 - d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
+        (a1, b1, c1, d1), s = _integer_coords(self)
+        (a2, b2, c2, d2), t = _integer_coords(o)
+        (_, na, nb, nab), den = alg._norm_form  # den times 1, -alpha, -beta, alpha beta
+        mul = _convolve
+        parts = (
+            _linear(
+                (den, mul(a1, a2)), (-1, mul(na, mul(b1, b2))), (-1, mul(nb, mul(c1, c2))), (-1, mul(nab, mul(d1, d2)))
+            ),
+            _linear((den, mul(a1, b2)), (den, mul(b1, a2)), (1, mul(nb, _linear((1, mul(c1, d2)), (-1, mul(d1, c2)))))),
+            _linear((den, mul(a1, c2)), (den, mul(c1, a2)), (1, mul(na, _linear((1, mul(d1, b2)), (-1, mul(b1, d2)))))),
+            _linear((den, mul(a1, d2)), (den, mul(d1, a2)), (den, mul(b1, c2)), (-den, mul(c1, b2))),
         )
+        base, m, st = alg.base, alg.base.minpoly.num, s * t * den
+        out = []
+        for part in parts:
+            _, r, scale = _divmod_z(part, m)
+            out.append(_element(base, _poly(r, scale * st)))
+        return QuatElement(alg, *out)
 
     def __rmul__(self, other):
         return self._coerce(other) * self
@@ -187,9 +198,7 @@ class QuatElement:
     def reduced_norm(self) -> NFElement:
         """a^2 - alpha b^2 - beta c^2 + alpha beta d^2, by reduced_norm_int on
         the coordinates over their common denominator."""
-        polys = (self.a.poly, self.b.poly, self.c.poly, self.d.poly)
-        s = lcm(*(p.den for p in polys))
-        r, t = reduced_norm_int(self.algebra, [[c * (s // p.den) for c in p.num] for p in polys], s)
+        r, t = reduced_norm_int(self.algebra, *_integer_coords(self))
         return NFElement(self.algebra.base, _poly(r, t))
 
     def reduced_charpoly_q(self) -> QPoly:
@@ -232,15 +241,24 @@ def reduced_norm_int(algebra: QuatAlgebra, coords, s: int) -> tuple[list[int], i
     polynomial; it may keep trailing zeros and a factor in common with t.
     """
     forms, den = algebra._norm_form
-    total = []
-    for x, form in zip(coords, forms):
-        if any(x):
-            term = _convolve(form, _convolve(x, x))
-            total += [0] * (len(term) - len(total))
-            for i, c in enumerate(term):
-                total[i] += c
+    total = _linear(*((1, _convolve(form, _convolve(x, x))) for x, form in zip(coords, forms) if any(x)))
     _, r, scale = _divmod_z(total, algebra.base.minpoly.num)
     return r, scale * den * s * s
+
+
+def _integer_coords(x: QuatElement) -> tuple[list[list[int]], int]:
+    """The coordinates of x on 1, i, j, k as integer polynomials over one denominator."""
+    return over_common_denominator((x.a.poly, x.b.poly, x.c.poly, x.d.poly))
+
+
+def _linear(*terms) -> list[int]:
+    """The sum of k p over the pairs (k, p) of an int k and an integer polynomial p."""
+    total = []
+    for k, p in terms:
+        total += [0] * (len(p) - len(total))
+        for i, c in enumerate(p):
+            total[i] += k * c
+    return total
 
 
 # ---------------------------------------------------------------------------

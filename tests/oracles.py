@@ -2,10 +2,11 @@
 
 Kept deliberately separate from the library: a Sturm chain for real-root
 counts, a Schur-Cohn test for roots inside the unit disk, a naive
-enclosure-product reading of fixed-point counts, and schoolbook polynomial
-arithmetic on tuples of Fractions.  These share no code path with the
-implementations they check: the fixed-point oracle reads root enclosures,
-which neither exact path of the fixed-point tables uses.
+enclosure-product reading of fixed-point counts, schoolbook polynomial
+arithmetic on tuples of Fractions, and the textbook quaternion product on
+field elements.  These share no code path with the implementations they
+check: the fixed-point oracle reads root enclosures, which neither exact
+path of the fixed-point tables uses.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from endoscope.enclosures import ComplexEnclosure, isolate_roots
 from endoscope.factorq import factor
 from endoscope.lefschetz import rational_eigenvalues
 from endoscope.qpoly import QPoly
+from endoscope.quaternion import QuatElement
 
 # the eigenvalue oracle gives up rather than isolate roots beyond this
 EIGENVALUE_BITS_CAP = 1 << 14
@@ -115,6 +117,23 @@ def _pinned_product(roots, n: int, bits: int) -> int | None:
                 acc = (acc * (1 - power)).rounded(bits)
     value = round(acc.re)
     return value if abs(acc.re - value) + acc.radius < Fraction(1, 2) else None
+
+
+def quaternion_product(x, y):
+    """x y in the quaternion algebra of x and y, by the textbook formula on
+    the NFElement coordinates (i^2 = alpha, j^2 = beta, ij = -ji = k): a
+    reduction after every field product, no integer norm form."""
+    alg = x.algebra
+    alpha, beta = alg.alpha, alg.beta
+    a1, b1, c1, d1 = x.a, x.b, x.c, x.d
+    a2, b2, c2, d2 = y.a, y.b, y.c, y.d
+    return QuatElement(
+        alg,
+        a1 * a2 + alpha * (b1 * b2) + beta * (c1 * c2) - alpha * (beta * (d1 * d2)),
+        a1 * b2 + b1 * a2 + beta * (d1 * c2 - c1 * d2),
+        a1 * c2 + c1 * a2 + alpha * (b1 * d2 - d1 * b2),
+        a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
+    )
 
 
 # ---------------------------------------------------------------------------

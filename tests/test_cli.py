@@ -1,11 +1,13 @@
 import contextlib
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from endoscope import jobs
+from endoscope import cli, jobs
 from endoscope.cli import main
 from endoscope.jobs import KNOWN_OPS
 from endoscope.lefschetz import DIMENSION_CAP
@@ -546,3 +548,64 @@ def test_fuzzed_job_files_end_in_a_documented_exit(tmp_path_factory, job):
         assert set(report) == {"error"} and {"kind", "detail"} <= set(report["error"])
     else:
         assert "results" in report
+
+
+def test_quaternion_base_must_be_totally_real_at_its_field(tmp_path, capsys):
+    # QuatAlgebra decides this once; the job parser points its error at the base
+    job = _algebra_job(dict(QUAT, base_minpoly=["13/1", "0/1", "1/1"]))
+    code, out = run_cli(capsys, "run", write_job(tmp_path, job))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": {
+            "kind": "validation",
+            "detail": "quaternion base field must be totally real (at spec.algebra.base_minpoly)",
+        }
+    }
+
+
+# ---------------------------------------------------------------------------
+# the report writer against the standard library's indented encoder
+
+json_strings = st.text(st.characters(exclude_categories=()), max_size=12)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**80), max_value=10**80),
+    st.floats(),
+    json_strings,
+    st.sampled_from(["", "\x00\x1f\x7f", "é \U0001f600", '"\\/\b\f\n\r\t', "\ud800"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+@example({"a": [], "b": {}, "c": [[], {}, [{}]], "d": -(10**50), "e": True, "f": None})
+def test_dumps_matches_json_dumps_indented(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_reports_of_a_benchmark_stream_are_the_standard_encoding(tmp_path):
+    # every job of the seed-0 fixpoints-sweep stream prints the bytes the
+    # standard library's indented encoder writes for the same report, and
+    # the stdout digest recorded for the stream
+    from perfbench import workloads
+
+    stream = workloads.write_stream(workloads.generate("fixpoints-sweep", 0), tmp_path)
+    golden = json.loads((Path(workloads.__file__).parent / "golden" / "fixpoints-sweep.json").read_text())["jobs"]
+    assert len(stream) == len(golden)
+    for job, (want_code, want_sha) in zip(stream, golden):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(job["argv"])
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", job["id"]
+        assert (code, hashlib.sha256(text.encode("utf-8")).hexdigest()) == (want_code, want_sha), job["id"]

@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -349,3 +352,24 @@ def test_enclosures_does_not_import_mpmath():
                 assert rest.split(".")[0] in LAYERS[:rank], f"{name} imports {module}, not below it"
         unused = list(_unused_imports(tree, source.splitlines()))
         assert not unused, f"{name} imports {unused} and never uses them"
+
+
+def test_a_fixpoints_job_never_loads_mpmath(tmp_path):
+    """mpmath is imported inside the functions that print a logarithm or a
+    decimal, so neither importing the command line nor a fixpoints job on a
+    CM field (through the Albert gate's cm_structure) loads it."""
+    job = tmp_path / "job.json"
+    zeta5 = {"kind": "field", "minpoly": ["1/1", "1/1", "1/1", "1/1", "1/1"]}
+    spec = {"algebra": zeta5, "element": {"coords": ["1/1", "1/1"]}, "g": 2}
+    job.write_text(json.dumps({"spec": spec, "commands": [{"op": "fixpoints", "nmax": 5}]}))
+    script = (
+        "import contextlib, io, sys\n"
+        "import endoscope.cli\n"
+        "loaded = ['mpmath' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = endoscope.cli.main(['run', {str(job)!r}])\n"
+        "print(code, loaded + ['mpmath' in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(enclosures.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "0 [False, False]", done.stderr

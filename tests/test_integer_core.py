@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from endoscope.numfield import NumberField
-from endoscope.qpoly import QPoly, from_ints, power_sums, resultant, resultant_int
+from endoscope.qpoly import QPoly, from_ints, multiplication_columns, power_sums, resultant, resultant_int
 from endoscope.quaternion import QuatAlgebra, reduced_norm_int
 
 from .oracles import (
+    quaternion_product,
     ref_add,
     ref_compose_mod,
     ref_derivative,
@@ -239,8 +240,9 @@ NORM_ALGEBRAS = [
 
 
 def test_reduced_norm_int_against_conjugate_product():
-    # Nrd(x) is the a-coordinate of x * conj(x), which the product computes
-    # with a reduction after every field multiplication; b, c and d vanish
+    # Nrd(x) is the a-coordinate of x * conj(x), which the textbook product
+    # computes with a reduction after every field multiplication and without
+    # the integer norm form; b, c and d vanish
     rng = random.Random(15)
     for algebra in NORM_ALGEBRAS:
         e = algebra.base.degree
@@ -250,6 +252,64 @@ def test_reduced_norm_int_against_conjugate_product():
             r, t = reduced_norm_int(algebra, coords, s)
             assert t > 0 and len(r) <= e
             x = algebra.element(*([Fraction(c, s) for c in part] for part in coords))
-            product = x * x.conjugate()
+            product = quaternion_product(x, x.conjugate())
             assert QPoly([Fraction(c, t) for c in r]) == product.a.poly
             assert product.b.is_zero and product.c.is_zero and product.d.is_zero
+
+
+def quaternions(algebra, data):
+    return algebra.element(*(data.draw(coords(algebra.base.degree)) for _ in range(4)))
+
+
+@given(st.sampled_from(NORM_ALGEBRAS), st.data())
+def test_quaternion_mul_against_field_arithmetic(algebra, data):
+    # the product on integer coordinates (16 convolutions weighted by the
+    # integer norm form, one reduction per coordinate) against the textbook
+    # formula on field elements, where the minimal polynomial, alpha and beta
+    # have denominators
+    x, y = quaternions(algebra, data), quaternions(algebra, data)
+    got, want = x * y, quaternion_product(x, y)
+    for g, w in zip((got.a, got.b, got.c, got.d), (want.a, want.b, want.c, want.d)):
+        assert canonical(g.poly, w.poly.coeffs)
+
+
+@given(st.sampled_from(NORM_ALGEBRAS), st.data())
+def test_reduced_norm_is_multiplicative(algebra, data):
+    x, y = quaternions(algebra, data), quaternions(algebra, data)
+    assert (x * y).reduced_norm() == x.reduced_norm() * y.reduced_norm()
+
+
+monic_moduli = st.lists(rationals, min_size=1, max_size=5).map(lambda cs: QPoly(cs + [1]))
+
+
+@given(monic_moduli, st.lists(st.integers(min_value=-(2**60), max_value=2**60), max_size=9), st.integers(1, 10**6))
+def test_multiplication_columns(m, b, db):
+    # column k is x^k b / db mod m, for any monic m over Q and b of any degree
+    cols, den = multiplication_columns(m.num, m.den, b, db)
+    assert len(cols) == m.degree and den > 0
+    rb, rm = ref_trim(Fraction(c, db) for c in b), ref_trim(m.coeffs)
+    for k, col in enumerate(cols):
+        assert len(col) == m.degree
+        assert ref_trim(Fraction(c, den) for c in col) == ref_divmod(ref_mul((0,) * k + (1,), rb), rm)[1]
+
+
+def test_compose_mod_against_sympy_with_a_rational_modulus():
+    # p(inner) mod m, m neither monic nor integral
+    sympy = pytest.importorskip("sympy")
+    y = sympy.symbols("y")
+    rng = random.Random(17)
+
+    def draw(size):
+        return [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(size)]
+
+    def at_y(coeffs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * y**i for i, c in enumerate(coeffs))
+
+    for degree in range(1, 6):
+        for _ in range(6):
+            m = draw(degree) + [Fraction(rng.choice([-1, 1]) * rng.randint(2, 7), rng.randint(1, 9))]
+            p, inner = draw(rng.randint(0, 7)), draw(rng.randint(0, 7))
+            got = QPoly(p).compose_mod(QPoly(inner), QPoly(m))
+            expected = sympy.rem(sympy.expand(at_y(p).subs(y, at_y(inner))), at_y(m), y)
+            assert sympy.expand(at_y(got.coeffs) - expected) == 0, (p, inner, m)
+            assert canonical(got, ref_compose_mod(ref_trim(p), ref_divmod(ref_trim(inner), ref_trim(m))[1], ref_trim(m)))

@@ -21,7 +21,7 @@ from endoscope.numfield import NumberField, rationals_field
 from endoscope.qpoly import ONE, QPoly, X, from_ints
 from endoscope.quaternion import QuatAlgebra, QuatElement
 
-from .oracles import eigenvalue_counts
+from .oracles import eigenvalue_counts, quaternion_product
 
 
 def field_spec(coeffs, element, g):
@@ -287,6 +287,32 @@ def test_table_raises_when_paths_disagree(monkeypatch, tmp_path, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["kind"] == "internal-cross-check"
     assert "n=3" in error["detail"]
+
+
+@pytest.mark.parametrize("index", range(len(table_specs())))
+def test_right_multiplication_matrix_against_the_product(index):
+    # (M / D) coords(x) = coords(x f) for random x, with x f by field
+    # arithmetic, or for a quaternion by the textbook product on field elements
+    spec = table_specs()[index]
+    matrix, den = lefschetz._right_multiplication(spec)
+    field = spec.algebra if spec.is_field_case else spec.algebra.base
+    e, rng = field.degree, random.Random(index)
+
+    def draw():
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(e)]
+
+    for _ in range(8):
+        if spec.is_field_case:
+            x = field.element(draw())
+            parts, image = [x], [x * spec.element]
+        else:
+            x = spec.algebra.element(draw(), draw(), draw(), draw())
+            w = quaternion_product(x, spec.element)
+            parts, image = [x.a, x.b, x.c, x.d], [w.a, w.b, w.c, w.d]
+        vector = [p.poly[k] for p in parts for k in range(e)]
+        assert [sum(c * v for c, v in zip(row, vector)) / den for row in matrix] == [
+            p.poly[k] for p in image for k in range(e)
+        ]
 
 
 def test_table_paths_share_no_input():

@@ -250,9 +250,9 @@ cubic_coords = st.lists(
 
 @given(st.tuples(cubic_coords, cubic_coords, cubic_coords, cubic_coords))
 def test_reduced_norm_over_a_cubic_with_rational_minpoly(xd):
-    # reduced_norm sums in Z[x] and reduces once; check it against x * conj(x),
-    # which reduces after every product, where the minimal polynomial and
-    # alpha, beta all have denominators
+    # reduced_norm sums four weighted squares in Z[x]; check it against
+    # x * conj(x), which sums sixteen weighted products, where the minimal
+    # polynomial and alpha, beta all have denominators
     base = NumberField(QPoly([Fraction(-1, 2), -2, Fraction(1, 2), 1]))
     algebra = QuatAlgebra(base, [Fraction(-3, 2), 1], [-5, 0, Fraction(-1, 3)])
     x = _element(algebra, xd)
