@@ -668,22 +668,24 @@ def count_real_roots(p: QPoly, lo=-inf, hi=inf) -> int:
     return _variations(chain, lo) - _variations(chain, hi) if lo < hi else 0
 
 
-def signs_at_real_roots(q: QPoly, p: QPoly) -> list[int]:
-    """The sign of q at each real root of the squarefree p, roots ascending.
+def signs_at_real_roots(p: QPoly, *qs: QPoly) -> list[tuple[int, ...]]:
+    """The signs of q for each q in qs at each real root of the squarefree p,
+    one tuple per root, roots ascending.
 
     Bisection isolates each root in an interval (lo, hi) with ends that are
     not roots, where the sign variations of the remainder sequence of p and
-    p'q drop by the sign of q at the root (Sylvester's theorem).
+    p'q drop by the sign of q at the root (Sylvester's theorem); the
+    intervals serve every q.
     """
     chain = _sturm_sequence(p)
-    query = _remainder_sequence(chain[0], (p.derivative() * q).num)
+    queries = [_remainder_sequence(chain[0], (p.derivative() * q).num) for q in qs]
     bound = Fraction(1 << root_bound_exponent(chain[0]))
     signs, todo = [], [(-bound, bound)]
     while todo:
         lo, hi = todo.pop()
         roots = _variations(chain, lo) - _variations(chain, hi)
         if roots == 1:
-            signs.append(_variations(query, lo) - _variations(query, hi))
+            signs.append(tuple(_variations(query, lo) - _variations(query, hi) for query in queries))
         elif roots > 1:
             mid = (lo + hi) / 2
             while _sign_at(chain[0], mid) == 0:

@@ -269,7 +269,7 @@ def definiteness(algebra: QuatAlgebra) -> DefinitenessReport:
     """Classify by signs of (sigma(alpha), sigma(beta)) at every real place,
     the places in ascending order of the root of the base minimal polynomial."""
     m = algebra.base.minpoly
-    signs = tuple(zip(signs_at_real_roots(algebra.alpha.poly, m), signs_at_real_roots(algebra.beta.poly, m)))
+    signs = tuple(signs_at_real_roots(m, algebra.alpha.poly, algebra.beta.poly))
     if all(sa < 0 and sb < 0 for sa, sb in signs):
         kind = TOTALLY_DEFINITE
     elif all(sa > 0 or sb > 0 for sa, sb in signs):

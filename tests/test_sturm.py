@@ -69,15 +69,21 @@ def test_totally_real_matches_sympy(low):
     assert is_totally_real(field) == (len(sympy.real_roots(sp)) == sp.degree())
 
 
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=4), st.lists(st.integers(-9, 9), max_size=4))
-def test_signs_at_roots_match_sympy(low, q_coeffs):
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+    st.lists(st.lists(st.integers(-9, 9), max_size=4), min_size=1, max_size=2),
+)
+def test_signs_at_roots_match_sympy(low, qs):
     sympy = pytest.importorskip("sympy")
     coeffs = low + [1]
     sp = _squarefree_sympy(coeffs)
-    signs = signs_at_real_roots(from_ints(*q_coeffs), from_ints(*coeffs))
-    q = sympy.Poly(list(reversed(q_coeffs)) or [0], sp.gen)
-    want = [sympy.sign(q.as_expr().subs(sp.gen, r).evalf(60, chop=True)) for r in sympy.real_roots(sp)]
-    assert signs == want
+    signs = signs_at_real_roots(from_ints(*coeffs), *(from_ints(*q) for q in qs))
+    roots = sympy.real_roots(sp)
+    want = []
+    for q_coeffs in qs:
+        q = sympy.Poly(list(reversed(q_coeffs)) or [0], sp.gen)
+        want.append([sympy.sign(q.as_expr().subs(sp.gen, r).evalf(60, chop=True)) for r in roots])
+    assert signs == list(zip(*want))
 
 
 def test_trace_polynomial():
