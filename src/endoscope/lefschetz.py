@@ -31,7 +31,7 @@ with EndomorphismSpec: the type fixes d, e and the exponent 2g/(d e).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from . import factorq
@@ -240,14 +240,13 @@ def _right_multiplication(spec: EndomorphismSpec) -> tuple[list[list[int]], int]
         m = algebra.base.minpoly
         units = (algebra.gen_i(), algebra.gen_j(), algebra.gen_k())
         images = [[w.a.poly, w.b.poly, w.c.poly, w.d.poly] for w in (f, *(u * f for u in units))]
-    blocks = []
-    for parts in images:
-        nums, s = over_common_denominator(parts)
-        per_coordinate = [multiplication_columns(m.num, m.den, p, s) for p in nums]
-        # the coordinates are reduced, so their columns share one denominator
-        blocks.append(([sum(cols, []) for cols in zip(*(c for c, _ in per_coordinate))], per_coordinate[0][1]))
-    den = lcm(*(d for _, d in blocks))
-    columns = [[c * (den // d) for c in col] for cols, d in blocks for col in cols]
+    nums, s = over_common_denominator([p for parts in images for p in parts])
+    kernels = [multiplication_columns(m.num, m.den, p, s) for p in nums]
+    den = kernels[0][1]  # the coordinates are reduced, so every kernel gives the same one
+    # column k of block u stacks column k of each coordinate of u f
+    width = len(images[0])
+    blocks = [[c for c, _ in kernels[u : u + width]] for u in range(0, len(nums), width)]
+    columns = [sum(cols, []) for block in blocks for cols in zip(*block)]
     g = gcd(den, *(c for col in columns for c in col))
     return [[c // g for c in row] for row in zip(*columns)], den // g
 
