@@ -505,18 +505,19 @@ def multiplication_columns(a, da: int, b, db: int) -> tuple[list[list[int]], int
     db da^k; all columns are brought to den = db da^(n-1).
     """
     n = len(a) - 1
-    b = list(b)
     if len(b) > n:
-        _, b, scale = _divmod_z(b, a)
+        _, b, scale = _divmod_z(list(b), a)
         db *= scale
-    cols = [b + [0] * (n - len(b))]
+    col = list(b) + [0] * (n - len(b))
+    cols = [col]
     for _ in range(n - 1):
-        col = cols[-1]
+        top = col[-1]
         shifted = [0] + col[:-1] if da == 1 else [0] + [c * da for c in col[:-1]]
-        cols.append([c - col[-1] * t for c, t in zip(shifted, a)])
-    if da != 1:
-        cols = [[c * da ** (n - 1 - k) for c in col] for k, col in enumerate(cols)]
-    return cols, db * da ** (n - 1)
+        col = [c - top * t for c, t in zip(shifted, a)]
+        cols.append(col)
+    if da == 1:
+        return cols, db
+    return [[c * da ** (n - 1 - k) for c in col] for k, col in enumerate(cols)], db * da ** (n - 1)
 
 
 def _exact(c):

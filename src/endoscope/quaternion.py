@@ -241,7 +241,13 @@ def reduced_norm_int(algebra: QuatAlgebra, coords, s: int) -> tuple[list[int], i
     polynomial; it may keep trailing zeros and a factor in common with t.
     """
     forms, den = algebra._norm_form
-    total = _linear(*((1, _convolve(form, _convolve(x, x))) for x, form in zip(coords, forms) if any(x)))
+    total = []
+    for x, form in zip(coords, forms):
+        if any(x):
+            term = _convolve(form, _convolve(x, x))
+            total += [0] * (len(term) - len(total))
+            for i, c in enumerate(term):
+                total[i] += c
     _, r, scale = _divmod_z(total, algebra.base.minpoly.num)
     return r, scale * den * s * s
 
