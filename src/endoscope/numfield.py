@@ -40,7 +40,6 @@ class NumberField:
     """Q[x]/(minpoly) for a monic irreducible minpoly."""
 
     def __init__(self, minpoly: QPoly, check_irreducible: bool = True):
-        minpoly = QPoly(minpoly.coeffs)
         if minpoly.degree < 1:
             raise ValidationError("a number field needs a minimal polynomial of degree >= 1")
         if not minpoly.is_monic:

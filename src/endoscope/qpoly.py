@@ -313,6 +313,8 @@ class QPoly:
         out: list[tuple[QPoly, int]] = []
         d = p.derivative()
         a = p.gcd(d)
+        if a.degree == 0:  # squarefree: the loop below would find p itself
+            return [(p, 1)]
         b = p // a
         c = d // a - b.derivative()
         i = 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -109,6 +110,31 @@ def test_squarefree_decomposition():
     decomp = p.squarefree_decomposition()
     assert (from_ints(-1, 1), 1) in decomp
     assert (from_ints(-1, -1, 1), 2) in decomp
+
+
+@given(
+    st.lists(
+        st.tuples(st.lists(st.integers(-4, 4), min_size=2, max_size=4), st.integers(1, 3)), min_size=1, max_size=3
+    ),
+    st.integers(1, 5),
+)
+def test_squarefree_decomposition_rebuilds_the_polynomial(parts, lead):
+    # squarefree inputs (one part of multiplicity 1, usually) and repeated
+    # factors alike: p = lc(p) prod g_i^i with every g_i monic and squarefree,
+    # pairwise coprime, and the multiplicities distinct
+    p = from_ints(lead)
+    for coeffs, mult in parts:
+        if any(coeffs[1:]):
+            p = p * from_ints(*coeffs) ** mult
+    decomp = p.squarefree_decomposition()
+    rebuilt = QPoly((p.lc,))
+    for g, i in decomp:
+        assert g.is_monic and g.degree > 0 and g.gcd(g.derivative()).degree == 0
+        rebuilt = rebuilt * g**i
+    assert rebuilt == p
+    assert len({i for _, i in decomp}) == len(decomp)
+    for (g, _), (h, _) in itertools.combinations(decomp, 2):
+        assert g.gcd(h).degree == 0
 
 
 def test_resultant_known_values():
