@@ -55,7 +55,6 @@ from .quaternion import (
     hilbert_symbol,
     is_division,
     rational_quaternion_is_division,
-    split_witness_search,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -337,8 +337,6 @@ def structure_certificate_for(spec: EndomorphismSpec, at: AlbertType | None = No
     """
     if at is None:
         at = admissibility_check(spec)
-    if at.kind not in _DICHOTOMY_KINDS:
-        raise ValidationError("structure certificate only covers the dichotomy types")
     minpoly_y = _structure_element(spec, at).minimal_polynomial()
     if spec.g % minpoly_y.degree:
         raise CrossCheckError("the degree of the totally real subfield element does not divide g")

@@ -23,6 +23,11 @@ one root.  p(z_i) 2^(un) and the products 2^(u(n-1)) lc prod (z_i - z_j) are
 Gaussian integers, so |W_i|^2 is one quotient of integers, and its square
 root is rounded up.  If the disks are too large or meet, u is doubled.
 
+The recentring, the seeds and the fixed-point pass are one untrusted step,
+approximate_roots; the CM conjugation candidate in numfield interpolates
+through its points directly, with no certificate, since its answer is
+proved exactly.
+
 Real roots are recognized by an exact sign change across the disk's real
 diameter and reported with exact zero imaginary part; non-real enclosures
 are mirrored into exact conjugate pairs.
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from fractions import Fraction
 from math import isqrt
 
@@ -356,6 +362,32 @@ def _polish(shifted: list[int], pts: list[tuple[int, int]], u: int) -> list[tupl
     return pts
 
 
+def approximate_roots(ints: list[int]) -> tuple[Fraction | int, list[int], Callable]:
+    """The untrusted step of root isolation, for the integer coefficients of a
+    squarefree p of degree at least 2: the centre c, the coefficients of
+    q = p(x + c), and polish(u), the Aberth-Ehrlich points (re, im) over 2^u
+    for the roots of q (None if two points meet).  The double seeds are found
+    once, here; polish(u) starts from them at every u.
+
+    isolate_roots certifies these points; the CM conjugation candidate only
+    interpolates through them, and its answer is proved exactly afterwards.
+    """
+    n = len(ints) - 1
+    # recentre at the roots' centroid c when that lowers the root bound by 2
+    # bits or more: a tight cluster far from 0 is then seen at its own scale,
+    # while roots spread out around 0 stay put
+    c = Fraction(-ints[n - 1], n * ints[n])
+    shifted = QPoly(ints).compose(X + c).clear_denominators()[1] if c else ints  # Taylor shift by Horner's rule
+    if root_bound_exponent(shifted) > root_bound_exponent(ints) - 2:
+        c, shifted = 0, ints
+    k, seeds = _seeds(shifted)
+
+    def polish(u: int) -> list[tuple[int, int]] | None:
+        return _polish(shifted, [(_fixed(y.real, u + k), _fixed(y.imag, u + k)) for y in seeds], u)
+
+    return c, shifted, polish
+
+
 def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]:
     """Certified pairwise-disjoint enclosures of all roots of a squarefree p.
 
@@ -378,19 +410,11 @@ def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]
         root = Fraction(-ints[0], ints[1])
         return [ComplexEnclosure(root, 0, 0)]
 
-    # recentre at the roots' centroid c when that lowers the root bound by 2
-    # bits or more: a tight cluster far from 0 is then seen at its own scale,
-    # while roots spread out around 0 stay put
-    c = Fraction(-ints[n - 1], n * ints[n])
-    shifted = QPoly(ints).compose(X + c).clear_denominators()[1] if c else ints  # Taylor shift by Horner's rule
-    if root_bound_exponent(shifted) > root_bound_exponent(ints) - 2:
-        c, shifted = 0, ints
-    k, seeds = _seeds(shifted)
+    c, shifted, polish = approximate_roots(ints)
     wp = precision_bits + 32 + 8 * n
     cap = max(8 * precision_bits, MAX_BITS) + 8 * n
     while wp <= cap:
-        pts = [(_fixed(y.real, wp + k), _fixed(y.imag, wp + k)) for y in seeds]
-        got = _attempt(ints, shifted, c, _polish(shifted, pts, wp), wp, precision_bits - 4)
+        got = _attempt(ints, shifted, c, polish(wp), wp, precision_bits - 4)
         if got is not None:
             return got
         wp *= 2

@@ -1,6 +1,11 @@
 """Factorization over the rationals: squarefree split, factorization modulo a
 small prime, quadratic Hensel lifting and subset recombination.
 
+The prime is the one of the first four good primes whose distinct-degree
+factorization gives the fewest factors (von zur Gathen and Gerhard, Modern
+Computer Algebra, 14.2): one factor proves the input irreducible, and
+equal-degree splitting runs only at the prime whose factors are lifted.
+
 Inputs are desk scale (degree <= 64), so the classical algorithm with
 exponential recombination in the worst case is a deliberate choice; the
 modular factor counts stay tiny for everything this library produces.
@@ -137,15 +142,6 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
         return _edf(g, d, p, rng) + _edf(rest, d, p, rng)
 
 
-def _factor_mod_p(f: list[int], p: int, rng: random.Random) -> list[list[int]]:
-    """Monic irreducible factors of a squarefree monic f mod odd p."""
-    out: list[list[int]] = []
-    for block, d in _ddf(f, p):
-        out.extend(_edf(block, d, p, rng))
-    out.sort()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hensel lifting
 
@@ -205,7 +201,7 @@ def _zx_divides(h: list[int], g: list[int]) -> list[int] | None:
     return q if s == 1 and not any(r) else None
 
 
-def _factor_squarefree_z(g: list[int], rng: random.Random) -> list[QPoly]:
+def _factor_squarefree_z(g: list[int]) -> list[QPoly]:
     """Irreducible monic rational factors of a primitive squarefree g in Z[x]."""
     n = len(g) - 1
     if n == 1:
@@ -220,11 +216,14 @@ def _factor_squarefree_z(g: list[int], rng: random.Random) -> list[QPoly]:
             continue
         if len(_zgcd(_zmod(g, p), _zmod(deriv, p), p)) != 1:
             continue
-        facs = _factor_mod_p(_zmonic(_zmod(g, p), p), p, rng)
-        candidates.append((len(facs), p, facs))
-        if len(facs) == 1:
+        blocks = _ddf(_zmonic(_zmod(g, p), p), p)
+        count = sum((len(block) - 1) // d for block, d in blocks)
+        if count == 1:
             return [QPoly(g).monic()]
-    _, p, facs = min(candidates, key=lambda c: (c[0], c[1]))
+        candidates.append((count, p, blocks))
+    _, p, blocks = min(candidates, key=lambda c: (c[0], c[1]))
+    rng = random.Random(0x5A55)
+    facs = sorted(f for block, d in blocks for f in _edf(block, d, p, rng))
 
     # lift far enough that any true factor (times lc) is recognizable
     norm2 = isqrt(sum(c * c for c in g)) + 1
@@ -280,8 +279,6 @@ def factor(p: QPoly) -> list[tuple[QPoly, int]]:
         raise DegreeCapExceeded(f"degree {p.degree} exceeds cap {DEGREE_CAP}")
     if p.degree == 0:
         return []
-    rng = random.Random(0x5A55)
-
     out: list[tuple[QPoly, int]] = []
     shift = next(i for i, c in enumerate(p.num) if c)
     if shift:
@@ -289,7 +286,7 @@ def factor(p: QPoly) -> list[tuple[QPoly, int]]:
     body = _poly(list(p.num[shift:]), p.den)
     for part, mult in body.squarefree_decomposition():
         _, ints = part.clear_denominators()
-        for irr in _factor_squarefree_z(ints, rng):
+        for irr in _factor_squarefree_z(ints):
             out.append((irr, mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out

@@ -1,7 +1,6 @@
 """Number fields Q(alpha) = Q[x]/(m) with exact element arithmetic, norms and
-traces over Q, embedding enclosures, and the field-type classification:
-totally real, CM (with its conjugation automorphism and maximal totally real
-subfield), or neither.
+traces over Q, and the field-type classification: totally real, CM (with its
+conjugation automorphism), or neither.
 
 An element is its residue of degree below [F:Q], one QPoly: an integer
 numerator over one denominator, reduced modulo m in the integers.
@@ -13,12 +12,14 @@ Norms are resultants, N(a) = Res(m, a) for the monic m; traces are read off
 the Newton power sums of m, and characteristic polynomials are rebuilt from
 the traces of the powers of the element.
 
-The CM test is numeric-guess / exact-certificate: the candidate conjugation
-is read off from high-precision embeddings and rationally reconstructed, then
-everything that matters is verified exactly (it is an automorphism, has order
-two, is not the identity, the field is totally imaginary and the fixed
-subfield has index two and is totally real).  A success is therefore a proof;
-repeated failure at increasing precision reports "Other".
+The CM test is untrusted points in, exact proof out: the candidate
+conjugation is interpolated through the roots' Aberth points
+(enclosures.approximate_roots, with no certificate) and rationally
+reconstructed, then everything that matters is verified exactly: the field
+is totally imaginary, the candidate h is an automorphism of order two other
+than the identity, and its fixed field, generated by alpha + h(alpha) and
+alpha h(alpha), is totally real.  A success is therefore a proof; repeated
+failure at increasing precision reports "Other".
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import factorq
-from .enclosures import ComplexEnclosure, _cdiv, isolate_roots
+from .enclosures import _cdiv, approximate_roots
 from .errors import CrossCheckError, ValidationError
 from .qpoly import ONE, QPoly, X, _combine, _mul_mod, _poly, count_real_roots, from_power_sums, power_sums, resultant
 
@@ -39,12 +40,12 @@ OTHER = "Other"
 class NumberField:
     """Q[x]/(minpoly) for a monic irreducible minpoly."""
 
-    def __init__(self, minpoly: QPoly, check_irreducible: bool = True):
+    def __init__(self, minpoly: QPoly):
         if minpoly.degree < 1:
             raise ValidationError("a number field needs a minimal polynomial of degree >= 1")
         if not minpoly.is_monic:
             raise ValidationError("minimal polynomial must be monic")
-        if check_irreducible and not factorq.is_irreducible(minpoly):
+        if not factorq.is_irreducible(minpoly):
             raise ValidationError(f"{minpoly!r} is reducible over the rationals")
         self.minpoly = minpoly
         self.degree = minpoly.degree
@@ -60,10 +61,6 @@ class NumberField:
 
     def __hash__(self):
         return hash(self.minpoly)
-
-    def embeddings(self, precision_bits: int = 128) -> list[ComplexEnclosure]:
-        """Enclosures of the roots of minpoly, one per embedding into C."""
-        return isolate_roots(self.minpoly, precision_bits)
 
     def element(self, coeffs) -> NFElement:
         if isinstance(coeffs, NFElement):
@@ -97,7 +94,7 @@ class NumberField:
 
 def rationals_field() -> NumberField:
     """Q presented as Q[x]/(x)."""
-    return NumberField(X, check_irreducible=False)
+    return NumberField(X)
 
 
 class NFElement:
@@ -220,10 +217,6 @@ class NFElement:
     def trace_q(self) -> Fraction:
         return Fraction(sum(c * s for c, s in zip(self.poly.num, self.parent._power_sums))) / self.poly.den
 
-    def embeddings(self, precision_bits: int = 128) -> list[ComplexEnclosure]:
-        """sigma(self) for every embedding, aligned with the field's root order."""
-        return [self.poly(r) for r in self.parent.embeddings(precision_bits)]
-
     def to_json(self) -> dict:
         return {"field": self.parent.to_json(), "coords": self.poly.to_json()}
 
@@ -252,19 +245,24 @@ def is_totally_real(field: NumberField) -> bool:
 class FieldTypeReport:
     kind: str
     conj_automorphism: NFElement | None
-    max_real_subfield_minpoly: QPoly | None
 
 
-def _conjugation_candidate(field: NumberField, bits: int) -> QPoly | None:
+def _conjugation_candidate(approximation, bits: int) -> QPoly | None:
     """Interpolate alpha -> conj(alpha) through all embeddings and reconstruct.
 
-    The interpolant is found without a linear solve: Newton divided
-    differences, then expanded into the power basis (Bjorck-Pereyra), on the
-    embeddings rounded to Gaussian integers over 2^w: every quotient is
+    The embeddings are the points of approximate_roots, polished over 2^w
+    and moved by its centre c; the interpolant is found without a linear
+    solve: Newton divided differences, then expanded into the power basis
+    (Bjorck-Pereyra), on Gaussian integers over 2^w: every quotient is
     rounded to one, every product is shifted right by w.
     """
-    e, w = field.degree, bits + 30
-    z = [(round(r.re * (1 << w)), round(r.im * (1 << w))) for r in field.embeddings(bits)]
+    c, _, polish = approximation
+    w = bits + 30
+    pts = polish(w)
+    if pts is None:
+        return None
+    e, cw = len(pts), (c.numerator << w) // c.denominator
+    z = [(cw + re, im) for re, im in pts]
     sol = [(re, -im) for re, im in z]
     for k in range(e - 1):
         for i in range(e - 1, k, -1):
@@ -319,44 +317,43 @@ def cm_structure(field: NumberField) -> FieldTypeReport:
 
 def _cm_structure_uncached(field: NumberField) -> FieldTypeReport:
     if is_totally_real(field):
-        return FieldTypeReport(TOTALLY_REAL, field.gen(), field.minpoly)
-    e = field.degree
-    if e % 2 == 1 or count_real_roots(field.minpoly) > 0:
-        return FieldTypeReport(OTHER, None, None)
+        return FieldTypeReport(TOTALLY_REAL, field.gen())
+    if field.degree % 2 == 1 or count_real_roots(field.minpoly) > 0:
+        return FieldTypeReport(OTHER, None)
 
+    approximation = approximate_roots(field.minpoly.clear_denominators()[1])
     bits = 192
     while bits <= 3072:
-        h = _conjugation_candidate(field, bits)
+        h = _conjugation_candidate(approximation, bits)
         if h is not None:
             report = _verify_cm(field, h)
             if report is not None:
                 return report
         bits *= 2
-    return FieldTypeReport(OTHER, None, None)
+    return FieldTypeReport(OTHER, None)
 
 
 def _verify_cm(field: NumberField, h: QPoly) -> FieldTypeReport | None:
+    """The CM report with conjugation h on a totally imaginary field, or None.
+
+    An automorphism h of order two has a fixed field K of index two, and K is
+    generated by s = alpha + h(alpha) and t = alpha h(alpha), since alpha is a
+    root of x^2 - s x + t over Q(s, t), or by s alone when s has degree
+    [F:Q]/2.  A compositum of totally real fields is totally real, so K is
+    when the minimal polynomials of its generators have only real roots.
+    """
     m = field.minpoly
     h = h % m
-    if h == X % m:
+    if h == X % m or not m.compose_mod(h, m).is_zero or h.compose_mod(h, m) != X % m:
         return None
-    if not m.compose_mod(h, m).is_zero:
-        return None
-    if h.compose_mod(h, m) != X % m:
-        return None
-    gen = field.gen()
-    conj_gen = field.element(h)
-    base = gen + conj_gen
-    extra = gen * conj_gen
-    preferred = base.minimal_polynomial()
-    for c in range(2 * field.degree + 1):
-        ms = (base + extra * c).minimal_polynomial() if c else preferred
-        if ms.degree != field.degree // 2:
-            continue
-        if is_totally_real(NumberField(ms, check_irreducible=False)):
-            reported = preferred if preferred.degree == field.degree // 2 else ms
-            return FieldTypeReport(CM, conj_gen, reported)
-    return None
+    gen, conj_gen = field.gen(), field.element(h)
+    for y in (gen + conj_gen, gen * conj_gen):
+        mp_ = y.minimal_polynomial()
+        if count_real_roots(mp_) != mp_.degree:
+            return None
+        if 2 * mp_.degree == field.degree:
+            break
+    return FieldTypeReport(CM, conj_gen)
 
 
 def apply_conjugation(report: FieldTypeReport, x: NFElement) -> NFElement:

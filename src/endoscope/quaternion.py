@@ -7,17 +7,15 @@ Definiteness reads the exact signs of alpha and beta at each real root of
 the base field's minimal polynomial (Sturm sequences, see
 qpoly.signs_at_real_roots), the roots in ascending order.
 
-Division-ness is not decided in general.  The module offers three sound
-partial answers: totally definite algebras are division algebras; over base
-field Q the Hilbert symbol decides exactly; elsewhere a bounded search for an
-isotropic vector of the norm form can prove "split" but never "division".
+Division-ness is not decided in general.  The module offers two exact
+answers: totally definite algebras are division algebras, and over base
+field Q the Hilbert symbols decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .errors import ValidationError
 from .numfield import NFElement, NumberField, _element, is_totally_real
@@ -352,43 +350,8 @@ def rational_quaternion_is_division(a: Fraction, b: Fraction) -> bool:
     return any(s == -1 for s in symbols)
 
 
-# ---------------------------------------------------------------------------
-# split-witness search
-
-
-def split_witness_search(algebra: QuatAlgebra, height_bound: int) -> QuatElement | None:
-    """Bounded search for nonzero x with Nrd(x) = 0 (a zero divisor).
-
-    Nrd(x) = 0 is homogeneous and, for a split algebra, forces an isotropic
-    vector of the conic z^2 = alpha x^2 + beta y^2; so the walk runs over
-    integer-coordinate triples (z, x, y) on the power basis, by increasing
-    sup-norm shells and lexicographically within a shell, which makes the
-    returned witness the smallest one.  None means no witness below the
-    bound; that certifies nothing unless the algebra is totally definite.
-    Runtime grows like (2h+1)^(3e): keep bounds small over genuine fields.
-    """
-    if height_bound < 1:
-        raise ValidationError("height bound must be at least 1")
-    base = algebra.base
-    e = base.degree
-    alpha, beta = algebra.alpha, algebra.beta
-    for shell in range(1, height_bound + 1):
-        rng = range(-shell, shell + 1)
-        for vec in iter_product(rng, repeat=3 * e):
-            if max(abs(v) for v in vec) != shell:
-                continue
-            z = base.element(vec[0:e])
-            x = base.element(vec[e : 2 * e])
-            y = base.element(vec[2 * e : 3 * e])
-            if z.is_zero and x.is_zero and y.is_zero:
-                continue
-            if z * z - alpha * (x * x) - beta * (y * y) == base.zero():
-                return QuatElement(algebra, z, x, y, base.zero())
-    return None
-
-
-def is_division(algebra: QuatAlgebra, height_bound: int = 4) -> bool | None:
-    """True / False when certain, None when the bounded evidence is inconclusive."""
+def is_division(algebra: QuatAlgebra) -> bool | None:
+    """True / False when certain: totally definite, or over Q; None otherwise."""
     report = definiteness(algebra)
     if report.kind == TOTALLY_DEFINITE:
         return True
@@ -397,7 +360,4 @@ def is_division(algebra: QuatAlgebra, height_bound: int = 4) -> bool | None:
         return rational_quaternion_is_division(
             algebra.alpha.poly(root), algebra.beta.poly(root)
         )
-    witness = split_witness_search(algebra, height_bound)
-    if witness is not None:
-        return False
     return None

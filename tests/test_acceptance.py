@@ -126,22 +126,22 @@ def test_criterion_2_salem_suite(capsys):
 
 
 FIELD_POOL = [
-    (NumberField(from_ints(0, 1), check_irreducible=False), 1),  # Q
-    (NumberField(from_ints(-2, 0, 1), check_irreducible=False), 2),
-    (NumberField(from_ints(-5, 0, 1), check_irreducible=False), 2),
-    (NumberField(from_ints(-13, 0, 1), check_irreducible=False), 2),
-    (NumberField(from_ints(1, 0, 1), check_irreducible=False), 1),  # Q(i): CM, e/2 = 1
-    (NumberField(from_ints(3, 0, 1), check_irreducible=False), 1),  # Q(sqrt-3)
-    (NumberField(from_ints(1, 1, 1, 1, 1), check_irreducible=False), 2),  # Q(zeta5)
-    (NumberField(from_ints(1, 0, 0, 0, 1), check_irreducible=False), 2),  # Q(zeta8)
-    (NumberField(from_ints(1, 0, -10, 0, 1), check_irreducible=False), 4),  # Q(sqrt2, sqrt3)
-    (NumberField(from_ints(-1, -3, 0, 1), check_irreducible=False), 3),  # cyclic cubic
+    (NumberField(from_ints(0, 1)), 1),  # Q
+    (NumberField(from_ints(-2, 0, 1)), 2),
+    (NumberField(from_ints(-5, 0, 1)), 2),
+    (NumberField(from_ints(-13, 0, 1)), 2),
+    (NumberField(from_ints(1, 0, 1)), 1),  # Q(i): CM, e/2 = 1
+    (NumberField(from_ints(3, 0, 1)), 1),  # Q(sqrt-3)
+    (NumberField(from_ints(1, 1, 1, 1, 1)), 2),  # Q(zeta5)
+    (NumberField(from_ints(1, 0, 0, 0, 1)), 2),  # Q(zeta8)
+    (NumberField(from_ints(1, 0, -10, 0, 1)), 4),  # Q(sqrt2, sqrt3)
+    (NumberField(from_ints(-1, -3, 0, 1)), 3),  # cyclic cubic
 ]
 
-_Q13 = NumberField(from_ints(-13, 0, 1), check_irreducible=False)
-_Q17 = NumberField(from_ints(-17, 0, 1), check_irreducible=False)
-_Q61 = NumberField(from_ints(-61, 0, 1), check_irreducible=False)
-_Q2 = NumberField(from_ints(-2, 0, 1), check_irreducible=False)
+_Q13 = NumberField(from_ints(-13, 0, 1))
+_Q17 = NumberField(from_ints(-17, 0, 1))
+_Q61 = NumberField(from_ints(-61, 0, 1))
+_Q2 = NumberField(from_ints(-2, 0, 1))
 
 QUAT_POOL = [
     QuatAlgebra(_Q13, [-2, -2], [2]),
@@ -338,8 +338,8 @@ def test_criterion_8_property_suites():
     start = time.perf_counter()
     rng = random.Random(0xACCE5)
 
-    zeta5 = NumberField(from_ints(1, 1, 1, 1, 1), check_irreducible=False)
-    quad = NumberField(from_ints(-13, 0, 1), check_irreducible=False)
+    zeta5 = NumberField(from_ints(1, 1, 1, 1, 1))
+    quad = NumberField(from_ints(-13, 0, 1))
     for _ in range(1000):
         field = zeta5 if rng.random() < 0.5 else quad
         x = field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(field.degree)])
@@ -347,7 +347,7 @@ def test_criterion_8_property_suites():
         assert (x * y).norm_q() == x.norm_q() * y.norm_q()
         assert (x + y).trace_q() == x.trace_q() + y.trace_q()
 
-    base = NumberField(from_ints(-13, 0, 1), check_irreducible=False)
+    base = NumberField(from_ints(-13, 0, 1))
     algebra = QuatAlgebra(base, [-2, -2], [2])
     for _ in range(1000):
         x = algebra.element(
@@ -358,10 +358,10 @@ def test_criterion_8_property_suites():
         assert x * x.conjugate() == algebra.element(x.reduced_norm())
 
     pool = [
-        NumberField(from_ints(-2, 0, 1), check_irreducible=False),
-        NumberField(from_ints(1, 0, 1), check_irreducible=False),
-        NumberField(from_ints(-13, 0, 1), check_irreducible=False),
-        NumberField(from_ints(3, 0, 1), check_irreducible=False),
+        NumberField(from_ints(-2, 0, 1)),
+        NumberField(from_ints(1, 0, 1)),
+        NumberField(from_ints(-13, 0, 1)),
+        NumberField(from_ints(3, 0, 1)),
         zeta5,
     ]
     for k in range(1000):

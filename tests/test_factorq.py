@@ -130,3 +130,52 @@ def test_factor_random_integer_polys(coeffs):
         return
     facs = factor(p)
     assert reassemble(p, facs) == p
+
+
+# ---------------------------------------------------------------------------
+# against sympy's factor_list
+
+
+def _sympy_factors(p: QPoly) -> list[tuple[QPoly, int]]:
+    """sympy's monic factors and multiplicities, in factor's order."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    _, facs = sympy.factor_list(sympy.Poly(coeffs, x, domain="QQ"))
+    out = [(QPoly([Fraction(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())]), m) for f, m in facs]
+    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        from_ints(1, 0, 0, 0, 1),  # x^4 + 1: irreducible, split modulo every prime
+        from_ints(-2, 0, 1) * from_ints(-3, 0, 1),
+        from_ints(576, 0, -960, 0, 352, 0, -40, 0, 1) * from_ints(1, 0, 0, 0, 1) ** 2,
+        QPoly((Fraction(-6),)) * from_ints(-2, 0, 1) ** 2 * from_ints(-3, 0, 1) * from_ints(-5, 0, 1),
+    ],
+    ids=repr,
+)
+def test_factor_matches_sympy_fixed(p):
+    # no prime among the first four leaves these irreducible, so the chosen
+    # prime's split, the lifting and the recombination all run
+    assert factor(p) == _sympy_factors(p)
+
+
+factor_parts = st.one_of(
+    st.sampled_from(irreducible_pool),
+    st.lists(small_ints, min_size=2, max_size=6).map(lambda c: from_ints(*c)),
+)
+
+
+@given(
+    st.lists(st.tuples(factor_parts, st.integers(min_value=1, max_value=3)), min_size=1, max_size=4),
+    st.integers(min_value=-12, max_value=12).filter(lambda v: v != 0),
+)
+def test_factor_matches_sympy(parts, lead):
+    p = QPoly((Fraction(lead),))
+    for part, mult in parts:
+        p = p * part**mult
+    if p.is_zero or p.degree < 1:
+        return
+    assert factor(p) == _sympy_factors(p)

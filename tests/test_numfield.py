@@ -3,18 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from endoscope.enclosures import isolate_roots
 from endoscope.errors import ValidationError
 from endoscope.numfield import (
     CM,
     OTHER,
     TOTALLY_REAL,
     NumberField,
+    _verify_cm,
     apply_conjugation,
     cm_structure,
     is_totally_real,
     rationals_field,
 )
-from endoscope.qpoly import ONE, QPoly, X, from_ints
+from endoscope.qpoly import ONE, QPoly, X, count_real_roots, from_ints
 
 
 def F(*coeffs):
@@ -96,18 +98,25 @@ def test_cm_structure_gauss(gauss):
     assert rep.kind == CM
     i = gauss.gen()
     assert apply_conjugation(rep, i) == -i
-    assert rep.max_real_subfield_minpoly.degree == 1
+    assert _real_subfield_minpoly(rep, gauss) == from_ints(0, 1)
 
 
 def test_cm_structure_zeta5(zeta5):
     rep = cm_structure(zeta5)
     assert rep.kind == CM
-    assert rep.max_real_subfield_minpoly == from_ints(-1, 1, 1)
+    assert _real_subfield_minpoly(rep, zeta5) == from_ints(-1, 1, 1)
     z = zeta5.gen()
     assert apply_conjugation(rep, z) * z == 1
     # conjugation fixes the real subfield generator exactly
     s = z + apply_conjugation(rep, z)
     assert apply_conjugation(rep, s) == s
+
+
+def _real_subfield_minpoly(rep, field) -> QPoly:
+    """The minimal polynomial of gen + conj(gen), which generates the maximal
+    real subfield of the fields below."""
+    gen = field.gen()
+    return (gen + apply_conjugation(rep, gen)).minimal_polynomial()
 
 
 def _cyclotomic(n: int) -> QPoly:
@@ -119,9 +128,10 @@ def _cyclotomic(n: int) -> QPoly:
 
 
 def test_cm_structure_zeta8():
-    rep = cm_structure(F(1, 0, 0, 0, 1))
+    zeta8 = F(1, 0, 0, 0, 1)
+    rep = cm_structure(zeta8)
     assert rep.kind == CM
-    assert rep.max_real_subfield_minpoly == from_ints(-2, 0, 1)
+    assert _real_subfield_minpoly(rep, zeta8) == from_ints(-2, 0, 1)
     # a + zeta_n of degree 12, 18 and 24: the interpolation at scale
     for a, n in ((100, 13), (5000, 19), (3, 35)):
         field = NumberField(_cyclotomic(n).compose(X - a))
@@ -130,7 +140,7 @@ def test_cm_structure_zeta8():
         alpha = field.gen()
         conj = apply_conjugation(rep, alpha)
         assert conj != alpha and apply_conjugation(rep, conj) == alpha
-        assert rep.max_real_subfield_minpoly.degree == field.degree // 2
+        assert _real_subfield_minpoly(rep, field).degree == field.degree // 2
 
 
 def test_cm_structure_other_cases():
@@ -139,6 +149,37 @@ def test_cm_structure_other_cases():
     # a Salem field has two real and two complex embeddings: neither class
     assert cm_structure(F(1, -1, -1, -1, 1)).kind == OTHER
     assert cm_structure(F(-2, 0, 1)).kind == TOTALLY_REAL
+
+
+# CM fields a + zeta_n, Q(i) and Q(sqrt-3), by minimal polynomial
+CM_FIELDS = [_cyclotomic(n).compose(X - a) for a in (0, 3, 100) for n in (5, 7, 8, 9, 12, 13)]
+CM_FIELDS += [from_ints(1, 0, 1), from_ints(3, 0, 1)]
+
+
+@pytest.mark.parametrize("minpoly", CM_FIELDS, ids=repr)
+def test_conjugation_is_complex_conjugation(minpoly):
+    # checked on certified enclosures, independently of how the conjugation
+    # was found: the image of each root's disk under the reported h meets the
+    # disk of the complex-conjugate root and no other
+    rep = cm_structure(NumberField(minpoly))
+    assert rep.kind == CM
+    h = rep.conj_automorphism.poly
+    roots = isolate_roots(minpoly, 128)
+    for root in roots:
+        assert [other for other in roots if h(root).meets(other)] == [root.conjugate()]
+
+
+def test_order_two_automorphism_with_a_fixed_field_not_totally_real():
+    # Q(cbrt2 + i) is totally imaginary and i -> -i is an automorphism of
+    # order two, but it fixes Q(cbrt2), which has complex embeddings: not CM
+    field = F(5, 12, 3, -4, 3, 0, 1)
+    i = QPoly([Fraction(c, 22) for c in (-91, -78, 78, -40, 9, -12)])
+    assert field.element(i) * field.element(i) == -1
+    h = X - i * 2
+    assert field.minpoly.compose_mod(h, field.minpoly).is_zero
+    assert h.compose_mod(h, field.minpoly) == X
+    assert _verify_cm(field, h) is None
+    assert cm_structure(field).kind == OTHER
 
 
 def test_reducible_minpoly_rejected():
@@ -176,7 +217,7 @@ def test_totally_real_subfield_closure(xc):
     # subfields of a totally real field are totally real
     field = F(1, 0, -10, 0, 1)  # Q(sqrt2, sqrt3)
     x = field.element(xc)
-    sub = NumberField(x.minimal_polynomial(), check_irreducible=False)
+    sub = NumberField(x.minimal_polynomial())
     assert is_totally_real(sub)
 
 
@@ -185,20 +226,21 @@ def test_cm_subfield_closure(xc):
     # subfields of a CM field are totally real or CM, never Other
     field = F(1, 1, 1, 1, 1)
     x = field.element(xc)
-    sub = NumberField(x.minimal_polynomial(), check_irreducible=False)
+    sub = NumberField(x.minimal_polynomial())
     assert cm_structure(sub).kind in (TOTALLY_REAL, CM)
 
 
 @given(elements)
 def test_cm_norm_form_positive(xc):
-    # x * conj(x) has every embedding real and non-negative
+    # x * conj(x) is zero or totally positive: the roots of its minimal
+    # polynomial are all real and positive
     field = F(1, 1, 1, 1, 1)
     rep = cm_structure(field)
     x = field.element(xc)
-    y = x * apply_conjugation(rep, x)
-    for emb in y.embeddings(128):
-        assert abs(emb.im) <= emb.radius or emb.im == 0
-        assert emb.re + emb.radius >= 0
+    if x.is_zero:
+        return
+    m = (x * apply_conjugation(rep, x)).minimal_polynomial()
+    assert count_real_roots(m, 0) == m.degree
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +280,17 @@ def test_norm_trace_charpoly_match_sympy(kernel_fields, index, xc):
     expected = sympy.Poly(sympy.resultant(m, x - ay, y), x).all_coeffs()
     assert a.charpoly_q() == QPoly([_fraction(c) for c in reversed(expected)])
     assert a.trace_q() == -_fraction(expected[1])
+
+
+@given(st.integers(min_value=0, max_value=6), coords)
+def test_minimal_polynomial_matches_sympy(kernel_fields, index, xc):
+    # sympy finds the minimal polynomial of the element as an algebraic number
+    # over a root of m, with no characteristic polynomial
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    field = kernel_fields[index]
+    a = field.element(xc)
+    root = sympy.CRootOf(_sympy_poly(field.minpoly.coeffs, y), 0)
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(a.coeffs)]
+    expected = sympy.minimal_polynomial(sympy.AlgebraicNumber(root, coeffs or [0]), x, polys=True).monic()
+    assert a.minimal_polynomial() == QPoly([_fraction(c) for c in reversed(expected.all_coeffs())])

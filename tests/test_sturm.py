@@ -65,8 +65,11 @@ def test_totally_real_matches_sympy(low):
     sympy = pytest.importorskip("sympy")
     coeffs = low + [1]
     sp = _squarefree_sympy(coeffs)
-    field = NumberField(from_ints(*coeffs), check_irreducible=False)
-    assert is_totally_real(field) == (len(sympy.real_roots(sp)) == sp.degree())
+    p = from_ints(*coeffs)
+    totally_real = len(sympy.real_roots(sp)) == sp.degree()
+    assert (count_real_roots(p) == p.degree) == totally_real
+    if sp.is_irreducible:
+        assert is_totally_real(NumberField(p)) == totally_real
 
 
 @given(
