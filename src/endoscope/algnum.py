@@ -6,8 +6,10 @@ Products are roots of polynomials built from Newton power sums
 the roots a of p, b of q has j-th power sum s_j(p) s_j(q), and the exterior
 power prod over k-subsets S of (x - prod_S a^m) has j-th power sum
 e_k(a^(mj)).  The factor holding the true product is the unique one whose
-certified root enclosure meets the product of the operands' enclosures, so
-the selection is a proof: distinct irreducible factors share no roots.
+certified root enclosure meets the target disk, an outward-rounded product of
+the operands' enclosures on integer mantissas over 2^bits
+(enclosures.disk_product), so the selection is a proof: distinct irreducible
+factors share no roots.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from . import factorq
-from .enclosures import MAX_BITS, ComplexEnclosure, isolate_roots, pow_rounded
+from .enclosures import MAX_BITS, ComplexEnclosure, disk_product, isolate_roots
 from .errors import CrossCheckError, PrecisionExhausted, ValidationError
 from .qpoly import QPoly, X, _exact, from_power_sums, newton_coefficients, power_sums
 
@@ -89,6 +91,17 @@ def _select_root(poly: QPoly, disk_of, bits: int) -> tuple[QPoly, ComplexEnclosu
     raise PrecisionExhausted("could not separate candidate roots")
 
 
+def _disk_of(nums: list[AlgebraicNumber], m: int = 1, fold=None):
+    """disk_of for _select_root: the enclosure of (prod nums)^m, or of w + fold/w
+    for that product w, after refining nums in place to the given precision."""
+
+    def disk_of(bits: int) -> ComplexEnclosure:
+        nums[:] = [a.refined(bits) for a in nums]
+        return disk_product([a.enclosure for a in nums], bits, m, fold)
+
+    return disk_of
+
+
 def _product_resultant(pa: QPoly, pb: QPoly) -> QPoly:
     """Monic composed product prod (x - a*b) over the roots a of pa, b of pb."""
     n = pa.degree * pb.degree
@@ -124,17 +137,11 @@ def product(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
             return from_rational(0)
         if a.is_rational:
             return from_rational(a.as_fraction() * r)
-        scaled = a.minpoly.scale_roots(r)
-        return AlgebraicNumber(scaled, a.enclosure * r, a.bits)
+        e = a.enclosure  # scaled exactly, unrounded: the disk pins a root of the scaled minpoly
+        scaled = ComplexEnclosure(e.re * r, e.im * r, e.radius * abs(r))
+        return AlgebraicNumber(a.minpoly.scale_roots(r), scaled, a.bits)
 
-    state = {"a": a, "b": b}
-
-    def disk_of(bits: int) -> ComplexEnclosure:
-        state["a"] = state["a"].refined(bits)
-        state["b"] = state["b"].refined(bits)
-        return state["a"].enclosure * state["b"].enclosure
-
-    q, e, bits = _select_root(_product_resultant(a.minpoly, b.minpoly), disk_of, max(a.bits, b.bits))
+    q, e, bits = _select_root(_product_resultant(a.minpoly, b.minpoly), _disk_of([a, b]), max(a.bits, b.bits))
     return AlgebraicNumber(q, e, bits)
 
 
@@ -150,16 +157,8 @@ def root_product(p: QPoly, roots: list[ComplexEnclosure], m: int = 1) -> Algebra
     """
     n, k = p.degree, len(roots)
     nums = [AlgebraicNumber(p, e) for e in roots]
-
-    def disk_of(bits: int) -> ComplexEnclosure:
-        nums[:] = [a.refined(bits) for a in nums]
-        disk = ComplexEnclosure(1, 0, 0)
-        for a in nums:
-            disk = (disk * a.enclosure).rounded(bits)
-        return pow_rounded(disk, m, bits)
-
     if 2 * k != n:
-        q, e, bits = _select_root(exterior_power(p, k, m), disk_of, 128)
+        q, e, bits = _select_root(exterior_power(p, k, m), _disk_of(nums, m), 128)
         return AlgebraicNumber(q, e, bits)
 
     big_n = _exact(((-1) ** n * p.monic()[0]) ** m)
@@ -167,14 +166,9 @@ def root_product(p: QPoly, roots: list[ComplexEnclosure], m: int = 1) -> Algebra
     sums = _exterior_sums(p, k, m, half)
     sums[0] = half
     folded = [sum(comb(i, l) * big_n**l * sums[i - 2 * l] for l in range(i // 2 + 1)) for i in range(half + 1)]
-
-    def folded_disk_of(bits: int) -> ComplexEnclosure:
-        disk = disk_of(bits)
-        return disk + disk.invert() * big_n
-
-    t, _, bits = _select_root(from_power_sums(folded, half), folded_disk_of, 128)
+    t, _, bits = _select_root(from_power_sums(folded, half), _disk_of(nums, m, big_n), 128)
     unfolded = QPoly()
     for i in range(t.degree, -1, -1):
         unfolded = unfolded * (X * X + big_n) + X ** (t.degree - i) * t[i]
-    q, e, bits = _select_root(unfolded, disk_of, bits)
+    q, e, bits = _select_root(unfolded, _disk_of(nums, m), bits)
     return AlgebraicNumber(q, e, bits)

@@ -35,6 +35,10 @@ are mirrored into exact conjugate pairs.
 Which roots lie on the unit circle is counted exactly (Sturm counts on the
 trace polynomial, see circle_root_count); enclosures only say which roots
 those are.
+
+The target disks of algnum's root selection, products, powers and folds
+z + N/z of root enclosures, are integer mantissas (re, im, rad) over 2^bits
+(disk_product); an enclosure is read in once and the result given back once.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import cmath
 import math
 from collections.abc import Callable
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
 
 from .errors import (
@@ -113,8 +118,6 @@ class ComplexEnclosure:
     def __hash__(self):
         return hash((self.re, self.im, self.radius))
 
-    # -- geometry ------------------------------------------------------------
-
     @property
     def is_real(self) -> bool:
         return self.im == 0
@@ -144,89 +147,76 @@ class ComplexEnclosure:
     def conjugate(self) -> ComplexEnclosure:
         return ComplexEnclosure(self.re, -self.im, self.radius)
 
-    # -- arithmetic (outward rounded, hence sound) -----------------------------
 
-    def __add__(self, other):
-        if isinstance(other, ComplexEnclosure):
-            return ComplexEnclosure(self.re + other.re, self.im + other.im, self.radius + other.radius)
-        q = Fraction(other)
-        return ComplexEnclosure(self.re + q, self.im, self.radius)
-
-    def __neg__(self):
-        return ComplexEnclosure(-self.re, -self.im, self.radius)
-
-    def __sub__(self, other):
-        if isinstance(other, ComplexEnclosure):
-            return self + (-other)
-        return self + (-Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + Fraction(other)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexEnclosure):
-            re = self.re * other.re - self.im * other.im
-            im = self.re * other.im + self.im * other.re
-            rad = (
-                sqrt_ub(self.abs_sq_mid()) * other.radius
-                + sqrt_ub(other.abs_sq_mid()) * self.radius
-                + self.radius * other.radius
-            )
-            return ComplexEnclosure(re, im, rad)
-        q = Fraction(other)
-        return ComplexEnclosure(self.re * q, self.im * q, self.radius * abs(q))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return binary_power(self, n, ComplexEnclosure(1, 0, 0), ComplexEnclosure.__mul__)
-
-    def invert(self) -> ComplexEnclosure:
-        """Exact enclosure of 1/z; requires 0 outside the disk."""
-        den = self.abs_sq_mid() - self.radius * self.radius
-        if den <= 0 or sqrt_lb(self.abs_sq_mid()) <= self.radius:
-            raise ValidationError("cannot invert an enclosure that may contain zero")
-        return ComplexEnclosure(self.re / den, -self.im / den, self.radius / den)
-
-    def rounded(self, bits: int) -> ComplexEnclosure:
-        """Sound coarsening: midpoints snapped to denominator 2^bits, radius
-        rounded up and padded by the snap distance.
-
-        Long products would otherwise accumulate dyadic numerators of
-        unbounded size; rounding after each step keeps every Fraction near
-        the working precision while the enclosure stays an enclosure.
-        """
-        scale = 1 << bits
-        re = Fraction(round(self.re * scale), scale)
-        im = Fraction(round(self.im * scale), scale)
-        num, den = self.radius.numerator, self.radius.denominator
-        rad = Fraction((num * scale + den - 1) // den + 1, scale)
-        return ComplexEnclosure(re, im, rad)
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "re": _decimal(self.re, 36),
-            "im": _decimal(self.im, 36),
-            "radius": _decimal(self.radius, 12, round_up=True),
-        }
+# ---------------------------------------------------------------------------
+# integer disk products: the target disks of algnum's root selection
 
 
-def pow_rounded(base: ComplexEnclosure, n: int, bits: int) -> ComplexEnclosure:
-    """Enclosure of base^n by repeated squaring, rounded to bits after every step."""
-    return binary_power(base, n, ComplexEnclosure(1, 0, 0), lambda a, b: (a * b).rounded(bits))
+def _nearest(num: int, den: int) -> int:
+    """num / den rounded to the nearest integer, for den > 0."""
+    return (2 * num + den) // (2 * den)
 
 
-def _decimal(q: Fraction, digits: int, round_up: bool = False) -> str:
-    sign = "-" if q < 0 else ""
-    n, d = abs(q.numerator), q.denominator
-    scaled = n * 10**digits
-    whole, rem = divmod(scaled, d)
-    if round_up and rem:
-        whole += 1
-    s = str(whole).rjust(digits + 1, "0")
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+def _ceil_sqrt(n: int) -> int:
+    return isqrt(n - 1) + 1 if n else 0
+
+
+def _disk_in(e: ComplexEnclosure, w: int) -> tuple[int, int, int]:
+    """e as (re, im, rad) over 2^w: midpoints to nearest, the radius up and
+    one more unit for the snap."""
+    re, im, r = e.re, e.im, e.radius
+    rad = -(-(r.numerator << w) // r.denominator) + 1
+    return _nearest(re.numerator << w, re.denominator), _nearest(im.numerator << w, im.denominator), rad
+
+
+def _disk_mul(a: tuple[int, int, int], b: tuple[int, int, int], w: int) -> tuple[int, int, int]:
+    """A disk over 2^w holding every product of a point of a and a point of b:
+    |xy - x0 y0| <= |x0| rb + |y0| ra + ra rb for |x - x0| <= ra, |y - y0| <= rb."""
+    ar, ai, ra = a
+    br, bi, rb = b
+    half = 1 << (w - 1)
+    rad = _ceil_sqrt(ar * ar + ai * ai) * rb + _ceil_sqrt(br * br + bi * bi) * ra + ra * rb
+    return (ar * br - ai * bi + half) >> w, (ar * bi + ai * br + half) >> w, -(-rad >> w) + 1
+
+
+def _disk_fold(z: tuple[int, int, int], big_n, w: int) -> tuple[int, int, int]:
+    """A disk over 2^w holding x + N/x for every point x of z, N rational.
+
+    1/x ranges over the disk of centre conj(c) / d and radius r / d, with
+    d = |c|^2 - r^2 > 0 for the centre c and radius r of z."""
+    cr, ci, r = z
+    den = (cr * cr + ci * ci - r * r) * big_n.denominator
+    if den <= 0:
+        raise ValidationError("cannot invert an enclosure that may contain zero")
+    num = big_n.numerator << (2 * w)
+    rad = -(-abs(num) * r // den) + 1
+    return cr + _nearest(num * cr, den), ci + _nearest(-num * ci, den), r + rad
+
+
+def disk_product(enclosures, bits: int, m: int = 1, fold=None) -> ComplexEnclosure:
+    """A certified enclosure of w = (prod z)^m, m >= 1, over the points z of
+    the given enclosures, or of w + fold/w for a rational fold.
+
+    The work runs on integer disks (re, im, rad) over 2^bits, each step
+    rounded outward: midpoints to nearest, the radius up and one more unit for
+    the snap.  Long products would otherwise accumulate dyadic numerators of
+    unbounded size; rounding after each step keeps every integer near the
+    working precision while the disk stays an enclosure.  Real inputs give an
+    exactly real disk.
+    """
+    if m < 1:
+        raise ValidationError("disk powers need an exponent of at least 1")
+
+    def mul(a, b):
+        return _disk_mul(a, b, bits)
+
+    one = 1 << bits
+    base = reduce(mul, [_disk_in(e, bits) for e in enclosures] or [(one, 0, 0)])
+    disk = binary_power(base, m - 1, base, mul)
+    if fold is not None:
+        disk = _disk_fold(disk, fold, bits)
+    re, im, rad = disk
+    return ComplexEnclosure(Fraction(re, one), Fraction(im, one), Fraction(rad, one))
 
 
 # ---------------------------------------------------------------------------

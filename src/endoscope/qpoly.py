@@ -261,7 +261,7 @@ class QPoly:
         return _poly([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def __call__(self, x):
-        """Horner evaluation at any value with + and * (Fraction, complex, ComplexEnclosure)."""
+        """Horner evaluation at any value with + and * (Fraction, complex, QPoly)."""
         acc = 0 * x + self.lc
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c

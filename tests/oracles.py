@@ -1,7 +1,8 @@
 """Independent brute-force oracles used only by the tests.
 
 Kept deliberately separate from the library: a Sturm chain for real-root
-counts, a Schur-Cohn test for roots inside the unit disk, a naive
+counts, a Schur-Cohn test for roots inside the unit disk, disk arithmetic on
+Fractions (the reference for the library's integer disks), a naive
 enclosure-product reading of fixed-point counts, schoolbook polynomial
 arithmetic on tuples of Fractions, and the textbook quaternion product on
 field elements.  These share no code path with the implementations they
@@ -14,10 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from endoscope.enclosures import ComplexEnclosure, isolate_roots
+from endoscope.enclosures import ComplexEnclosure, isolate_roots, sqrt_lb, sqrt_ub
+from endoscope.errors import ValidationError
 from endoscope.factorq import factor
 from endoscope.lefschetz import rational_eigenvalues
-from endoscope.qpoly import QPoly
+from endoscope.qpoly import QPoly, binary_power
 from endoscope.quaternion import QuatElement
 
 # the eigenvalue oracle gives up rather than isolate roots beyond this
@@ -76,6 +78,93 @@ def roots_inside_unit_disk(c: list[int]) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# disk arithmetic on Fractions
+
+
+class FractionDisk(ComplexEnclosure):
+    """A disk with exact Fraction arithmetic, outward rounded only where asked
+    (rounded, pow_rounded).  Operands may be any ComplexEnclosure."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, e: ComplexEnclosure) -> FractionDisk:
+        return cls(e.re, e.im, e.radius)
+
+    def __add__(self, other):
+        if isinstance(other, ComplexEnclosure):
+            return FractionDisk(self.re + other.re, self.im + other.im, self.radius + other.radius)
+        q = Fraction(other)
+        return FractionDisk(self.re + q, self.im, self.radius)
+
+    def __neg__(self):
+        return FractionDisk(-self.re, -self.im, self.radius)
+
+    def __sub__(self, other):
+        if isinstance(other, ComplexEnclosure):
+            return self + (-FractionDisk.of(other))
+        return self + (-Fraction(other))
+
+    def __rsub__(self, other):
+        return (-self) + Fraction(other)
+
+    def __mul__(self, other):
+        if isinstance(other, ComplexEnclosure):
+            re = self.re * other.re - self.im * other.im
+            im = self.re * other.im + self.im * other.re
+            rad = (
+                sqrt_ub(self.abs_sq_mid()) * other.radius
+                + sqrt_ub(other.abs_sq_mid()) * self.radius
+                + self.radius * other.radius
+            )
+            return FractionDisk(re, im, rad)
+        q = Fraction(other)
+        return FractionDisk(self.re * q, self.im * q, self.radius * abs(q))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        return binary_power(self, n, FractionDisk(1, 0, 0), FractionDisk.__mul__)
+
+    def invert(self) -> FractionDisk:
+        """Exact enclosure of 1/z; requires 0 outside the disk."""
+        den = self.abs_sq_mid() - self.radius * self.radius
+        if den <= 0 or sqrt_lb(self.abs_sq_mid()) <= self.radius:
+            raise ValidationError("cannot invert an enclosure that may contain zero")
+        return FractionDisk(self.re / den, -self.im / den, self.radius / den)
+
+    def rounded(self, bits: int) -> FractionDisk:
+        """Sound coarsening: midpoints snapped to denominator 2^bits, radius
+        rounded up and padded by the snap distance."""
+        scale = 1 << bits
+        re = Fraction(round(self.re * scale), scale)
+        im = Fraction(round(self.im * scale), scale)
+        num, den = self.radius.numerator, self.radius.denominator
+        rad = Fraction((num * scale + den - 1) // den + 1, scale)
+        return FractionDisk(re, im, rad)
+
+
+def pow_rounded(base: FractionDisk, n: int, bits: int) -> FractionDisk:
+    """Enclosure of base^n by repeated squaring, rounded to bits after every step."""
+    return binary_power(base, n, FractionDisk(1, 0, 0), lambda a, b: (a * b).rounded(bits))
+
+
+def reference_disk_product(enclosures, bits: int, m: int = 1, fold=None) -> FractionDisk:
+    """enclosures.disk_product in Fraction disk arithmetic: each product of
+    the enclosures rounded to bits, the m-th power by pow_rounded, and the
+    fold as disk + fold / disk."""
+    disk = FractionDisk(1, 0, 0)
+    for e in enclosures:
+        disk = (disk * e).rounded(bits)
+    disk = pow_rounded(disk, m, bits)
+    return disk if fold is None else disk + disk.invert() * fold
+
+
+# ---------------------------------------------------------------------------
+# fixed-point counts read off root enclosures
+
+
 def eigenvalue_counts(source, ns, bits: int = 128) -> list[int]:
     """prod (1 - mu^n) over a multiset of algebraic numbers mu, for each n in ns.
 
@@ -107,10 +196,10 @@ def _root_multiset(source, bits: int) -> list[tuple[list[ComplexEnclosure], int]
 
 def _pinned_product(roots, n: int, bits: int) -> int | None:
     """The one integer in the disk of prod (1 - mu^n), or None."""
-    acc = ComplexEnclosure(1, 0, 0)
+    acc = FractionDisk(1, 0, 0)
     for enclosures, mult in roots:
         for mu in enclosures:
-            power = mu
+            power = FractionDisk.of(mu)
             for _ in range(n - 1):
                 power = (power * mu).rounded(bits)
             for _ in range(mult):

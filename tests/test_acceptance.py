@@ -40,7 +40,7 @@ from endoscope.numfield import NumberField, rationals_field
 from endoscope.qpoly import QPoly, from_ints
 from endoscope.quaternion import QuatAlgebra
 
-from .oracles import eigenvalue_counts
+from .oracles import FractionDisk, eigenvalue_counts
 
 
 def _ok(num, text):
@@ -109,7 +109,7 @@ def test_criterion_2_salem_suite(capsys):
             assert abs(e.abs_sq_mid() - 1) < tol
             assert e.radius < tol
         reals = [e for e, s in statuses if s != ON_CIRCLE]
-        prod = reals[0] * reals[1]
+        prod = FractionDisk.of(reals[0]) * reals[1]
         assert prod.contains_point(Fraction(1), Fraction(0))
 
     code = cli_main(["paper-examples", "--json"])

@@ -10,6 +10,8 @@ from endoscope.enclosures import ComplexEnclosure, isolate_roots
 from endoscope.factorq import is_irreducible
 from endoscope.qpoly import QPoly, from_ints
 
+from .oracles import reference_disk_product
+
 
 def root_of(poly, index, bits=128):
     return algnum.AlgebraicNumber(poly, isolate_roots(poly, bits)[index], bits)
@@ -158,3 +160,60 @@ def test_select_root_isolates_only_the_factors_that_hit(monkeypatch):
     assert q == from_ints(-2, 0, 1) and e.contains_point(sqrt2.re, 0) and bits == 256
     assert len(calls) == 5
     assert {q for q, b in calls if b == 256} == {from_ints(-2, 0, 1), from_ints(-3, 0, 1)}
+
+
+# ---------------------------------------------------------------------------
+# the integer disk kernel against the Fraction disk reference: every root
+# selection returns the same (minpoly, enclosure, bits)
+
+
+def _selections(monkeypatch, run, reference: bool):
+    """run()'s result and every (minpoly, enclosure, bits) that _select_root
+    returned meanwhile, with target disks from the library's integer kernel or
+    from oracles.reference_disk_product."""
+    made, select = [], algnum._select_root
+
+    def recording(poly, disk_of, bits):
+        made.append(select(poly, disk_of, bits))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algnum, "_select_root", recording)
+        if reference:
+            patch.setattr(algnum, "disk_product", reference_disk_product)
+        result = run()
+    return (result.minpoly, result.enclosure, result.bits), made
+
+
+def _same_selections(monkeypatch, run):
+    kernel = _selections(monkeypatch, run, False)
+    assert kernel[1] and kernel == _selections(monkeypatch, run, True)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_published_gammas_select_as_the_reference(monkeypatch, index):
+    from endoscope.classify import _gamma_of
+    from endoscope.cli import _published_rows
+
+    # a fresh spec per run: the spec caches its gamma
+    _same_selections(monkeypatch, lambda: _gamma_of(_published_rows()[index]["spec"]))
+
+
+def test_exterior_power_selects_as_the_reference(monkeypatch):
+    # k = 2 of the n = 5 roots of x^5 - x - 1, m = 3: a degree-10 exterior power, not folded
+    quintic = from_ints(-1, -1, 0, 0, 0, 1)
+    roots = isolate_roots(quintic, 128)[1:3]
+    _same_selections(monkeypatch, lambda: algnum.root_product(quintic, roots, 3))
+
+
+def test_folded_root_product_selects_as_the_reference(monkeypatch):
+    # 2k = n: the two roots of x^4 - 6x^2 + 4 outside the circle, squared
+    quartic = from_ints(4, 0, -6, 0, 1)
+    outside = [e for e in isolate_roots(quartic, 128) if abs(e.re) > 1]
+    _same_selections(monkeypatch, lambda: algnum.root_product(quartic, outside, 2))
+
+
+def test_product_of_irrationals_selects_as_the_reference(monkeypatch):
+    golden = root_of(from_ints(-1, -1, 1), 1)
+    omega = root_of(from_ints(1, 1, 1), 1)  # a primitive cube root of unity
+    _same_selections(monkeypatch, lambda: algnum.product(golden, omega))

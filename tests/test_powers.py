@@ -2,20 +2,26 @@
 
 All of them run on the one square-and-multiply loop, qpoly.binary_power; the
 enclosure powers round, so for them the check is that the result still holds
-the exact power of every point of the base disk that is tested.
+the exact power of every point of the base disk that is tested.  The integer
+disk kernel, enclosures.disk_product, is checked the same way on products,
+powers and folds.
 """
+
+from itertools import product
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from endoscope.enclosures import ComplexEnclosure, pow_rounded
+from endoscope.enclosures import ComplexEnclosure, disk_product
 from endoscope.errors import ValidationError
 from endoscope.factorq import _zpow_mod
 from endoscope.numfield import NumberField
 from endoscope.qpoly import ONE, QPoly, from_ints
 from endoscope.quaternion import QuatAlgebra
+
+from .oracles import FractionDisk, pow_rounded
 
 exponents = st.integers(min_value=0, max_value=12)
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -89,7 +95,7 @@ def _points(e: ComplexEnclosure):
 
 
 radii = st.fractions(min_value=0, max_value=Fraction(1, 8), max_denominator=64)
-disks = st.builds(ComplexEnclosure, small, small, radii)
+disks = st.builds(FractionDisk, small, small, radii)
 
 
 @given(disks, exponents, st.sampled_from([None, 16, 64]))
@@ -100,3 +106,51 @@ def test_enclosure_powers_hold_the_exact_power(e, n, bits):
         for _ in range(n):
             exact = _cmul(exact, z)
         assert power.contains_point(*exact)
+
+
+# non-dyadic midpoints and radii (denominators up to 30), radius 0 and real
+# disks included; midpoints near 0 leave the least slack over the rounding
+mids = st.fractions(min_value=-1, max_value=1, max_denominator=30)
+kernel_disks = st.builds(
+    ComplexEnclosure,
+    mids,
+    st.one_of(st.just(Fraction(0)), mids),
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=Fraction(1, 4), max_denominator=30)),
+)
+
+
+@settings(max_examples=200)
+@example(  # a product step's snap that only its own pad unit covers
+    [ComplexEnclosure(Fraction(-3, 5), Fraction(-10, 11), Fraction(2, 9)), ComplexEnclosure(Fraction(-1, 5), 0, 0)],
+    4,
+    8,
+    Fraction(-24, 5),
+)
+@example([ComplexEnclosure(Fraction(1, 6), 0, Fraction(2, 11))], 1, 2, Fraction(2))  # the input's radius rounded up
+@given(
+    st.lists(kernel_disks, max_size=3),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([2, 3, 4, 8, 64]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+def test_disk_product_holds_the_exact_product_power_and_fold(encl, m, bits, fold):
+    plain, power = disk_product(encl, bits), disk_product(encl, bits, m)
+    try:
+        folded = disk_product(encl, bits, m, fold)
+    except ValidationError:
+        folded = None  # refused only when the power's disk holds 0
+        assert power.contains_point(0, 0)
+    for zs in product(*(_points(e) for e in encl)):
+        w = (Fraction(1), Fraction(0))
+        for z in zs:
+            w = _cmul(w, z)
+        assert plain.contains_point(*w)
+        wm = (Fraction(1), Fraction(0))
+        for _ in range(m):
+            wm = _cmul(wm, w)
+        assert power.contains_point(*wm)
+        if folded is not None:
+            den = wm[0] * wm[0] + wm[1] * wm[1]  # nonzero: wm is in a disk without 0
+            assert folded.contains_point(wm[0] + fold * wm[0] / den, wm[1] - fold * wm[1] / den)
+    if all(e.is_real for e in encl):
+        assert power.im == 0 and (folded is None or folded.im == 0)
