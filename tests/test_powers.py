@@ -7,9 +7,8 @@ disk kernel, enclosures.disk_product, is checked the same way on products,
 powers and folds.
 """
 
-from itertools import product
-
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
