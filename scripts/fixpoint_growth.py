@@ -45,11 +45,10 @@ def sample_specs():
 def limit_rate(spec) -> float:
     ev = rational_eigenvalues(spec)
     rate = 1.0
-    for q, mult in ev.factors:
-        for e in ev.enclosures_of(q):
-            mod = math.sqrt(float(e.abs_sq_mid()))
-            if mod > 1:
-                rate *= mod**mult
+    for e, _ in ev.statuses:
+        mod = math.sqrt(float(e.abs_sq_mid()))
+        if mod > 1:
+            rate *= mod**ev.mult
     return rate
 
 

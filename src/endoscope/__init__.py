@@ -4,7 +4,7 @@ and its algebraic certificates, over exact rational / number-field /
 quaternion arithmetic with certified complex enclosures.
 """
 
-from .algnum import AlgebraicNumber, exterior_power, from_rational, product, root_product
+from .algnum import AlgebraicNumber, exterior_power, from_rational, root_product
 from .classify import (
     EntropyReport,
     GrowthReport,
@@ -30,8 +30,8 @@ from .errors import (
 from .factorq import factor, is_irreducible
 from .lefschetz import (
     AlbertType,
-    EigenvalueMultiset,
     EndomorphismSpec,
+    Spectrum,
     admissibility_check,
     companion_oracle,
     fixed_point_table,

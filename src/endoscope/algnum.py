@@ -1,15 +1,13 @@
 """Algebraic numbers as (irreducible minimal polynomial, certified enclosure)
-pairs, with exact products of roots.
+pairs, with exact products of roots of one irreducible polynomial.
 
-Products are roots of polynomials built from Newton power sums
-(Bostan-Flajolet-Salvy-Schost 2006): the composed product prod (x - a*b) over
-the roots a of p, b of q has j-th power sum s_j(p) s_j(q), and the exterior
-power prod over k-subsets S of (x - prod_S a^m) has j-th power sum
-e_k(a^(mj)).  The factor holding the true product is the unique one whose
-certified root enclosure meets the target disk, an outward-rounded product of
-the operands' enclosures on integer mantissas over 2^bits
-(enclosures.disk_product), so the selection is a proof: distinct irreducible
-factors share no roots.
+A product of the m-th powers of k roots of p is a root of the exterior power
+prod over k-subsets S of (x - prod_S a^m), built from Newton power sums
+(Bostan-Flajolet-Salvy-Schost 2006): its j-th power sum is e_k(a^(mj)).  The
+factor holding the true product is the unique one whose certified root
+enclosure meets the target disk, an outward-rounded product of the roots'
+enclosures on integer mantissas over 2^bits (enclosures.disk_product), so the
+selection is a proof: distinct irreducible factors share no roots.
 """
 
 from __future__ import annotations
@@ -102,13 +100,6 @@ def _disk_of(nums: list[AlgebraicNumber], m: int = 1, fold=None):
     return disk_of
 
 
-def _product_resultant(pa: QPoly, pb: QPoly) -> QPoly:
-    """Monic composed product prod (x - a*b) over the roots a of pa, b of pb."""
-    n = pa.degree * pb.degree
-    sums = [u * v for u, v in zip(power_sums(pa, n), power_sums(pb, n))]
-    return from_power_sums(sums, n)
-
-
 def _exterior_sums(p: QPoly, k: int, m: int, count: int) -> list:
     """[P_0, ..., P_count] with P_j = e_k(a^(mj)) over the roots a of p: the
     power sums of the roots of exterior_power(p, k, m)."""
@@ -125,24 +116,6 @@ def exterior_power(p: QPoly, k: int, m: int = 1) -> QPoly:
     """Monic prod over the k-subsets S of the roots of p of (x - prod_{a in S} a^m)."""
     count = comb(p.degree, k)
     return from_power_sums(_exterior_sums(p, k, m, count), count)
-
-
-def product(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
-    """The algebraic number a*b with its exact minimal polynomial."""
-    if a.is_rational:
-        a, b = b, a
-    if b.is_rational:
-        r = b.as_fraction()
-        if r == 0:
-            return from_rational(0)
-        if a.is_rational:
-            return from_rational(a.as_fraction() * r)
-        e = a.enclosure  # scaled exactly, unrounded: the disk pins a root of the scaled minpoly
-        scaled = ComplexEnclosure(e.re * r, e.im * r, e.radius * abs(r))
-        return AlgebraicNumber(a.minpoly.scale_roots(r), scaled, a.bits)
-
-    q, e, bits = _select_root(_product_resultant(a.minpoly, b.minpoly), _disk_of([a, b]), max(a.bits, b.bits))
-    return AlgebraicNumber(q, e, bits)
 
 
 def root_product(p: QPoly, roots: list[ComplexEnclosure], m: int = 1) -> AlgebraicNumber:

@@ -6,28 +6,33 @@ among exact alternatives or cross-checks.  Where the two could disagree the
 code raises CrossCheckError instead of picking a side: the criteria are
 provably equivalent, so a disagreement is a bug, not data.
 
-Every real-root decision is an exact Sturm count (qpoly): the roots of an
-eigenvalue factor on |z| = 1 (the census by which the growth class labels the
-eigenvalue enclosures), the Salem test, the conjugates of the structure
-element above 1.  No working precision enters any answer.
+The spectrum of f is chi = q^k for one irreducible q (lefschetz.Spectrum),
+as Q[f] is a field on a simple abelian variety; a chi with two distinct
+factors is rejected where the spectrum is built.  So the roots are either all
+roots of unity (periodic growth) or none is.
+
+Every real-root decision is an exact Sturm count (qpoly): the roots of q on
+|z| = 1 (the census by which the growth class labels the eigenvalue
+enclosures), the Salem test, the conjugates of the structure element above 1.
+No working precision enters any answer.
 
 The entropy is log(gamma), gamma the Mahler measure of the eigenvalue
 multiset (Lind-Schmidt-Ward, Invent. Math. 1990): one root of an exterior
-power per eigenvalue factor, and the certificate divides into another.
+power of q, and the certificate divides gamma's minimal polynomial into
+another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import algnum, factorq
-from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, isolate_roots, unit_circle_status
-from .errors import CrossCheckError, NotSimpleAlbertType, ValidationError
+from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, isolate_roots
+from .errors import CrossCheckError, ValidationError
 from .lefschetz import TOTALLY_INDEFINITE_QUATERNION  # noqa: F401  re-export
 from .lefschetz import CM_FIELD, TOTALLY_DEFINITE_QUATERNION, TOTALLY_REAL_FIELD, AlbertType, EndomorphismSpec
-from .lefschetz import admissibility_check, fixed_point_table, rational_eigenvalues
+from .lefschetz import Spectrum, admissibility_check, fixed_point_table, rational_eigenvalues
 from .numfield import apply_conjugation, cm_structure
 from .qpoly import ONE, QPoly, X, count_real_roots, cyclotomic_order, trace_polynomial
 
@@ -92,24 +97,10 @@ def is_root_of_unity(minpoly: QPoly, enclosure: ComplexEnclosure | None = None) 
 # shared spectral analysis
 
 
-@dataclass(frozen=True)
-class _FactorSpectrum:
-    poly: QPoly
-    mult: int
-    order: int | None  # root-of-unity order when cyclotomic
-    statuses: tuple[tuple[ComplexEnclosure, int], ...]
-
-
-def _spectrum(spec: EndomorphismSpec) -> list[_FactorSpectrum]:
-    if spec._spectrum_cache is not None:
-        return spec._spectrum_cache
-    ev = rational_eigenvalues(spec)
-    out = []
-    for q, mult in ev.factors:
-        statuses = tuple(unit_circle_status(q, ev.enclosures_of(q)))
-        out.append(_FactorSpectrum(q, mult, ev.order_of(q), statuses))
-    spec._spectrum_cache = out
-    return out
+def _spectrum(spec: EndomorphismSpec) -> Spectrum:
+    if spec._spectrum_cache is None:
+        spec._spectrum_cache = rational_eigenvalues(spec)
+    return spec._spectrum_cache
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +126,14 @@ def classify_growth(spec: EndomorphismSpec) -> GrowthReport:
     """Periodic / exponential / mixed growth of n -> fix(f^n), exactly decided."""
     at = admissibility_check(spec)
     spectrum = _spectrum(spec)
+    sides = {s for _, s in spectrum.statuses}
+    nontorsion_on = spectrum.order is None and ON_CIRCLE in sides
 
-    all_torsion = all(fs.order is not None for fs in spectrum)
-    any_torsion = any(fs.order is not None for fs in spectrum)
-    has_outside = any(s == OUTSIDE for fs in spectrum for _, s in fs.statuses)
-    has_on = any(s == ON_CIRCLE for fs in spectrum for _, s in fs.statuses)
-    nontorsion_on = any(
-        fs.order is None and any(s == ON_CIRCLE for _, s in fs.statuses) for fs in spectrum
-    )
-
-    if any_torsion and not all_torsion:
-        raise NotSimpleAlbertType(
-            "spectrum mixes roots of unity with other eigenvalues; "
-            "the algebra cannot act on a simple abelian variety"
-        )
-
-    if all_torsion:
+    if spectrum.order is not None:
         growth_class = PERIODIC
-    elif not has_on:
+    elif ON_CIRCLE not in sides:
         growth_class = EXPONENTIAL_PURE
-    elif has_outside and nontorsion_on:
+    elif OUTSIDE in sides:
         growth_class = EXPONENTIAL_MIXED
     else:
         growth_class = UNIT_CIRCLE_NON_TORSION
@@ -168,17 +147,17 @@ def classify_growth(spec: EndomorphismSpec) -> GrowthReport:
 
     period = None
     if growth_class == PERIODIC:
-        period = _realized_period(spec, lcm(*(fs.order for fs in spectrum)))
+        period = _realized_period(spec, spectrum.order)
 
     return GrowthReport(growth_class, period, not nontorsion_on, witness)
 
 
-def _realized_period(spec: EndomorphismSpec, order_lcm: int) -> int:
-    seq = fixed_point_table(spec, 2 * order_lcm)
-    for cand in sorted(d for d in range(1, order_lcm + 1) if order_lcm % d == 0):
+def _realized_period(spec: EndomorphismSpec, order: int) -> int:
+    seq = fixed_point_table(spec, 2 * order)
+    for cand in sorted(d for d in range(1, order + 1) if order % d == 0):
         if all(seq[i] == seq[i + cand] for i in range(len(seq) - cand)):
             return cand
-    return order_lcm
+    return order
 
 
 def is_automorphism(spec: EndomorphismSpec) -> bool:
@@ -238,20 +217,18 @@ def fraction_to_mpf(q: Fraction, rounding: str = "n"):
 
 def _gamma_of(spec: EndomorphismSpec) -> algnum.AlgebraicNumber:
     """gamma = prod |mu| over the eigenvalues outside the circle, with
-    multiplicity: per factor of multiplicity m, the product of a^m over its
-    roots a outside (a conjugate pair gives |a|^(2m), and a real a gives
-    |a|^m as m is even), then the product over the factors."""
-    if spec._gamma_cache is not None:
-        return spec._gamma_cache
-    gamma = algnum.from_rational(1)
-    for fs in _spectrum(spec):
-        outside = [e for e, s in fs.statuses if s == OUTSIDE]
-        if fs.mult % 2 and any(e.is_real for e in outside):
+    multiplicity: for the factor q of multiplicity m, the product of a^m over
+    its roots a outside (a conjugate pair gives |a|^(2m), and a real a gives
+    |a|^m as m is even)."""
+    if spec._gamma_cache is None:
+        spectrum = _spectrum(spec)
+        outside = [e for e, s in spectrum.statuses if s == OUTSIDE]
+        if spectrum.mult % 2 and any(e.is_real for e in outside):
             raise CrossCheckError("real eigenvalue with odd multiplicity outside the circle")
-        if outside:
-            gamma = algnum.product(gamma, algnum.root_product(fs.poly, outside, fs.mult))
-    spec._gamma_cache = gamma
-    return gamma
+        spec._gamma_cache = (
+            algnum.root_product(spectrum.poly, outside, spectrum.mult) if outside else algnum.from_rational(1)
+        )
+    return spec._gamma_cache
 
 
 def entropy(spec: EndomorphismSpec) -> EntropyReport:
@@ -281,12 +258,10 @@ def entropy(spec: EndomorphismSpec) -> EntropyReport:
 
     with mp.workprec(200):
         value = mp.log(fraction_to_mpf(gamma.enclosure.re))
-        check = mpf(0)
-        for fs in _spectrum(spec):
-            for e, s in fs.statuses:
-                if s == OUTSIDE:
-                    mod = mp.sqrt(fraction_to_mpf(e.abs_sq_mid()))
-                    check += fs.mult * mp.log(mod)
+        spectrum = _spectrum(spec)
+        check = spectrum.mult * mp.fsum(
+            mp.log(mp.sqrt(fraction_to_mpf(e.abs_sq_mid()))) for e, s in spectrum.statuses if s == OUTSIDE
+        )
         if abs(value - check) > mpf(10) ** (-12) * (1 + abs(value)):
             raise CrossCheckError("entropy readings disagree: log(gamma) vs sum of log|mu|")
 

@@ -21,8 +21,10 @@ quaternion it reads the reduced norm of f.)
 fixed_points_exact is the single-n count, the norm of the element 1 - f^n.
 companion_oracle is an independent brute-force count for a benchmark's
 correctness judge: |det(I - M^n)| for the block-doubled integer companion
-matrix M of an integer polynomial.  rational_eigenvalues encloses the roots
-of chi with their multiplicities, for the growth and entropy classifiers.
+matrix M of an integer polynomial.  rational_eigenvalues gives the growth and
+entropy classifiers the spectrum of f: chi = q^k for one irreducible q, as it
+must be when Q[f] is a field, with the roots of q enclosed and placed against
+the unit circle.  A chi with two distinct factors raises NotSimpleAlbertType.
 
 Every count first passes the Albert-type gate, admissibility_check, kept here
 with EndomorphismSpec: the type fixes d, e and the exponent 2g/(d e).
@@ -35,7 +37,7 @@ from math import gcd
 from operator import mul
 
 from . import factorq
-from .enclosures import ComplexEnclosure, isolate_roots
+from .enclosures import ComplexEnclosure, isolate_roots, unit_circle_status
 from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType, ValidationError
 from .numfield import CM, TOTALLY_REAL, NumberField, cm_structure
 from .qpoly import QPoly, binary_power, cyclotomic_order, det_int_bareiss, multiplication_columns, newton_coefficients
@@ -265,35 +267,38 @@ def _abs_integer(num: int, den: int, what: str) -> int:
     return abs(q)
 
 
-class EigenvalueMultiset:
-    """Roots of charpoly_q(f)^(2g/(de)), conjugation-closed, total 2g."""
+@dataclass(frozen=True)
+class Spectrum:
+    """The roots of chi^(2g/(de)) = q^mult for the one irreducible q: its
+    root-of-unity order (None when q is not cyclotomic) and each root's
+    enclosure with its side of |z| = 1 (enclosures.unit_circle_status)."""
 
-    def __init__(self, factors, enclosures, total: int):
-        self.factors = tuple(factors)  # (monic irreducible QPoly, multiplicity)
-        self._enclosures = dict(enclosures)  # QPoly -> tuple of enclosures
-        self.total = total
-        self._orders = {
-            q: cyclotomic_order(q) if q.is_integral and q.is_monic else None for q, _ in self.factors
-        }
-
-    def enclosures_of(self, q: QPoly) -> tuple[ComplexEnclosure, ...]:
-        return self._enclosures[q]
-
-    def order_of(self, q: QPoly) -> int | None:
-        """Root-of-unity order of the roots of the factor q; None when q is not cyclotomic."""
-        return self._orders[q]
+    poly: QPoly
+    mult: int
+    order: int | None
+    statuses: tuple[tuple[ComplexEnclosure, int], ...]
 
 
-def rational_eigenvalues(spec: EndomorphismSpec, precision_bits: int = 128) -> EigenvalueMultiset:
+def rational_eigenvalues(spec: EndomorphismSpec, precision_bits: int = 128) -> Spectrum:
+    """The spectrum of f, whose chi must be a power of one irreducible q.
+
+    The endomorphism algebra of a simple abelian variety is a division
+    algebra, so Q[f] is a field and chi is a power of the minimal
+    polynomial of f; two distinct factors prove that the algebra is not.
+    """
     admissibility_check(spec)
-    cp = spec.charpoly_q()
-    scale = spec.exponent()
-    factors = [(q, mult * scale) for q, mult in factorq.factor(cp)]
-    enclosures = {q: tuple(isolate_roots(q, precision_bits)) for q, _ in factors}
-    total = sum(mult * q.degree for q, mult in factors)
-    if total != 2 * spec.g:
+    factors = factorq.factor(spec.charpoly_q())
+    if len(factors) != 1:
+        raise NotSimpleAlbertType(
+            f"characteristic polynomial has {len(factors)} distinct irreducible factors, so f "
+            "generates no field: the algebra cannot act on a simple abelian variety"
+        )
+    [(q, mult)] = factors
+    mult *= spec.exponent()
+    if mult * q.degree != 2 * spec.g:
         raise CrossCheckError("eigenvalue multiset total differs from 2g")
-    return EigenvalueMultiset(factors, enclosures, total)
+    statuses = tuple(unit_circle_status(q, isolate_roots(q, precision_bits)))
+    return Spectrum(q, mult, cyclotomic_order(q), statuses)
 
 
 def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:

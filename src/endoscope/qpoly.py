@@ -288,18 +288,6 @@ class QPoly:
         """x^deg * p(1/x): the coefficient sequence reversed."""
         return _poly(list(self.num[::-1]), self.den)
 
-    def scale_roots(self, r: Fraction) -> QPoly:
-        """Monic polynomial whose roots are r times the roots of self.
-
-        Requires self monic: returns r^deg * p(x/r) expanded.
-        """
-        if not self.is_monic:
-            raise ValidationError("scale_roots expects a monic polynomial")
-        n, r = self.degree, Fraction(r)
-        a, b = r.numerator, r.denominator
-        # b^n r^(n-i) = a^(n-i) b^i
-        return _poly([c * a ** (n - i) * b**i for i, c in enumerate(self.num)], self.den * b**n)
-
     def squarefree_part(self) -> QPoly:
         if self.degree <= 0:
             return self.monic()
@@ -473,11 +461,12 @@ def resultant_int(a, da: int, b, db: int) -> tuple[int, int]:
     coefficient sequences a and b, constant term first (a without trailing
     zeros, b with any), and denominators da, db > 0.
 
-    For a monic integral a it is the determinant of the n x n matrix of
-    multiplication by b on Q[x]/(a), the product of b over the roots of a;
-    b is reduced modulo a only when deg b >= deg a.  Otherwise it is the
-    Sylvester determinant, Res(a, b) = Res(num_a, num_b) / (da^deg b db^deg a).
-    Both are fraction-free eliminations (det_int_bareiss).
+    With A = a / da of degree n, lc(A) = a[n] / da, and B = b / db of degree
+    m, Res(A, B) = lc(A)^m det(multiplication by B on Q[x]/(A / lc(A))), the
+    product of B over the roots of A times lc(A)^m; A / lc(A) is the monic
+    (s a) / |a[n]|, s the sign of a[n].  The determinant is a fraction-free
+    elimination (det_int_bareiss) on the integer columns of
+    multiplication_columns, and b is reduced modulo a only when m >= n.
     """
     n, m = len(a) - 1, len(b) - 1
     while m >= 0 and not b[m]:
@@ -488,12 +477,10 @@ def resultant_int(a, da: int, b, db: int) -> tuple[int, int]:
         return a[0] ** m, da**m
     if m == 0:
         return b[0] ** n, db**n
-    if da == a[n] == 1:
-        cols, den = multiplication_columns(a, 1, b[: m + 1], db)
-        return det_int_bareiss(cols), den**n
-    rows = [[0] * k + list(a[::-1]) + [0] * (m - 1 - k) for k in range(m)]
-    rows += [[0] * k + list(b[m::-1]) + [0] * (n - 1 - k) for k in range(n)]
-    return det_int_bareiss(rows), da**m * db**n
+    lc = a[n]
+    monic = a if lc > 0 else [-c for c in a]
+    cols, den = multiplication_columns(monic, abs(lc), b[: m + 1], db)
+    return lc**m * det_int_bareiss(cols), da**m * den**n
 
 
 def multiplication_columns(a, da: int, b, db: int) -> tuple[list[list[int]], int]:

@@ -191,7 +191,7 @@ def _root_multiset(source, bits: int) -> list[tuple[list[ComplexEnclosure], int]
     if isinstance(source, QPoly):
         return [(isolate_roots(q, bits), mult) for q, mult in factor(source)]
     ev = rational_eigenvalues(source, bits)
-    return [(ev.enclosures_of(q), mult) for q, mult in ev.factors]
+    return [([e for e, _ in ev.statuses], ev.mult)]
 
 
 def _pinned_product(roots, n: int, bits: int) -> int | None:

@@ -249,11 +249,10 @@ def test_criterion_5_growth_dichotomy():
         assert classify_growth(spec).growth_class == EXPONENTIAL_PURE, spec
         ev = rational_eigenvalues(spec, 128)
         expected = 1.0
-        for q, mult in ev.factors:
-            for e in ev.enclosures_of(q):
-                mod = math.sqrt(float(e.abs_sq_mid()))
-                if mod > 1:
-                    expected *= mod**mult
+        for e, _ in ev.statuses:
+            mod = math.sqrt(float(e.abs_sq_mid()))
+            if mod > 1:
+                expected *= mod**ev.mult
         rate = fixed_points_exact(spec, 40) ** (1 / 40)
         assert abs(rate - expected) / expected < 0.01, spec
     _ok(5, "periodic/exponential dichotomy with 1%-accurate empirical growth rates")
@@ -376,8 +375,8 @@ def test_criterion_8_property_suites():
             ev = rational_eigenvalues(spec, 64)
         except EndoscopeError:
             continue
-        entries = {(e.re, e.im, e.radius, m) for q, m in ev.factors for e in ev.enclosures_of(q)}
-        assert entries == {(re, -im, rad, m) for re, im, rad, m in entries}
+        entries = {(e.re, e.im, e.radius, s) for e, s in ev.statuses}
+        assert entries == {(re, -im, rad, s) for re, im, rad, s in entries}
 
     parts_pool = [
         from_ints(1, 1),

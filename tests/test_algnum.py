@@ -13,36 +13,6 @@ from endoscope.qpoly import QPoly, from_ints
 from .oracles import reference_disk_product
 
 
-def root_of(poly, index, bits=128):
-    return algnum.AlgebraicNumber(poly, isolate_roots(poly, bits)[index], bits)
-
-
-def test_product_of_square_roots():
-    sqrt2 = root_of(from_ints(-2, 0, 1), 1)  # +sqrt2
-    sqrt3 = root_of(from_ints(-3, 0, 1), 1)  # +sqrt3
-    prod = algnum.product(sqrt2, sqrt3)
-    assert prod.minpoly == from_ints(-6, 0, 1)
-    assert prod.enclosure.re > 2 and prod.enclosure.is_real
-
-
-def test_product_collapses_to_rational():
-    i_pos = root_of(from_ints(1, 0, 1), 1)
-    i_neg = root_of(from_ints(1, 0, 1), 0)
-    prod = algnum.product(i_pos, i_neg)  # i * (-i) = 1
-    assert prod.is_rational and prod.as_fraction() == 1
-    sqrt2 = root_of(from_ints(-2, 0, 1), 1)
-    sq = algnum.product(sqrt2, sqrt2)
-    assert sq.is_rational and sq.as_fraction() == 2
-
-
-def test_rational_scaling_shortcut():
-    sqrt2 = root_of(from_ints(-2, 0, 1), 1)
-    scaled = algnum.product(algnum.from_rational(3), sqrt2)
-    assert scaled.minpoly == from_ints(-18, 0, 1)
-    zero = algnum.product(algnum.from_rational(0), sqrt2)
-    assert zero.is_rational and zero.as_fraction() == 0
-
-
 def test_powers():
     golden = from_ints(-1, -1, 1)  # roots (1 +- sqrt5)/2
     phi = isolate_roots(golden, 128)[1]
@@ -102,13 +72,13 @@ def _sympy_monic(expr, x):
     return QPoly([Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)])
 
 
-@given(monic_polys, monic_polys)
-def test_product_resultant_matches_sympy(pa, pb):
+def _sympy_composed_product(pa, pb):
+    """prod (x - a*b) over the roots a of pa, b of pb: Res_y(pa(y), y^deg pb * pb(x/y))."""
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
     a = sum(int(c) * y**i for i, c in enumerate(pa.coeffs))
     b = sympy.expand(y**pb.degree * sum(int(c) * (x / y) ** i for i, c in enumerate(pb.coeffs)))
-    assert algnum._product_resultant(pa, pb) == _sympy_monic(sympy.resultant(a, b, y), x)
+    return _sympy_monic(sympy.resultant(a, b, y), x)
 
 
 @given(monic_polys, st.integers(min_value=1, max_value=9))
@@ -138,7 +108,7 @@ def test_exterior_power_matches_subset_products(roots, data, m):
 
 @given(monic_polys)
 def test_exterior_squares_make_the_self_product(p):
-    assert algnum.exterior_power(p, 2) ** 2 * algnum.exterior_power(p, 1, 2) == algnum._product_resultant(p, p)
+    assert algnum.exterior_power(p, 2) ** 2 * algnum.exterior_power(p, 1, 2) == _sympy_composed_product(p, p)
 
 
 def test_select_root_isolates_only_the_factors_that_hit(monkeypatch):
@@ -212,8 +182,3 @@ def test_folded_root_product_selects_as_the_reference(monkeypatch):
     outside = [e for e in isolate_roots(quartic, 128) if abs(e.re) > 1]
     _same_selections(monkeypatch, lambda: algnum.root_product(quartic, outside, 2))
 
-
-def test_product_of_irrationals_selects_as_the_reference(monkeypatch):
-    golden = root_of(from_ints(-1, -1, 1), 1)
-    omega = root_of(from_ints(1, 1, 1), 1)  # a primitive cube root of unity
-    _same_selections(monkeypatch, lambda: algnum.product(golden, omega))

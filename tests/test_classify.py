@@ -28,7 +28,7 @@ from endoscope.errors import (
     NotSimpleAlbertType,
     ValidationError,
 )
-from endoscope.lefschetz import EndomorphismSpec, fixed_points_exact
+from endoscope.lefschetz import EndomorphismSpec, fixed_point_table, fixed_points_exact
 from endoscope.numfield import NumberField, rationals_field
 from endoscope.qpoly import QPoly, from_ints
 from endoscope.quaternion import QuatAlgebra
@@ -85,6 +85,29 @@ def test_admissibility_rejections():
     assert f.reduced_norm().poly == from_ints(4)
     with pytest.raises(NotSimpleAlbertType, match="pure part squares to zero"):
         admissibility_check(EndomorphismSpec(split, f, 2))
+
+
+# elements a + b i of M_2(Q) = (1, 1 / Q) whose chi has two distinct factors,
+# with the fixed-point counts n = 1..4 that the norm and resultant paths agree on
+SPLIT_SPECTRA = [
+    ((0, 1), from_ints(-1, 0, 1), [0, 0, 0, 0]),  # f = i, chi = (x - 1)^2 (x + 1)^2
+    ((3, 1), from_ints(8, -6, 1), [9, 2025, 194481, 14630625]),  # chi = (x - 2)^2 (x - 4)^2
+    ((1, 2), from_ints(-3, -2, 1), [16, 0, 2704, 0]),  # chi = (x + 1)^2 (x - 3)^2, mixed
+]
+
+
+@pytest.mark.parametrize("coords, reduced_charpoly, counts", SPLIT_SPECTRA)
+def test_two_eigenvalue_factors_are_not_simple(coords, reduced_charpoly, counts):
+    """chi = q^k for one irreducible q whenever Q[f] is a field; a chi with two
+    distinct factors stops growth and entropy, not the gate or the counts."""
+    split = QuatAlgebra(rationals_field(), 1, 1)
+    spec = EndomorphismSpec(split, split.element(*coords), 2)
+    assert admissibility_check(spec).kind == TOTALLY_INDEFINITE_QUATERNION
+    assert spec.element.reduced_charpoly_q() == reduced_charpoly
+    assert fixed_point_table(spec, 4) == counts
+    for classifier in (classify_growth, entropy):
+        with pytest.raises(NotSimpleAlbertType, match="2 distinct irreducible factors"):
+            classifier(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +456,13 @@ def test_entropy_degree8_cm_folds_the_exterior_power(monkeypatch):
 
 def test_structure_certificate_reads_gamma():
     # 2 + zeta5 in Q(zeta5), g = 2: the certificate holds for the true gamma
-    # and fails once gamma is replaced by another number
+    # and fails once gamma is replaced by another number, its square
     from endoscope import algnum
 
     spec = field_spec((1, 1, 1, 1, 1), [2, 1], 2)
     rep = entropy(spec)
     assert rep.structure_ok is True and structure_certificate_for(spec) is True
-    spec._gamma_cache = algnum.product(classify._gamma_of(spec), algnum.from_rational(2))
+    gamma = classify._gamma_of(spec)
+    spec._gamma_cache = algnum.root_product(gamma.minpoly, [gamma.enclosure], 2)
+    assert spec._gamma_cache.minpoly != gamma.minpoly
     assert structure_certificate_for(spec) is False

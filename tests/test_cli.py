@@ -217,6 +217,28 @@ def test_inadmissible_spec_reports_kind(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "divisibility"
 
 
+@pytest.mark.parametrize(
+    "a, b, charpoly, fix",
+    [
+        ("0/1", "1/1", ["-1/1", "0/1", "1/1"], ["0", "0", "0", "0"]),
+        ("3/1", "1/1", ["8/1", "-6/1", "1/1"], ["9", "2025", "194481", "14630625"]),
+        ("1/1", "2/1", ["-3/1", "-2/1", "1/1"], ["16", "0", "2704", "0"]),
+    ],
+)
+def test_two_eigenvalue_factors_reject_only_the_classifiers(tmp_path, capsys, a, b, charpoly, fix):
+    # f = a + b i in M_2(Q) = (1, 1 / Q), g = 2: chi has two distinct factors
+    split = {"kind": "quaternion", "base_minpoly": ["0/1", "1/1"], "alpha": ["1/1"], "beta": ["1/1"]}
+    spec = {"algebra": split, "element": {"a": [a], "b": [b]}, "g": 2}
+    code, out = run_cli(capsys, "run", write_job(tmp_path, {"spec": spec, "commands": ["classify"]}))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "not-simple-albert-type"
+    job = {"spec": spec, "commands": ["check-algebra", {"op": "fixpoints", "nmax": 4}]}
+    code, out = run_cli(capsys, "run", write_job(tmp_path, job))
+    check, table = json.loads(out)["results"]
+    assert code == 0 and check["charpoly_q"] == charpoly
+    assert [row["fix"] for row in table["fix"]] == fix
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     path = write_job(tmp_path, MINUS_ONE_JOB)
     _, first = run_cli(capsys, "run", path)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -381,6 +382,33 @@ def test_enclosures_does_not_import_mpmath():
                 assert rest.split(".")[0] in LAYERS[:rank], f"{name} imports {module}, not below it"
         unused = list(_unused_imports(tree, source.splitlines()))
         assert not unused, f"{name} imports {unused} and never uses them"
+
+
+def _names_read(tree: ast.AST):
+    """Every name tree reads: bare names, attributes and names imported from a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    """A private module-level function that nothing in src/endoscope reads
+    outside its own body is dead code, even while tests still call it."""
+    package = Path(enclosures.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
+    read = Counter(name for tree in trees.values() for name in _names_read(tree))
+    dead = [
+        f"{module}.{node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+        if read[node.name] == Counter(_names_read(node))[node.name]
+    ]
+    assert not dead, f"private functions without a caller in the package: {dead}"
 
 
 def test_a_fixpoints_job_never_loads_mpmath(tmp_path):

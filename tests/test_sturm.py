@@ -152,5 +152,5 @@ def test_spectrum_isolates_each_factor_once(monkeypatch):
     for module in (enclosures, lefschetz):
         monkeypatch.setattr(module, "isolate_roots", spy)
     spectrum = classify._spectrum(spec)
-    assert seen == [fs.poly for fs in spectrum]
-    assert sorted(s for fs in spectrum for _, s in fs.statuses) == [INSIDE, ON_CIRCLE, ON_CIRCLE, OUTSIDE]
+    assert seen == [spectrum.poly]
+    assert sorted(s for _, s in spectrum.statuses) == [INSIDE, ON_CIRCLE, ON_CIRCLE, OUTSIDE]
