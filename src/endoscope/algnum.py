@@ -127,8 +127,11 @@ def root_product(p: QPoly, roots: list[ComplexEnclosure], m: int = 1) -> Algebra
     r + N/r is factored instead: its i-th power sum is the sum over 2l <= i of
     C(i, l) N^l P_(i-2l), with P the exterior power's sums and P_0 = deg T.
     The product is then a root of x^(deg t) t(x + N/x), t the factor of T.
+    The degree that factor receives first is checked against its cap before
+    any power sum is taken.
     """
     n, k = p.degree, len(roots)
+    factorq._check_degree(comb(n, k) // 2 if 2 * k == n else comb(n, k))
     nums = [AlgebraicNumber(p, e) for e in roots]
     if 2 * k != n:
         q, e, bits = _select_root(exterior_power(p, k, m), _disk_of(nums, m), 128)

@@ -25,7 +25,6 @@ another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import algnum, factorq
 from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, isolate_roots
@@ -88,7 +87,7 @@ def is_root_of_unity(minpoly: QPoly, enclosure: ComplexEnclosure | None = None) 
         raise ValidationError("root-of-unity test needs integer coefficients")
     if not minpoly.is_monic:
         raise ValidationError("root-of-unity test needs a monic polynomial")
-    if enclosure is not None and (enclosure.abs_lb() > 1 or enclosure.abs_ub() < 1):
+    if enclosure is not None and enclosure.side() != ON_CIRCLE:
         return None
     return cyclotomic_order(minpoly)
 
@@ -198,7 +197,7 @@ def is_salem_polynomial(p: QPoly) -> SalemReport:
         return SalemReport(False, None, "more than one root off the unit circle on some side")
     if count_real_roots(t, 2) != 1:
         return SalemReport(False, None, "real roots are not positive")
-    lead = max((e for e in isolate_roots(p) if e.is_real), key=lambda e: e.re)
+    lead = [e for e in isolate_roots(p) if e.is_real][-1]  # the roots come sorted by midpoint
     return SalemReport(True, lead, "reciprocal, irreducible, lead root real > 1, rest on |z| = 1")
 
 
@@ -206,13 +205,14 @@ def is_salem_polynomial(p: QPoly) -> SalemReport:
 # entropy and the structure certificate
 
 
-def fraction_to_mpf(q: Fraction, rounding: str = "n"):
-    """q as an mpf at the working precision, rounded once in mpmath's direction
-    rounding ("n" nearest, "f" floor, "c" ceiling)."""
+def fraction_to_mpf(q, den: int = 1, rounding: str = "n"):
+    """q / den, for a rational q and an integer den > 0, as an mpf at the
+    working precision, rounded once in mpmath's direction rounding ("n"
+    nearest, "f" floor, "c" ceiling)."""
     from mpmath import mp
     from mpmath.libmp import from_rational
 
-    return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.prec, rounding))
+    return mp.make_mpf(from_rational(q.numerator, q.denominator * den, mp.prec, rounding))
 
 
 def _gamma_of(spec: EndomorphismSpec) -> algnum.AlgebraicNumber:
@@ -253,14 +253,17 @@ def entropy(spec: EndomorphismSpec) -> EntropyReport:
     if periodic:
         raise CrossCheckError("gamma > 1 for a spec classified as periodic")
 
-    if not gamma.enclosure.is_real or gamma.enclosure.re - gamma.enclosure.radius <= 1:
+    g = gamma.enclosure
+    if not g.is_real or g.re_num - g.rad_num <= g.den:
         raise CrossCheckError("gamma enclosure is not certified real and > 1")
 
     with mp.workprec(200):
-        value = mp.log(fraction_to_mpf(gamma.enclosure.re))
+        value = mp.log(fraction_to_mpf(g.re_num, g.den))
         spectrum = _spectrum(spec)
         check = spectrum.mult * mp.fsum(
-            mp.log(mp.sqrt(fraction_to_mpf(e.abs_sq_mid()))) for e, s in spectrum.statuses if s == OUTSIDE
+            mp.log(mp.sqrt(fraction_to_mpf(e.re_num**2 + e.im_num**2, e.den**2)))
+            for e, s in spectrum.statuses
+            if s == OUTSIDE
         )
         if abs(value - check) > mpf(10) ** (-12) * (1 + abs(value)):
             raise CrossCheckError("entropy readings disagree: log(gamma) vs sum of log|mu|")

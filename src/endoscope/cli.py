@@ -229,7 +229,7 @@ def _check_row(row) -> list[dict]:
     add("gamma_is_salem", True, ent.is_salem)
     salem = classify.is_salem_polynomial(charpoly)
     with mp.workprec(200):
-        expected_value = 2 * mp.log(classify.fraction_to_mpf(salem.lead_root.re))
+        expected_value = 2 * mp.log(classify.fraction_to_mpf(salem.lead_root.re_num, salem.lead_root.den))
         add(
             "entropy_is_log_salem_sq",
             True,

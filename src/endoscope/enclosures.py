@@ -36,9 +36,15 @@ Which roots lie on the unit circle is counted exactly (Sturm counts on the
 trace polynomial, see circle_root_count); enclosures only say which roots
 those are.
 
-The target disks of algnum's root selection, products, powers and folds
-z + N/z of root enclosures, are integer mantissas (re, im, rad) over 2^bits
-(disk_product); an enclosure is read in once and the result given back once.
+Every enclosure is integers (re, im, rad) over one positive denominator
+(ComplexEnclosure).  The certificate's disks are built exactly over
+den(c) 2^r from the Gaussian points over 2^u and the radii over 2^r, so the
+roots of one polynomial share one denominator, and nothing is rounded.  The
+side of the unit circle, meets and the conjugate pairs are exact integer
+comparisons, with no square root.  The target disks of algnum's root
+selection, products, powers and folds z + N/z of root enclosures, are
+integer mantissas over 2^bits (disk_product); an enclosure is read in once
+and the result given back once.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 from functools import reduce
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     NonSquarefreeInput,
@@ -59,7 +65,7 @@ from .qpoly import QPoly, X, _sign_at, binary_power, count_real_roots, root_boun
 
 MAX_BITS = 4096
 
-_SQRT_GUARD = 1 << 64
+INSIDE, ON_CIRCLE, OUTSIDE = -1, 0, 1
 
 # root seeds: at most _DOUBLE_STEPS double-precision Aberth sweeps; start
 # circles turned by _SIGMA plus the golden angle per Newton-polygon edge, of
@@ -73,79 +79,97 @@ _FEW_UNITS = 2
 _LN2 = math.log(2)
 
 
-def sqrt_ub(q: Fraction) -> Fraction:
-    """Rational upper bound for sqrt(q), q >= 0."""
-    if q < 0:
-        raise ValidationError("sqrt of a negative rational")
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    s = _SQRT_GUARD
-    return Fraction(isqrt(n * d * s * s) + 1, d * s)
-
-
-def sqrt_lb(q: Fraction) -> Fraction:
-    """Rational lower bound for sqrt(q): sqrt_ub(q) less its rounding step."""
-    return sqrt_ub(q) - Fraction(1, q.denominator * _SQRT_GUARD) if q > 0 else Fraction(0)
-
-
 class ComplexEnclosure:
-    """Closed disk |z - (re + i*im)| <= radius holding exactly one root."""
+    """Closed disk |z - (re_num + i*im_num) / den| <= rad_num / den holding
+    exactly one root: integers re_num, im_num, rad_num >= 0 over one
+    denominator den > 0.
 
-    __slots__ = ("re", "im", "radius")
+    The constructor takes any rationals re, im, radius and puts them on their
+    least common denominator; the properties re, im and radius read them back
+    as exact Fractions.  Equality and hashing compare values, whatever the
+    denominators.
+    """
+
+    __slots__ = ("re_num", "im_num", "rad_num", "den")
 
     def __init__(self, re, im, radius):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-        object.__setattr__(self, "radius", Fraction(radius))
-        if self.radius < 0:
+        re, im, radius = Fraction(re), Fraction(im), Fraction(radius)
+        if radius < 0:
             raise ValidationError("negative enclosure radius")
+        den = lcm(re.denominator, im.denominator, radius.denominator)
+        _fill(self, *(q.numerator * (den // q.denominator) for q in (re, im, radius)), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexEnclosure is immutable")
 
     def __repr__(self):
-        return f"ComplexEnclosure({float(self.re):.12g}{float(self.im):+.12g}j, r<{float(self.radius):.3g})"
+        d = self.den
+        return f"ComplexEnclosure({self.re_num / d:.12g}{self.im_num / d:+.12g}j, r<{self.rad_num / d:.3g})"
+
+    def _key(self) -> tuple[int, int, int, int]:
+        """The integers over the least common denominator: equal disks have equal keys."""
+        g = gcd(self.re_num, self.im_num, self.rad_num, self.den)
+        return self.re_num // g, self.im_num // g, self.rad_num // g, self.den // g
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ComplexEnclosure)
-            and self.re == other.re
-            and self.im == other.im
-            and self.radius == other.radius
-        )
+        return isinstance(other, ComplexEnclosure) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.re, self.im, self.radius))
+        return hash(self._key())
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
+
+    @property
+    def radius(self) -> Fraction:
+        return Fraction(self.rad_num, self.den)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.im_num == 0
 
     def abs_sq_mid(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.re_num * self.re_num + self.im_num * self.im_num, self.den * self.den)
 
-    def abs_ub(self) -> Fraction:
-        return sqrt_ub(self.abs_sq_mid()) + self.radius
-
-    def abs_lb(self) -> Fraction:
-        v = sqrt_lb(self.abs_sq_mid()) - self.radius
-        return v if v > 0 else Fraction(0)
+    def side(self) -> int:
+        """OUTSIDE or INSIDE when every point of the disk lies on that side of
+        |z| = 1, else ON_CIRCLE: |mid| - r > 1 or |mid| + r < 1, squared on
+        the integers, with no square root."""
+        m, d, r = self.re_num * self.re_num + self.im_num * self.im_num, self.den, self.rad_num
+        if m > (d + r) * (d + r):
+            return OUTSIDE
+        if r < d and m < (d - r) * (d - r):
+            return INSIDE
+        return ON_CIRCLE
 
     def meets(self, other: ComplexEnclosure) -> bool:
         """True unless the two disks are provably disjoint."""
-        dr = self.re - other.re
-        di = self.im - other.im
-        s = self.radius + other.radius
+        d1, d2 = self.den, other.den
+        dr = self.re_num * d2 - other.re_num * d1
+        di = self.im_num * d2 - other.im_num * d1
+        s = self.rad_num * d2 + other.rad_num * d1
         return dr * dr + di * di <= s * s
 
-    def contains_point(self, re: Fraction, im: Fraction) -> bool:
-        dr = self.re - re
-        di = self.im - im
-        return dr * dr + di * di <= self.radius * self.radius
-
     def conjugate(self) -> ComplexEnclosure:
-        return ComplexEnclosure(self.re, -self.im, self.radius)
+        return _enclosure(self.re_num, -self.im_num, self.rad_num, self.den)
+
+
+def _fill(e: ComplexEnclosure, re: int, im: int, rad: int, den: int) -> None:
+    """Set the four integers of e, past its immutability guard."""
+    for name, value in zip(ComplexEnclosure.__slots__, (re, im, rad, den)):
+        object.__setattr__(e, name, value)
+
+
+def _enclosure(re: int, im: int, rad: int, den: int) -> ComplexEnclosure:
+    """The disk of the integers re, im and rad >= 0 over den > 0, as they are."""
+    e = object.__new__(ComplexEnclosure)
+    _fill(e, re, im, rad, den)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +188,8 @@ def _ceil_sqrt(n: int) -> int:
 def _disk_in(e: ComplexEnclosure, w: int) -> tuple[int, int, int]:
     """e as (re, im, rad) over 2^w: midpoints to nearest, the radius up and
     one more unit for the snap."""
-    re, im, r = e.re, e.im, e.radius
-    rad = -(-(r.numerator << w) // r.denominator) + 1
-    return _nearest(re.numerator << w, re.denominator), _nearest(im.numerator << w, im.denominator), rad
+    d = e.den
+    return _nearest(e.re_num << w, d), _nearest(e.im_num << w, d), -(-(e.rad_num << w) // d) + 1
 
 
 def _disk_mul(a: tuple[int, int, int], b: tuple[int, int, int], w: int) -> tuple[int, int, int]:
@@ -215,8 +238,7 @@ def disk_product(enclosures, bits: int, m: int = 1, fold=None) -> ComplexEnclosu
     disk = binary_power(base, m - 1, base, mul)
     if fold is not None:
         disk = _disk_fold(disk, fold, bits)
-    re, im, rad = disk
-    return ComplexEnclosure(Fraction(re, one), Fraction(im, one), Fraction(rad, one))
+    return _enclosure(*disk, one)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +419,7 @@ def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]
     _, ints = p.clear_denominators()
     n = len(ints) - 1
     if n == 1:
-        root = Fraction(-ints[0], ints[1])
-        return [ComplexEnclosure(root, 0, 0)]
+        return [_enclosure(-ints[0], 0, 0, ints[1])]
 
     c, shifted, polish = approximate_roots(ints)
     wp = precision_bits + 32 + 8 * n
@@ -425,7 +446,7 @@ def _attempt(ints, shifted, c, pts, u, target_bits):
     if len(set(pts)) != n:
         return None
 
-    r = u + 64  # radii 64 bits finer than the midpoints, like sqrt_ub's guard
+    r = u + 64  # radii 64 bits finer than the midpoints
     lc, radii = shifted[-1], []
     for i, (re, im) in enumerate(pts):
         vr, vi = _horner(shifted, re, im, u)
@@ -448,41 +469,41 @@ def _attempt(ints, shifted, c, pts, u, target_bits):
             if dr * dr + di * di <= s * s:
                 return None
 
+    # the disks over den = den(c) 2^r: midpoints num(c) 2^r + z den(c) 2^(r-u)
+    # and radii rad den(c), exactly
+    den, scale, shift = c.denominator << r, c.denominator << (r - u), c.numerator << r
     result, positives, negatives = [], [], []
     for (zr, zi), rad in zip(pts, radii):
-        re, im, rad = c + Fraction(zr, 1 << u), Fraction(zi, 1 << u), Fraction(rad, 1 << r)
+        re, im, rad = shift + zr * scale, zi * scale, rad * c.denominator
         if im == 0:
-            a, b = re - rad, re + rad
-            pa, pb = _sign_at(ints, a), _sign_at(ints, b)
+            pa, pb = _sign_at(ints, re - rad, den), _sign_at(ints, re + rad, den)
             if pa == 0:
-                result.append(ComplexEnclosure(a, 0, 0))
+                result.append((re - rad, 0, 0))
             elif pb == 0:
-                result.append(ComplexEnclosure(b, 0, 0))
+                result.append((re + rad, 0, 0))
             elif pa != pb:
-                result.append(ComplexEnclosure(re, 0, rad))
+                result.append((re, 0, rad))
             else:
                 return None
         elif abs(im) <= rad:
             return None
         else:
-            (positives if im > 0 else negatives).append(ComplexEnclosure(re, im, rad))
+            (positives if im > 0 else negatives).append((re, im, rad))
     if len(positives) != len(negatives):
         return None
     # each upper disk's mirror must meet exactly one lower disk, which it replaces
-    for e in positives:
-        hits = [f for f in negatives if e.conjugate().meets(f)]
+    for re, im, rad in positives:
+        hits = [k for k, (x, y, s) in enumerate(negatives) if (re - x) ** 2 + (im + y) ** 2 <= (rad + s) ** 2]
         if len(hits) != 1:
             return None
-        negatives.remove(hits[0])
-        result += [e, e.conjugate()]
-    result.sort(key=lambda e: (e.re, e.im))
-    return result
+        del negatives[hits[0]]
+        result += [(re, im, rad), (re, -im, rad)]
+    result.sort()  # by midpoint: the disks are disjoint, so no two midpoints are equal
+    return [_enclosure(re, im, rad, den) for re, im, rad in result]
 
 
 # ---------------------------------------------------------------------------
 # exact unit-circle position of the roots of an irreducible polynomial
-
-INSIDE, ON_CIRCLE, OUTSIDE = -1, 0, 1
 
 
 def circle_root_count(q: QPoly) -> int:
@@ -512,7 +533,7 @@ def unit_circle_status(q: QPoly, enclosures=None) -> list[tuple[ComplexEnclosure
     on_circle, bits = circle_root_count(q), 128
     encl = isolate_roots(q, bits) if enclosures is None else enclosures
     while True:
-        statuses = [OUTSIDE if e.abs_lb() > 1 else INSIDE if e.abs_ub() < 1 else ON_CIRCLE for e in encl]
+        statuses = [e.side() for e in encl]
         if statuses.count(ON_CIRCLE) == on_circle:
             return list(zip(encl, statuses))
         bits *= 2

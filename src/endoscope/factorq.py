@@ -266,6 +266,12 @@ def _next_prime(p: int) -> int:
 # public entry points
 
 
+def _check_degree(degree: int) -> None:
+    """Refuse a polynomial of the given degree past DEGREE_CAP."""
+    if degree > DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {degree} exceeds cap {DEGREE_CAP}")
+
+
 def factor(p: QPoly) -> list[tuple[QPoly, int]]:
     """Factor p into monic irreducibles with multiplicities.
 
@@ -275,8 +281,7 @@ def factor(p: QPoly) -> list[tuple[QPoly, int]]:
     """
     if p.is_zero:
         raise ValidationError("cannot factor the zero polynomial")
-    if p.degree > DEGREE_CAP:
-        raise DegreeCapExceeded(f"degree {p.degree} exceeds cap {DEGREE_CAP}")
+    _check_degree(p.degree)
     if p.degree == 0:
         return []
     out: list[tuple[QPoly, int]] = []

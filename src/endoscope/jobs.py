@@ -172,8 +172,8 @@ def _certified_decimal(x: AlgebraicNumber, log: bool = False) -> str:
     while x.bits <= MAX_BITS:
         e, ends = x.enclosure, set()
         with mp.workprec(x.bits + 64):
-            for end, rounding, side in ((e.re - e.radius, "f", -1), (e.re + e.radius, "c", 1)):
-                v = f(classify.fraction_to_mpf(end, rounding))
+            for end, rounding, side in ((e.re_num - e.rad_num, "f", -1), (e.re_num + e.rad_num, "c", 1)):
+                v = f(classify.fraction_to_mpf(end, e.den, rounding))
                 ends.add(mp.nstr(v + side * mp.ldexp(abs(v), 4 - mp.prec), 18, strip_zeros=False))
         if len(ends) == 1:
             return ends.pop()

@@ -46,6 +46,7 @@ class QuatAlgebra:
         # form, as integer polynomials over one denominator
         alpha_beta = (self.alpha * self.beta).poly
         self._norm_form = over_common_denominator((ONE, -self.alpha.poly, -self.beta.poly, alpha_beta))
+        self._definiteness: DefinitenessReport | None = None
 
     def __repr__(self):
         return f"QuatAlgebra(alpha={self.alpha.poly!r}, beta={self.beta.poly!r} over {self.base!r})"
@@ -271,7 +272,14 @@ def _linear(*terms) -> list[int]:
 
 def definiteness(algebra: QuatAlgebra) -> DefinitenessReport:
     """Classify by signs of (sigma(alpha), sigma(beta)) at every real place,
-    the places in ascending order of the root of the base minimal polynomial."""
+    the places in ascending order of the root of the base minimal polynomial.
+    The report is kept on the algebra."""
+    if algebra._definiteness is None:
+        algebra._definiteness = _definiteness_uncached(algebra)
+    return algebra._definiteness
+
+
+def _definiteness_uncached(algebra: QuatAlgebra) -> DefinitenessReport:
     m = algebra.base.minpoly
     signs = tuple(signs_at_real_roots(m, algebra.alpha.poly, algebra.beta.poly))
     if all(sa < 0 and sb < 0 for sa, sb in signs):

@@ -13,9 +13,9 @@ path of the fixed-point tables uses.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from endoscope.enclosures import ComplexEnclosure, isolate_roots, sqrt_lb, sqrt_ub
+from endoscope.enclosures import ComplexEnclosure, isolate_roots
 from endoscope.errors import ValidationError
 from endoscope.factorq import factor
 from endoscope.lefschetz import rational_eigenvalues
@@ -81,6 +81,24 @@ def roots_inside_unit_disk(c: list[int]) -> bool:
 # ---------------------------------------------------------------------------
 # disk arithmetic on Fractions
 
+_SQRT_GUARD = 1 << 64
+
+
+def sqrt_ub(q: Fraction) -> Fraction:
+    """Rational upper bound for sqrt(q), q >= 0."""
+    if q < 0:
+        raise ValidationError("sqrt of a negative rational")
+    if q == 0:
+        return Fraction(0)
+    n, d = q.numerator, q.denominator
+    s = _SQRT_GUARD
+    return Fraction(isqrt(n * d * s * s) + 1, d * s)
+
+
+def sqrt_lb(q: Fraction) -> Fraction:
+    """Rational lower bound for sqrt(q): sqrt_ub(q) less its rounding step."""
+    return sqrt_ub(q) - Fraction(1, q.denominator * _SQRT_GUARD) if q > 0 else Fraction(0)
+
 
 class FractionDisk(ComplexEnclosure):
     """A disk with exact Fraction arithmetic, outward rounded only where asked
@@ -91,6 +109,11 @@ class FractionDisk(ComplexEnclosure):
     @classmethod
     def of(cls, e: ComplexEnclosure) -> FractionDisk:
         return cls(e.re, e.im, e.radius)
+
+    def contains_point(self, re: Fraction, im: Fraction) -> bool:
+        dr = self.re - re
+        di = self.im - im
+        return dr * dr + di * di <= self.radius * self.radius
 
     def __add__(self, other):
         if isinstance(other, ComplexEnclosure):
@@ -143,6 +166,18 @@ class FractionDisk(ComplexEnclosure):
         num, den = self.radius.numerator, self.radius.denominator
         rad = Fraction((num * scale + den - 1) // den + 1, scale)
         return FractionDisk(re, im, rad)
+
+
+def reference_side(e: ComplexEnclosure) -> int:
+    """The disk's side of |z| = 1 by rational square-root bounds on |mid|:
+    OUTSIDE when sqrt_lb(|mid|^2) - r > 1, INSIDE when sqrt_ub(|mid|^2) + r < 1,
+    else ON_CIRCLE (-1, 0, 1 as in endoscope.enclosures)."""
+    mid_sq, r = e.abs_sq_mid(), e.radius
+    if sqrt_lb(mid_sq) - r > 1:
+        return 1
+    if sqrt_ub(mid_sq) + r < 1:
+        return -1
+    return 0
 
 
 def pow_rounded(base: FractionDisk, n: int, bits: int) -> FractionDisk:

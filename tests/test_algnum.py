@@ -10,7 +10,7 @@ from endoscope.enclosures import ComplexEnclosure, isolate_roots
 from endoscope.factorq import is_irreducible
 from endoscope.qpoly import QPoly, from_ints
 
-from .oracles import reference_disk_product
+from .oracles import FractionDisk, reference_disk_product
 
 
 def test_powers():
@@ -127,7 +127,7 @@ def test_select_root_isolates_only_the_factors_that_hit(monkeypatch):
     monkeypatch.setattr(algnum, "isolate_roots", counted)
     poly = from_ints(-2, 0, 1) * from_ints(-3, 0, 1) * from_ints(-5, 1)
     q, e, bits = algnum._select_root(poly, disk_of, 128)
-    assert q == from_ints(-2, 0, 1) and e.contains_point(sqrt2.re, 0) and bits == 256
+    assert q == from_ints(-2, 0, 1) and FractionDisk.of(e).contains_point(sqrt2.re, 0) and bits == 256
     assert len(calls) == 5
     assert {q for q, b in calls if b == 256} == {from_ints(-2, 0, 1), from_ints(-3, 0, 1)}
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,31 @@ def test_two_eigenvalue_factors_reject_only_the_classifiers(tmp_path, capsys, a,
     check, table = json.loads(out)["results"]
     assert code == 0 and check["charpoly_q"] == charpoly
     assert [row["fix"] for row in table["fix"]] == fix
+
+
+@pytest.mark.parametrize(
+    "p, detail",
+    [(11, "degree 210 exceeds cap 64"), (13, "degree 495 exceeds cap 64"), (17, "degree 8008 exceeds cap 64")],
+)
+def test_entropy_checks_the_degree_cap_before_the_exterior_power(tmp_path, capsys, p, detail):
+    # f = 1 + zeta_p, g = p - 1: gamma is a root of an exterior power of degree
+    # C(p - 1, k); at p = 17 that power would take minutes to build
+    spec = {"algebra": {"kind": "field", "minpoly": ["1/1"] * p}, "element": {"coords": ["1/1", "1/1"]}, "g": p - 1}
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "run", write_job(tmp_path, {"spec": spec, "commands": ["entropy"]}))
+    assert code == 2 and json.loads(out)["error"] == {"kind": "degree-cap", "detail": detail}
+    assert time.perf_counter() - t0 < 20
+
+
+def test_structure_certificate_power_past_the_cap_still_answers(tmp_path, capsys):
+    # f = 1 + 2cos(2 pi / 17), g = 8: the structure certificate's exterior
+    # power has degree C(8, 4) = 70, above the cap, and is not refused
+    minpoly = ["1/1", "-4/1", "-10/1", "10/1", "15/1", "-6/1", "-7/1", "1/1", "1/1"]
+    spec = {"algebra": {"kind": "field", "minpoly": minpoly}, "element": {"coords": ["1/1", "1/1"]}, "g": 8}
+    code, out = run_cli(capsys, "run", write_job(tmp_path, {"spec": spec, "commands": ["entropy"]}))
+    entropy = json.loads(out)["results"][0]["entropy"]
+    assert code == 0 and entropy["structure_ok"] is True
+    assert entropy["value_decimal"] == "5.53343508135009325"
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

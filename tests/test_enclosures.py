@@ -16,6 +16,8 @@ from endoscope.enclosures import (
     ON_CIRCLE,
     OUTSIDE,
     ComplexEnclosure,
+    _enclosure,
+    disk_product,
     isolate_roots,
     root_bound_exponent,
     unit_circle_status,
@@ -24,7 +26,7 @@ from endoscope.errors import NonSquarefreeInput, ValidationError
 from endoscope.cli import main
 from endoscope.qpoly import QPoly, X, from_ints
 
-from .oracles import count_real_roots, roots_inside_unit_disk
+from .oracles import FractionDisk, count_real_roots, reference_side, roots_inside_unit_disk
 
 
 def test_gaussian_units():
@@ -185,6 +187,93 @@ def test_enclosures_pairwise_disjoint_and_complete(coeffs):
     for i, a in enumerate(encl):
         for b in encl[i + 1 :]:
             assert not a.meets(b)
+
+
+# ---------------------------------------------------------------------------
+# the integer disk against the Fraction reference
+
+fine = st.fractions(min_value=-2, max_value=2, max_denominator=2**80)
+fine_radii = st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=2**80)
+
+
+@st.composite
+def near_circle_disks(draw):
+    """Disks at exact points of |z| = 1, ((1 - t^2) + 2t i) / (1 + t^2),
+    moved out or in by a tiny factor, with tiny radii: the disks that the
+    square-root bounds find hardest to place."""
+    t = draw(st.fractions(min_value=-3, max_value=3, max_denominator=2**20))
+    tiny = Fraction(1, 2**40)
+    scale = 1 + draw(st.fractions(min_value=-tiny, max_value=tiny, max_denominator=2**90))
+    radius = draw(st.fractions(min_value=0, max_value=tiny, max_denominator=2**90))
+    n = 1 + t * t
+    return ComplexEnclosure((1 - t * t) / n * scale, 2 * t / n * scale, radius)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.builds(ComplexEnclosure, fine, fine, fine_radii), near_circle_disks()))
+@example(ComplexEnclosure(Fraction(3, 5), Fraction(4, 5), 0))  # on the circle
+@example(ComplexEnclosure(Fraction(3, 2), 0, Fraction(1, 2)))  # touches it from outside
+@example(ComplexEnclosure(0, 0, 1))  # the unit disk itself
+@example(ComplexEnclosure(Fraction(1, 10), 0, 3))  # a midpoint inside, but a radius past 1
+def test_side_agrees_with_the_square_root_reference(e):
+    ref, side = reference_side(e), e.side()
+    if ref != ON_CIRCLE:
+        assert side == ref  # decides wherever the reference does, and the same way
+    # and exactly: every point of the disk on the side it names
+    m, r = e.abs_sq_mid(), e.radius
+    assert (side == OUTSIDE) == (m > (1 + r) ** 2)
+    assert (side == INSIDE) == (r < 1 and m < (1 - r) ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_coeffs, min_size=3, max_size=7))
+def test_side_of_root_enclosures_agrees_with_the_reference(coeffs):
+    p = QPoly([Fraction(c) for c in coeffs]).squarefree_part()
+    if p.degree < 1:
+        return
+    for e in isolate_roots(p, 64):
+        ref = reference_side(e)
+        assert ref == ON_CIRCLE or e.side() == ref
+
+
+@given(
+    st.builds(ComplexEnclosure, fine, fine, fine_radii),
+    st.builds(ComplexEnclosure, fine, fine, fine_radii),
+    st.integers(min_value=1, max_value=2**70),
+)
+def test_meets_eq_and_hash_compare_values_across_denominators(a, b, k):
+    scaled = _enclosure(a.re_num * k, a.im_num * k, a.rad_num * k, a.den * k)
+    assert (scaled.re, scaled.im, scaled.radius) == (a.re, a.im, a.radius)
+    assert scaled == a and hash(scaled) == hash(a) and FractionDisk.of(scaled) == scaled
+    assert (scaled == b) == ((a.re, a.im, a.radius) == (b.re, b.im, b.radius))
+    assert scaled.conjugate() == FractionDisk(a.re, -a.im, a.radius)
+    meets = (a.re - b.re) ** 2 + (a.im - b.im) ** 2 <= (a.radius + b.radius) ** 2
+    assert scaled.meets(b) == meets == b.meets(scaled)
+
+
+def test_a_dyadic_disk_meets_its_rational_point():
+    third = ComplexEnclosure(Fraction(1, 3), 0, 0)
+    assert third.den == 3
+    disk = disk_product([third], 64)  # over 2^64
+    assert disk.den == 2**64 and disk.meets(third) and third.meets(disk)
+    assert disk != third and hash(FractionDisk.of(disk)) == hash(disk) and FractionDisk.of(disk) == disk
+    far = ComplexEnclosure(Fraction(1, 3) + disk.radius * 2 + Fraction(1, 2**70), 0, disk.radius)
+    assert not far.meets(disk) and not disk.meets(far)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_coeffs, min_size=3, max_size=8))
+def test_roots_are_exactly_real_or_in_exact_conjugate_pairs(coeffs):
+    p = QPoly([Fraction(c) for c in coeffs]).squarefree_part()
+    if p.degree < 1:
+        return
+    encl = isolate_roots(p, 64)
+    assert len({e.den for e in encl}) == 1  # one denominator per polynomial
+    reals = [e for e in encl if e.is_real]
+    assert all(e.im_num == 0 and e.im == 0 for e in reals)
+    others = [e for e in encl if not e.is_real]
+    assert sorted(e.im_num for e in others) == sorted(-e.im_num for e in others)
+    assert {e.conjugate() for e in others} == set(others) and len(set(others)) == len(others)
 
 
 # a gamma candidate of the g = 8 quaternion job in tests/test_classify.py:

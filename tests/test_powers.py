@@ -133,9 +133,9 @@ kernel_disks = st.builds(
     st.fractions(min_value=-5, max_value=5, max_denominator=7),
 )
 def test_disk_product_holds_the_exact_product_power_and_fold(encl, m, bits, fold):
-    plain, power = disk_product(encl, bits), disk_product(encl, bits, m)
+    plain, power = FractionDisk.of(disk_product(encl, bits)), FractionDisk.of(disk_product(encl, bits, m))
     try:
-        folded = disk_product(encl, bits, m, fold)
+        folded = FractionDisk.of(disk_product(encl, bits, m, fold))
     except ValidationError:
         folded = None  # refused only when the power's disk holds 0
         assert power.contains_point(0, 0)
