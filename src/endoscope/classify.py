@@ -253,12 +253,12 @@ def entropy(spec: EndomorphismSpec) -> EntropyReport:
     if periodic:
         raise CrossCheckError("gamma > 1 for a spec classified as periodic")
 
-    g = gamma.enclosure
-    if not g.is_real or g.re_num - g.rad_num <= g.den:
+    disk = gamma.enclosure
+    if not disk.is_real or disk.re_num - disk.rad_num <= disk.den:
         raise CrossCheckError("gamma enclosure is not certified real and > 1")
 
     with mp.workprec(200):
-        value = mp.log(fraction_to_mpf(g.re_num, g.den))
+        value = mp.log(fraction_to_mpf(disk.re_num, disk.den))
         spectrum = _spectrum(spec)
         check = spectrum.mult * mp.fsum(
             mp.log(mp.sqrt(fraction_to_mpf(e.re_num**2 + e.im_num**2, e.den**2)))

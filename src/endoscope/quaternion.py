@@ -275,20 +275,16 @@ def definiteness(algebra: QuatAlgebra) -> DefinitenessReport:
     the places in ascending order of the root of the base minimal polynomial.
     The report is kept on the algebra."""
     if algebra._definiteness is None:
-        algebra._definiteness = _definiteness_uncached(algebra)
+        m = algebra.base.minpoly
+        signs = tuple(signs_at_real_roots(m, algebra.alpha.poly, algebra.beta.poly))
+        if all(sa < 0 and sb < 0 for sa, sb in signs):
+            kind = TOTALLY_DEFINITE
+        elif all(sa > 0 or sb > 0 for sa, sb in signs):
+            kind = TOTALLY_INDEFINITE
+        else:
+            kind = MIXED
+        algebra._definiteness = DefinitenessReport(kind, signs)
     return algebra._definiteness
-
-
-def _definiteness_uncached(algebra: QuatAlgebra) -> DefinitenessReport:
-    m = algebra.base.minpoly
-    signs = tuple(signs_at_real_roots(m, algebra.alpha.poly, algebra.beta.poly))
-    if all(sa < 0 and sb < 0 for sa, sb in signs):
-        kind = TOTALLY_DEFINITE
-    elif all(sa > 0 or sb > 0 for sa, sb in signs):
-        kind = TOTALLY_INDEFINITE
-    else:
-        kind = MIXED
-    return DefinitenessReport(kind, signs)
 
 
 # ---------------------------------------------------------------------------

@@ -252,3 +252,20 @@ def test_reduced_norm_over_a_cubic_with_rational_minpoly(xd):
     n = algebra.element(x.reduced_norm())
     assert x * x.conjugate() == n
     assert x.conjugate() * x == n
+
+
+def test_definiteness_runs_once_per_parsed_algebra(monkeypatch):
+    # the Albert gate and check-algebra both read the report; a second parse
+    # of the same spec is a new algebra and computes it again
+    from endoscope import jobs, quaternion
+
+    calls = []
+    signs = quaternion.signs_at_real_roots
+    monkeypatch.setattr(quaternion, "signs_at_real_roots", lambda *a: calls.append(a) or signs(*a))
+    algebra = {"kind": "quaternion", "base_minpoly": ["-13/1", "0/1", "1/1"], "alpha": ["-2/1", "-2/1"], "beta": ["2/1"]}
+    data = {"algebra": algebra, "element": {"a": ["1/4", "-1/4"], "b": ["1/4"], "c": [], "d": []}, "g": 4}
+    for parses in (1, 2):
+        spec = jobs.parse_spec(data, "spec")
+        reports = [jobs.run_command(spec, {"op": op}) for op in ("check-algebra", "classify")]
+        assert reports[0]["definiteness"]["kind"] == TOTALLY_INDEFINITE
+        assert len(calls) == parses
