@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from endoscope.enclosures import ComplexEnclosure, isolate_roots
+from endoscope.enclosures import INSIDE, ON_CIRCLE, OUTSIDE, ComplexEnclosure, isolate_roots
 from endoscope.errors import ValidationError
 from endoscope.factorq import factor
 from endoscope.lefschetz import rational_eigenvalues
@@ -171,13 +171,13 @@ class FractionDisk(ComplexEnclosure):
 def reference_side(e: ComplexEnclosure) -> int:
     """The disk's side of |z| = 1 by rational square-root bounds on |mid|:
     OUTSIDE when sqrt_lb(|mid|^2) - r > 1, INSIDE when sqrt_ub(|mid|^2) + r < 1,
-    else ON_CIRCLE (-1, 0, 1 as in endoscope.enclosures)."""
+    else ON_CIRCLE."""
     mid_sq, r = e.abs_sq_mid(), e.radius
     if sqrt_lb(mid_sq) - r > 1:
-        return 1
+        return OUTSIDE
     if sqrt_ub(mid_sq) + r < 1:
-        return -1
-    return 0
+        return INSIDE
+    return ON_CIRCLE
 
 
 def pow_rounded(base: FractionDisk, n: int, bits: int) -> FractionDisk:

@@ -276,6 +276,40 @@ def test_roots_are_exactly_real_or_in_exact_conjugate_pairs(coeffs):
     assert {e.conjugate() for e in others} == set(others) and len(set(others)) == len(others)
 
 
+def test_integer_enclosure_paths_build_no_fraction(monkeypatch):
+    """The certificate's disks, the side test, meets, conjugates, equality,
+    disk_product and the printed decimal all run on the integers."""
+    from endoscope.algnum import AlgebraicNumber
+    from endoscope.jobs import _certified_decimal
+
+    cluster = _shifted_cyclotomic(100, 5)  # recentred at c = 399/4
+    _, ints = cluster.clear_denominators()
+    c, shifted, polish = enclosures.approximate_roots(ints)
+    assert c == Fraction(399, 4)
+    pts, cluster_encl = polish(192), isolate_roots(cluster, 128)
+    q = from_ints(1, -1, -1, -1, 1)  # Salem quartic: two real roots, a pair on the circle
+    encl, fold = isolate_roots(q, 128), Fraction(-3, 7)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    got = enclosures._attempt(ints, shifted, c, pts, 192, 124)
+    sides = [e.side() for e in encl]
+    meets = [a.meets(b) for a in encl for b in encl]
+    same = [a == b.conjugate() for a in encl for b in encl] + [hash(e) for e in encl]
+    disks = [disk_product(encl[:2], 128, 3), disk_product(encl, 64, 2, fold)]
+    decimal = _certified_decimal(AlgebraicNumber(q, encl[-1]))
+    monkeypatch.undo()
+    assert built == []
+    assert got == cluster_encl and sorted(sides) == [INSIDE, ON_CIRCLE, ON_CIRCLE, OUTSIDE]
+    assert sum(meets) == 4 and sum(same[:16]) == 4 and all(d.den in (2**128, 2**64) for d in disks)
+    assert decimal.startswith("1.7220838057")
+
+
 # a gamma candidate of the g = 8 quaternion job in tests/test_classify.py:
 # four real roots between 2^61 and 2^70
 BIG_QUARTIC = from_ints(
