@@ -1,13 +1,13 @@
 """Algebraic numbers as (irreducible minimal polynomial, certified enclosure)
-pairs, with exact products of roots of one irreducible polynomial.
+pairs, with exact products of roots of one irreducible polynomial (classify's
+gamma, from the structure element's minimal polynomial or from q).
 
 A product of the m-th powers of k roots of p is a root of the exterior power
-prod over k-subsets S of (x - prod_S a^m), built from Newton power sums
-(Bostan-Flajolet-Salvy-Schost 2006): its j-th power sum is e_k(a^(mj)).  The
-factor holding the true product is the unique one whose certified root
-enclosure meets the target disk, an outward-rounded product of the roots'
-enclosures on integer mantissas over 2^bits (enclosures.disk_product), so the
-selection is a proof: distinct irreducible factors share no roots.
+prod over k-subsets S of (x - prod_S a^m), whose j-th power sum e_k(a^(mj))
+comes from Newton power sums (Bostan-Flajolet-Salvy-Schost 2006), built once
+root_product has checked its degree against factorq's cap.  The factor holding
+the true product is the one whose certified root enclosure meets the target
+disk (enclosures.disk_product), as distinct irreducible factors share no roots.
 """
 
 from __future__ import annotations

@@ -11,15 +11,17 @@ as Q[f] is a field on a simple abelian variety; a chi with two distinct
 factors is rejected where the spectrum is built.  So the roots are either all
 roots of unity (periodic growth) or none is.
 
-Every real-root decision is an exact Sturm count (qpoly): the roots of q on
-|z| = 1 (the census by which the growth class labels the eigenvalue
-enclosures), the Salem test, the conjugates of the structure element above 1.
-No working precision enters any answer.
+Every real-root decision is an exact Sturm count (qpoly): the roots of q, or
+of the structure element's minimal polynomial, on |z| = 1 (the census by
+which the enclosures are labelled), and the Salem test.  No working
+precision enters any answer.
 
 The entropy is log(gamma), gamma the Mahler measure of the eigenvalue
-multiset (Lind-Schmidt-Ward, Invent. Math. 1990): one root of an exterior
-power of q, and the certificate divides gamma's minimal polynomial into
-another.
+multiset (Lind-Schmidt-Ward, Invent. Math. 1990).  Except for the totally
+indefinite type, where it comes from q, gamma is one root of an exterior
+power of the minimal polynomial of the totally real element f^2, f*conj(f)
+or Nrd(f) (the paper's structure theorem), and the certificate checks it
+against the product of the roots of q outside the circle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import algnum, factorq
-from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, isolate_roots
+from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, disk_product, isolate_roots, unit_circle_status
 from .errors import CrossCheckError, ValidationError
 from .lefschetz import TOTALLY_INDEFINITE_QUATERNION  # noqa: F401  re-export
 from .lefschetz import CM_FIELD, TOTALLY_DEFINITE_QUATERNION, TOTALLY_REAL_FIELD, AlbertType, EndomorphismSpec
@@ -217,17 +219,29 @@ def fraction_to_mpf(q, den: int = 1, rounding: str = "n"):
 
 def _gamma_of(spec: EndomorphismSpec) -> algnum.AlgebraicNumber:
     """gamma = prod |mu| over the eigenvalues outside the circle, with
-    multiplicity: for the factor q of multiplicity m, the product of a^m over
-    its roots a outside (a conjugate pair gives |a|^(2m), and a real a gives
-    |a|^m as m is even)."""
+    multiplicity.  For the totally real, CM and totally definite types, the
+    structure element y is totally positive with the conjugates |mu|^2, so
+    gamma is the product of b^(g/n') over the conjugates b > 1 of y,
+    n' = deg minpoly(y).  Otherwise it is the product of a^m over the roots a
+    outside of q, of multiplicity m (a conjugate pair gives |a|^(2m), and a
+    real a gives |a|^m as m is even)."""
     if spec._gamma_cache is None:
+        at = admissibility_check(spec)
         spectrum = _spectrum(spec)
         outside = [e for e, s in spectrum.statuses if s == OUTSIDE]
         if spectrum.mult % 2 and any(e.is_real for e in outside):
             raise CrossCheckError("real eigenvalue with odd multiplicity outside the circle")
-        spec._gamma_cache = (
-            algnum.root_product(spectrum.poly, outside, spectrum.mult) if outside else algnum.from_rational(1)
-        )
+        if not outside:
+            gamma = algnum.from_rational(1)
+        elif at.kind in _DICHOTOMY_KINDS:
+            minpoly_y = _structure_element(spec, at).minimal_polynomial()
+            if spec.g % minpoly_y.degree:
+                raise CrossCheckError("the degree of the totally real subfield element does not divide g")
+            above_one = [e for e, s in unit_circle_status(minpoly_y) if s == OUTSIDE]
+            gamma = algnum.root_product(minpoly_y, above_one, spec.g // minpoly_y.degree)
+        else:
+            gamma = algnum.root_product(spectrum.poly, outside, spectrum.mult)
+        spec._gamma_cache = gamma
     return spec._gamma_cache
 
 
@@ -283,11 +297,8 @@ def _structure_element(spec: EndomorphismSpec, at: AlbertType):
     if at.kind == TOTALLY_REAL_FIELD:
         return f * f
     if at.kind == CM_FIELD:
-        rep = cm_structure(spec.algebra)
-        return f * apply_conjugation(rep, f)
-    if at.kind == TOTALLY_DEFINITE_QUATERNION:
-        return f.reduced_norm()
-    raise ValidationError("structure certificate only covers totally real, CM and totally definite types")
+        return f * apply_conjugation(cm_structure(spec.algebra), f)
+    return f.reduced_norm()
 
 
 def _structure_result(spec: EndomorphismSpec, at: AlbertType, trivial: bool) -> tuple[bool | None, str]:
@@ -295,29 +306,21 @@ def _structure_result(spec: EndomorphismSpec, at: AlbertType, trivial: bool) -> 
         return None, "structure statement does not cover totally indefinite quaternion multiplication"
     if trivial:
         return True, "gamma = 1 lies in every subfield"
-    ok = structure_certificate_for(spec, at)
-    note = (
+    if not structure_certificate_for(spec):
+        return False, "gamma is not a root of the exterior power of the totally real subfield element"
+    return True, (
         "every |mu|^2 factor of gamma is a conjugate of an explicit element of the "
         "maximal totally real subfield, so gamma lies in its normal closure"
     )
-    return ok, note if ok else "gamma is not a root of the exterior power of the totally real subfield element"
 
 
-def structure_certificate_for(spec: EndomorphismSpec, at: AlbertType | None = None) -> bool:
-    """Exact check that gamma lives in the normal closure of the maximal
-    totally real subfield of the endomorphism algebra.
-
-    The subfield element y (f^2, f*conj(f) or Nrd(f)) is totally positive;
-    each conjugate is a value |mu|^2, and gamma is the product of b^(g/n')
-    over the k' conjugates b > 1, n' = deg minpoly(y), and k' is a Sturm
-    count of the roots of minpoly(y) in (1, inf).  So minpoly(gamma) must
-    divide the exterior power.
-    """
-    if at is None:
-        at = admissibility_check(spec)
-    minpoly_y = _structure_element(spec, at).minimal_polynomial()
-    if spec.g % minpoly_y.degree:
-        raise CrossCheckError("the degree of the totally real subfield element does not divide g")
-    above_one = count_real_roots(minpoly_y, 1)
-    power = algnum.exterior_power(minpoly_y, above_one, spec.g // minpoly_y.degree)
-    return _gamma_of(spec).minpoly.divides(power)
+def structure_certificate_for(spec: EndomorphismSpec) -> bool:
+    """Check from the eigenvalue side that gamma, taken from the totally real
+    subfield element y, is the Mahler measure of the spectrum: its enclosure
+    must meet the target disk of the product of a^m over the roots a of q
+    outside the circle, m the multiplicity (enclosures.disk_product)."""
+    if admissibility_check(spec).kind not in _DICHOTOMY_KINDS:
+        raise ValidationError("structure certificate only covers totally real, CM and totally definite types")
+    spectrum = _spectrum(spec)
+    target = disk_product([e for e, s in spectrum.statuses if s == OUTSIDE], 128, spectrum.mult)
+    return _gamma_of(spec).enclosure.meets(target)

@@ -61,7 +61,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .qpoly import QPoly, X, _sign_at, binary_power, count_real_roots, root_bound_exponent, trace_polynomial
+from .qpoly import QPoly, _convolve, _sign_at, binary_power, count_real_roots, root_bound_exponent, trace_polynomial
 
 MAX_BITS = 4096
 
@@ -389,7 +389,12 @@ def approximate_roots(ints: list[int]) -> tuple[Fraction | int, list[int], Calla
     # bits or more: a tight cluster far from 0 is then seen at its own scale,
     # while roots spread out around 0 stay put
     c = Fraction(-ints[n - 1], n * ints[n])
-    shifted = QPoly(ints).compose(X + c).clear_denominators()[1] if c else ints  # Taylor shift by Horner's rule
+    shifted = [ints[n]]  # the Taylor shift by Horner's rule on den^n p((den x + num) / den), c = num / den
+    for j in range(n - 1, -1, -1):
+        shifted = _convolve(shifted, [c.numerator, c.denominator])
+        shifted[0] += ints[j] * c.denominator ** (n - j)
+    g = gcd(*shifted)
+    shifted = [v // g for v in shifted]
     if root_bound_exponent(shifted) > root_bound_exponent(ints) - 2:
         c, shifted = 0, ints
     k, seeds = _seeds(shifted)

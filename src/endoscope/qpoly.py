@@ -241,11 +241,6 @@ class QPoly:
     def __mod__(self, other: QPoly) -> QPoly:
         return self.divmod(other)[1]
 
-    def divides(self, other: QPoly) -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
     def monic(self) -> QPoly:
         if self.is_zero or self.is_monic:
             return self
@@ -266,9 +261,6 @@ class QPoly:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
-
-    def compose(self, inner: QPoly) -> QPoly:
-        return self(inner)
 
     def compose_mod(self, inner: QPoly, mod: QPoly) -> QPoly:
         """self(inner) mod mod by Horner's rule on the integer numerator of

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from endoscope import classify
+from endoscope import algnum, classify
 from endoscope.classify import (
     EXPONENTIAL_PURE,
     PERIODIC,
@@ -27,9 +27,9 @@ from endoscope.classify import (
     structure_certificate_for,
 )
 from endoscope.cli import main as cli_main
-from endoscope.enclosures import ON_CIRCLE, isolate_roots, unit_circle_status
-from endoscope.errors import EndoscopeError
-from endoscope.factorq import factor
+from endoscope.enclosures import ON_CIRCLE, OUTSIDE, isolate_roots, unit_circle_status
+from endoscope.errors import DegreeCapExceeded, EndoscopeError
+from endoscope.factorq import DEGREE_CAP, factor
 from endoscope.lefschetz import (
     EndomorphismSpec,
     companion_oracle,
@@ -327,6 +327,45 @@ def test_criterion_7_structure_theorem():
         assert rep.is_salem is False, spec  # gamma is never Salem for these types
     assert positive >= 20, positive
     _ok(7, f"structure certificate and non-Salem corollary on {positive} positive-entropy specs")
+
+
+def test_gamma_from_the_structure_element_matches_the_eigenvalue_route():
+    # _gamma_of takes gamma from the totally real element y; the product of
+    # the m-th powers of the roots of q outside the circle is a second route
+    compared = 0
+    for spec in _structure_corpus():
+        gamma = classify._gamma_of(spec)
+        spectrum = classify._spectrum(spec)
+        outside = [e for e, s in spectrum.statuses if s == OUTSIDE]
+        if not outside:
+            assert gamma.as_fraction() == 1, spec
+            continue
+        direct = algnum.root_product(spectrum.poly, outside, spectrum.mult)
+        assert direct.minpoly == gamma.minpoly, spec
+        assert direct.enclosure.meets(gamma.enclosure), spec
+        compared += 1
+    assert compared >= 20, compared
+
+
+def test_entropy_starts_no_exterior_power_past_the_cap(monkeypatch):
+    # the spy sees every exterior power the package starts, by its number of
+    # roots C(n, k)
+    started = []
+    exterior_sums = algnum._exterior_sums
+
+    def spy(p, k, m, count):
+        started.append(math.comb(p.degree, k))
+        return exterior_sums(p, k, m, count)
+
+    monkeypatch.setattr(algnum, "_exterior_sums", spy)
+    for spec in _structure_corpus():
+        entropy(spec)
+    assert started and max(started) <= DEGREE_CAP, started
+    started.clear()
+    zeta19 = NumberField(QPoly([1] * 19))  # 1 + zeta19: gamma's power has C(9, 6) = 84 roots
+    with pytest.raises(DegreeCapExceeded, match="degree 84 exceeds cap 64"):
+        entropy(EndomorphismSpec(zeta19, zeta19.element([1, 1]), 18))
+    assert started == []
 
 
 # ---------------------------------------------------------------------------

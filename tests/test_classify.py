@@ -21,7 +21,7 @@ from endoscope.classify import (
     is_salem_polynomial,
     structure_certificate_for,
 )
-from endoscope.enclosures import isolate_roots
+from endoscope.enclosures import OUTSIDE, isolate_roots
 from endoscope.errors import (
     DivisibilityViolation,
     NonIntegralElement,
@@ -434,9 +434,11 @@ def test_entropy_g8_quaternion_with_huge_gamma_candidates(tmp_path, capsys):
 
 
 def test_entropy_degree8_cm_folds_the_exterior_power(monkeypatch):
-    # 4 of the 8 roots of the charpoly lie outside the circle, and C(8, 4) = 70
-    # is above the factorization cap; folding the subsets with their
-    # complements halves the degree
+    # Q(zeta16), g = 4: gamma comes from y = f*conj(f), whose minimal
+    # polynomial has degree 4 with 2 roots above 1, so the folded power has
+    # degree C(4, 2) / 2 = 3.  On the charpoly, 4 of the 8 roots lie outside
+    # the circle, and C(8, 4) = 70 is above the factorization cap; folding the
+    # subsets with their complements halves the degree there too
     from endoscope import algnum
 
     calls = []
@@ -451,6 +453,13 @@ def test_entropy_degree8_cm_folds_the_exterior_power(monkeypatch):
     rep = entropy(spec)
     assert rep.gamma_minpoly == from_ints(16, -224, 280, -56, 1)
     assert rep.structure_ok is True
+    assert calls == [(4, 2, 3)]
+
+    spectrum = classify._spectrum(spec)
+    outside = [e for e, s in spectrum.statuses if s == OUTSIDE]
+    assert spectrum.poly.degree == 8 and len(outside) == 4
+    gamma = algnum.root_product(spectrum.poly, outside, spectrum.mult)
+    assert gamma.minpoly == rep.gamma_minpoly
     assert (8, 4, 35) in calls
 
 

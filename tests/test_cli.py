@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import mp
 
 from endoscope import cli, jobs
 from endoscope.cli import main
@@ -240,23 +241,46 @@ def test_two_eigenvalue_factors_reject_only_the_classifiers(tmp_path, capsys, a,
     assert [row["fix"] for row in table["fix"]] == fix
 
 
+def _one_plus_zeta_job(p):
+    # f = 1 + zeta_p in the CM field Q(zeta_p), g = p - 1
+    spec = {"algebra": {"kind": "field", "minpoly": ["1/1"] * p}, "element": {"coords": ["1/1", "1/1"]}, "g": p - 1}
+    return {"spec": spec, "commands": ["entropy"]}
+
+
 @pytest.mark.parametrize(
     "p, detail",
-    [(11, "degree 210 exceeds cap 64"), (13, "degree 495 exceeds cap 64"), (17, "degree 8008 exceeds cap 64")],
+    [(19, "degree 84 exceeds cap 64"), (23, "degree 330 exceeds cap 64"), (29, "degree 2002 exceeds cap 64")],
 )
 def test_entropy_checks_the_degree_cap_before_the_exterior_power(tmp_path, capsys, p, detail):
-    # f = 1 + zeta_p, g = p - 1: gamma is a root of an exterior power of degree
-    # C(p - 1, k); at p = 17 that power would take minutes to build
-    spec = {"algebra": {"kind": "field", "minpoly": ["1/1"] * p}, "element": {"coords": ["1/1", "1/1"]}, "g": p - 1}
+    # gamma is a root of an exterior power of minpoly(f*conj(f)), of degree
+    # C((p - 1) / 2, k'); at p = 29 that power would take minutes to build
     t0 = time.perf_counter()
-    code, out = run_cli(capsys, "run", write_job(tmp_path, {"spec": spec, "commands": ["entropy"]}))
+    code, out = run_cli(capsys, "run", write_job(tmp_path, _one_plus_zeta_job(p)))
     assert code == 2 and json.loads(out)["error"] == {"kind": "degree-cap", "detail": detail}
     assert time.perf_counter() - t0 < 20
 
 
+@pytest.mark.parametrize(
+    "p, value, degree",
+    [(11, "5.76758548295436251", 5), (13, "7.06503165753600178", 6), (17, "9.62997397527336048", 8)],
+)
+def test_entropy_of_one_plus_zeta_answers_through_the_structure_element(tmp_path, capsys, p, value, degree):
+    # each of the p - 1 eigenvalues 1 + zeta^j has multiplicity 2g/(p - 1) = 2,
+    # so the entropy is the sum of 2 log|1 + zeta^j| over |1 + zeta^j| > 1
+    code, out = run_cli(capsys, "run", write_job(tmp_path, _one_plus_zeta_job(p)))
+    entropy = json.loads(out)["results"][0]["entropy"]
+    assert code == 0 and entropy["structure_ok"] is True
+    assert entropy["value_decimal"] == value and len(entropy["gamma_minpoly"]) == degree + 1
+    with mp.workprec(100):
+        terms = [abs(1 + mp.expjpi(mp.mpf(2 * j) / p)) for j in range(1, p)]
+        expected = mp.fsum(2 * mp.log(t) for t in terms if t > 1)
+        assert abs(expected - mp.mpf(value)) < mp.mpf(10) ** -16
+
+
 def test_structure_certificate_power_past_the_cap_still_answers(tmp_path, capsys):
-    # f = 1 + 2cos(2 pi / 17), g = 8: the structure certificate's exterior
-    # power has degree C(8, 4) = 70, above the cap, and is not refused
+    # f = 1 + 2cos(2 pi / 17), g = 8: y = f^2 has degree 8 with 4 conjugates
+    # above 1, so gamma's exterior power has degree C(8, 4) = 70, above the
+    # cap, and is folded to degree 35
     minpoly = ["1/1", "-4/1", "-10/1", "10/1", "15/1", "-6/1", "-7/1", "1/1", "1/1"]
     spec = {"algebra": {"kind": "field", "minpoly": minpoly}, "element": {"coords": ["1/1", "1/1"]}, "g": 8}
     code, out = run_cli(capsys, "run", write_job(tmp_path, {"spec": spec, "commands": ["entropy"]}))

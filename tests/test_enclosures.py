@@ -338,7 +338,7 @@ def test_isolate_roots_with_roots_near_2_to_the_67():
 
 def _shifted_cyclotomic(shift: int, p: int) -> QPoly:
     """Minimal polynomial of shift + zeta_p for a prime p: Phi_p(x - shift)."""
-    return QPoly([1] * p).compose(X - shift)
+    return QPoly([1] * p)(X - shift)
 
 
 @pytest.mark.parametrize("shift, p", [(10**6, 7), (100, 13), (300, 13), (5000, 11)])
@@ -351,6 +351,15 @@ def test_isolate_roots_of_a_tight_cluster_far_from_zero(shift, p):
         for b in encl[i + 1 :]:
             assert not a.meets(b)
         assert abs((a.re - shift) ** 2 + a.im**2 - 1) < Fraction(1, 2**100)
+
+
+@pytest.mark.parametrize("shift, p", [(10**6, 7), (300, 13)])
+def test_centroid_shift_matches_the_rational_taylor_shift(shift, p):
+    # the integer Horner shift is the primitive part of p(x + c) over Q
+    ints = _shifted_cyclotomic(shift, p).clear_denominators()[1]
+    c, shifted, _ = enclosures.approximate_roots(ints)
+    assert c == shift - Fraction(1, p - 1)
+    assert shifted == QPoly(ints)(X + c).clear_denominators()[1]
 
 
 def test_field_job_on_a_cluster_far_from_zero(tmp_path, capsys):

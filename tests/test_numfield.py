@@ -136,7 +136,7 @@ def test_cm_structure_zeta8():
     assert _real_subfield_minpoly(rep, zeta8) == from_ints(-2, 0, 1)
     # a + zeta_n of degree 12, 18 and 24: the interpolation at scale
     for a, n in ((100, 13), (5000, 19), (3, 35)):
-        field = NumberField(_cyclotomic(n).compose(X - a))
+        field = NumberField(_cyclotomic(n)(X - a))
         rep = cm_structure(field)
         assert rep.kind == CM
         alpha = field.gen()
@@ -154,7 +154,7 @@ def test_cm_structure_other_cases():
 
 
 # CM fields a + zeta_n, Q(i) and Q(sqrt-3), by minimal polynomial
-CM_FIELDS = [_cyclotomic(n).compose(X - a) for a in (0, 3, 100) for n in (5, 7, 8, 9, 12, 13)]
+CM_FIELDS = [_cyclotomic(n)(X - a) for a in (0, 3, 100) for n in (5, 7, 8, 9, 12, 13)]
 CM_FIELDS += [from_ints(1, 0, 1), from_ints(3, 0, 1)]
 
 
