@@ -9,11 +9,13 @@ from .classify import (
     EntropyReport,
     GrowthReport,
     SalemReport,
+    Spectrum,
     classify_growth,
     entropy,
     is_automorphism,
     is_root_of_unity,
     is_salem_polynomial,
+    rational_eigenvalues,
 )
 from .enclosures import ComplexEnclosure, isolate_roots, unit_circle_status
 from .errors import (
@@ -31,12 +33,10 @@ from .factorq import factor, is_irreducible
 from .lefschetz import (
     AlbertType,
     EndomorphismSpec,
-    Spectrum,
     admissibility_check,
     companion_oracle,
     fixed_point_table,
     fixed_points_exact,
-    rational_eigenvalues,
 )
 from .numfield import (
     FieldTypeReport,

@@ -6,10 +6,11 @@ among exact alternatives or cross-checks.  Where the two could disagree the
 code raises CrossCheckError instead of picking a side: the criteria are
 provably equivalent, so a disagreement is a bug, not data.
 
-The spectrum of f is chi = q^k for one irreducible q (lefschetz.Spectrum),
-as Q[f] is a field on a simple abelian variety; a chi with two distinct
-factors is rejected where the spectrum is built.  So the roots are either all
-roots of unity (periodic growth) or none is.
+The spectrum of f is chi = q^k for one irreducible q (Spectrum), as Q[f] is
+a field on a simple abelian variety; a chi with two distinct factors is
+rejected where the spectrum is built.  So the roots are either all roots of
+unity (periodic growth) or none is.  What classify decides about a spec is
+one record kept on it (_Decision), each part computed once.
 
 Every real-root decision is an exact Sturm count (qpoly): the roots of q, or
 of the structure element's minimal polynomial, on |z| = 1 (the census by
@@ -27,13 +28,13 @@ against the product of the roots of q outside the circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import algnum, factorq
 from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, disk_product, isolate_roots, unit_circle_status
-from .errors import CrossCheckError, ValidationError
-from .lefschetz import TOTALLY_INDEFINITE_QUATERNION  # noqa: F401  re-export
-from .lefschetz import CM_FIELD, TOTALLY_DEFINITE_QUATERNION, TOTALLY_REAL_FIELD, AlbertType, EndomorphismSpec
-from .lefschetz import Spectrum, admissibility_check, fixed_point_table, rational_eigenvalues
+from .errors import CrossCheckError, NotSimpleAlbertType, ValidationError
+from .lefschetz import CM_FIELD, TOTALLY_DEFINITE_QUATERNION, TOTALLY_INDEFINITE_QUATERNION, TOTALLY_REAL_FIELD
+from .lefschetz import AlbertType, EndomorphismSpec, admissibility_check, fixed_point_table
 from .numfield import apply_conjugation, cm_structure
 from .qpoly import ONE, QPoly, X, count_real_roots, cyclotomic_order, trace_polynomial
 
@@ -41,8 +42,6 @@ PERIODIC = "Periodic"
 EXPONENTIAL_PURE = "ExponentialPure"
 EXPONENTIAL_MIXED = "ExponentialMixed"
 UNIT_CIRCLE_NON_TORSION = "UnitCircleNonTorsionOnly"
-
-_DICHOTOMY_KINDS = (TOTALLY_REAL_FIELD, CM_FIELD, TOTALLY_DEFINITE_QUATERNION)
 
 
 @dataclass(frozen=True)
@@ -95,62 +94,132 @@ def is_root_of_unity(minpoly: QPoly, enclosure: ComplexEnclosure | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# shared spectral analysis
+# the spectrum, and what classify decides about a spec
 
 
-def _spectrum(spec: EndomorphismSpec) -> Spectrum:
-    if spec._spectrum_cache is None:
-        spec._spectrum_cache = rational_eigenvalues(spec)
-    return spec._spectrum_cache
+@dataclass(frozen=True)
+class Spectrum:
+    """The roots of chi^(2g/(de)) = q^mult for the one irreducible q: its
+    root-of-unity order (None when q is not cyclotomic) and each root's
+    enclosure with its side of |z| = 1 (enclosures.unit_circle_status)."""
+
+    poly: QPoly
+    mult: int
+    order: int | None
+    statuses: tuple[tuple[ComplexEnclosure, int], ...]
+
+
+def rational_eigenvalues(spec: EndomorphismSpec, precision_bits: int = 128) -> Spectrum:
+    """The spectrum of f, whose chi must be a power of one irreducible q.
+
+    The endomorphism algebra of a simple abelian variety is a division
+    algebra, so Q[f] is a field and chi is a power of the minimal
+    polynomial of f; two distinct factors prove that the algebra is not.
+    """
+    admissibility_check(spec)
+    factors = factorq.factor(spec.charpoly_q())
+    if len(factors) != 1:
+        raise NotSimpleAlbertType(
+            f"characteristic polynomial has {len(factors)} distinct irreducible factors, so f "
+            "generates no field: the algebra cannot act on a simple abelian variety"
+        )
+    [(q, mult)] = factors
+    mult *= spec.exponent()
+    if mult * q.degree != 2 * spec.g:
+        raise CrossCheckError("eigenvalue multiset total differs from 2g")
+    statuses = tuple(unit_circle_status(q, isolate_roots(q, precision_bits)))
+    return Spectrum(q, mult, cyclotomic_order(q), statuses)
+
+
+_WITNESS = {
+    TOTALLY_REAL_FIELD: "f == +-1 in a totally real field",
+    CM_FIELD: "f * conj(f) == 1 in a CM field",
+    TOTALLY_DEFINITE_QUATERNION: "Nrd(f) == 1 in a totally definite quaternion algebra",
+    TOTALLY_INDEFINITE_QUATERNION: "eigenvalue multiset analysis (totally indefinite)",
+}
+
+
+class _Decision:
+    """What classify decides about one spec, kept on it (spec._classified).
+
+    What is read off the spec is built with the record, so that the record
+    keeps no reference to the spec: that cycle would keep every finished spec
+    alive until the garbage collector ran.  The growth class and gamma are
+    computed on first use.
+    """
+
+    def __init__(self, spec: EndomorphismSpec):
+        self.albert = admissibility_check(spec)
+        self.witness = _WITNESS[self.albert.kind]
+        self.g = spec.g
+        self.spectrum = rational_eigenvalues(spec)
+        self.outside = [e for e, s in self.spectrum.statuses if s == OUTSIDE]
+        # the totally indefinite type has no structure element y
+        indefinite = self.albert.kind == TOTALLY_INDEFINITE_QUATERNION
+        self.minpoly_y = None if indefinite else _structure_element(spec, self.albert).minimal_polynomial()
+
+    @cached_property
+    def growth_class(self) -> str:
+        """Read off the sides of |z| = 1 the roots of q lie on.  Where y exists,
+        its conjugates are the |mu|^2, so every root lies on the circle iff
+        minpoly(y) = x - 1 (f^2 = 1 iff f = +-1): that must agree, and no root
+        does unless all do."""
+        spectrum = self.spectrum
+        sides = {s for _, s in spectrum.statuses}
+        if spectrum.order is not None:
+            growth_class = PERIODIC
+        elif ON_CIRCLE not in sides:
+            growth_class = EXPONENTIAL_PURE
+        elif OUTSIDE in sides:
+            growth_class = EXPONENTIAL_MIXED
+        else:
+            growth_class = UNIT_CIRCLE_NON_TORSION
+        if self.minpoly_y is not None:
+            if (self.minpoly_y == X - ONE) != (growth_class == PERIODIC):
+                raise CrossCheckError("exact periodicity criterion disagrees with the eigenvalue spectrum")
+            if growth_class in (EXPONENTIAL_MIXED, UNIT_CIRCLE_NON_TORSION):
+                raise CrossCheckError("dichotomy violated for a totally real / CM / definite spec")
+        return growth_class
+
+    @cached_property
+    def gamma(self) -> algnum.AlgebraicNumber:
+        """gamma = prod |mu| over the eigenvalues outside the circle, with
+        multiplicity.  For the totally real, CM and totally definite types, y
+        has the conjugates |mu|^2, so gamma is the product of b^(g/n') over the
+        conjugates b > 1 of y, n' = deg minpoly(y).  Otherwise it is the product
+        of a^m over the roots a outside of q, of multiplicity m (a conjugate
+        pair gives |a|^(2m), and a real a gives |a|^m as m is even)."""
+        spectrum, outside = self.spectrum, self.outside
+        if spectrum.mult % 2 and any(e.is_real for e in outside):
+            raise CrossCheckError("real eigenvalue with odd multiplicity outside the circle")
+        if not outside:
+            return algnum.from_rational(1)
+        minpoly_y, g = self.minpoly_y, self.g
+        if minpoly_y is None:
+            return algnum.root_product(spectrum.poly, outside, spectrum.mult)
+        if g % minpoly_y.degree:
+            raise CrossCheckError("the degree of the totally real subfield element does not divide g")
+        above_one = [e for e, s in unit_circle_status(minpoly_y) if s == OUTSIDE]
+        return algnum.root_product(minpoly_y, above_one, g // minpoly_y.degree)
+
+
+def _decided(spec: EndomorphismSpec) -> _Decision:
+    if spec._classified is None:
+        spec._classified = _Decision(spec)
+    return spec._classified
 
 
 # ---------------------------------------------------------------------------
 # growth classification
 
 
-_PERIODICITY_WITNESS = {
-    TOTALLY_REAL_FIELD: "f == +-1 in a totally real field",
-    CM_FIELD: "f * conj(f) == 1 in a CM field",
-    TOTALLY_DEFINITE_QUATERNION: "Nrd(f) == 1 in a totally definite quaternion algebra",
-}
-
-
-def _periodicity_criterion(spec: EndomorphismSpec, at: AlbertType) -> tuple[bool | None, str]:
-    """The exact per-type test equivalent to 'all eigenvalues on the circle':
-    the subfield element f^2, f*conj(f) or Nrd(f) is 1 (f^2 = 1 iff f = +-1)."""
-    if at.kind not in _DICHOTOMY_KINDS:
-        return None, "eigenvalue multiset analysis (totally indefinite)"
-    return _structure_element(spec, at) == 1, _PERIODICITY_WITNESS[at.kind]
-
-
 def classify_growth(spec: EndomorphismSpec) -> GrowthReport:
     """Periodic / exponential / mixed growth of n -> fix(f^n), exactly decided."""
-    at = admissibility_check(spec)
-    spectrum = _spectrum(spec)
-    sides = {s for _, s in spectrum.statuses}
-    nontorsion_on = spectrum.order is None and ON_CIRCLE in sides
-
-    if spectrum.order is not None:
-        growth_class = PERIODIC
-    elif ON_CIRCLE not in sides:
-        growth_class = EXPONENTIAL_PURE
-    elif OUTSIDE in sides:
-        growth_class = EXPONENTIAL_MIXED
-    else:
-        growth_class = UNIT_CIRCLE_NON_TORSION
-
-    crit, witness = _periodicity_criterion(spec, at)
-    if crit is not None:
-        if crit != (growth_class == PERIODIC):
-            raise CrossCheckError("exact periodicity criterion disagrees with the eigenvalue spectrum")
-        if growth_class in (EXPONENTIAL_MIXED, UNIT_CIRCLE_NON_TORSION):
-            raise CrossCheckError("dichotomy violated for a totally real / CM / definite spec")
-
-    period = None
-    if growth_class == PERIODIC:
-        period = _realized_period(spec, spectrum.order)
-
-    return GrowthReport(growth_class, period, not nontorsion_on, witness)
+    decision = _decided(spec)
+    growth_class = decision.growth_class
+    period = _realized_period(spec, decision.spectrum.order) if growth_class == PERIODIC else None
+    torsion_on_circle = growth_class not in (EXPONENTIAL_MIXED, UNIT_CIRCLE_NON_TORSION)
+    return GrowthReport(growth_class, period, torsion_on_circle, decision.witness)
 
 
 def _realized_period(spec: EndomorphismSpec, order: int) -> int:
@@ -162,13 +231,10 @@ def _realized_period(spec: EndomorphismSpec, order: int) -> int:
 
 
 def is_automorphism(spec: EndomorphismSpec) -> bool:
-    """True iff f is a unit of an order: |N(f)| = 1 with integral charpoly."""
+    """True iff f is a unit of an order: |N(f)| = |chi(0)| = 1 with chi integral
+    (chi(0) is +-N(f) in a field, N_{F/Q}(Nrd f) in a quaternion algebra over F)."""
     admissibility_check(spec)
-    if spec.is_field_case:
-        norm = spec.element.norm_q()
-    else:
-        norm = spec.element.norm_to_q()
-    return norm in (1, -1)
+    return abs(spec.charpoly_q()[0]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -217,34 +283,6 @@ def fraction_to_mpf(q, den: int = 1, rounding: str = "n"):
     return mp.make_mpf(from_rational(q.numerator, q.denominator * den, mp.prec, rounding))
 
 
-def _gamma_of(spec: EndomorphismSpec) -> algnum.AlgebraicNumber:
-    """gamma = prod |mu| over the eigenvalues outside the circle, with
-    multiplicity.  For the totally real, CM and totally definite types, the
-    structure element y is totally positive with the conjugates |mu|^2, so
-    gamma is the product of b^(g/n') over the conjugates b > 1 of y,
-    n' = deg minpoly(y).  Otherwise it is the product of a^m over the roots a
-    outside of q, of multiplicity m (a conjugate pair gives |a|^(2m), and a
-    real a gives |a|^m as m is even)."""
-    if spec._gamma_cache is None:
-        at = admissibility_check(spec)
-        spectrum = _spectrum(spec)
-        outside = [e for e, s in spectrum.statuses if s == OUTSIDE]
-        if spectrum.mult % 2 and any(e.is_real for e in outside):
-            raise CrossCheckError("real eigenvalue with odd multiplicity outside the circle")
-        if not outside:
-            gamma = algnum.from_rational(1)
-        elif at.kind in _DICHOTOMY_KINDS:
-            minpoly_y = _structure_element(spec, at).minimal_polynomial()
-            if spec.g % minpoly_y.degree:
-                raise CrossCheckError("the degree of the totally real subfield element does not divide g")
-            above_one = [e for e, s in unit_circle_status(minpoly_y) if s == OUTSIDE]
-            gamma = algnum.root_product(minpoly_y, above_one, spec.g // minpoly_y.degree)
-        else:
-            gamma = algnum.root_product(spectrum.poly, outside, spectrum.mult)
-        spec._gamma_cache = gamma
-    return spec._gamma_cache
-
-
 def entropy(spec: EndomorphismSpec) -> EntropyReport:
     """Entropy value log(gamma) with gamma's exact minimal polynomial.
 
@@ -254,15 +292,13 @@ def entropy(spec: EndomorphismSpec) -> EntropyReport:
     """
     from mpmath import mp, mpf
 
-    at = admissibility_check(spec)
-    growth = classify_growth(spec)
-    gamma = _gamma_of(spec)
-
-    periodic = growth.growth_class in (PERIODIC, UNIT_CIRCLE_NON_TORSION)
+    decision = _decided(spec)
+    periodic = decision.growth_class in (PERIODIC, UNIT_CIRCLE_NON_TORSION)
+    gamma = decision.gamma
     if gamma.minpoly == X - ONE:
         if not periodic:
             raise CrossCheckError("gamma = 1 for a spec classified as exponential")
-        ok, note = _structure_result(spec, at, trivial=True)
+        ok, note = _structure_result(spec, decision.albert, trivial=True)
         return EntropyReport(mpf(0), gamma.minpoly, gamma.enclosure, False, ok, note)
     if periodic:
         raise CrossCheckError("gamma > 1 for a spec classified as periodic")
@@ -273,11 +309,8 @@ def entropy(spec: EndomorphismSpec) -> EntropyReport:
 
     with mp.workprec(200):
         value = mp.log(fraction_to_mpf(disk.re_num, disk.den))
-        spectrum = _spectrum(spec)
-        check = spectrum.mult * mp.fsum(
-            mp.log(mp.sqrt(fraction_to_mpf(e.re_num**2 + e.im_num**2, e.den**2)))
-            for e, s in spectrum.statuses
-            if s == OUTSIDE
+        check = decision.spectrum.mult * mp.fsum(
+            mp.log(mp.sqrt(fraction_to_mpf(e.re_num**2 + e.im_num**2, e.den**2))) for e in decision.outside
         )
         if abs(value - check) > mpf(10) ** (-12) * (1 + abs(value)):
             raise CrossCheckError("entropy readings disagree: log(gamma) vs sum of log|mu|")
@@ -286,7 +319,7 @@ def entropy(spec: EndomorphismSpec) -> EntropyReport:
         salem = is_salem_polynomial(gamma.minpoly).is_salem
     except ValidationError:
         salem = False
-    ok, note = _structure_result(spec, at, trivial=False)
+    ok, note = _structure_result(spec, decision.albert, trivial=False)
     return EntropyReport(value, gamma.minpoly, gamma.enclosure, salem, ok, note)
 
 
@@ -302,7 +335,7 @@ def _structure_element(spec: EndomorphismSpec, at: AlbertType):
 
 
 def _structure_result(spec: EndomorphismSpec, at: AlbertType, trivial: bool) -> tuple[bool | None, str]:
-    if at.kind not in _DICHOTOMY_KINDS:
+    if at.kind == TOTALLY_INDEFINITE_QUATERNION:
         return None, "structure statement does not cover totally indefinite quaternion multiplication"
     if trivial:
         return True, "gamma = 1 lies in every subfield"
@@ -319,8 +352,8 @@ def structure_certificate_for(spec: EndomorphismSpec) -> bool:
     subfield element y, is the Mahler measure of the spectrum: its enclosure
     must meet the target disk of the product of a^m over the roots a of q
     outside the circle, m the multiplicity (enclosures.disk_product)."""
-    if admissibility_check(spec).kind not in _DICHOTOMY_KINDS:
+    decision = _decided(spec)
+    if decision.albert.kind == TOTALLY_INDEFINITE_QUATERNION:
         raise ValidationError("structure certificate only covers totally real, CM and totally definite types")
-    spectrum = _spectrum(spec)
-    target = disk_product([e for e, s in spectrum.statuses if s == OUTSIDE], 128, spectrum.mult)
-    return _gamma_of(spec).enclosure.meets(target)
+    target = disk_product(decision.outside, 128, decision.spectrum.mult)
+    return decision.gamma.enclosure.meets(target)

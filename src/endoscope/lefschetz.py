@@ -21,13 +21,11 @@ quaternion it reads the reduced norm of f.)
 fixed_points_exact is the single-n count, the norm of the element 1 - f^n.
 companion_oracle is an independent brute-force count for a benchmark's
 correctness judge: |det(I - M^n)| for the block-doubled integer companion
-matrix M of an integer polynomial.  rational_eigenvalues gives the growth and
-entropy classifiers the spectrum of f: chi = q^k for one irreducible q, as it
-must be when Q[f] is a field, with the roots of q enclosed and placed against
-the unit circle.  A chi with two distinct factors raises NotSimpleAlbertType.
+matrix M of an integer polynomial.
 
 Every count first passes the Albert-type gate, admissibility_check, kept here
-with EndomorphismSpec: the type fixes d, e and the exponent 2g/(d e).
+with EndomorphismSpec: the type fixes d, e and the exponent 2g/(d e).  The
+spectrum of f and what follows from it live in classify.
 """
 
 from __future__ import annotations
@@ -36,11 +34,9 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from . import factorq
-from .enclosures import ComplexEnclosure, isolate_roots, unit_circle_status
 from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType, ValidationError
 from .numfield import CM, TOTALLY_REAL, NumberField, cm_structure
-from .qpoly import QPoly, binary_power, cyclotomic_order, det_int_bareiss, multiplication_columns, newton_coefficients
+from .qpoly import QPoly, binary_power, det_int_bareiss, multiplication_columns, newton_coefficients
 from .qpoly import over_common_denominator, power_sums, resultant_int
 from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness, reduced_norm_int
 
@@ -82,10 +78,9 @@ class EndomorphismSpec:
         self.element = element
         self.g = g
         self._charpoly_q: QPoly | None = None
-        # filled by admissibility_check, then by classify: spectrum and gamma
+        # the Albert type (admissibility_check) and classify's record of what it decides
         self._albert = None
-        self._spectrum_cache = None
-        self._gamma_cache = None
+        self._classified = None
 
     @property
     def is_field_case(self) -> bool:
@@ -265,40 +260,6 @@ def _abs_integer(num: int, den: int, what: str) -> int:
     if r:
         raise CrossCheckError(f"{what} is not an integer")
     return abs(q)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """The roots of chi^(2g/(de)) = q^mult for the one irreducible q: its
-    root-of-unity order (None when q is not cyclotomic) and each root's
-    enclosure with its side of |z| = 1 (enclosures.unit_circle_status)."""
-
-    poly: QPoly
-    mult: int
-    order: int | None
-    statuses: tuple[tuple[ComplexEnclosure, int], ...]
-
-
-def rational_eigenvalues(spec: EndomorphismSpec, precision_bits: int = 128) -> Spectrum:
-    """The spectrum of f, whose chi must be a power of one irreducible q.
-
-    The endomorphism algebra of a simple abelian variety is a division
-    algebra, so Q[f] is a field and chi is a power of the minimal
-    polynomial of f; two distinct factors prove that the algebra is not.
-    """
-    admissibility_check(spec)
-    factors = factorq.factor(spec.charpoly_q())
-    if len(factors) != 1:
-        raise NotSimpleAlbertType(
-            f"characteristic polynomial has {len(factors)} distinct irreducible factors, so f "
-            "generates no field: the algebra cannot act on a simple abelian variety"
-        )
-    [(q, mult)] = factors
-    mult *= spec.exponent()
-    if mult * q.degree != 2 * spec.g:
-        raise CrossCheckError("eigenvalue multiset total differs from 2g")
-    statuses = tuple(unit_circle_status(q, isolate_roots(q, precision_bits)))
-    return Spectrum(q, mult, cyclotomic_order(q), statuses)
 
 
 def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:

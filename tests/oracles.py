@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
+from endoscope.classify import rational_eigenvalues
 from endoscope.enclosures import INSIDE, ON_CIRCLE, OUTSIDE, ComplexEnclosure, isolate_roots
 from endoscope.errors import ValidationError
 from endoscope.factorq import factor
-from endoscope.lefschetz import rational_eigenvalues
 from endoscope.qpoly import QPoly, binary_power
 from endoscope.quaternion import QuatElement
 

@@ -24,6 +24,7 @@ from endoscope.classify import (
     is_automorphism,
     is_root_of_unity,
     is_salem_polynomial,
+    rational_eigenvalues,
     structure_certificate_for,
 )
 from endoscope.cli import main as cli_main
@@ -34,7 +35,6 @@ from endoscope.lefschetz import (
     EndomorphismSpec,
     companion_oracle,
     fixed_points_exact,
-    rational_eigenvalues,
 )
 from endoscope.numfield import NumberField, rationals_field
 from endoscope.qpoly import QPoly, from_ints
@@ -330,12 +330,12 @@ def test_criterion_7_structure_theorem():
 
 
 def test_gamma_from_the_structure_element_matches_the_eigenvalue_route():
-    # _gamma_of takes gamma from the totally real element y; the product of
+    # classify takes gamma from the totally real element y; the product of
     # the m-th powers of the roots of q outside the circle is a second route
     compared = 0
     for spec in _structure_corpus():
-        gamma = classify._gamma_of(spec)
-        spectrum = classify._spectrum(spec)
+        decision = classify._decided(spec)
+        gamma, spectrum = decision.gamma, decision.spectrum
         outside = [e for e, s in spectrum.statuses if s == OUTSIDE]
         if not outside:
             assert gamma.as_fraction() == 1, spec

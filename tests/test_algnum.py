@@ -162,11 +162,11 @@ def _same_selections(monkeypatch, run):
 
 @pytest.mark.parametrize("index", range(3))
 def test_published_gammas_select_as_the_reference(monkeypatch, index):
-    from endoscope.classify import _gamma_of
+    from endoscope.classify import _decided
     from endoscope.cli import _published_rows
 
-    # a fresh spec per run: the spec caches its gamma
-    _same_selections(monkeypatch, lambda: _gamma_of(_published_rows()[index]["spec"]))
+    # a fresh spec per run: the spec keeps classify's record, gamma with it
+    _same_selections(monkeypatch, lambda: _decided(_published_rows()[index]["spec"]).gamma)
 
 
 def test_exterior_power_selects_as_the_reference(monkeypatch):

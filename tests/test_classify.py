@@ -184,6 +184,35 @@ def test_is_automorphism():
     assert is_automorphism(EndomorphismSpec(rationals_field(), 2, 1)) is False
     assert is_automorphism(salem_unit_spec()) is True
     assert is_automorphism(field_spec((-2, 0, 1), [1, 1], 2)) is True  # unit of infinite order
+    # is_automorphism reads |N(f)| off chi(0); the oracle is the norm of the
+    # element itself: N(f) for a field, N_{F/Q}(Nrd f) for a quaternion algebra
+    hamilton = QuatAlgebra(rationals_field(), -1, -1)
+    half = Fraction(1, 2)
+    base = NumberField(from_ints(-13, 0, 1))
+    indefinite = QuatAlgebra(base, [-2, -2], [2])
+    specs = [
+        field_spec((1, 0, 1), [0, 1], 1),  # i
+        field_spec((1, 0, 1), [1, 1], 1),  # 1 + i, norm 2
+        field_spec((-2, 0, 1), [1, 1], 2),  # 1 + sqrt2, norm -1
+        field_spec((-2, 0, 1), [3], 2),  # norm 9
+        field_spec((1, 1, 1, 1, 1), [0, 1], 2),  # zeta5
+        field_spec((1, 1, 1, 1, 1), [2, 1], 2),  # 2 + zeta5, norm 11
+        EndomorphismSpec(rationals_field(), -1, 1),
+        EndomorphismSpec(rationals_field(), 2, 1),
+        EndomorphismSpec(hamilton, hamilton.element(half, half, half, half), 2),  # Nrd 1
+        EndomorphismSpec(hamilton, hamilton.element(1, 1, 0, 0), 2),  # Nrd 2
+        EndomorphismSpec(hamilton, hamilton.element(1, 1, 1, 1), 2),  # Nrd 4
+        salem_unit_spec(),
+        EndomorphismSpec(indefinite, indefinite.element(1, 1), 4),  # Nrd 3 + 2 sqrt13, norm -43
+        EndomorphismSpec(indefinite, indefinite.element(2), 4),  # Nrd 4, norm 16
+    ]
+    units = []
+    for spec in specs:
+        norm = spec.element.norm_q() if spec.is_field_case else spec.element.norm_to_q()
+        assert norm.denominator == 1 and norm != 0, spec
+        assert is_automorphism(spec) is (abs(norm) == 1), spec
+        units.append(abs(norm) == 1)
+    assert units.count(True) == 6 and units.count(False) == 8
 
 
 def test_zero_fix_count_implies_automorphism():
@@ -455,7 +484,7 @@ def test_entropy_degree8_cm_folds_the_exterior_power(monkeypatch):
     assert rep.structure_ok is True
     assert calls == [(4, 2, 3)]
 
-    spectrum = classify._spectrum(spec)
+    spectrum = classify._decided(spec).spectrum
     outside = [e for e, s in spectrum.statuses if s == OUTSIDE]
     assert spectrum.poly.degree == 8 and len(outside) == 4
     gamma = algnum.root_product(spectrum.poly, outside, spectrum.mult)
@@ -471,7 +500,34 @@ def test_structure_certificate_reads_gamma():
     spec = field_spec((1, 1, 1, 1, 1), [2, 1], 2)
     rep = entropy(spec)
     assert rep.structure_ok is True and structure_certificate_for(spec) is True
-    gamma = classify._gamma_of(spec)
-    spec._gamma_cache = algnum.root_product(gamma.minpoly, [gamma.enclosure], 2)
-    assert spec._gamma_cache.minpoly != gamma.minpoly
+    decision = classify._decided(spec)
+    gamma = decision.gamma
+    decision.gamma = algnum.root_product(gamma.minpoly, [gamma.enclosure], 2)
+    assert decision.gamma.minpoly != gamma.minpoly
     assert structure_certificate_for(spec) is False
+
+
+def test_classify_decides_each_parsed_spec_once(monkeypatch):
+    # classify and entropy on one parsed spec read one record: the spectrum
+    # and the structure element are built once, and only the period of a
+    # classify report needs a fixed-point table, so an entropy job builds none
+    from endoscope import jobs
+
+    calls = {}
+    for name in ("rational_eigenvalues", "_structure_element", "fixed_point_table"):
+        original = getattr(classify, name)
+        calls[name] = []
+        monkeypatch.setattr(classify, name, lambda *a, _f=original, _c=calls[name]: _c.append(a) or _f(*a))
+    zeta5 = {"kind": "field", "minpoly": ["1/1"] * 5}
+    spec = jobs.parse_spec({"algebra": zeta5, "element": {"coords": ["2/1", "1/1"]}, "g": 2}, "spec")
+    reports = [jobs.run_command(spec, {"op": op}) for op in ("classify", "entropy")]
+    assert reports[0]["entropy"] == reports[1]["entropy"] and reports[1]["entropy"]["structure_ok"] is True
+    assert len(calls["rational_eigenvalues"]) == len(calls["_structure_element"]) == 1
+    assert calls["fixed_point_table"] == []
+
+    gauss = {"kind": "field", "minpoly": ["1/1", "0/1", "1/1"]}
+    spec = jobs.parse_spec({"algebra": gauss, "element": {"coords": ["0/1", "1/1"]}, "g": 1}, "spec")
+    assert jobs.run_command(spec, {"op": "entropy"})["entropy"]["gamma_minpoly"] == ["-1/1", "1/1"]
+    assert calls["fixed_point_table"] == []
+    assert jobs.run_command(spec, {"op": "classify"})["growth"]["period"] == 4
+    assert len(calls["fixed_point_table"]) == 1

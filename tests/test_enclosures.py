@@ -527,20 +527,36 @@ def _names_read(tree: ast.AST):
             yield from (alias.name for alias in node.names)
 
 
+def _definitions(tree: ast.Module):
+    """(name, defining node) for every module-level function, class and
+    assigned name, and every method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item) for item in node.body if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = (name for target in targets for name in ast.walk(target) if isinstance(name, ast.Name))
+            yield from ((name.id, node) for name in names)
+
+
 def test_every_private_function_has_a_caller_in_the_package():
-    """A private module-level function that nothing in src/endoscope reads
-    outside its own body is dead code, even while tests still call it."""
+    """A private module-level function, class or constant, or a private
+    method, that nothing in src/endoscope reads outside its own definition is
+    dead code, even while tests still use it."""
     package = Path(enclosures.__file__).parent
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
     read = Counter(name for tree in trees.values() for name in _names_read(tree))
-    dead = [
-        f"{module}.{node.name}"
+    private = [
+        (module, name, node)
         for module, tree in sorted(trees.items())
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
-        if read[node.name] == Counter(_names_read(node))[node.name]
+        for name, node in _definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
     ]
-    assert not dead, f"private functions without a caller in the package: {dead}"
+    assert {"_polish", "_coerce", "_LN2"} <= {name for _, name, _ in private}  # a function, a method, a constant
+    dead = [f"{module}.{name}" for module, name, node in private if read[name] == Counter(_names_read(node))[name]]
+    assert not dead, f"private definitions without a reader in the package: {dead}"
 
 
 def test_a_fixpoints_job_never_loads_mpmath(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from endoscope import cli, lefschetz, qpoly, quaternion
+from endoscope.classify import rational_eigenvalues
 from endoscope.errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, ValidationError
 from endoscope.lefschetz import (
     ITERATE_CAP,
@@ -15,7 +16,6 @@ from endoscope.lefschetz import (
     companion_oracle,
     fixed_point_table,
     fixed_points_exact,
-    rational_eigenvalues,
 )
 from endoscope.numfield import NumberField, rationals_field
 from endoscope.qpoly import ONE, QPoly, X, from_ints

@@ -149,8 +149,8 @@ def test_spectrum_isolates_each_factor_once(monkeypatch):
         seen.append(p)
         return isolate(p, *args, **kwargs)
 
-    for module in (enclosures, lefschetz):
+    for module in (enclosures, classify):
         monkeypatch.setattr(module, "isolate_roots", spy)
-    spectrum = classify._spectrum(spec)
+    spectrum = classify._decided(spec).spectrum
     assert seen == [spectrum.poly]
     assert sorted(s for _, s in spectrum.statuses) == [INSIDE, ON_CIRCLE, ON_CIRCLE, OUTSIDE]
