@@ -50,9 +50,6 @@ class AlgebraicNumber:
         """Same number with a smaller certified enclosure."""
         if bits <= self.bits:
             return self
-        if self.is_rational:
-            v = self.as_fraction()
-            return AlgebraicNumber(self.minpoly, ComplexEnclosure(v, 0, 0), bits)
         attempt = bits
         while attempt <= MAX_BITS:
             fresh = isolate_roots(self.minpoly, attempt)

@@ -340,7 +340,7 @@ def _structure_result(spec: EndomorphismSpec, at: AlbertType, trivial: bool) -> 
     if trivial:
         return True, "gamma = 1 lies in every subfield"
     if not structure_certificate_for(spec):
-        return False, "gamma is not a root of the exterior power of the totally real subfield element"
+        return False, "gamma's enclosure misses the disk_product of q's roots outside the circle"
     return True, (
         "every |mu|^2 factor of gamma is a conjugate of an explicit element of the "
         "maximal totally real subfield, so gamma lies in its normal closure"

@@ -417,8 +417,6 @@ def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]
         raise ValidationError("precision_bits must be at least 64")
     if p.is_zero:
         raise ValidationError("cannot isolate roots of the zero polynomial")
-    if p.degree >= 1 and p.gcd(p.derivative()).degree > 0:
-        raise NonSquarefreeInput("input polynomial has repeated roots")
     if p.degree <= 0:
         return []
     _, ints = p.clear_denominators()
@@ -427,12 +425,17 @@ def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]
         return [_enclosure(-ints[0], 0, 0, ints[1])]
 
     c, shifted, polish = approximate_roots(ints)
-    wp = precision_bits + 32 + 8 * n
+    wp = first = precision_bits + 32 + 8 * n
     cap = max(8 * precision_bits, MAX_BITS) + 8 * n
     while wp <= cap:
         got = _attempt(ints, shifted, c, polish(wp), wp, precision_bits - 4)
         if got is not None:
             return got
+        # n pairwise-disjoint disks, each holding one root counted with
+        # multiplicity, prove n distinct roots, so a repeated root only ever
+        # fails the certificate: the gcd runs once, after the first failure
+        if wp == first and p.gcd(p.derivative()).degree > 0:
+            raise NonSquarefreeInput("input polynomial has repeated roots")
         wp *= 2
     raise PrecisionExhausted(f"could not separate roots of {p!r} within {cap} bits")
 

@@ -96,7 +96,7 @@ def _poly_or_zero(data, path: str) -> QPoly:
     if not data:
         return QPoly()
     try:
-        return QPoly.from_json(data)
+        return QPoly(data)
     except (ValidationError, ValueError) as exc:
         _fail(path, f"bad coefficient array: {exc}")
 

@@ -111,15 +111,6 @@ class EndomorphismSpec:
             raise CrossCheckError("norm exponent is not integral on an admissible spec")
         return 2 * self.g // de
 
-    def to_json(self) -> dict:
-        if self.is_field_case:
-            alg = {"kind": "field", **self.algebra.to_json()}
-            elt = {"coords": self.element.poly.to_json()}
-        else:
-            alg = {"kind": "quaternion", **self.algebra.to_json()}
-            elt = self.element.to_json()
-        return {"algebra": alg, "element": elt, "g": self.g}
-
     def __repr__(self):
         return f"EndomorphismSpec(g={self.g}, element={self.element!r})"
 

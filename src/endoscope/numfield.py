@@ -82,15 +82,6 @@ class NumberField:
     def gen(self) -> NFElement:
         return NFElement(self, X % self.minpoly)
 
-    def to_json(self) -> dict:
-        return {"minpoly": self.minpoly.to_json()}
-
-    @classmethod
-    def from_json(cls, data) -> NumberField:
-        if not isinstance(data, dict) or "minpoly" not in data:
-            raise ValidationError("field JSON must be an object with a 'minpoly' array")
-        return cls(QPoly.from_json(data["minpoly"]))
-
 
 def rationals_field() -> NumberField:
     """Q presented as Q[x]/(x)."""
@@ -216,9 +207,6 @@ class NFElement:
 
     def trace_q(self) -> Fraction:
         return Fraction(sum(c * s for c, s in zip(self.poly.num, self.parent._power_sums))) / self.poly.den
-
-    def to_json(self) -> dict:
-        return {"field": self.parent.to_json(), "coords": self.poly.to_json()}
 
 
 _set_parent, _set_poly = NFElement.parent.__set__, NFElement.poly.__set__

@@ -321,12 +321,6 @@ class QPoly:
     def to_json(self) -> list[str]:
         return [f"{exact_decimal(c.numerator)}/{exact_decimal(c.denominator)}" for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data) -> QPoly:
-        if not isinstance(data, (list, tuple)):
-            raise ValidationError("polynomial JSON must be an array of coefficient strings")
-        return cls(data)
-
 
 # the integer core: a QPoly is built from its fields without the constructor
 _set_num, _set_den = QPoly.num.__set__, QPoly.den.__set__

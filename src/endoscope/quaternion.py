@@ -80,21 +80,6 @@ class QuatAlgebra:
     def gen_k(self) -> QuatElement:
         return self.element(0, 0, 0, 1)
 
-    def to_json(self) -> dict:
-        return {
-            "base_minpoly": self.base.minpoly.to_json(),
-            "alpha": self.alpha.poly.to_json(),
-            "beta": self.beta.poly.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data) -> QuatAlgebra:
-        for key in ("base_minpoly", "alpha", "beta"):
-            if key not in data:
-                raise ValidationError(f"quaternion algebra JSON is missing '{key}'")
-        base = NumberField(QPoly.from_json(data["base_minpoly"]))
-        return cls(base, QPoly.from_json(data["alpha"]), QPoly.from_json(data["beta"]))
-
 
 class QuatElement:
     __slots__ = ("algebra", "a", "b", "c", "d")
@@ -221,14 +206,6 @@ class QuatElement:
     def norm_to_q(self) -> Fraction:
         """Composite norm to Q: ordinary norm of the reduced norm."""
         return self.reduced_norm().norm_q()
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a.poly.to_json(),
-            "b": self.b.poly.to_json(),
-            "c": self.c.poly.to_json(),
-            "d": self.d.poly.to_json(),
-        }
 
 
 def reduced_norm_int(algebra: QuatAlgebra, coords, s: int) -> tuple[list[int], int]:

@@ -21,6 +21,10 @@ def test_powers():
     i_pos = isolate_roots(x2_plus_1, 128)[1]
     assert algnum.root_product(x2_plus_1, [i_pos], 2).minpoly == from_ints(1, 1)
     assert algnum.root_product(x2_plus_1, [i_pos], 4).as_fraction() == 1
+    # a rational number refines to its exact point, the degree-1 root of isolate_roots
+    one = algnum.root_product(x2_plus_1, [i_pos], 4).refined(512)
+    assert one.as_fraction() == 1 and one.bits == 512
+    assert one.enclosure == ComplexEnclosure(1, 0, 0) and one.enclosure.rad_num == 0
     assert algnum.root_product(golden, [], 1).as_fraction() == 1
     third = from_ints(Fraction(-2, 3), 1)
     cube = algnum.root_product(third, isolate_roots(third, 128), 3)

@@ -505,6 +505,10 @@ def test_structure_certificate_reads_gamma():
     decision.gamma = algnum.root_product(gamma.minpoly, [gamma.enclosure], 2)
     assert decision.gamma.minpoly != gamma.minpoly
     assert structure_certificate_for(spec) is False
+    assert classify._structure_result(spec, decision.albert, trivial=False) == (
+        False,
+        "gamma's enclosure misses the disk_product of q's roots outside the circle",
+    )
 
 
 def test_classify_decides_each_parsed_spec_once(monkeypatch):

@@ -91,6 +91,16 @@ def test_non_squarefree_rejected():
         isolate_roots(from_ints(-1, -1, 1) ** 2)
 
 
+def test_irreducible_input_runs_no_squarefree_gcd(monkeypatch):
+    # the certificate of n disjoint disks already proves n distinct roots, so
+    # the gcd with the derivative waits for a failed attempt
+    calls, gcd = [], QPoly.gcd
+    monkeypatch.setattr(QPoly, "gcd", lambda self, other: calls.append(self) or gcd(self, other))
+    for p in (from_ints(1, 0, 1), from_ints(-1, -1, 1), from_ints(1, 1, 1, 1, 1, 1, 1), from_ints(1, 0, -10, 0, 1)):
+        assert len(isolate_roots(p, 128)) == p.degree
+    assert calls == []
+
+
 def test_precision_floor_rejected():
     with pytest.raises(ValidationError):
         isolate_roots(from_ints(1, 0, 1), 32)
@@ -514,6 +524,23 @@ def test_enclosures_does_not_import_mpmath():
                 assert rest.split(".")[0] in LAYERS[:rank], f"{name} imports {module}, not below it"
         unused = list(_unused_imports(tree, source.splitlines()))
         assert not unused, f"{name} imports {unused} and never uses them"
+
+
+def test_only_qpoly_knows_a_json_shape():
+    """jobs.parse_spec is the one reader of a spec: no module defines
+    from_json, and the only to_json is QPoly's, which spells coefficients."""
+    package = Path(enclosures.__file__).parent
+    serializers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(path.stem, tree)] + [(f"{path.stem}.{c.name}", c) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        serializers += [
+            f"{owner}.{node.name}"
+            for owner, scope in scopes
+            for node in scope.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ("to_json", "from_json")
+        ]
+    assert serializers == ["qpoly.QPoly.to_json"]
 
 
 def _names_read(tree: ast.AST):

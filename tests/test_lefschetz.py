@@ -278,7 +278,11 @@ def test_table_raises_when_paths_disagree(monkeypatch, tmp_path, capsys):
     with pytest.raises(CrossCheckError, match="n=3"):
         fixed_point_table(spec, 5)
 
-    job = {"spec": spec.to_json(), "commands": [{"op": "fixpoints", "nmax": 5}]}
+    sqrt2 = {"kind": "field", "minpoly": ["-2", "0", "1"]}
+    job = {
+        "spec": {"algebra": sqrt2, "element": {"coords": ["1", "1"]}, "g": 2},
+        "commands": [{"op": "fixpoints", "nmax": 5}],
+    }
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
     code = cli.main(["run", str(path)])
