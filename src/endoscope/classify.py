@@ -7,10 +7,12 @@ code raises CrossCheckError instead of picking a side: the criteria are
 provably equivalent, so a disagreement is a bug, not data.
 
 The spectrum of f is chi = q^k for one irreducible q (Spectrum), as Q[f] is
-a field on a simple abelian variety; a chi with two distinct factors is
-rejected where the spectrum is built.  So the roots are either all roots of
-unity (periodic growth) or none is.  What classify decides about a spec is
-one record kept on it (_Decision), each part computed once.
+a field on a simple abelian variety.  For a number field q is the squarefree
+part of chi; for a quaternion algebra chi is factored, and a chi with two
+distinct factors is rejected where the spectrum is built (the single-factor
+rule).  So the roots are either all roots of unity (periodic growth) or none
+is.  What classify decides about a spec is one record kept on it
+(_Decision), each part computed once.
 
 Every real-root decision is an exact Sturm count (qpoly): the roots of q, or
 of the structure element's minimal polynomial, on |z| = 1 (the census by
@@ -112,18 +114,27 @@ class Spectrum:
 def rational_eigenvalues(spec: EndomorphismSpec, precision_bits: int = 128) -> Spectrum:
     """The spectrum of f, whose chi must be a power of one irreducible q.
 
-    The endomorphism algebra of a simple abelian variety is a division
-    algebra, so Q[f] is a field and chi is a power of the minimal
-    polynomial of f; two distinct factors prove that the algebra is not.
+    In a number field, proved a field when the spec was parsed, chi is a
+    power of the minimal polynomial q of f: its squarefree part, found with
+    no factoring (NFElement.minimal_polynomial checks q(f) = 0 exactly).  In
+    a quaternion algebra chi is factored (the single-factor rule): Q[f] is a
+    field when the algebra is a division algebra, as the endomorphism
+    algebra of a simple abelian variety is, so two distinct factors prove
+    that the algebra is not.
     """
     admissibility_check(spec)
-    factors = factorq.factor(spec.charpoly_q())
-    if len(factors) != 1:
-        raise NotSimpleAlbertType(
-            f"characteristic polynomial has {len(factors)} distinct irreducible factors, so f "
-            "generates no field: the algebra cannot act on a simple abelian variety"
-        )
-    [(q, mult)] = factors
+    chi = spec.charpoly_q()
+    if spec.is_field_case:
+        q = spec.element.minimal_polynomial(chi)
+        mult = chi.degree // q.degree
+    else:
+        factors = factorq.factor(chi)
+        if len(factors) != 1:
+            raise NotSimpleAlbertType(
+                f"characteristic polynomial has {len(factors)} distinct irreducible factors, so f "
+                "generates no field: the algebra cannot act on a simple abelian variety"
+            )
+        [(q, mult)] = factors
     mult *= spec.exponent()
     if mult * q.degree != 2 * spec.g:
         raise CrossCheckError("eigenvalue multiset total differs from 2g")

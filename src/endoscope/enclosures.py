@@ -70,12 +70,14 @@ INSIDE, ON_CIRCLE, OUTSIDE = -1, 0, 1
 # root seeds: at most _DOUBLE_STEPS double-precision Aberth sweeps; start
 # circles turned by _SIGMA plus the golden angle per Newton-polygon edge, of
 # radius at least e^_LOG_TINY; a fixed-point root is done once its step is at
-# most _FEW_UNITS units
+# most _FEW_UNITS units, and the fixed-point pass has stalled once its largest
+# step gained fewer than 2 bits in _STALL_SWEEPS sweeps in a row
 _DOUBLE_STEPS = 100
 _SIGMA = 0.7
 _GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
 _LOG_TINY = -1000 * math.log(2)
 _FEW_UNITS = 2
+_STALL_SWEEPS = 8
 _LN2 = math.log(2)
 
 
@@ -334,43 +336,61 @@ def _fixed(x: float, w: int) -> int:
     return round(math.ldexp(x, e)) << (w - e)
 
 
-def _polish(shifted: list[int], pts: list[tuple[int, int]], u: int) -> list[tuple[int, int]] | None:
+def _sweep(shifted: list[int], dq: list[int], pts: list[tuple[int, int]], live: list[int], u: int):
+    """One Aberth-Ehrlich sweep over the points pts[i], i in live, in place:
+    the points whose correction exceeded a few units of 2^-u and the largest
+    correction in those units, or None if two points meet."""
+    one, moved, largest = 1 << u, [], 0
+    for i in live:
+        yr, yi = pts[i]
+        vr, vi = _horner(shifted, yr, yi, u)
+        if not (vr or vi):
+            continue
+        dr, di = _horner(dq, yr, yi, u)
+        if not (dr or di):
+            return None
+        nr, ni = _cdiv(vr, vi, dr, di)  # Newton step q / q' in units of 2^-u
+        sr = si = 0
+        for j, (xr, xi) in enumerate(pts):
+            if j != i:
+                er, ei = yr - xr, yi - xi
+                if not (er or ei):
+                    return None
+                tr, ti = _cdiv(1, 0, er, ei, 2 * u)  # sum of 1 / (y - x) in units of 2^-u
+                sr, si = sr + tr, si + ti
+        # the Aberth step ratio / (1 - ratio * sum)
+        br, bi = one - ((nr * sr - ni * si) >> u), -((nr * si + ni * sr) >> u)
+        cr, ci = _cdiv(nr, ni, br, bi, u) if br or bi else (nr, ni)
+        pts[i] = (yr - cr, yi - ci)
+        step = max(abs(cr), abs(ci))
+        largest = max(largest, step)
+        if step > _FEW_UNITS:
+            moved.append(i)
+    return moved, largest
+
+
+def _polish(shifted: list[int], pts: list[tuple[int, int]], u: int, stalled=None) -> list[tuple[int, int]] | None:
     """Aberth-Ehrlich steps on the Gaussian dyadics (re + i im) / 2^u, with
     q and q' evaluated exactly, until every correction is at most a few
     units of 2^-u or a step cap that grows with degree and precision is met.
-    None if two points meet."""
-    n = len(pts)
+    None if two points meet.
+
+    At a repeated root the steps converge only linearly, so the cap would be
+    met: stalled(), when given, is called once the largest correction has
+    gained fewer than 2 bits in each of _STALL_SWEEPS sweeps in a row."""
     dq = [j * a for j, a in enumerate(shifted)][1:]
-    one = 1 << u
-    live = list(range(n))
-    for _ in range(n + u):
-        moved = []
-        for i in live:
-            yr, yi = pts[i]
-            vr, vi = _horner(shifted, yr, yi, u)
-            if not (vr or vi):
-                continue
-            dr, di = _horner(dq, yr, yi, u)
-            if not (dr or di):
-                return None
-            nr, ni = _cdiv(vr, vi, dr, di)  # Newton step q / q' in units of 2^-u
-            sr = si = 0
-            for j, (xr, xi) in enumerate(pts):
-                if j != i:
-                    er, ei = yr - xr, yi - xi
-                    if not (er or ei):
-                        return None
-                    tr, ti = _cdiv(1, 0, er, ei, 2 * u)  # sum of 1 / (y - x) in units of 2^-u
-                    sr, si = sr + tr, si + ti
-            # the Aberth step ratio / (1 - ratio * sum)
-            br, bi = one - ((nr * sr - ni * si) >> u), -((nr * si + ni * sr) >> u)
-            cr, ci = _cdiv(nr, ni, br, bi, u) if br or bi else (nr, ni)
-            pts[i] = (yr - cr, yi - ci)
-            if abs(cr) > _FEW_UNITS or abs(ci) > _FEW_UNITS:
-                moved.append(i)
-        if not moved:
+    live, slow, last = list(range(len(pts))), 0, None
+    for _ in range(len(pts) + u):
+        swept = _sweep(shifted, dq, pts, live, u)
+        if swept is None:
+            return None
+        live, largest = swept
+        if not live:
             break
-        live = moved
+        slow = slow + 1 if last is not None and 4 * largest > last else 0
+        last = largest
+        if slow == _STALL_SWEEPS and stalled is not None:
+            stalled()
     return pts
 
 
@@ -383,6 +403,7 @@ def approximate_roots(ints: list[int]) -> tuple[Fraction | int, list[int], Calla
 
     isolate_roots certifies these points; the CM conjugation candidate only
     interpolates through them, and its answer is proved exactly afterwards.
+    polish(u, stalled) passes stalled on to _polish.
     """
     n = len(ints) - 1
     # recentre at the roots' centroid c when that lowers the root bound by 2
@@ -399,8 +420,8 @@ def approximate_roots(ints: list[int]) -> tuple[Fraction | int, list[int], Calla
         c, shifted = 0, ints
     k, seeds = _seeds(shifted)
 
-    def polish(u: int) -> list[tuple[int, int]] | None:
-        return _polish(shifted, [(_fixed(y.real, u + k), _fixed(y.imag, u + k)) for y in seeds], u)
+    def polish(u: int, stalled=None) -> list[tuple[int, int]] | None:
+        return _polish(shifted, [(_fixed(y.real, u + k), _fixed(y.imag, u + k)) for y in seeds], u, stalled)
 
     return c, shifted, polish
 
@@ -424,18 +445,27 @@ def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]
     if n == 1:
         return [_enclosure(-ints[0], 0, 0, ints[1])]
 
+    # n pairwise-disjoint disks, each holding one root counted with
+    # multiplicity, prove n distinct roots, so a repeated root only ever
+    # stalls the polish or fails the certificate: the gcd runs once, at the
+    # first of the two
+    squarefree = False
+
+    def check_squarefree():
+        nonlocal squarefree
+        if not squarefree:
+            if p.gcd(p.derivative()).degree > 0:
+                raise NonSquarefreeInput("input polynomial has repeated roots")
+            squarefree = True
+
     c, shifted, polish = approximate_roots(ints)
-    wp = first = precision_bits + 32 + 8 * n
+    wp = precision_bits + 32 + 8 * n
     cap = max(8 * precision_bits, MAX_BITS) + 8 * n
     while wp <= cap:
-        got = _attempt(ints, shifted, c, polish(wp), wp, precision_bits - 4)
+        got = _attempt(ints, shifted, c, polish(wp, check_squarefree), wp, precision_bits - 4)
         if got is not None:
             return got
-        # n pairwise-disjoint disks, each holding one root counted with
-        # multiplicity, prove n distinct roots, so a repeated root only ever
-        # fails the certificate: the gcd runs once, after the first failure
-        if wp == first and p.gcd(p.derivative()).degree > 0:
-            raise NonSquarefreeInput("input polynomial has repeated roots")
+        check_squarefree()
         wp *= 2
     raise PrecisionExhausted(f"could not separate roots of {p!r} within {cap} bits")
 

@@ -238,7 +238,10 @@ def _factor_squarefree_z(g: list[int]) -> list[QPoly]:
     size = 1
     while 2 * size <= len(remaining):
         hit = False
-        for combo in combinations(remaining, size):
+        combos = combinations(remaining, size)
+        if 2 * size == len(remaining):  # a subset and its complement make the same split
+            combos = ((remaining[0], *rest) for rest in combinations(remaining[1:], size - 1))
+        for combo in combos:
             cand = reduce(lambda u, v: _zmul(u, v, pk), (lifted[i] for i in combo), [g[-1] % pk])
             cand = _poly(_symmetric(cand, pk)).clear_denominators()[1]
             quot = _zx_divides(cand, g)

@@ -18,8 +18,10 @@ conjugation is interpolated through the roots' Aberth points
 reconstructed, then everything that matters is verified exactly: the field
 is totally imaginary, the candidate h is an automorphism of order two other
 than the identity, and its fixed field, generated by alpha + h(alpha) and
-alpha h(alpha), is totally real.  A success is therefore a proof; repeated
-failure at increasing precision reports "Other".
+alpha h(alpha), is totally real.  A success is therefore a proof.  The
+candidate is tried on a ladder of precisions, 64 bits doubled up to 2048 and
+then 3072 (_CM_LADDER): a wrong candidate at a low rung costs only its
+refusal, and failure at every rung reports "Other".
 """
 
 from __future__ import annotations
@@ -29,12 +31,15 @@ from fractions import Fraction
 
 from . import factorq
 from .enclosures import _cdiv, approximate_roots
-from .errors import CrossCheckError, ValidationError
+from .errors import CrossCheckError, NonSquarefreeInput, ValidationError
 from .qpoly import ONE, QPoly, X, _combine, _mul_mod, _poly, count_real_roots, from_power_sums, power_sums, resultant
 
 TOTALLY_REAL = "TotallyReal"
 CM = "CM"
 OTHER = "Other"
+
+# the precisions in bits at which the CM conjugation is reconstructed, in turn
+_CM_LADDER = (64, 128, 256, 512, 1024, 2048, 3072)
 
 
 class NumberField:
@@ -181,22 +186,28 @@ class NFElement:
 
     # -- norms and traces over Q -----------------------------------------------
 
-    def charpoly_q(self) -> QPoly:
-        """Characteristic polynomial over Q, degree [F:Q].
+    def charpoly_q(self, index: int = 1) -> QPoly:
+        """Characteristic polynomial over Q of self as an element of K, a
+        subfield of F of the given index that the caller knows to hold self
+        (index 1: K = F), of degree [F:Q] / index.
 
-        Its roots are the conjugates of self, whose k-th power sum is
-        Tr(self^k); Newton's identities turn the traces into coefficients.
+        Its roots are the conjugates of self in K, whose k-th power sum is
+        Tr_K(self^k) = Tr_F(self^k) / index; Newton's identities turn the
+        traces into coefficients.
         """
-        e = self.parent.degree
+        e = self.parent.degree // index
         traces, acc = [e], self.parent.one()
         for _ in range(e):
             acc = acc * self
-            traces.append(acc.trace_q())
+            traces.append(acc.trace_q() / index)
         return from_power_sums(traces, e)
 
-    def minimal_polynomial(self) -> QPoly:
-        """Monic irreducible annihilator; its degree divides the field degree."""
-        cp = self.charpoly_q()
+    def minimal_polynomial(self, charpoly: QPoly | None = None) -> QPoly:
+        """Monic irreducible annihilator; its degree divides the field degree.
+
+        charpoly, when given, is self's characteristic polynomial, already
+        built by the caller."""
+        cp = self.charpoly_q() if charpoly is None else charpoly
         mp_ = cp.squarefree_part()
         if not mp_.compose_mod(self.poly, self.parent.minpoly).is_zero:
             raise CrossCheckError("minimal polynomial does not annihilate its element")
@@ -310,14 +321,12 @@ def _cm_structure_uncached(field: NumberField) -> FieldTypeReport:
         return FieldTypeReport(OTHER, None)
 
     approximation = approximate_roots(field.minpoly.clear_denominators()[1])
-    bits = 192
-    while bits <= 3072:
+    for bits in _CM_LADDER:
         h = _conjugation_candidate(approximation, bits)
         if h is not None:
             report = _verify_cm(field, h)
             if report is not None:
                 return report
-        bits *= 2
     return FieldTypeReport(OTHER, None)
 
 
@@ -329,6 +338,11 @@ def _verify_cm(field: NumberField, h: QPoly) -> FieldTypeReport | None:
     root of x^2 - s x + t over Q(s, t), or by s alone when s has degree
     [F:Q]/2.  A compositum of totally real fields is totally real, so K is
     when the minimal polynomials of its generators have only real roots.
+
+    s and t lie in K, so halving their first [F:Q]/2 traces gives their
+    characteristic polynomials over K (charpoly_q(2)): a power of the minimal
+    polynomial, and the minimal polynomial itself when it is squarefree,
+    which the Sturm count checks on the way.
     """
     m = field.minpoly
     h = h % m
@@ -336,10 +350,16 @@ def _verify_cm(field: NumberField, h: QPoly) -> FieldTypeReport | None:
         return None
     gen, conj_gen = field.gen(), field.element(h)
     for y in (gen + conj_gen, gen * conj_gen):
-        mp_ = y.minimal_polynomial()
-        if count_real_roots(mp_) != mp_.degree:
-            return None
-        if 2 * mp_.degree == field.degree:
+        cp = y.charpoly_q(2)
+        try:
+            real = count_real_roots(cp)
+        except NonSquarefreeInput:  # y has degree below [F:Q]/2
+            mp_ = cp.squarefree_part()
+            if count_real_roots(mp_) != mp_.degree:
+                return None
+        else:  # cp is the minimal polynomial of y, which generates K
+            if real != cp.degree:
+                return None
             break
     return FieldTypeReport(CM, conj_gen)
 

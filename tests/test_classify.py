@@ -1,10 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from endoscope import classify
+from endoscope import classify, factorq
 from endoscope.classify import (
     CM_FIELD,
     EXPONENTIAL_MIXED,
@@ -108,6 +109,46 @@ def test_two_eigenvalue_factors_are_not_simple(coords, reduced_charpoly, counts)
     for classifier in (classify_growth, entropy):
         with pytest.raises(NotSimpleAlbertType, match="2 distinct irreducible factors"):
             classifier(spec)
+
+
+def test_a_field_spectrum_is_not_factored(monkeypatch):
+    # F was proved a field when it was parsed, so chi is a power of the
+    # minimal polynomial of f, its squarefree part; only a quaternion
+    # algebra's chi is factored, for the single-factor rule
+    field, quaternion = field_spec((1, 1, 1, 1, 1), [2, 1], 2), salem_unit_spec()
+    calls, factor = [], factorq.factor
+    monkeypatch.setattr(factorq, "factor", lambda p: calls.append(p) or factor(p))
+    assert classify.rational_eigenvalues(field).poly == from_ints(1, 1, 1, 1, 1)(from_ints(-2, 1))  # 2 + zeta5
+    assert calls == []
+    classify.rational_eigenvalues(quaternion)
+    assert calls == [quaternion.charpoly_q()]
+
+
+SPECTRUM_FIELDS = {
+    "Q(i)": (1, 0, 1),
+    "Q(sqrt-3)": (3, 0, 1),
+    "zeta5": (1, 1, 1, 1, 1),
+    "zeta8": (1, 0, 0, 0, 1),
+    "Q(sqrt2,sqrt3)": (1, 0, -10, 0, 1),
+    "cyclic cubic": (-1, -3, 0, 1),
+    "Q(zeta7)+": (-1, -2, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", SPECTRUM_FIELDS)
+def test_field_spectrum_is_the_single_factor_of_chi(name):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    minpoly = SPECTRUM_FIELDS[name]
+    degree, rng = len(minpoly) - 1, random.Random(name)
+    for _ in range(8):
+        coords = [rng.randint(-4, 4) for _ in range(degree)]
+        coords[0] += not any(coords)
+        spec = field_spec(minpoly, coords, degree)
+        spectrum = classify.rational_eigenvalues(spec)
+        [(q, mult)] = factorq.factor(spec.charpoly_q())
+        assert (spectrum.poly, spectrum.mult) == (q, mult * spec.exponent())
+        assert sympy.Poly([int(c) for c in reversed(q.coeffs)], x).is_irreducible
 
 
 # ---------------------------------------------------------------------------

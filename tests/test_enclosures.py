@@ -91,6 +91,18 @@ def test_non_squarefree_rejected():
         isolate_roots(from_ints(-1, -1, 1) ** 2)
 
 
+@pytest.mark.parametrize("bits", [128, 512])
+def test_a_repeated_root_is_rejected_once_the_polish_stalls(bits, monkeypatch):
+    # at a repeated root the Aberth steps converge only linearly, so without
+    # the stall check (x^2 + 1)^8 ran all n + u = 304 sweeps at 128 bits, and
+    # 688 at 512, before its gcd
+    sweeps, sweep = [], enclosures._sweep
+    monkeypatch.setattr(enclosures, "_sweep", lambda *a: sweeps.append(a[-1]) or sweep(*a))
+    with pytest.raises(NonSquarefreeInput):
+        isolate_roots(from_ints(1, 0, 1) ** 8, bits)
+    assert 0 < len(sweeps) <= 2 * enclosures._STALL_SWEEPS
+
+
 def test_irreducible_input_runs_no_squarefree_gcd(monkeypatch):
     # the certificate of n disjoint disks already proves n distinct roots, so
     # the gcd with the derivative waits for a failed attempt

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from endoscope import factorq
 from endoscope.errors import DegreeCapExceeded, ValidationError
 from endoscope.factorq import factor, is_irreducible
 from endoscope.qpoly import QPoly, from_ints
@@ -93,6 +94,17 @@ def test_swinnerton_dyer_degree_8():
     # recombination stress case
     sd = from_ints(576, 0, -960, 0, 352, 0, -40, 0, 1)
     assert is_irreducible(sd)
+
+
+@pytest.mark.parametrize("p", [from_ints(1, 0, 0, 0, 1), from_ints(1, 0, -10, 0, 1)], ids=repr)
+def test_a_split_into_halves_is_tried_once(p, monkeypatch):
+    # x^4 + 1 and x^4 - 10x^2 + 1 split into two quadratics at the chosen
+    # prime; a subset of half the factors and its complement make the same
+    # split, so one trial division proves them irreducible
+    trials, divides = [], factorq._zx_divides
+    monkeypatch.setattr(factorq, "_zx_divides", lambda h, g: trials.append(h) or divides(h, g))
+    assert is_irreducible(p)
+    assert len(trials) == 1
 
 
 small_ints = st.integers(min_value=-9, max_value=9)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from endoscope import numfield
 from endoscope.enclosures import isolate_roots
 from endoscope.errors import ValidationError
 from endoscope.numfield import (
@@ -158,17 +159,77 @@ CM_FIELDS = [_cyclotomic(n)(X - a) for a in (0, 3, 100) for n in (5, 7, 8, 9, 12
 CM_FIELDS += [from_ints(1, 0, 1), from_ints(3, 0, 1)]
 
 
-@pytest.mark.parametrize("minpoly", CM_FIELDS, ids=repr)
-def test_conjugation_is_complex_conjugation(minpoly):
+def _assert_complex_conjugation(minpoly, rep):
     # checked on certified enclosures, independently of how the conjugation
     # was found: the image of each root's disk under the reported h meets the
     # disk of the complex-conjugate root and no other
-    rep = cm_structure(NumberField(minpoly))
     assert rep.kind == CM
     h = rep.conj_automorphism.poly
     roots = isolate_roots(minpoly, 128)
     for root in roots:
         assert [other for other in roots if h(FractionDisk.of(root)).meets(other)] == [root.conjugate()]
+
+
+@pytest.mark.parametrize("minpoly", CM_FIELDS, ids=repr)
+def test_conjugation_is_complex_conjugation(minpoly):
+    _assert_complex_conjugation(minpoly, cm_structure(NumberField(minpoly)))
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """The precisions at which cm_structure asks for a conjugation candidate."""
+    asked, candidate = [], numfield._conjugation_candidate
+    monkeypatch.setattr(numfield, "_conjugation_candidate", lambda a, bits: asked.append(bits) or candidate(a, bits))
+    return asked
+
+
+FIRST_RUNG_FIELDS = [from_ints(1, 0, 1), from_ints(3, 0, 1)] + [_cyclotomic(n) for n in (5, 8, 7, 9, 11, 13, 16, 31)]
+
+
+@pytest.mark.parametrize("minpoly", FIRST_RUNG_FIELDS, ids=repr)
+def test_cm_conjugation_is_found_at_the_first_rung(minpoly, rungs):
+    assert cm_structure(NumberField(minpoly)).kind == CM
+    assert rungs == [64]
+
+
+def test_cm_conjugation_with_large_coefficients_climbs_the_ladder(rungs):
+    # alpha = zeta5 + 10^9 zeta5^2 + 12345 zeta5^3: complex conjugation, as a
+    # polynomial in alpha, has coefficients of about 150 bits, which the
+    # 64-bit rung cannot reconstruct; a wrong candidate is refused exactly
+    minpoly = F(1, 1, 1, 1, 1).element([0, 1, 10**9, 12345]).minimal_polynomial()
+    rep = cm_structure(NumberField(minpoly))
+    _assert_complex_conjugation(minpoly, rep)
+    assert rungs[0] == 64 and len(rungs) > 1
+    assert max(c.denominator for c in rep.conj_automorphism.coeffs) > 1 << 64
+
+
+def test_cm_ladder_doubles_to_its_last_rung(rungs):
+    assert cm_structure(F(1, 1, 0, 0, 1)).kind == OTHER  # totally imaginary, not CM
+    assert rungs == [64, 128, 256, 512, 1024, 2048, 3072]
+
+
+def test_verify_cm_when_alpha_plus_conj_alpha_has_low_degree():
+    # alpha = i (1 + sqrt2): alpha + h(alpha) = 0 is rational, so the fixed
+    # field K comes from alpha h(alpha) = 3 + 2 sqrt2, totally real
+    field = F(1, 0, 6, 0, 1)
+    assert _verify_cm(field, -X).kind == CM
+    # alpha^6 = -2 and h = -x: alpha + h(alpha) = 0 again, but alpha h(alpha)
+    # = -alpha^2 is a cube root of 2, whose field has complex embeddings
+    assert _verify_cm(F(2, 0, 0, 0, 0, 0, 1), -X) is None
+
+
+CM_SPLIT = {"zeta5": (1, 1, 1, 1, 1), "zeta8": (1, 0, 0, 0, 1), "zeta7": (1, 1, 1, 1, 1, 1, 1)}
+
+
+@given(st.sampled_from(sorted(CM_SPLIT)), st.lists(st.integers(-6, 6), min_size=1, max_size=6))
+def test_charpoly_over_the_real_subfield_squares_to_the_charpoly(name, xc):
+    # x + conj(x) and x conj(x) lie in the index-two real subfield K, so the
+    # characteristic polynomial over Q of F is the square of the one of K
+    field = F(*CM_SPLIT[name])
+    rep = cm_structure(field)
+    x = field.element(xc)
+    for y in (x + apply_conjugation(rep, x), x * apply_conjugation(rep, x)):
+        assert y.charpoly_q(2) ** 2 == y.charpoly_q()
 
 
 def test_order_two_automorphism_with_a_fixed_field_not_totally_real():
