@@ -165,9 +165,12 @@ class _Decision:
         self.g = spec.g
         self.spectrum = rational_eigenvalues(spec)
         self.outside = [e for e, s in self.spectrum.statuses if s == OUTSIDE]
-        # the totally indefinite type has no structure element y
-        indefinite = self.albert.kind == TOTALLY_INDEFINITE_QUATERNION
-        self.minpoly_y = None if indefinite else _structure_element(spec, self.albert).minimal_polynomial()
+        # the totally indefinite type has no structure element y; in a CM
+        # field, y = f conj(f) lies in the real subfield, of index two
+        self.minpoly_y = None
+        if self.albert.kind != TOTALLY_INDEFINITE_QUATERNION:
+            y = _structure_element(spec, self.albert)
+            self.minpoly_y = y.minimal_polynomial(y.charpoly_q(2 if self.albert.kind == CM_FIELD else 1))
 
     @cached_property
     def growth_class(self) -> str:

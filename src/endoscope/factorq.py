@@ -8,7 +8,10 @@ equal-degree splitting runs only at the prime whose factors are lifted.
 
 Inputs are desk scale (degree <= 64), so the classical algorithm with
 exponential recombination in the worst case is a deliberate choice; the
-modular factor counts stay tiny for everything this library produces.
+modular factor counts stay tiny for everything this library produces.  A
+subset of half the remaining factors is tried only with the first of them in
+it, as its complement makes the same split: x^4 + 1, two quadratics modulo
+every prime, is proved irreducible by one trial division.
 """
 
 from __future__ import annotations

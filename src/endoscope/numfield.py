@@ -205,8 +205,9 @@ class NFElement:
     def minimal_polynomial(self, charpoly: QPoly | None = None) -> QPoly:
         """Monic irreducible annihilator; its degree divides the field degree.
 
-        charpoly, when given, is self's characteristic polynomial, already
-        built by the caller."""
+        charpoly, when given, is a characteristic polynomial of self that the
+        caller has built: over F, or over a subfield that holds self
+        (charpoly_q(index)); either is a power of the minimal polynomial."""
         cp = self.charpoly_q() if charpoly is None else charpoly
         mp_ = cp.squarefree_part()
         if not mp_.compose_mod(self.poly, self.parent.minpoly).is_zero:
