@@ -146,9 +146,10 @@ def test_cm_structure_zeta8():
         assert _real_subfield_minpoly(rep, field).degree == field.degree // 2
 
 
-def test_cm_structure_other_cases():
+def test_cm_structure_other_cases(rungs):
     assert cm_structure(F(-2, 0, 0, 1)).kind == OTHER  # one real, two complex
     assert cm_structure(F(1, 1, 0, 0, 1)).kind == OTHER  # totally imaginary, not CM
+    assert rungs == [64, 128, 256, 512, 1024, 2048, 3072]  # after every rung of the ladder
     # a Salem field has two real and two complex embeddings: neither class
     assert cm_structure(F(1, -1, -1, -1, 1)).kind == OTHER
     assert cm_structure(F(-2, 0, 1)).kind == TOTALLY_REAL
@@ -201,11 +202,6 @@ def test_cm_conjugation_with_large_coefficients_climbs_the_ladder(rungs):
     _assert_complex_conjugation(minpoly, rep)
     assert rungs[0] == 64 and len(rungs) > 1
     assert max(c.denominator for c in rep.conj_automorphism.coeffs) > 1 << 64
-
-
-def test_cm_ladder_doubles_to_its_last_rung(rungs):
-    assert cm_structure(F(1, 1, 0, 0, 1)).kind == OTHER  # totally imaginary, not CM
-    assert rungs == [64, 128, 256, 512, 1024, 2048, 3072]
 
 
 def test_verify_cm_when_alpha_plus_conj_alpha_has_low_degree():
