@@ -36,14 +36,13 @@ from . import algnum, factorq
 from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, disk_product, isolate_roots, unit_circle_status
 from .errors import CrossCheckError, NotSimpleAlbertType, ValidationError
 from .lefschetz import CM_FIELD, TOTALLY_DEFINITE_QUATERNION, TOTALLY_INDEFINITE_QUATERNION, TOTALLY_REAL_FIELD
-from .lefschetz import AlbertType, EndomorphismSpec, admissibility_check, fixed_point_table
+from .lefschetz import AlbertType, EndomorphismSpec, admissibility_check
 from .numfield import apply_conjugation, cm_structure
 from .qpoly import ONE, QPoly, X, count_real_roots, cyclotomic_order, trace_polynomial
 
 PERIODIC = "Periodic"
 EXPONENTIAL_PURE = "ExponentialPure"
 EXPONENTIAL_MIXED = "ExponentialMixed"
-UNIT_CIRCLE_NON_TORSION = "UnitCircleNonTorsionOnly"
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,9 @@ def is_root_of_unity(minpoly: QPoly, enclosure: ComplexEnclosure | None = None) 
 
     Kronecker shortcut: an enclosure certified off the unit circle rules the
     order out immediately; otherwise the cyclotomic orders with matching
-    Euler phi are enumerated and checked by exact divisibility into x^k - 1.
+    Euler phi are enumerated and checked by exact divisibility into x^k - 1
+    (cyclotomic_order, which refuses a minpoly that is not monic and integral).
     """
-    if not minpoly.is_integral:
-        raise ValidationError("root-of-unity test needs integer coefficients")
-    if not minpoly.is_monic:
-        raise ValidationError("root-of-unity test needs a monic polynomial")
     if enclosure is not None and enclosure.side() != ON_CIRCLE:
         return None
     return cyclotomic_order(minpoly)
@@ -174,10 +170,12 @@ class _Decision:
 
     @cached_property
     def growth_class(self) -> str:
-        """Read off the sides of |z| = 1 the roots of q lie on.  Where y exists,
-        its conjugates are the |mu|^2, so every root lies on the circle iff
-        minpoly(y) = x - 1 (f^2 = 1 iff f = +-1): that must agree, and no root
-        does unless all do."""
+        """Read off the sides of |z| = 1 the roots of q lie on.  q is monic,
+        integral and irreducible, so if every root lies on the circle, q is
+        cyclotomic (Kronecker): a q with all roots on the circle and no order
+        is a bug.  Where y exists, its conjugates are the |mu|^2, so every
+        root lies on the circle iff minpoly(y) = x - 1 (f^2 = 1 iff f = +-1):
+        that must agree, and no root does unless all do."""
         spectrum = self.spectrum
         sides = {s for _, s in spectrum.statuses}
         if spectrum.order is not None:
@@ -187,11 +185,11 @@ class _Decision:
         elif OUTSIDE in sides:
             growth_class = EXPONENTIAL_MIXED
         else:
-            growth_class = UNIT_CIRCLE_NON_TORSION
+            raise CrossCheckError("every root of q lies on |z| = 1, yet q is not cyclotomic (Kronecker)")
         if self.minpoly_y is not None:
             if (self.minpoly_y == X - ONE) != (growth_class == PERIODIC):
                 raise CrossCheckError("exact periodicity criterion disagrees with the eigenvalue spectrum")
-            if growth_class in (EXPONENTIAL_MIXED, UNIT_CIRCLE_NON_TORSION):
+            if growth_class == EXPONENTIAL_MIXED:
                 raise CrossCheckError("dichotomy violated for a totally real / CM / definite spec")
         return growth_class
 
@@ -228,20 +226,17 @@ def _decided(spec: EndomorphismSpec) -> _Decision:
 
 
 def classify_growth(spec: EndomorphismSpec) -> GrowthReport:
-    """Periodic / exponential / mixed growth of n -> fix(f^n), exactly decided."""
+    """Periodic / exponential / mixed growth of n -> fix(f^n), exactly decided.
+
+    The period of a periodic f is the order k of q = Phi_k.  Every eigenvalue
+    mu is a primitive k-th root of unity, so fix(f^n), the product of
+    |1 - mu^n| over the eigenvalues, is 0 exactly when k divides n.  So k is
+    a period, and any period d has fix(f^(k + d)) = fix(f^k) = 0, so k
+    divides d: k is the least period."""
     decision = _decided(spec)
     growth_class = decision.growth_class
-    period = _realized_period(spec, decision.spectrum.order) if growth_class == PERIODIC else None
-    torsion_on_circle = growth_class not in (EXPONENTIAL_MIXED, UNIT_CIRCLE_NON_TORSION)
-    return GrowthReport(growth_class, period, torsion_on_circle, decision.witness)
-
-
-def _realized_period(spec: EndomorphismSpec, order: int) -> int:
-    seq = fixed_point_table(spec, 2 * order)
-    for cand in sorted(d for d in range(1, order + 1) if order % d == 0):
-        if all(seq[i] == seq[i + cand] for i in range(len(seq) - cand)):
-            return cand
-    return order
+    period = decision.spectrum.order if growth_class == PERIODIC else None
+    return GrowthReport(growth_class, period, growth_class != EXPONENTIAL_MIXED, decision.witness)
 
 
 def is_automorphism(spec: EndomorphismSpec) -> bool:
@@ -307,7 +302,7 @@ def entropy(spec: EndomorphismSpec) -> EntropyReport:
     from mpmath import mp, mpf
 
     decision = _decided(spec)
-    periodic = decision.growth_class in (PERIODIC, UNIT_CIRCLE_NON_TORSION)
+    periodic = decision.growth_class == PERIODIC
     gamma = decision.gamma
     if gamma.minpoly == X - ONE:
         if not periodic:

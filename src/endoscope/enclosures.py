@@ -28,9 +28,15 @@ approximate_roots; the CM conjugation candidate in numfield interpolates
 through its points directly, with no certificate, since its answer is
 proved exactly.
 
-Real roots are recognized by an exact sign change across the disk's real
-diameter and reported with exact zero imaginary part; non-real enclosures
-are mirrored into exact conjugate pairs.
+The certified points are closed under conjugation: points within a snap
+distance of the real axis are put on it, and each point below the axis is
+replaced by the mirror of one above it.  As p is real, each root's conjugate
+is a root, so a certified disk centred on the axis, its own mirror, holds a
+root equal to its conjugate: a real root, reported with exact zero imaginary
+part.  A mirrored pair of disks holds a conjugate pair of roots, and the
+disjointness of the two disks proves |im| > rad.  No sign of p is evaluated.
+The polish itself stays unsymmetrized, so that it can still split two close
+real roots seeded as a conjugate pair.
 
 Which roots lie on the unit circle is counted exactly (Sturm counts on the
 trace polynomial, see circle_root_count); enclosures only say which roots
@@ -40,11 +46,10 @@ Every enclosure is integers (re, im, rad) over one positive denominator
 (ComplexEnclosure).  The certificate's disks are built exactly over
 den(c) 2^r from the Gaussian points over 2^u and the radii over 2^r, so the
 roots of one polynomial share one denominator, and nothing is rounded.  The
-side of the unit circle, meets and the conjugate pairs are exact integer
-comparisons, with no square root.  The target disks of algnum's root
-selection, products, powers and folds z + N/z of root enclosures, are
-integer mantissas over 2^bits (disk_product); an enclosure is read in once
-and the result given back once.
+side of the unit circle and meets are exact integer comparisons, with no
+square root.  The target disks of algnum's root selection, products, powers
+and folds z + N/z of root enclosures, are integer mantissas over 2^bits
+(disk_product); an enclosure is read in once and the result given back once.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .qpoly import QPoly, _convolve, _sign_at, binary_power, count_real_roots, root_bound_exponent, trace_polynomial
+from .qpoly import QPoly, _convolve, binary_power, count_real_roots, root_bound_exponent, trace_polynomial
 
 MAX_BITS = 4096
 
@@ -430,9 +435,10 @@ def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]
     """Certified pairwise-disjoint enclosures of all roots of a squarefree p.
 
     Every enclosure holds exactly one root; real roots carry an exact zero
-    imaginary midpoint certified by a sign change of p across the real
-    diameter; non-real enclosures come in exact conjugate pairs.  Radii
-    shrink when precision_bits grows.
+    imaginary midpoint and non-real enclosures come in exact conjugate pairs,
+    both proved by the certificate of a point set closed under conjugation
+    (a disk centred on the real axis is its own mirror, so its one root is
+    real).  Radii shrink when precision_bits grows.
     """
     if precision_bits < 64:
         raise ValidationError("precision_bits must be at least 64")
@@ -462,7 +468,7 @@ def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]
     wp = precision_bits + 32 + 8 * n
     cap = max(8 * precision_bits, MAX_BITS) + 8 * n
     while wp <= cap:
-        got = _attempt(ints, shifted, c, polish(wp, check_squarefree), wp, precision_bits - 4)
+        got = _attempt(shifted, c, polish(wp, check_squarefree), wp, precision_bits - 4)
         if got is not None:
             return got
         check_squarefree()
@@ -470,23 +476,31 @@ def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]
     raise PrecisionExhausted(f"could not separate roots of {p!r} within {cap} bits")
 
 
-def _attempt(ints, shifted, c, pts, u, target_bits):
+def _attempt(shifted, c, pts, u, target_bits):
     """The certified enclosures of the roots c + z_i of p, z_i the Gaussian
-    dyadics pts over 2^u (roots of q = p(x + c)), or None.  The radii
-    n |W_i| are computed over 2^r: 2^(un) q(z_i) by homogeneous Horner and
-    2^(u(n-1)) lc prod (z_i - z_j) as integer products give |W_i|^2 as one
-    quotient of integers, whose square root is rounded up."""
+    dyadics pts over 2^u (roots of q = p(x + c)) made closed under
+    conjugation, or None.  The radii n |W_i| are computed over 2^r:
+    2^(un) q(z_i) by homogeneous Horner and 2^(u(n-1)) lc prod (z_i - z_j)
+    as integer products give |W_i|^2 as one quotient of integers, whose
+    square root is rounded up.  As q is real, W at a mirrored point is the
+    conjugate of W at its original, so only the real and upper points are
+    evaluated."""
     if pts is None:
         return None
     n = len(pts)
     snap = 1 << (u - 2 * u // 3)
     pts = [(re, 0 if abs(im) <= snap else im) for re, im in pts]
+    # each point below the axis gives way to the mirror of one above it
+    reals, upper = [z for z in pts if z[1] == 0], [z for z in pts if z[1] > 0]
+    if len(reals) + 2 * len(upper) != n:
+        return None
+    pts = reals + upper + [(re, -im) for re, im in upper]
     if len(set(pts)) != n:
         return None
 
     r = u + 64  # radii 64 bits finer than the midpoints
     lc, radii = shifted[-1], []
-    for i, (re, im) in enumerate(pts):
+    for i, (re, im) in enumerate(pts[: len(reals) + len(upper)]):
         vr, vi = _horner(shifted, re, im, u)
         dr, di = lc, 0
         for j, (re2, im2) in enumerate(pts):
@@ -499,7 +513,10 @@ def _attempt(ints, shifted, c, pts, u, target_bits):
         if rad >= 1 << (r - target_bits):  # n |W| must be below 2^-target_bits
             return None
         radii.append(rad)
+    radii += radii[len(reals) :]
 
+    # disjoint disks hold one root each; for an upper disk and its mirror
+    # this is also the proof that |im| > rad
     for i in range(n):
         for j in range(i + 1, n):
             dr, di = (pts[i][0] - pts[j][0]) << (r - u), (pts[i][1] - pts[j][1]) << (r - u)
@@ -508,36 +525,11 @@ def _attempt(ints, shifted, c, pts, u, target_bits):
                 return None
 
     # the disks over den = den(c) 2^r: midpoints num(c) 2^r + z den(c) 2^(r-u)
-    # and radii rad den(c), exactly
+    # and radii rad den(c), exactly, sorted by midpoint (the disks are
+    # disjoint, so no two midpoints are equal)
     den, scale, shift = c.denominator << r, c.denominator << (r - u), c.numerator << r
-    result, positives, negatives = [], [], []
-    for (zr, zi), rad in zip(pts, radii):
-        re, im, rad = shift + zr * scale, zi * scale, rad * c.denominator
-        if im == 0:
-            pa, pb = _sign_at(ints, re - rad, den), _sign_at(ints, re + rad, den)
-            if pa == 0:
-                result.append((re - rad, 0, 0))
-            elif pb == 0:
-                result.append((re + rad, 0, 0))
-            elif pa != pb:
-                result.append((re, 0, rad))
-            else:
-                return None
-        elif abs(im) <= rad:
-            return None
-        else:
-            (positives if im > 0 else negatives).append((re, im, rad))
-    if len(positives) != len(negatives):
-        return None
-    # each upper disk's mirror must meet exactly one lower disk, which it replaces
-    for re, im, rad in positives:
-        hits = [k for k, (x, y, s) in enumerate(negatives) if (re - x) ** 2 + (im + y) ** 2 <= (rad + s) ** 2]
-        if len(hits) != 1:
-            return None
-        del negatives[hits[0]]
-        result += [(re, im, rad), (re, -im, rad)]
-    result.sort()  # by midpoint: the disks are disjoint, so no two midpoints are equal
-    return [_enclosure(re, im, rad, den) for re, im, rad in result]
+    disks = sorted((shift + zr * scale, zi * scale, rad * c.denominator) for (zr, zi), rad in zip(pts, radii))
+    return [_enclosure(re, im, rad, den) for re, im, rad in disks]
 
 
 # ---------------------------------------------------------------------------

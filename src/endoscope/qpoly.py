@@ -613,15 +613,15 @@ def _remainder_sequence(a, b) -> list:
     return chain
 
 
-def _sign_at(c: list[int], x, den: int = 1) -> int:
-    """Sign of the integer polynomial c at x / den, for a rational x and an
-    integer den > 0, or at x = +-inf."""
+def _sign_at(c: list[int], x) -> int:
+    """Sign of the integer polynomial c at a rational x or at x = +-inf, for
+    the Sturm chains."""
     if isinstance(x, float) and isinf(x):
         v = c[-1] if x > 0 or len(c) % 2 else -c[-1]
     else:
         if not isinstance(x, (int, Fraction)):
             x = Fraction(x)
-        num, den, v, dpow = x.numerator, x.denominator * den, 0, 1
+        num, den, v, dpow = x.numerator, x.denominator, 0, 1
         for a in reversed(c):  # den^deg times the value, by homogeneous Horner
             v, dpow = v * num + a * dpow, dpow * den
     return (v > 0) - (v < 0)

@@ -554,15 +554,21 @@ def test_structure_certificate_reads_gamma():
 
 def test_classify_decides_each_parsed_spec_once(monkeypatch):
     # classify and entropy on one parsed spec read one record: the spectrum
-    # and the structure element are built once, and only the period of a
-    # classify report needs a fixed-point table, so an entropy job builds none
-    from endoscope import jobs
+    # and the structure element are built once, and the period is the order
+    # of the roots of unity, so neither job builds a fixed-point table
+    import sys
+
+    from endoscope import jobs, lefschetz
 
     calls = {}
-    for name in ("rational_eigenvalues", "_structure_element", "fixed_point_table"):
+    for name in ("rational_eigenvalues", "_structure_element"):
         original = getattr(classify, name)
         calls[name] = []
         monkeypatch.setattr(classify, name, lambda *a, _f=original, _c=calls[name]: _c.append(a) or _f(*a))
+    table, calls["fixed_point_table"] = lefschetz.fixed_point_table, []
+    for module in [m for n, m in sys.modules.items() if n.startswith("endoscope")]:
+        if getattr(module, "fixed_point_table", None) is table:  # every module that imported it by name
+            monkeypatch.setattr(module, "fixed_point_table", lambda *a: calls["fixed_point_table"].append(a) or table(*a))
     zeta5 = {"kind": "field", "minpoly": ["1/1"] * 5}
     spec = jobs.parse_spec({"algebra": zeta5, "element": {"coords": ["2/1", "1/1"]}, "g": 2}, "spec")
     reports = [jobs.run_command(spec, {"op": op}) for op in ("classify", "entropy")]
@@ -575,4 +581,6 @@ def test_classify_decides_each_parsed_spec_once(monkeypatch):
     assert jobs.run_command(spec, {"op": "entropy"})["entropy"]["gamma_minpoly"] == ["-1/1", "1/1"]
     assert calls["fixed_point_table"] == []
     assert jobs.run_command(spec, {"op": "classify"})["growth"]["period"] == 4
+    assert calls["fixed_point_table"] == []
+    assert len(jobs.run_command(spec, {"op": "fixpoints", "nmax": 4})["fix"]) == 4  # the spy sees a table
     assert len(calls["fixed_point_table"]) == 1

@@ -43,9 +43,16 @@ def test_sqrt13_real_roots():
         assert lo * lo < 13 < hi * hi
 
 
-def test_salem_quartic_layout():
+def test_salem_quartic_layout(monkeypatch):
     p = from_ints(1, -1, -1, -1, 1)
     encl = isolate_roots(p, 128)
+    # the certificate evaluates q once per real root and once per conjugate
+    # pair: a mirrored point's radius is its original's
+    c, shifted, polish = enclosures.approximate_roots([1, -1, -1, -1, 1])
+    pts, evaluated, horner = polish(192), [], enclosures._horner
+    monkeypatch.setattr(enclosures, "_horner", lambda *a: evaluated.append(a[1:3]) or horner(*a))
+    assert enclosures._attempt(shifted, c, pts, 192, 124) == encl
+    assert len(evaluated) == 3 and sum(im == 0 for _, im in evaluated) == 2
     reals = [e for e in encl if e.is_real]
     others = [e for e in encl if not e.is_real]
     assert len(reals) == 2 and len(others) == 2
@@ -55,6 +62,15 @@ def test_salem_quartic_layout():
     assert abs(small.re - Fraction(58069, 100000)) < Fraction(1, 100)
     # conjugate pair is exact
     assert others[0].conjugate() in others
+
+
+def test_mirrored_disks_that_meet_are_refused():
+    # 2^400 x^2 - 1 has the real roots +-2^-200; the points +-2^-200 i lie
+    # off the axis beyond the snap, and their disks, of radius 2^-199 each,
+    # meet: only their disjointness could prove a conjugate pair
+    u = 400
+    pts = [(0, 1 << (u - 200)), (0, -(1 << (u - 200)))]
+    assert enclosures._attempt([-1, 0, 1 << 400], 0, pts, u, 124) is None
 
 
 def test_rational_roots_are_exact():
@@ -285,6 +301,8 @@ def test_a_dyadic_disk_meets_its_rational_point():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_coeffs, min_size=3, max_size=8))
+@example([2**260 + 1, -(2**261), 2**260])  # 1 +- 2^-130 i: snapped to the axis at the first precision
+@example([2**262 - 1, -(2**263), 2**262])  # 1 +- 2^-131: two real roots 2^-130 apart
 def test_roots_are_exactly_real_or_in_exact_conjugate_pairs(coeffs):
     p = QPoly([Fraction(c) for c in coeffs]).squarefree_part()
     if p.degree < 1:
@@ -319,7 +337,7 @@ def test_integer_enclosure_paths_build_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    got = enclosures._attempt(ints, shifted, c, pts, 192, 124)
+    got = enclosures._attempt(shifted, c, pts, 192, 124)
     sides = [e.side() for e in encl]
     meets = [a.meets(b) for a in encl for b in encl]
     same = [a == b.conjugate() for a in encl for b in encl] + [hash(e) for e in encl]
@@ -441,6 +459,11 @@ HARD_CASES = {
     "far-root-and-phi-31": (X - 10**8) * QPoly([1] * 31),
     # coefficients past the double range; roots near +-10^200 and 10^-400
     "huge-coefficient": X**3 - 10**400 * X + 1,
+    # 1 +- 2^-130 i lies closer to the axis than the snap of the first
+    # precision: one exact conjugate pair, never two real roots
+    "near-axis-pair": 2**260 * (X - 1) ** 2 + 1,
+    # 1 +- 2^-131: two real roots 2^-130 apart
+    "close-real-pair": 2**262 * (X - 1) ** 2 - 1,
 }
 
 
