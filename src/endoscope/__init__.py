@@ -13,7 +13,6 @@ from .classify import (
     classify_growth,
     entropy,
     is_automorphism,
-    is_root_of_unity,
     is_salem_polynomial,
     rational_eigenvalues,
 )

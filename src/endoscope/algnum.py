@@ -8,6 +8,8 @@ comes from Newton power sums (Bostan-Flajolet-Salvy-Schost 2006), built once
 root_product has checked its degree against factorq's cap.  The factor holding
 the true product is the one whose certified root enclosure meets the target
 disk (enclosures.disk_product), as distinct irreducible factors share no roots.
+_select_root is the one isolate-meet-double loop: root_product passes it the
+factors it made, refined the number's minpoly with its enclosure as the target.
 """
 
 from __future__ import annotations
@@ -50,14 +52,8 @@ class AlgebraicNumber:
         """Same number with a smaller certified enclosure."""
         if bits <= self.bits:
             return self
-        attempt = bits
-        while attempt <= MAX_BITS:
-            fresh = isolate_roots(self.minpoly, attempt)
-            hits = [e for e in fresh if e.meets(self.enclosure)]
-            if len(hits) == 1:
-                return AlgebraicNumber(self.minpoly, hits[0], attempt)
-            attempt *= 2
-        raise PrecisionExhausted("could not re-pin algebraic number to one root")
+        _, enclosure, bits = _select_root([self.minpoly], lambda _: self.enclosure, bits)
+        return AlgebraicNumber(self.minpoly, enclosure, bits)
 
 
 def from_rational(q) -> AlgebraicNumber:
@@ -65,15 +61,15 @@ def from_rational(q) -> AlgebraicNumber:
     return AlgebraicNumber(X - QPoly((q,)), ComplexEnclosure(q, 0, 0), MAX_BITS)
 
 
-def _select_root(poly: QPoly, disk_of, bits: int) -> tuple[QPoly, ComplexEnclosure, int]:
-    """Pick the unique (irreducible factor of poly, root enclosure) meeting the target disk.
+def _select_root(candidates: list[QPoly], disk_of, bits: int) -> tuple[QPoly, ComplexEnclosure, int]:
+    """Pick the unique (candidate, root enclosure) meeting the target disk.
 
-    disk_of(bits) must return a certified enclosure of the target value at the
-    given precision; the target is known to be a root of poly.  A factor none
-    of whose enclosures meets the disk does not have the target as a root, so
-    only the factors with a hit are isolated again at the next precision.
+    The candidates are distinct irreducible polynomials, and the target is
+    known to be a root of one of them.  disk_of(bits) must return a certified
+    enclosure of the target value at the given precision.  A candidate none of
+    whose enclosures meets the disk does not have the target as a root, so
+    only the candidates with a hit are isolated again at the next precision.
     """
-    candidates = [q for q, _ in factorq.factor(poly)]
     while bits <= MAX_BITS:
         disk = disk_of(bits)
         hits = [(q, e) for q in candidates for e in isolate_roots(q, bits) if e.meets(disk)]
@@ -131,7 +127,7 @@ def root_product(p: QPoly, roots: list[ComplexEnclosure], m: int = 1) -> Algebra
     factorq._check_degree(comb(n, k) // 2 if 2 * k == n else comb(n, k))
     nums = [AlgebraicNumber(p, e) for e in roots]
     if 2 * k != n:
-        q, e, bits = _select_root(exterior_power(p, k, m), _disk_of(nums, m), 128)
+        q, e, bits = _select_root([r for r, _ in factorq.factor(exterior_power(p, k, m))], _disk_of(nums, m), 128)
         return AlgebraicNumber(q, e, bits)
 
     big_n = _exact(((-1) ** n * p.monic()[0]) ** m)
@@ -139,9 +135,10 @@ def root_product(p: QPoly, roots: list[ComplexEnclosure], m: int = 1) -> Algebra
     sums = _exterior_sums(p, k, m, half)
     sums[0] = half
     folded = [sum(comb(i, l) * big_n**l * sums[i - 2 * l] for l in range(i // 2 + 1)) for i in range(half + 1)]
-    t, _, bits = _select_root(from_power_sums(folded, half), _disk_of(nums, m, big_n), 128)
+    t_factors = [r for r, _ in factorq.factor(from_power_sums(folded, half))]
+    t, _, bits = _select_root(t_factors, _disk_of(nums, m, big_n), 128)
     unfolded = QPoly()
     for i in range(t.degree, -1, -1):
         unfolded = unfolded * (X * X + big_n) + X ** (t.degree - i) * t[i]
-    q, e, bits = _select_root(unfolded, _disk_of(nums, m), bits)
+    q, e, bits = _select_root([r for r, _ in factorq.factor(unfolded)], _disk_of(nums, m), bits)
     return AlgebraicNumber(q, e, bits)

@@ -11,8 +11,9 @@ a field on a simple abelian variety.  For a number field q is the squarefree
 part of chi; for a quaternion algebra chi is factored, and a chi with two
 distinct factors is rejected where the spectrum is built (the single-factor
 rule).  So the roots are either all roots of unity (periodic growth) or none
-is.  What classify decides about a spec is one record kept on it
-(_Decision), each part computed once.
+is, and qpoly.cyclotomic_order of q, the one root-of-unity test, says which.
+What classify decides about a spec is one record kept on it (_Decision), each
+part computed once.
 
 Every real-root decision is an exact Sturm count (qpoly): the roots of q, or
 of the structure element's minimal polynomial, on |z| = 1 (the census by
@@ -72,23 +73,6 @@ class EntropyReport:
     @property
     def is_zero(self) -> bool:
         return self.gamma_minpoly == X - ONE
-
-
-# ---------------------------------------------------------------------------
-# root-of-unity test
-
-
-def is_root_of_unity(minpoly: QPoly, enclosure: ComplexEnclosure | None = None) -> int | None:
-    """Exact order of the algebraic number, or None.
-
-    Kronecker shortcut: an enclosure certified off the unit circle rules the
-    order out immediately; otherwise the cyclotomic orders with matching
-    Euler phi are enumerated and checked by exact divisibility into x^k - 1
-    (cyclotomic_order, which refuses a minpoly that is not monic and integral).
-    """
-    if enclosure is not None and enclosure.side() != ON_CIRCLE:
-        return None
-    return cyclotomic_order(minpoly)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from . import classify, jobs
 from .errors import EndoscopeError, PrecisionExhausted, ValidationError
 from .lefschetz import EndomorphismSpec
 from .numfield import NumberField
-from .qpoly import QPoly, from_ints
+from .qpoly import QPoly, cyclotomic_order, from_ints
 from .quaternion import QuatAlgebra, definiteness
 
 
@@ -221,7 +221,7 @@ def _check_row(row) -> list[dict]:
     add("reduced_norm", "1/1", _poly_str(spec.element.reduced_norm().poly) or "0")
     charpoly = spec.charpoly_q()
     add("charpoly_q", _poly_str(row["expected_charpoly"]), _poly_str(charpoly))
-    add("root_of_unity_order", None, classify.is_root_of_unity(charpoly))
+    add("root_of_unity_order", None, cyclotomic_order(charpoly))
     add("is_automorphism", True, classify.is_automorphism(spec))
     growth = classify.classify_growth(spec)
     add("growth_class", "ExponentialMixed", growth.growth_class)

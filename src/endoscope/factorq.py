@@ -1,5 +1,6 @@
-"""Factorization over the rationals: squarefree split, factorization modulo a
-small prime, quadratic Hensel lifting and subset recombination.
+"""Factorization over the rationals: the squarefree part, factorization modulo
+a small prime, quadratic Hensel lifting and subset recombination, then each
+factor's multiplicity by exact division.
 
 The prime is the one of the first four good primes whose distinct-degree
 factorization gives the fewest factors (von zur Gathen and Gerhard, Modern
@@ -133,14 +134,9 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
         a = _trim([rng.randrange(p) for _ in range(n)])
         if len(a) <= 1:
             continue
-        g = _zgcd(a, f, p)
-        if 1 < len(g) < len(f):
-            pass
-        else:
-            b = _zsub(_zpow_mod(a, m, f, p), [1], p)
-            g = _zgcd(b, f, p)
-            if not 1 < len(g) < len(f):
-                continue
+        g = _zgcd(_zsub(_zpow_mod(a, m, f, p), [1], p), f, p)
+        if not 1 < len(g) < len(f):
+            continue
         rest = _zdivmod(f, g, p)[0]
         return _edf(g, d, p, rng) + _edf(rest, d, p, rng)
 
@@ -282,22 +278,25 @@ def factor(p: QPoly) -> list[tuple[QPoly, int]]:
     """Factor p into monic irreducibles with multiplicities.
 
     p equals lc(p) times the product of the returned factors raised to their
-    multiplicities.  Factors are sorted by (degree, coefficients) so output
-    is canonical.
+    multiplicities.  The squarefree part of p / x^k is factored once, and each
+    factor's multiplicity is read by exact division.  Factors are sorted by
+    (degree, coefficients) so output is canonical.
     """
     if p.is_zero:
         raise ValidationError("cannot factor the zero polynomial")
     _check_degree(p.degree)
-    if p.degree == 0:
-        return []
     out: list[tuple[QPoly, int]] = []
     shift = next(i for i, c in enumerate(p.num) if c)
     if shift:
         out.append((X, shift))
     body = _poly(list(p.num[shift:]), p.den)
-    for part, mult in body.squarefree_decomposition():
-        _, ints = part.clear_denominators()
-        for irr in _factor_squarefree_z(ints):
+    if body.degree > 0:
+        part = body.squarefree_part()
+        rest = body // part  # each factor once fewer
+        for irr in _factor_squarefree_z(part.clear_denominators()[1]):
+            mult = 1
+            while rest.degree >= irr.degree and not rest % irr:
+                rest, mult = rest // irr, mult + 1
             out.append((irr, mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out

@@ -179,7 +179,9 @@ def fixed_points_exact(spec: EndomorphismSpec, n: int) -> int:
     """|N(1 - f^n)|^(2g/(de)) as an exact integer; 0 reports an identity component."""
     _check_iterate(n)
     admissibility_check(spec)
-    return _abs_norm(spec, spec.algebra.one() - spec.element**n) ** spec.exponent()
+    x = spec.algebra.one() - spec.element**n
+    value = x.norm_q() if spec.is_field_case else x.norm_to_q()
+    return _abs_integer(value.numerator, value.denominator, "norm of an integral element") ** spec.exponent()
 
 
 def _norm_counts(spec: EndomorphismSpec, nmax: int):
@@ -237,12 +239,6 @@ def _right_multiplication(spec: EndomorphismSpec) -> tuple[list[list[int]], int]
     columns = [sum(cols, []) for block in blocks for cols in zip(*block)]
     g = gcd(den, *(c for col in columns for c in col))
     return [[c // g for c in row] for row in zip(*columns)], den // g
-
-
-def _abs_norm(spec: EndomorphismSpec, x) -> int:
-    """|N(x)| down to Q for an integral x of the spec's algebra."""
-    value = x.norm_q() if spec.is_field_case else x.norm_to_q()
-    return _abs_integer(value.numerator, value.denominator, "norm of an integral element")
 
 
 def _abs_integer(num: int, den: int, what: str) -> int:

@@ -316,9 +316,10 @@ def cm_structure(field: NumberField) -> FieldTypeReport:
 
 
 def _cm_structure_uncached(field: NumberField) -> FieldTypeReport:
-    if is_totally_real(field):
+    real = count_real_roots(field.minpoly)
+    if real == field.degree:
         return FieldTypeReport(TOTALLY_REAL, field.gen())
-    if field.degree % 2 == 1 or count_real_roots(field.minpoly) > 0:
+    if real > 0:  # every field of odd degree has a real embedding
         return FieldTypeReport(OTHER, None)
 
     approximation = approximate_roots(field.minpoly.clear_denominators()[1])

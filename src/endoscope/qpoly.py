@@ -285,27 +285,6 @@ class QPoly:
             return self.monic()
         return (self // self.gcd(self.derivative())).monic()
 
-    def squarefree_decomposition(self) -> list[tuple[QPoly, int]]:
-        """Yun's algorithm: returns [(g_i, i)] with self = lc * prod g_i^i."""
-        p = self.monic()
-        if p.degree <= 0:
-            return []
-        out: list[tuple[QPoly, int]] = []
-        d = p.derivative()
-        a = p.gcd(d)
-        if a.degree == 0:  # squarefree: the loop below would find p itself
-            return [(p, 1)]
-        b = p // a
-        c = d // a - b.derivative()
-        i = 1
-        while b.degree > 0:
-            g = b.gcd(c)
-            if g.degree > 0:
-                out.append((g, i))
-            b, c = b // g, (c // g) - (b // g).derivative()
-            i += 1
-        return out
-
     def clear_denominators(self) -> tuple[Fraction, list[int]]:
         """Returns (unit, ints) with self = unit * primitive integer polynomial.
 

@@ -22,7 +22,6 @@ from endoscope.classify import (
     entropy,
     fraction_to_mpf,
     is_automorphism,
-    is_root_of_unity,
     is_salem_polynomial,
     rational_eigenvalues,
     structure_certificate_for,
@@ -37,7 +36,7 @@ from endoscope.lefschetz import (
     fixed_points_exact,
 )
 from endoscope.numfield import NumberField, rationals_field
-from endoscope.qpoly import QPoly, from_ints
+from endoscope.qpoly import QPoly, cyclotomic_order, from_ints
 from endoscope.quaternion import QuatAlgebra
 
 from .oracles import FractionDisk, eigenvalue_counts
@@ -76,7 +75,7 @@ def test_criterion_1_published_construction():
     assert f.reduced_norm() == base.element(1)
     charpoly = f.reduced_charpoly_q()
     assert charpoly == from_ints(1, -1, -1, -1, 1)
-    assert is_root_of_unity(charpoly) is None
+    assert cyclotomic_order(charpoly) is None
     assert is_automorphism(spec) is True
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"

@@ -1,6 +1,8 @@
+import ast
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -129,11 +131,39 @@ def test_select_root_isolates_only_the_factors_that_hit(monkeypatch):
         return ComplexEnclosure(sqrt2.re, 0, Fraction(1) if bits == 128 else Fraction(1, 8))
 
     monkeypatch.setattr(algnum, "isolate_roots", counted)
-    poly = from_ints(-2, 0, 1) * from_ints(-3, 0, 1) * from_ints(-5, 1)
-    q, e, bits = algnum._select_root(poly, disk_of, 128)
+    candidates = [from_ints(-2, 0, 1), from_ints(-3, 0, 1), from_ints(-5, 1)]
+    q, e, bits = algnum._select_root(candidates, disk_of, 128)
     assert q == from_ints(-2, 0, 1) and FractionDisk.of(e).contains_point(sqrt2.re, 0) and bits == 256
     assert len(calls) == 5
     assert {q for q, b in calls if b == 256} == {from_ints(-2, 0, 1), from_ints(-3, 0, 1)}
+
+
+def test_isolate_roots_runs_only_in_select_root():
+    # one isolate-meet-double loop: refined and root_product both go through it
+    tree = ast.parse(Path(algnum.__file__).read_text(encoding="utf-8"))
+    owners = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "isolate_roots"
+    ]
+    assert owners == ["_select_root"]
+
+
+def test_refined_factors_nothing(monkeypatch):
+    # refined re-pins the number on its own minimal polynomial; root_product
+    # factors the polynomials it builds, which keeps the spy live
+    golden = from_ints(-1, -1, 1)
+    phi = algnum.AlgebraicNumber(golden, isolate_roots(golden, 128)[1])
+    factor, calls = algnum.factorq.factor, []
+    monkeypatch.setattr(algnum.factorq, "factor", lambda p: calls.append(p) or factor(p))
+    tighter = phi.refined(512)
+    assert calls == []
+    assert tighter.minpoly == golden and tighter.bits == 512 and tighter.enclosure.meets(phi.enclosure)
+    assert tighter.enclosure.rad_num * phi.enclosure.den < phi.enclosure.rad_num * tighter.enclosure.den
+    algnum.root_product(golden, [phi.enclosure], 2)
+    assert calls
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +177,8 @@ def _selections(monkeypatch, run, reference: bool):
     from oracles.reference_disk_product."""
     made, select = [], algnum._select_root
 
-    def recording(poly, disk_of, bits):
-        made.append(select(poly, disk_of, bits))
+    def recording(candidates, disk_of, bits):
+        made.append(select(candidates, disk_of, bits))
         return made[-1]
 
     with monkeypatch.context() as patch:

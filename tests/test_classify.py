@@ -18,7 +18,6 @@ from endoscope.classify import (
     entropy,
     fraction_to_mpf,
     is_automorphism,
-    is_root_of_unity,
     is_salem_polynomial,
     structure_certificate_for,
 )
@@ -149,21 +148,6 @@ def test_field_spectrum_is_the_single_factor_of_chi(name):
         [(q, mult)] = factorq.factor(spec.charpoly_q())
         assert (spectrum.poly, spectrum.mult) == (q, mult * spec.exponent())
         assert sympy.Poly([int(c) for c in reversed(q.coeffs)], x).is_irreducible
-
-
-# ---------------------------------------------------------------------------
-# roots of unity
-
-
-def test_is_root_of_unity():
-    assert is_root_of_unity(from_ints(1, 0, 1)) == 4
-    assert is_root_of_unity(from_ints(-1, -1, 1)) is None
-    assert is_root_of_unity(from_ints(1, -1, -1, -1, 1)) is None
-    assert is_root_of_unity(from_ints(1, -1, 1)) == 6
-    enclosure = isolate_roots(from_ints(-1, -2, 1), 64)[1]
-    assert is_root_of_unity(from_ints(-1, -2, 1), enclosure) is None
-    with pytest.raises(ValidationError):
-        is_root_of_unity(QPoly((Fraction(1, 2), Fraction(1))))
 
 
 # ---------------------------------------------------------------------------

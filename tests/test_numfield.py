@@ -155,6 +155,18 @@ def test_cm_structure_other_cases(rungs):
     assert cm_structure(F(-2, 0, 1)).kind == TOTALLY_REAL
 
 
+def test_cm_structure_counts_the_real_roots_once(monkeypatch):
+    # one Sturm count decides totally real (count = degree) and a real
+    # embedding (count > 0) alike
+    counted, count = [], numfield.count_real_roots
+    monkeypatch.setattr(numfield, "count_real_roots", lambda p, *a: counted.append(p) or count(p, *a))
+    for minpoly, kind in [((-2, 0, 1), TOTALLY_REAL), ((-2, 0, 0, 1), OTHER), ((1, -1, -1, -1, 1), OTHER)]:
+        counted.clear()
+        field = F(*minpoly)
+        assert cm_structure(field).kind == kind
+        assert counted == [field.minpoly]
+
+
 # CM fields a + zeta_n, Q(i) and Q(sqrt-3), by minimal polynomial
 CM_FIELDS = [_cyclotomic(n)(X - a) for a in (0, 3, 100) for n in (5, 7, 8, 9, 12, 13)]
 CM_FIELDS += [from_ints(1, 0, 1), from_ints(3, 0, 1)]

@@ -1,4 +1,3 @@
-import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -6,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from endoscope import factorq
 from endoscope.errors import ValidationError
+from endoscope.factorq import factor
 from endoscope.numfield import NFElement, NumberField
 from endoscope.qpoly import (
     _DECIMAL_SPLIT_BITS,
@@ -22,6 +23,8 @@ from endoscope.qpoly import (
     power_sums,
     resultant,
 )
+
+from .test_factorq import _sympy_factors
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 polys = st.lists(rationals, min_size=0, max_size=7).map(QPoly)
@@ -105,36 +108,26 @@ def test_reciprocal_and_scale_roots():
     assert scaled == from_ints(-18, 0, 1)
 
 
-def test_squarefree_decomposition():
-    p = from_ints(-1, -1, 1) ** 2 * from_ints(-1, 1)
-    decomp = p.squarefree_decomposition()
-    assert (from_ints(-1, 1), 1) in decomp
-    assert (from_ints(-1, -1, 1), 2) in decomp
-
-
-@given(
-    st.lists(
-        st.tuples(st.lists(st.integers(-4, 4), min_size=2, max_size=4), st.integers(1, 3)), min_size=1, max_size=3
-    ),
-    st.integers(1, 5),
-)
-def test_squarefree_decomposition_rebuilds_the_polynomial(parts, lead):
-    # squarefree inputs (one part of multiplicity 1, usually) and repeated
-    # factors alike: p = lc(p) prod g_i^i with every g_i monic and squarefree,
-    # pairwise coprime, and the multiplicities distinct
-    p = from_ints(lead)
-    for coeffs, mult in parts:
-        if any(coeffs[1:]):
-            p = p * from_ints(*coeffs) ** mult
-    decomp = p.squarefree_decomposition()
-    rebuilt = QPoly((p.lc,))
-    for g, i in decomp:
-        assert g.is_monic and g.degree > 0 and g.gcd(g.derivative()).degree == 0
-        rebuilt = rebuilt * g**i
-    assert rebuilt == p
-    assert len({i for _, i in decomp}) == len(decomp)
-    for (g, _), (h, _) in itertools.combinations(decomp, 2):
-        assert g.gcd(h).degree == 0
+def test_factor_splits_the_squarefree_part_once(monkeypatch):
+    # products of g_i^(m_i), and x^k alone or times a constant, whose body
+    # after x^k is a constant: the squarefree part is factored once (not at
+    # all for x^k), each multiplicity is read off by exact division, and the
+    # result is sympy's factor_list
+    sqrt2, sqrt3, golden = from_ints(-2, 0, 1), from_ints(-3, 0, 1), from_ints(-1, -1, 1)
+    cases = [
+        (golden**2 * from_ints(-1, 1), 1),
+        (sqrt2**2 * sqrt3**2 * from_ints(5, 1) ** 3 * from_ints(1, 0, 1), 1),
+        (QPoly((Fraction(-3, 2),)) * from_ints(1, 1, 1) ** 4 * golden * from_ints(0, 1) ** 2, 1),
+        (from_ints(1, 0, 0, 0, 1) ** 2 * from_ints(576, 0, -960, 0, 352, 0, -40, 0, 1), 1),
+        (from_ints(0, 0, 0, 1), 0),
+        (QPoly((0, 0, Fraction(-5, 3))), 0),
+    ]
+    split, calls = factorq._factor_squarefree_z, []
+    monkeypatch.setattr(factorq, "_factor_squarefree_z", lambda g: calls.append(g) or split(g))
+    for p, splits in cases:
+        calls.clear()
+        assert factor(p) == _sympy_factors(p)
+        assert len(calls) == splits
 
 
 def test_resultant_known_values():
@@ -160,6 +153,8 @@ def test_cyclotomic_orders():
     assert cyclotomic_order(from_ints(1, 1, 1, 1, 1)) == 5
     assert cyclotomic_order(from_ints(-1, -1, 1)) is None
     assert cyclotomic_order(from_ints(1, -1, -1, -1, 1)) is None
+    with pytest.raises(ValidationError):
+        cyclotomic_order(QPoly((Fraction(1, 2), Fraction(1))))
 
 
 def test_compose_mod_matches_compose():
