@@ -30,7 +30,7 @@ from endoscope.errors import (
 )
 from endoscope.lefschetz import EndomorphismSpec, fixed_point_table, fixed_points_exact
 from endoscope.numfield import NumberField, rationals_field
-from endoscope.qpoly import QPoly, from_ints
+from endoscope.qpoly import QPoly, cyclotomic_order, from_ints
 from endoscope.quaternion import QuatAlgebra
 
 
@@ -148,6 +148,22 @@ def test_field_spectrum_is_the_single_factor_of_chi(name):
         [(q, mult)] = factorq.factor(spec.charpoly_q())
         assert (spectrum.poly, spectrum.mult) == (q, mult * spec.exponent())
         assert sympy.Poly([int(c) for c in reversed(q.coeffs)], x).is_irreducible
+
+
+# ---------------------------------------------------------------------------
+# roots of unity
+
+
+def test_is_root_of_unity():
+    # cyclotomic_order answers the root-of-unity question: the order n when
+    # the polynomial is Phi_n, None otherwise, and it refuses non-integral input
+    assert cyclotomic_order(from_ints(1, 0, 1)) == 4
+    assert cyclotomic_order(from_ints(-1, -1, 1)) is None
+    assert cyclotomic_order(from_ints(1, -1, -1, -1, 1)) is None
+    assert cyclotomic_order(from_ints(1, -1, 1)) == 6
+    assert cyclotomic_order(from_ints(-1, -2, 1)) is None
+    with pytest.raises(ValidationError):
+        cyclotomic_order(QPoly((Fraction(1, 2), Fraction(1))))
 
 
 # ---------------------------------------------------------------------------
