@@ -126,21 +126,26 @@ def test_squarefree_decomposition():
 )
 def test_squarefree_decomposition_rebuilds_the_polynomial(parts, lead):
     # squarefree inputs (one part of multiplicity 1, usually) and repeated
-    # factors alike: p = lc(p) prod f_i^(m_i) with every f_i monic, squarefree
-    # and pairwise coprime, and the squarefree part of p is prod f_i
+    # factors alike: grouping factor's output by multiplicity gives
+    # p = lc(p) prod g_i^i with every g_i monic and squarefree, pairwise
+    # coprime, and the multiplicities distinct; prod g_i is the squarefree part
     p = from_ints(lead)
     for coeffs, mult in parts:
         if any(coeffs[1:]):
             p = p * from_ints(*coeffs) ** mult
-    decomp = factor(p)
+    groups: dict[int, QPoly] = {}
+    for f, m in factor(p):
+        groups[m] = groups.get(m, ONE) * f
+    decomp = list(groups.items())
     rebuilt, once = QPoly((p.lc,)), ONE
-    for f, m in decomp:
-        assert f.is_monic and f.degree > 0 and f.gcd(f.derivative()).degree == 0 and m > 0
-        rebuilt, once = rebuilt * f**m, once * f
+    for i, g in decomp:
+        assert g.is_monic and g.degree > 0 and g.gcd(g.derivative()).degree == 0
+        rebuilt, once = rebuilt * g**i, once * g
     assert rebuilt == p
     assert once == p.squarefree_part()
-    for (f, _), (h, _) in itertools.combinations(decomp, 2):
-        assert f.gcd(h).degree == 0
+    assert len({i for i, _ in decomp}) == len(decomp)
+    for (_, g), (_, h) in itertools.combinations(decomp, 2):
+        assert g.gcd(h).degree == 0
 
 
 def test_factor_splits_the_squarefree_part_once(monkeypatch):
