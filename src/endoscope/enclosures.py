@@ -28,15 +28,14 @@ approximate_roots; the CM conjugation candidate in numfield interpolates
 through its points directly, with no certificate, since its answer is
 proved exactly.
 
-The certified points are closed under conjugation: points within a snap
-distance of the real axis are put on it, and each point below the axis is
-replaced by the mirror of one above it.  As p is real, each root's conjugate
-is a root, so a certified disk centred on the axis, its own mirror, holds a
-root equal to its conjugate: a real root, reported with exact zero imaginary
-part.  A mirrored pair of disks holds a conjugate pair of roots, and the
-disjointness of the two disks proves |im| > rad.  No sign of p is evaluated.
-The polish itself stays unsymmetrized, so that it can still split two close
-real roots seeded as a conjugate pair.
+The certified points are closed under conjugation: each point below the
+axis is replaced by the mirror of one above it.  As p is real, each root's
+conjugate is a root, so a certified disk centred on the axis, its own mirror,
+holds a root equal to its conjugate: a real root, reported with exact zero
+imaginary part.  A mirrored pair of disks holds a conjugate pair of roots,
+and the disjointness of the two disks proves |im| > rad.  No sign of p is
+evaluated.  The polish itself stays unsymmetrized, so that it can still split
+two close real roots seeded as a conjugate pair.
 
 Which roots lie on the unit circle is counted exactly (Sturm counts on the
 trace polynomial, see circle_root_count); enclosures only say which roots
@@ -488,8 +487,6 @@ def _attempt(shifted, c, pts, u, target_bits):
     if pts is None:
         return None
     n = len(pts)
-    snap = 1 << (u - 2 * u // 3)
-    pts = [(re, 0 if abs(im) <= snap else im) for re, im in pts]
     # each point below the axis gives way to the mirror of one above it
     reals, upper = [z for z in pts if z[1] == 0], [z for z in pts if z[1] > 0]
     if len(reals) + 2 * len(upper) != n:

@@ -14,14 +14,14 @@ the traces of the powers of the element.
 
 The CM test is untrusted points in, exact proof out: the candidate
 conjugation is interpolated through the roots' Aberth points
-(enclosures.approximate_roots, with no certificate) and rationally
-reconstructed, then everything that matters is verified exactly: the field
-is totally imaginary, the candidate h is an automorphism of order two other
-than the identity, and its fixed field, generated by alpha + h(alpha) and
-alpha h(alpha), is totally real.  A success is therefore a proof.  The
-candidate is tried on a ladder of precisions, 64 bits doubled up to 2048 and
-then 3072 (_CM_LADDER): a wrong candidate at a low rung costs only its
-refusal, and failure at every rung reports "Other".
+(enclosures.approximate_roots, with no certificate), its coefficients
+reconstructed by Fraction.limit_denominator, then everything that matters is
+verified exactly: the field is totally imaginary, the candidate h is an
+automorphism of order two other than the identity, and its fixed field,
+generated by alpha + h(alpha) and alpha h(alpha), is totally real.  A success
+is therefore a proof.  The candidate is tried on a ladder of precisions, 64
+bits doubled up to 2048 and then 3072 (_CM_LADDER): a wrong candidate at a
+low rung costs only its refusal, and failure at every rung reports "Other".
 """
 
 from __future__ import annotations
@@ -180,10 +180,6 @@ class NFElement:
             raise ValidationError("negative field element power")
         return NFElement(self.parent, self.poly.pow_mod(n, self.parent.minpoly))
 
-    def apply_poly(self, h: QPoly) -> NFElement:
-        """Image under alpha -> h(alpha), i.e. coords composed with h."""
-        return NFElement(self.parent, self.poly.compose_mod(h, self.parent.minpoly))
-
     # -- norms and traces over Q -----------------------------------------------
 
     def charpoly_q(self, index: int = 1) -> QPoly:
@@ -279,28 +275,11 @@ def _conjugation_candidate(approximation, bits: int) -> QPoly | None:
         if abs(im) > 1 << (w - half):
             return None
         approx = Fraction(re, 1 << w)
-        cand = rational_reconstruct(approx, bound)
+        cand = approx.limit_denominator(bound)
         if abs(cand - approx) > Fraction(1, 1 << half):
             return None
         coeffs.append(cand)
     return QPoly(coeffs)
-
-
-def rational_reconstruct(x: Fraction, den_bound: int) -> Fraction:
-    """Best continued-fraction convergent of x with denominator <= den_bound."""
-    m2, m1 = 0, 1
-    d2, d1 = 1, 0
-    num, den = x.numerator, x.denominator
-    best = Fraction(0)
-    while den:
-        a = num // den
-        num, den = den, num - a * den
-        m2, m1 = m1, a * m1 + m2
-        d2, d1 = d1, a * d1 + d2
-        if d1 > den_bound:
-            break
-        best = Fraction(m1, d1)
-    return best
 
 
 def cm_structure(field: NumberField) -> FieldTypeReport:
@@ -372,4 +351,4 @@ def apply_conjugation(report: FieldTypeReport, x: NFElement) -> NFElement:
         return x
     if report.kind != CM or report.conj_automorphism is None:
         raise ValidationError("field has no conjugation automorphism")
-    return x.apply_poly(report.conj_automorphism.poly)
+    return NFElement(x.parent, x.poly.compose_mod(report.conj_automorphism.poly, x.parent.minpoly))

@@ -203,10 +203,6 @@ class QuatElement:
             sums.append(cur.trace_q())
         return from_power_sums(sums, 2 * e)
 
-    def norm_to_q(self) -> Fraction:
-        """Composite norm to Q: ordinary norm of the reduced norm."""
-        return self.reduced_norm().norm_q()
-
 
 def reduced_norm_int(algebra: QuatAlgebra, coords, s: int) -> tuple[list[int], int]:
     """(r, t) with Nrd(x) = r / t, for the element x whose coordinates on

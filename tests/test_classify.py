@@ -249,7 +249,7 @@ def test_is_automorphism():
     ]
     units = []
     for spec in specs:
-        norm = spec.element.norm_q() if spec.is_field_case else spec.element.norm_to_q()
+        norm = spec.element.norm_q() if spec.is_field_case else spec.element.reduced_norm().norm_q()
         assert norm.denominator == 1 and norm != 0, spec
         assert is_automorphism(spec) is (abs(norm) == 1), spec
         units.append(abs(norm) == 1)

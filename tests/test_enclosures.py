@@ -66,8 +66,8 @@ def test_salem_quartic_layout(monkeypatch):
 
 def test_mirrored_disks_that_meet_are_refused():
     # 2^400 x^2 - 1 has the real roots +-2^-200; the points +-2^-200 i lie
-    # off the axis beyond the snap, and their disks, of radius 2^-199 each,
-    # meet: only their disjointness could prove a conjugate pair
+    # off the axis, and their disks, of radius 2^-199 each, meet: only their
+    # disjointness could prove a conjugate pair
     u = 400
     pts = [(0, 1 << (u - 200)), (0, -(1 << (u - 200)))]
     assert enclosures._attempt([-1, 0, 1 << 400], 0, pts, u, 124) is None
@@ -459,12 +459,21 @@ HARD_CASES = {
     "far-root-and-phi-31": (X - 10**8) * QPoly([1] * 31),
     # coefficients past the double range; roots near +-10^200 and 10^-400
     "huge-coefficient": X**3 - 10**400 * X + 1,
-    # 1 +- 2^-130 i lies closer to the axis than the snap of the first
-    # precision: one exact conjugate pair, never two real roots
+    # 1 +- 2^-130 i: one exact conjugate pair, never two real roots
     "near-axis-pair": 2**260 * (X - 1) ** 2 + 1,
     # 1 +- 2^-131: two real roots 2^-130 apart
     "close-real-pair": 2**262 * (X - 1) ** 2 - 1,
 }
+
+
+def test_a_pair_near_the_axis_is_certified_at_the_first_precision(monkeypatch):
+    # 1 +- 2^-130 i, 2^-130 off the axis at 128 bits: the first points are
+    # certified as they are, one conjugate pair, with no point moved onto the axis
+    attempts, attempt = [], enclosures._attempt
+    monkeypatch.setattr(enclosures, "_attempt", lambda *a: attempts.append(a[3]) or attempt(*a))
+    lower, upper = isolate_roots(HARD_CASES["near-axis-pair"], 128)
+    assert len(attempts) == 1
+    assert upper.im > 0 and lower == upper.conjugate()
 
 
 @pytest.mark.parametrize("name", HARD_CASES)

@@ -108,6 +108,26 @@ def test_companion_matches_eigenvalue_product():
         assert [companion_oracle(p, n)] == eigenvalue_counts(p * p, [n])
 
 
+def test_companion_oracle_matches_the_doubled_model():
+    # the oracle's det(I - C^n)^2 against sympy's det(I - M^n) on the
+    # block-doubled companion M = C (x) I_2, built here from p alone
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(28)
+    for _ in range(40):
+        deg, lead = rng.randint(1, 6), rng.choice((1, -1))
+        coeffs = [rng.randint(-5, 5) for _ in range(deg)] + [lead]
+        n = rng.randint(1, 40)
+        monic = [lead * c for c in coeffs]
+        doubled = sympy.zeros(2 * deg, 2 * deg)
+        for i in range(deg):
+            for t in (0, 1):
+                if i:
+                    doubled[2 * i + t, 2 * (i - 1) + t] = 1
+                doubled[2 * i + t, 2 * (deg - 1) + t] = -monic[i]
+        expected = abs((sympy.eye(2 * deg) - doubled**n).det(method="bareiss"))
+        assert companion_oracle(from_ints(*coeffs), n) == expected, (coeffs, n)
+
+
 def test_companion_matches_norm_path():
     # when f generates the field, the companion model on minpoly(f) computes
     # N(1 - f^n)^2, so fix = companion^(g/deg)

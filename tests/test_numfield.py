@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -176,16 +177,37 @@ def _assert_complex_conjugation(minpoly, rep):
     # checked on certified enclosures, independently of how the conjugation
     # was found: the image of each root's disk under the reported h meets the
     # disk of the complex-conjugate root and no other
+    # (h is evaluated by Horner on the disk, rounded outward to 2^-256 at
+    # every step, so that its Fractions stay near 256 bits at degree 60)
     assert rep.kind == CM
     h = rep.conj_automorphism.poly
     roots = isolate_roots(minpoly, 128)
     for root in roots:
-        assert [other for other in roots if h(FractionDisk.of(root)).meets(other)] == [root.conjugate()]
+        image, disk = FractionDisk(0, 0, 0), FractionDisk.of(root)
+        for c in reversed(h.coeffs):
+            image = (image * disk + c).rounded(256)
+        assert [other for other in roots if image.meets(other)] == [root.conjugate()]
 
 
 @pytest.mark.parametrize("minpoly", CM_FIELDS, ids=repr)
 def test_conjugation_is_complex_conjugation(minpoly):
     _assert_complex_conjugation(minpoly, cm_structure(NumberField(minpoly)))
+
+
+# every cyclotomic field of degree 2 to 24, and zeta61 of degree 60
+CYCLOTOMIC_CM = [n for n in range(3, 91) if sum(math.gcd(k, n) == 1 for k in range(n)) <= 24] + [61]
+
+
+@pytest.mark.parametrize("n", CYCLOTOMIC_CM)
+def test_cm_conjugation_is_proved_by_one_verification(n, monkeypatch):
+    # the first reconstructed candidate (Fraction.limit_denominator) is
+    # complex conjugation, so the exact proof runs once
+    verified, verify = [], numfield._verify_cm
+    monkeypatch.setattr(numfield, "_verify_cm", lambda field, h: verified.append(h) or verify(field, h))
+    minpoly = _cyclotomic(n)
+    rep = cm_structure(NumberField(minpoly))
+    assert len(verified) == 1
+    _assert_complex_conjugation(minpoly, rep)
 
 
 @pytest.fixture
