@@ -20,18 +20,21 @@ of the structure element's minimal polynomial, on |z| = 1 (the census by
 which the enclosures are labelled), and the Salem test.  No working
 precision enters any answer.
 
-The entropy is log(gamma), gamma the Mahler measure of the eigenvalue
-multiset (Lind-Schmidt-Ward, Invent. Math. 1990).  Except for the totally
-indefinite type, where it comes from q, gamma is one root of an exterior
-power of the minimal polynomial of the totally real element f^2, f*conj(f)
-or Nrd(f) (the paper's structure theorem), and the certificate checks it
-against the product of the roots of q outside the circle.
+The entropy is log(gamma), a 28-digit Decimal from the standard library's
+correctly rounded ln, gamma the Mahler measure of the eigenvalue multiset
+(Lind-Schmidt-Ward, Invent. Math. 1990).  Except for the totally indefinite
+type, where it comes from q, gamma is one root of an exterior power of the
+minimal polynomial of the totally real element f^2, f*conj(f) or Nrd(f) (the
+paper's structure theorem), and the certificate checks it against the product
+of the roots of q outside the circle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import cached_property
+from math import prod
 
 from . import algnum, factorq
 from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, disk_product, isolate_roots, unit_circle_status
@@ -63,7 +66,7 @@ class SalemReport:
 
 @dataclass(frozen=True)
 class EntropyReport:
-    value: object  # mpmath mpf, >= 0
+    value: Decimal  # log(gamma) to 28 digits, >= 0
     gamma_minpoly: QPoly
     gamma_enclosure: ComplexEnclosure
     is_salem: bool
@@ -266,25 +269,13 @@ def is_salem_polynomial(p: QPoly) -> SalemReport:
 # entropy and the structure certificate
 
 
-def fraction_to_mpf(q, den: int = 1, rounding: str = "n"):
-    """q / den, for a rational q and an integer den > 0, as an mpf at the
-    working precision, rounded once in mpmath's direction rounding ("n"
-    nearest, "f" floor, "c" ceiling)."""
-    from mpmath import mp
-    from mpmath.libmp import from_rational
-
-    return mp.make_mpf(from_rational(q.numerator, q.denominator * den, mp.prec, rounding))
-
-
 def entropy(spec: EndomorphismSpec) -> EntropyReport:
-    """Entropy value log(gamma) with gamma's exact minimal polynomial.
+    """Entropy value log(gamma), a 28-digit Decimal, with gamma's exact minimal polynomial.
 
     gamma is the product of |mu| over the rational eigenvalues outside the
-    unit circle, so the value is the sum of mult * log|mu| over those
-    eigenvalues; both readings are computed and must agree.
+    unit circle, so the value is mult/2 * log of the product of |mu|^2 over
+    those eigenvalues; both readings are computed and must agree.
     """
-    from mpmath import mp, mpf
-
     decision = _decided(spec)
     periodic = decision.growth_class == PERIODIC
     gamma = decision.gamma
@@ -292,7 +283,7 @@ def entropy(spec: EndomorphismSpec) -> EntropyReport:
         if not periodic:
             raise CrossCheckError("gamma = 1 for a spec classified as exponential")
         ok, note = _structure_result(spec, decision.albert, trivial=True)
-        return EntropyReport(mpf(0), gamma.minpoly, gamma.enclosure, False, ok, note)
+        return EntropyReport(Decimal(0), gamma.minpoly, gamma.enclosure, False, ok, note)
     if periodic:
         raise CrossCheckError("gamma > 1 for a spec classified as periodic")
 
@@ -300,13 +291,13 @@ def entropy(spec: EndomorphismSpec) -> EntropyReport:
     if not disk.is_real or disk.re_num - disk.rad_num <= disk.den:
         raise CrossCheckError("gamma enclosure is not certified real and > 1")
 
-    with mp.workprec(200):
-        value = mp.log(fraction_to_mpf(disk.re_num, disk.den))
-        check = decision.spectrum.mult * mp.fsum(
-            mp.log(mp.sqrt(fraction_to_mpf(e.re_num**2 + e.im_num**2, e.den**2))) for e in decision.outside
-        )
-        if abs(value - check) > mpf(10) ** (-12) * (1 + abs(value)):
-            raise CrossCheckError("entropy readings disagree: log(gamma) vs sum of log|mu|")
+    with localcontext() as ctx:
+        ctx.prec = 28
+        value = (Decimal(disk.re_num) / disk.den).ln()
+        norm = prod((Decimal(e.re_num**2 + e.im_num**2) / e.den**2 for e in decision.outside), start=Decimal(1))
+        check = decision.spectrum.mult * norm.ln() / 2
+        if abs(value - check) > Decimal("1e-12") * (1 + abs(value)):
+            raise CrossCheckError("entropy readings disagree: log(gamma) vs log of the product of |mu|")
 
     try:
         salem = is_salem_polynomial(gamma.minpoly).is_salem

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -207,8 +208,6 @@ def _published_rows():
 
 
 def _check_row(row) -> list[dict]:
-    from mpmath import mp
-
     spec = row["spec"]
     checks = []
 
@@ -228,13 +227,10 @@ def _check_row(row) -> list[dict]:
     ent = classify.entropy(spec)
     add("gamma_is_salem", True, ent.is_salem)
     salem = classify.is_salem_polynomial(charpoly)
-    with mp.workprec(200):
-        expected_value = 2 * mp.log(classify.fraction_to_mpf(salem.lead_root.re_num, salem.lead_root.den))
-        add(
-            "entropy_is_log_salem_sq",
-            True,
-            bool(abs(ent.value - expected_value) < mp.mpf(10) ** -12),
-        )
+    with localcontext() as ctx:
+        ctx.prec = 28
+        expected_value = 2 * (Decimal(salem.lead_root.re_num) / salem.lead_root.den).ln()
+        add("entropy_is_log_salem_sq", True, abs(ent.value - expected_value) < Decimal("1e-12"))
     return checks
 
 

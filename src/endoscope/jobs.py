@@ -12,6 +12,7 @@ report; no answer depends on it, as every decision is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP, Context, Decimal, localcontext
 
 from . import classify
 from .algnum import AlgebraicNumber
@@ -161,20 +162,32 @@ def growth_json(rep: classify.GrowthReport) -> dict:
     }
 
 
+def _nstr18(v: Decimal) -> str:
+    """v rounded half up to 18 significant digits, printed as mpmath's nstr(v, 18, strip_zeros=False) prints it."""
+    if not v:
+        return "0.0"
+    r = Context(prec=18, rounding=ROUND_HALF_UP).plus(v)
+    e = r.adjusted()
+    if -6 < e < 18:
+        return format(r, f".{17 - e}f") + ("." if e == 17 else "")
+    return format(r, ".17e")
+
+
 def _certified_decimal(x: AlgebraicNumber, log: bool = False) -> str:
     """x, or log(x) when log is set, to 18 significant digits, correctly
-    rounded, for a real x (> 0 for log): x is refined until the value at both
-    ends of its enclosure, rounded outward and pushed out by 16 ulps, prints
-    the same digits (Ziv's method)."""
-    from mpmath import mp
-
-    f = mp.log if log else mp.mpf
+    rounded, for a real x (> 0 for log): x is refined until both ends of its
+    enclosure, rounded outward to bits/4 digits, print the same digits (Ziv's
+    method).  Decimal.ln is correctly rounded, so one ulp outward bounds it."""
     while x.bits <= MAX_BITS:
         e, ends = x.enclosure, set()
-        with mp.workprec(x.bits + 64):
-            for end, rounding, side in ((e.re_num - e.rad_num, "f", -1), (e.re_num + e.rad_num, "c", 1)):
-                v = f(classify.fraction_to_mpf(end, e.den, rounding))
-                ends.add(mp.nstr(v + side * mp.ldexp(abs(v), 4 - mp.prec), 18, strip_zeros=False))
+        with localcontext() as ctx:
+            ctx.prec = x.bits // 4
+            for end, rounding in ((e.re_num - e.rad_num, ROUND_FLOOR), (e.re_num + e.rad_num, ROUND_CEILING)):
+                ctx.rounding = rounding
+                v = Decimal(end) / e.den
+                if log and (v := v.ln()):  # ln(1) = 0 is exact and stays
+                    v = v.next_minus() if rounding == ROUND_FLOOR else v.next_plus()
+                ends.add(_nstr18(v))
         if len(ends) == 1:
             return ends.pop()
         x = x.refined(2 * x.bits)

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used only by the tests.
 
-Kept deliberately separate from the library: a Sturm chain for real-root
-counts, a Schur-Cohn test for roots inside the unit disk, disk arithmetic on
+Kept deliberately separate from the library: a rational-to-mpf conversion
+for the mpmath readings of the entropy, a Sturm chain for real-root counts, a Schur-Cohn test for roots inside the unit disk, disk arithmetic on
 Fractions (the reference for the library's integer disks), a naive
 enclosure-product reading of fixed-point counts, schoolbook polynomial
 arithmetic on tuples of Fractions, and the textbook quaternion product on
@@ -15,6 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
+from mpmath import mp
+from mpmath.libmp import from_rational
+
 from endoscope.classify import rational_eigenvalues
 from endoscope.enclosures import INSIDE, ON_CIRCLE, OUTSIDE, ComplexEnclosure, isolate_roots
 from endoscope.errors import ValidationError
@@ -24,6 +27,11 @@ from endoscope.quaternion import QuatElement
 
 # the eigenvalue oracle gives up rather than isolate roots beyond this
 EIGENVALUE_BITS_CAP = 1 << 14
+
+
+def fraction_to_mpf(q: Fraction):
+    """q as an mpf at the working precision, rounded once to nearest."""
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.prec, "n"))
 
 
 def sturm_chain(p: QPoly) -> list[QPoly]:

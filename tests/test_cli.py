@@ -2,11 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import time
+from decimal import Decimal, Inexact, localcontext
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 from endoscope import cli, jobs
@@ -133,6 +135,119 @@ def test_certified_decimal_refines_a_wide_enclosure():
 
     wide = AlgebraicNumber(from_ints(-2, 0, 1), ComplexEnclosure(Fraction(3, 2), 0, Fraction(1, 4)), 64)
     assert _certified_decimal(wide) == "1.41421356237309505"
+
+
+def _exact_decimal(v) -> Decimal:
+    """The mpf v as a Decimal of the same value (a binary fraction has a finite decimal expansion)."""
+    sign, man, exp, _ = v._mpf_
+    with localcontext() as ctx:
+        ctx.prec, ctx.traps[Inexact] = 1000, True
+        return Decimal(-man if sign else man) * Decimal(2) ** exp
+
+
+def _nstr18_matches_mpmath(v) -> str:
+    with mp.workprec(400):
+        expected = mp.nstr(v, 18, strip_zeros=False)
+    assert jobs._nstr18(_exact_decimal(v)) == expected
+    return expected
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("0", "0.0"),
+        ("2.5", "2.50000000000000000"),
+        ("-2.5", "-2.50000000000000000"),
+        ("9.999999999999999999999", "10.0000000000000000"),
+        ("-0.99999999999999999999", "-1.00000000000000000"),
+        ("99999999999999999.96", "100000000000000000."),
+        ("123456789012345678.5", "123456789012345679."),
+        ("12345678901234567.25", "12345678901234567.3"),
+        ("999999999999999999.5", "1.00000000000000000e+18"),
+        ("1e20", "1.00000000000000000e+20"),
+        ("0.00001", "0.0000100000000000000000"),
+        ("0.0000099999999999999999999", "0.0000100000000000000000"),
+        ("0.00000099999999999999999999", "1.00000000000000000e-6"),
+        ("-1.5e-12", "-1.50000000000000000e-12"),
+        ("1234567890123456789e6", "1.23456789012345679e+24"),
+    ],
+)
+def test_nstr18_prints_the_bytes_of_mpmath_nstr(text, printed):
+    with mp.workprec(400):
+        v = mp.mpf(text)
+    assert _nstr18_matches_mpmath(v) == printed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-12, 24), st.integers(1, 2**80), st.booleans())
+def test_nstr18_matches_mpmath_nstr_on_random_binary_values(lead, mantissa, negative):
+    # m * 2^b with the leading digit near 10^lead; its exact Decimal is printed
+    b = round((lead + 0.5) * 3.321928094887362) - mantissa.bit_length()
+    with mp.workprec(400):
+        v = mp.ldexp(-mantissa if negative else mantissa, b)
+    _nstr18_matches_mpmath(v)
+
+
+@pytest.mark.parametrize(
+    "a, lead_root",
+    [
+        (10**20, "1.00000000000000000e+20"),
+        (123456789012345678, "123456789012345678."),
+        (12345678901234567, "12345678901234567.0"),
+    ],
+)
+def test_salem_lead_roots_in_each_print_format(capsys, a, lead_root):
+    code, out = run_cli(capsys, "salem", f"1,-{a},3,-{a},1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["is_salem"] is True and report["lead_root"] == lead_root
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(2, 10**12)),
+        st.integers(1, 10**6).flatmap(lambda a: st.tuples(st.just(a), st.integers(-2 * a - 1, 2 * a - 3))),
+    )
+)
+def test_certified_log_is_the_correctly_rounded_log(case):
+    """_certified_decimal(x, log=True) prints mpmath's 18 digits of log(x) at
+    1000 bits, for x = sqrt(a) or the lead root of x^4 - a x^3 + b x^2 - a x + 1.
+    That quartic is a Salem polynomial when t^2 - a t + b - 2, the polynomial
+    of x + 1/x, is irreducible with one root in (-2, 2) and one above 2, as
+    -2a - 2 < b < 2a - 2 makes it."""
+    from endoscope.algnum import AlgebraicNumber
+    from endoscope.enclosures import isolate_roots
+    from endoscope.jobs import _certified_decimal
+    from endoscope.qpoly import from_ints
+
+    with mp.workprec(1000):
+        if len(case) == 1:
+            (a,) = case
+            assume(math.isqrt(a) ** 2 != a)
+            p, x = from_ints(-a, 0, 1), mp.sqrt(a)
+        else:
+            a, b = case
+            disc = a * a - 4 * (b - 2)
+            assume(math.isqrt(disc) ** 2 != disc)
+            t = (a + mp.sqrt(disc)) / 2
+            p, x = from_ints(1, -a, b, -a, 1), (t + mp.sqrt(t * t - 4)) / 2
+        expected = mp.nstr(mp.log(x), 18, strip_zeros=False)
+    lead = [e for e in isolate_roots(p) if e.is_real][-1]
+    assert _certified_decimal(AlgebraicNumber(p, lead), log=True) == expected
+
+
+def test_certified_log_of_one_prints_zero():
+    from fractions import Fraction
+
+    from endoscope.algnum import AlgebraicNumber
+    from endoscope.enclosures import ComplexEnclosure
+    from endoscope.jobs import _certified_decimal
+    from endoscope.qpoly import ONE, X
+
+    for radius in (0, Fraction(1, 8)):
+        one = AlgebraicNumber(X - ONE, ComplexEnclosure(Fraction(1), 0, radius))
+        assert _certified_decimal(one, log=True) == "0.0"
 
 
 def test_exponent_notation_rejected_at_field(tmp_path, capsys):

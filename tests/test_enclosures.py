@@ -520,11 +520,11 @@ def test_every_disk_holds_exactly_one_mpmath_root(coeffs):
             assert sum(1 for r in roots if inside(e, r)) == 1
 
 
-# the package's layers, lowest first, and the only modules that print through mpmath
+# the package's layers, lowest first, and the modules that may import mpmath: none
 LAYERS = (
     "errors", "qpoly", "factorq", "enclosures", "numfield", "algnum", "quaternion", "lefschetz", "classify", "jobs", "cli"
 )
-MPMATH_USERS = ("classify", "jobs", "cli")
+MPMATH_USERS = ()
 
 
 def _imported_modules(tree: ast.AST):
@@ -552,9 +552,8 @@ def _unused_imports(tree: ast.Module, lines: list[str]):
 
 
 def test_enclosures_does_not_import_mpmath():
-    """Every module imports only endoscope modules below it in LAYERS, only
-    the modules that print logarithms and decimals import mpmath, and no
-    module keeps an import it never uses."""
+    """Every module imports only endoscope modules below it in LAYERS, no
+    module imports mpmath, and no module keeps an import it never uses."""
     package = Path(enclosures.__file__).parent
     assert sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__") == sorted(LAYERS)
     for rank, name in enumerate(LAYERS):
@@ -631,21 +630,25 @@ def test_every_private_function_has_a_caller_in_the_package():
 
 
 def test_a_fixpoints_job_never_loads_mpmath(tmp_path):
-    """mpmath is imported inside the functions that print a logarithm or a
-    decimal, so neither importing the command line nor a fixpoints job on a
-    CM field (through the Albert gate's cm_structure) loads it."""
+    """No module of the package imports mpmath: with every import of it made
+    to fail, each op of a job on a CM field, paper-examples in both formats
+    and the salem command still exit 0."""
     job = tmp_path / "job.json"
     zeta5 = {"kind": "field", "minpoly": ["1/1", "1/1", "1/1", "1/1", "1/1"]}
     spec = {"algebra": zeta5, "element": {"coords": ["1/1", "1/1"]}, "g": 2}
-    job.write_text(json.dumps({"spec": spec, "commands": [{"op": "fixpoints", "nmax": 5}]}))
+    salem = {"op": "salem", "poly": ["1/1", "-1/1", "-1/1", "-1/1", "1/1"]}
+    commands = ["check-algebra", {"op": "fixpoints", "nmax": 5}, "classify", "entropy", salem]
+    job.write_text(json.dumps({"spec": spec, "commands": commands}))
     script = (
         "import contextlib, io, sys\n"
+        "sys.modules['mpmath'] = None\n"
         "import endoscope.cli\n"
-        "loaded = ['mpmath' in sys.modules]\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = endoscope.cli.main(['run', {str(job)!r}])\n"
-        "print(code, loaded + ['mpmath' in sys.modules])\n"
+        "codes = []\n"
+        f"for argv in (['run', {str(job)!r}], ['paper-examples'], ['paper-examples', '--json'], ['salem', '1,-7,-1,-7,1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(endoscope.cli.main(argv))\n"
+        "print(codes)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(enclosures.__file__).parent.parent))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert done.stdout.strip() == "0 [False, False]", done.stderr
+    assert done.stdout.strip() == "[0, 0, 0, 0]", done.stderr
