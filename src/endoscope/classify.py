@@ -13,7 +13,7 @@ distinct factors is rejected where the spectrum is built (the single-factor
 rule).  So the roots are either all roots of unity (periodic growth) or none
 is, and qpoly.cyclotomic_order of q, the one root-of-unity test, says which.
 What classify decides about a spec is one record kept on it (_Decision), each
-part computed once.
+part computed once.  The reports it returns, and Spectrum, are named tuples.
 
 Every real-root decision is an exact Sturm count (qpoly): the roots of q, or
 of the structure element's minimal polynomial, on |z| = 1 (the census by
@@ -31,13 +31,13 @@ of the roots of q outside the circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from functools import cached_property
 from math import prod
 
 from . import algnum, factorq
-from .enclosures import ON_CIRCLE, OUTSIDE, ComplexEnclosure, disk_product, isolate_roots, unit_circle_status
+from .enclosures import ON_CIRCLE, OUTSIDE, circle_root_count, disk_product, isolate_roots, unit_circle_status
 from .errors import CrossCheckError, NotSimpleAlbertType, ValidationError
 from .lefschetz import CM_FIELD, TOTALLY_DEFINITE_QUATERNION, TOTALLY_INDEFINITE_QUATERNION, TOTALLY_REAL_FIELD
 from .lefschetz import AlbertType, EndomorphismSpec, admissibility_check
@@ -49,29 +49,23 @@ EXPONENTIAL_PURE = "ExponentialPure"
 EXPONENTIAL_MIXED = "ExponentialMixed"
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    growth_class: str
-    period: int | None
-    unit_circle_roots_of_unity: bool
-    witness: str
+# growth_class: one of the three names above; period: the int least period of a
+# periodic f, else None; unit_circle_roots_of_unity: bool; witness: str
+GrowthReport = namedtuple("GrowthReport", "growth_class period unit_circle_roots_of_unity witness")
+
+# is_salem: bool; lead_root: the ComplexEnclosure of the root > 1 of a Salem
+# polynomial, else None; reason: str
+SalemReport = namedtuple("SalemReport", "is_salem lead_root reason")
 
 
-@dataclass(frozen=True)
-class SalemReport:
-    is_salem: bool
-    lead_root: ComplexEnclosure | None
-    reason: str
+class EntropyReport(
+    namedtuple("EntropyReport", "value gamma_minpoly gamma_enclosure is_salem structure_ok structure_note")
+):
+    """value: log(gamma) to 28 digits, a Decimal >= 0; gamma_minpoly: its QPoly;
+    gamma_enclosure: its ComplexEnclosure; is_salem: bool; structure_ok: bool,
+    or None where the structure statement does not apply; structure_note: str."""
 
-
-@dataclass(frozen=True)
-class EntropyReport:
-    value: Decimal  # log(gamma) to 28 digits, >= 0
-    gamma_minpoly: QPoly
-    gamma_enclosure: ComplexEnclosure
-    is_salem: bool
-    structure_ok: bool | None
-    structure_note: str
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -82,16 +76,15 @@ class EntropyReport:
 # the spectrum, and what classify decides about a spec
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(namedtuple("Spectrum", "poly mult order statuses")):
     """The roots of chi^(2g/(de)) = q^mult for the one irreducible q: its
     root-of-unity order (None when q is not cyclotomic) and each root's
-    enclosure with its side of |z| = 1 (enclosures.unit_circle_status)."""
+    enclosure with its side of |z| = 1 (enclosures.unit_circle_status).
 
-    poly: QPoly
-    mult: int
-    order: int | None
-    statuses: tuple[tuple[ComplexEnclosure, int], ...]
+    poly: the QPoly q; mult: int; order: int or None; statuses: a tuple of
+    (ComplexEnclosure, int side) pairs."""
+
+    __slots__ = ()
 
 
 def rational_eigenvalues(spec: EndomorphismSpec, precision_bits: int = 128) -> Spectrum:
@@ -299,10 +292,12 @@ def entropy(spec: EndomorphismSpec) -> EntropyReport:
         if abs(value - check) > Decimal("1e-12") * (1 + abs(value)):
             raise CrossCheckError("entropy readings disagree: log(gamma) vs log of the product of |mu|")
 
-    try:
-        salem = is_salem_polynomial(gamma.minpoly).is_salem
-    except ValidationError:
-        salem = False
+    # gamma > 1 is a root of the irreducible monic q (factorq.factor made it),
+    # so q is Salem iff all but two roots lie on the circle: circle_root_count
+    # is 0 unless q is reciprocal, and the one root of the trace polynomial
+    # outside (-2, 2] is gamma + 1/gamma > 2.  A q that is not integral is not.
+    q = gamma.minpoly
+    salem = q.is_integral and q.degree >= 4 and circle_root_count(q) == q.degree - 2
     ok, note = _structure_result(spec, decision.albert, trivial=False)
     return EntropyReport(value, gamma.minpoly, gamma.enclosure, salem, ok, note)
 

@@ -123,18 +123,18 @@ def _cmd_run(args) -> int:
     except RecursionError as exc:
         raise ValidationError(f"malformed JSON: {exc}") from exc
 
-    job = jobs.parse_job(data)
-    precision = args.precision if args.precision is not None else (job.precision_bits or 128)
+    spec, commands, precision_bits = jobs.parse_job(data)
+    precision = args.precision if args.precision is not None else (precision_bits or 128)
     if not 64 <= precision <= 2048:
         raise ValidationError("precision must lie in [64, 2048]")
     if args.nmax is not None:
         jobs.check_nmax(args.nmax, "--nmax")
 
     results = []
-    for cmd in job.commands:
+    for cmd in commands:
         if args.nmax is not None and cmd["op"] == "fixpoints":
             cmd = {"op": "fixpoints", "nmax": args.nmax}
-        results.append(jobs.run_command(job.spec, cmd))
+        results.append(jobs.run_command(spec, cmd))
     report = {"precision_bits": precision, "results": results}
     if args.table:
         _print_table(report)

@@ -56,6 +56,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
@@ -109,8 +110,14 @@ class ComplexEnclosure:
         raise AttributeError("ComplexEnclosure is immutable")
 
     def __repr__(self):
-        d = self.den
-        return f"ComplexEnclosure({self.re_num / d:.12g}{self.im_num / d:+.12g}j, r<{self.rad_num / d:.3g})"
+        """The midpoint to 12 digits and the radius rounded up to 3, divided in
+        Decimal: a float quotient overflows past 10^308."""
+        with localcontext() as ctx:
+            ctx.prec = 12
+            re, im = Decimal(self.re_num) / self.den, Decimal(self.im_num) / self.den
+            ctx.prec, ctx.rounding = 3, ROUND_CEILING
+            rad = Decimal(self.rad_num) / self.den
+        return f"ComplexEnclosure({re:g}{im:+g}j, r{'<=' if self.rad_num else '='}{rad:g})"
 
     def _key(self) -> tuple[int, int, int, int]:
         """The integers over the least common denominator: equal disks have equal keys."""

@@ -1,6 +1,7 @@
 """Job-file parsing and deterministic report construction.
 
-A job is {"spec": ..., "commands": [...], "precision_bits": optional}.  The
+A job is {"spec": ..., "commands": [...], "precision_bits": optional}, and
+parse_job returns it as the plain tuple (spec, commands, precision_bits).  The
 spec carries either {"kind": "field", "minpoly": [...]} or {"kind":
 "quaternion", "base_minpoly": [...], "alpha": [...], "beta": [...]} plus the
 element and the dimension g.  Polynomial coefficient arrays are strings
@@ -11,7 +12,6 @@ report; no answer depends on it, as every decision is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP, Context, Decimal, localcontext
 
 from . import classify
@@ -25,13 +25,6 @@ from .qpoly import QPoly, exact_decimal
 from .quaternion import QuatAlgebra, definiteness
 
 KNOWN_OPS = ("check-algebra", "classify", "fixpoints", "entropy", "salem")
-
-
-@dataclass
-class Job:
-    spec: EndomorphismSpec | None
-    commands: list[dict]
-    precision_bits: int | None
 
 
 def _fail(path: str, detail: str):
@@ -109,7 +102,10 @@ def check_nmax(nmax, path: str) -> int:
     return nmax
 
 
-def parse_job(data) -> Job:
+def parse_job(data) -> tuple[EndomorphismSpec | None, list[dict], int | None]:
+    """(spec, commands, precision_bits), the commands normalized for
+    run_command: spec is None when every command is salem, and so is
+    precision_bits when the job gives none."""
     if not isinstance(data, dict):
         raise ValidationError("job must be a JSON object (at $)")
     commands = data.get("commands")
@@ -141,7 +137,7 @@ def parse_job(data) -> Job:
         if "spec" not in data:
             raise ValidationError("commands need a 'spec' object (at spec)")
         spec = parse_spec(data["spec"], "spec")
-    return Job(spec, normalized, precision)
+    return spec, normalized, precision
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,14 @@ matrix M = C (x) I_2 of an integer polynomial, which is det(I - C^n)^2 on the
 companion matrix C itself.
 
 Every count first passes the Albert-type gate, admissibility_check, kept here
-with EndomorphismSpec: the type fixes d, e and the exponent 2g/(d e).  The
-spectrum of f and what follows from it live in classify.
+with EndomorphismSpec: the type, the named tuple AlbertType(kind, d, e), fixes
+d, e and the exponent 2g/(d e).  The spectrum of f and what follows from it
+live in classify.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from operator import mul
 
@@ -51,11 +52,9 @@ TOTALLY_DEFINITE_QUATERNION = "TotallyDefiniteQuaternion"
 TOTALLY_INDEFINITE_QUATERNION = "TotallyIndefiniteQuaternion"
 
 
-@dataclass(frozen=True)
-class AlbertType:
-    kind: str
-    d: int
-    e: int
+# kind: one of the four type names above; d: 1 for a field, 2 for a quaternion
+# algebra; e: the degree over Q of the field or of the quaternion algebra's centre
+AlbertType = namedtuple("AlbertType", "kind d e")
 
 
 class EndomorphismSpec:

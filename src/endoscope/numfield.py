@@ -1,6 +1,7 @@
 """Number fields Q(alpha) = Q[x]/(m) with exact element arithmetic, norms and
 traces over Q, and the field-type classification: totally real, CM (with its
-conjugation automorphism), or neither.
+conjugation automorphism), or neither, reported as the named tuple
+FieldTypeReport.
 
 An element is its residue of degree below [F:Q], one QPoly: an integer
 numerator over one denominator, reduced modulo m in the integers.
@@ -26,7 +27,7 @@ low rung costs only its refusal, and failure at every rung reports "Other".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import factorq
@@ -237,10 +238,10 @@ def is_totally_real(field: NumberField) -> bool:
     return count_real_roots(field.minpoly) == field.degree
 
 
-@dataclass(frozen=True)
-class FieldTypeReport:
-    kind: str
-    conj_automorphism: NFElement | None
+# kind: TOTALLY_REAL, CM or OTHER; conj_automorphism: the NFElement image of the
+# generator under complex conjugation (the generator itself for a totally real
+# field), None for OTHER
+FieldTypeReport = namedtuple("FieldTypeReport", "kind conj_automorphism")
 
 
 def _conjugation_candidate(approximation, bits: int) -> QPoly | None:

@@ -5,7 +5,8 @@ exact base-field coordinates; reduced trace, norm and characteristic
 polynomials are exact, the last one over Q built from Newton power sums.
 Definiteness reads the exact signs of alpha and beta at each real root of
 the base field's minimal polynomial (Sturm sequences, see
-qpoly.signs_at_real_roots), the roots in ascending order.
+qpoly.signs_at_real_roots), the roots in ascending order, and reports them
+with the kind in the named tuple DefinitenessReport.
 
 Division-ness is not decided in general.  The module offers two exact
 answers: totally definite algebras are division algebras, and over base
@@ -14,7 +15,7 @@ field Q the Hilbert symbols decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -27,10 +28,9 @@ TOTALLY_INDEFINITE = "TotallyIndefinite"
 MIXED = "Mixed"
 
 
-@dataclass(frozen=True)
-class DefinitenessReport:
-    kind: str
-    per_embedding_signs: tuple[tuple[int, int], ...]
+# kind: TOTALLY_DEFINITE, TOTALLY_INDEFINITE or MIXED; per_embedding_signs: a
+# tuple of the int pairs (sign alpha, sign beta), one per real place in ascending order
+DefinitenessReport = namedtuple("DefinitenessReport", "kind per_embedding_signs")
 
 
 class QuatAlgebra:

@@ -348,6 +348,47 @@ def test_entropy_definite_quaternion():
     assert rep.is_salem is False
 
 
+def test_entropy_reads_the_salem_flag_without_testing_gamma_again(monkeypatch):
+    # factorq.factor proved gamma's minimal polynomial irreducible, and gamma
+    # is certified real and > 1, so the Salem flag is a count of its roots on
+    # the circle: once gamma is selected, no irreducibility test and no root
+    # isolation of its minimal polynomial runs
+    from endoscope import algnum, enclosures
+
+    spec = salem_unit_spec()
+    q = classify._decided(spec).gamma.minpoly
+    assert q == from_ints(1, -3, 1, -3, 1)
+    calls, is_irreducible, isolate = [], factorq.is_irreducible, enclosures.isolate_roots
+    monkeypatch.setattr(factorq, "is_irreducible", lambda p: calls.append(p) or is_irreducible(p))
+    for module in (enclosures, algnum, classify):
+        monkeypatch.setattr(module, "isolate_roots", lambda p, *a: calls.append(p) or isolate(p, *a))
+    assert entropy(spec).is_salem is True
+    assert q not in calls
+
+
+def test_entropy_salem_flag_is_the_salem_test():
+    from collections import Counter
+
+    from endoscope.cli import _published_rows
+
+    from .test_acceptance import build_corpus
+
+    # f with Nrd(f) = 1 and Trd(f) = 4 + sqrt2 in the split (1, 1 / Q(sqrt2)):
+    # chi = x^4 - 8x^3 + 16x^2 - 8x + 1 has four real roots off the circle,
+    # so gamma's minimal polynomial is reciprocal of degree 4 but not Salem
+    split = QuatAlgebra(NumberField(from_ints(-2, 0, 1)), [1], [1])
+    f = split.element([2, Fraction(1, 2)], [Fraction(9, 4), 1], [], [Fraction(5, 4), 1])
+    specs = [salem_unit_spec(), EndomorphismSpec(split, f, 4)] + [row["spec"] for row in _published_rows()]
+    reasons = Counter()
+    for spec in specs + build_corpus(random.Random(30), 150):
+        rep = entropy(spec)
+        salem = is_salem_polynomial(rep.gamma_minpoly)
+        assert rep.is_salem == salem.is_salem, spec
+        reasons[salem.reason.split(",")[0]] += 1
+    assert reasons["reciprocal"] == 4 and reasons["not reciprocal"] >= 1
+    assert reasons["more than one root off the unit circle on some side"] == 1
+
+
 def test_entropy_growth_consistency():
     for spec in (
         field_spec((1, 0, 1), [0, 1], 1),

@@ -250,6 +250,21 @@ def test_certified_log_of_one_prints_zero():
         assert _certified_decimal(one, log=True) == "0.0"
 
 
+def test_certified_decimal_past_the_cap_names_a_huge_number():
+    # the message prints the enclosure of a number past 10^308: exit 3, not 4
+    from fractions import Fraction
+
+    from endoscope.algnum import AlgebraicNumber
+    from endoscope.enclosures import MAX_BITS, ComplexEnclosure
+    from endoscope.errors import PrecisionExhausted
+    from endoscope.jobs import _certified_decimal
+    from endoscope.qpoly import X, from_ints
+
+    huge = AlgebraicNumber(X - from_ints(10**400), ComplexEnclosure(Fraction(10**400), 0, 0), MAX_BITS + 1)
+    with pytest.raises(PrecisionExhausted, match=r"1\.00000000000e\+400\+0j, r=0"):
+        _certified_decimal(huge)
+
+
 def test_exponent_notation_rejected_at_field(tmp_path, capsys):
     algebra = {"kind": "field", "minpoly": ["1e999999", "1/1"]}
     job = dict(MINUS_ONE_JOB, spec=dict(MINUS_ONE_JOB["spec"], algebra=algebra))

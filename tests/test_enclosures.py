@@ -299,6 +299,15 @@ def test_a_dyadic_disk_meets_its_rational_point():
     assert not far.meets(disk) and not disk.meets(far)
 
 
+def test_repr_prints_any_size_and_a_zero_radius_exactly():
+    # divided in Decimal, not in floats, which overflow past 10^308
+    huge = ComplexEnclosure(Fraction(10**400), 0, Fraction(1, 3))
+    assert repr(huge) == "ComplexEnclosure(1.00000000000e+400+0j, r<=0.334)"
+    exact = ComplexEnclosure(Fraction(1, 3), Fraction(-2, 7), 0)
+    assert repr(exact) == "ComplexEnclosure(0.333333333333-0.285714285714j, r=0)"
+    assert repr(ComplexEnclosure(-1, Fraction(1, 10**400), Fraction(1, 4))) == "ComplexEnclosure(-1+1e-400j, r<=0.25)"
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_coeffs, min_size=3, max_size=8))
 @example([2**260 + 1, -(2**261), 2**260])  # 1 +- 2^-130 i: snapped to the axis at the first precision
@@ -520,11 +529,13 @@ def test_every_disk_holds_exactly_one_mpmath_root(coeffs):
             assert sum(1 for r in roots if inside(e, r)) == 1
 
 
-# the package's layers, lowest first, and the modules that may import mpmath: none
+# the package's layers, lowest first, and the modules that may import mpmath
+# or dataclasses: none (dataclasses loads inspect, ast, dis and tokenize at start-up)
 LAYERS = (
     "errors", "qpoly", "factorq", "enclosures", "numfield", "algnum", "quaternion", "lefschetz", "classify", "jobs", "cli"
 )
 MPMATH_USERS = ()
+DATACLASSES_USERS = ()
 
 
 def _imported_modules(tree: ast.AST):
@@ -553,7 +564,8 @@ def _unused_imports(tree: ast.Module, lines: list[str]):
 
 def test_enclosures_does_not_import_mpmath():
     """Every module imports only endoscope modules below it in LAYERS, no
-    module imports mpmath, and no module keeps an import it never uses."""
+    module imports mpmath or dataclasses, and no module keeps an import it
+    never uses."""
     package = Path(enclosures.__file__).parent
     assert sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__") == sorted(LAYERS)
     for rank, name in enumerate(LAYERS):
@@ -563,6 +575,8 @@ def test_enclosures_does_not_import_mpmath():
             top, _, rest = module.partition(".")
             if top == "mpmath":
                 assert name in MPMATH_USERS, f"{name} imports mpmath"
+            if top == "dataclasses":
+                assert name in DATACLASSES_USERS, f"{name} imports dataclasses"
             if top == "endoscope":
                 assert rest.split(".")[0] in LAYERS[:rank], f"{name} imports {module}, not below it"
         unused = list(_unused_imports(tree, source.splitlines()))
@@ -632,7 +646,9 @@ def test_every_private_function_has_a_caller_in_the_package():
 def test_a_fixpoints_job_never_loads_mpmath(tmp_path):
     """No module of the package imports mpmath: with every import of it made
     to fail, each op of a job on a CM field, paper-examples in both formats
-    and the salem command still exit 0."""
+    and the salem command still exit 0.  The interpreter runs with -S, so that
+    no site hook loads a module first, and afterwards neither dataclasses nor
+    inspect is loaded."""
     job = tmp_path / "job.json"
     zeta5 = {"kind": "field", "minpoly": ["1/1", "1/1", "1/1", "1/1", "1/1"]}
     spec = {"algebra": zeta5, "element": {"coords": ["1/1", "1/1"]}, "g": 2}
@@ -647,8 +663,8 @@ def test_a_fixpoints_job_never_loads_mpmath(tmp_path):
         f"for argv in (['run', {str(job)!r}], ['paper-examples'], ['paper-examples', '--json'], ['salem', '1,-7,-1,-7,1']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(endoscope.cli.main(argv))\n"
-        "print(codes)\n"
+        "print(codes, [m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(enclosures.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert done.stdout.strip() == "[0, 0, 0, 0]", done.stderr
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[0, 0, 0, 0] []", done.stderr
