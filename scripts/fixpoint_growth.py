@@ -2,8 +2,9 @@
 """Print fixed-point sequences and the convergence of fix(f^n)^(1/n).
 
 For each sample endomorphism the exact counts are computed along with the
-expected limit growth rate (the product of the eigenvalue moduli outside the
-unit circle), showing how fast the empirical rate locks on.
+expected limit growth rate gamma = exp(h), read off the certified entropy
+h = log gamma of endoscope.entropy, showing how fast the empirical rate
+locks on.
 
 Usage: python scripts/fixpoint_growth.py [nmax]
 """
@@ -19,9 +20,9 @@ from endoscope import (
     EndomorphismSpec,
     NumberField,
     QuatAlgebra,
+    entropy,
     fixed_point_table,
     from_ints,
-    rational_eigenvalues,
     rationals_field,
 )
 
@@ -42,20 +43,10 @@ def sample_specs():
     ]
 
 
-def limit_rate(spec) -> float:
-    ev = rational_eigenvalues(spec)
-    rate = 1.0
-    for e, _ in ev.statuses:
-        mod = math.sqrt(float(e.abs_sq_mid()))
-        if mod > 1:
-            rate *= mod**ev.mult
-    return rate
-
-
 def main():
     nmax = int(sys.argv[1]) if len(sys.argv) > 1 else 24
     for label, spec in sample_specs():
-        expected = limit_rate(spec)
+        expected = math.exp(entropy(spec).value)
         print(f"\n== {label} (expected rate {expected:.6f})")
         for n, fix in enumerate(fixed_point_table(spec, nmax), 1):
             rate = fix ** (1 / n) if fix else float("nan")

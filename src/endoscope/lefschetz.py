@@ -18,6 +18,14 @@ norm or determinant reaches the norms, a faulty chi or Newton step the power
 sums.  (chi is built once per spec, before the first row, and for a
 quaternion it reads the reduced norm of f.)
 
+A periodic table costs one period on each path.  f has finite order k
+exactly when the table is periodic, and each path proves k on its own at
+row k: the norm path when its integer vector of f^k is that of 1, the
+resultant path when s_k, s_2k, ..., s_mk all equal m, the power sums of
+(x - 1)^m.  From there each path repeats its own first k rows, and the table
+still compares every row, so a wrong period on either side is a
+disagreement.  An exponential table pays one identity test per row.
+
 fixed_points_exact is the single-n count, the norm of the element 1 - f^n.
 companion_oracle is an independent brute-force count for a benchmark's
 correctness judge: |det(I - M^n)| for the block-doubled integer companion
@@ -33,6 +41,7 @@ live in classify.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import cycle, islice
 from math import gcd
 from operator import mul
 
@@ -192,25 +201,39 @@ def _norm_counts(spec: EndomorphismSpec, nmax: int):
     factor of s and v divided out, so v stays as small as f^n itself.  The
     norm of 1 - f^n = w / s runs on (w, s) through the integer kernels: over
     the field Q[x]/(m) it is Res(m, w / s), and over a quaternion algebra the
-    same resultant of the reduced norm of w / s.
+    same resultant of the reduced norm of w / s.  At the first n with
+    f^n = 1, that is v = (1, 0, ..., 0) and s = 1, the table has period n and
+    the path repeats its own rows (_repeat).
     """
     matrix, den = _right_multiplication(spec)
     exponent = spec.exponent()
     quaternion = not spec.is_field_case
     field = spec.algebra.base if quaternion else spec.algebra
     e, m = field.degree, field.minpoly
-    v, s = [1] + [0] * (len(matrix) - 1), 1
+    one = [1] + [0] * (len(matrix) - 1)
+    v, s, rows = one, 1, []
     for _ in range(nmax):
         v = [sum(map(mul, row, v)) for row in matrix]
         s *= den
         g = gcd(s, *v)
         if g != 1:
             v, s = [c // g for c in v], s // g
+        if s == 1 and v == one:
+            yield from _repeat(rows, nmax)
+            return
         w, t = [-c for c in v], s
         w[0] += s
         if quaternion:
             w, t = reduced_norm_int(spec.algebra, [w[b : b + e] for b in range(0, 4 * e, e)], s)
-        yield _abs_integer(*resultant_int(m.num, m.den, w, t), "norm of an integral element") ** exponent
+        rows.append(_abs_integer(*resultant_int(m.num, m.den, w, t), "norm of an integral element") ** exponent)
+        yield rows[-1]
+
+
+def _repeat(rows: list[int], nmax: int):
+    """Rows k..nmax of a table of period k whose rows 1..k-1 are rows: row k
+    is 0, as 1 - f^k = 0, and row n is row n mod k after it."""
+    rows.append(0)
+    return islice(cycle(rows), len(rows) - 1, nmax)
 
 
 def _right_multiplication(spec: EndomorphismSpec) -> tuple[list[list[int]], int]:
@@ -254,8 +277,9 @@ def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:
 
     The norm path steps f^n by the matrix of x -> x f and reads only the
     element; the resultant path reads every row off the m nmax + 1 power sums
-    of chi = spec.charpoly_q(), m = deg chi, and reads only chi.  Any
-    disagreement raises CrossCheckError.
+    of chi = spec.charpoly_q(), m = deg chi, and reads only chi.  Each path
+    stops computing at the period it proves, if any, and repeats its rows.
+    Any disagreement, on any row, raises CrossCheckError.
     """
     _check_iterate(nmax)
     admissibility_check(spec)
@@ -273,13 +297,21 @@ def _resultant_counts(chi: QPoly, exponent: int, nmax: int):
 
     Each row is the product of (1 - mu^n) over the roots mu of chi: the value
     at 1 of the monic polynomial whose roots mu^n have the power sums
-    s_n, s_2n, ..., s_mn of chi, kept as s_0, ..., s_(m nmax) from one recurrence.
+    s_n, s_2n, ..., s_mn of chi, kept as s_0, ..., s_(m nmax) from one
+    recurrence.  At the first n where these all equal m, that polynomial is
+    (x - 1)^m, so mu^n = 1 for every root: the table has period n and the
+    path repeats its own rows (_repeat).
     """
     m = chi.degree
     s = power_sums(chi, m * nmax)
+    rows = []
     for n in range(1, nmax + 1):
+        if s[n] == m and all(t == m for t in s[2 * n : m * n + 1 : n]):
+            yield from _repeat(rows, nmax)
+            return
         value = sum(newton_coefficients(s[: m * n + 1 : n], m))
-        yield _abs_integer(value.numerator, value.denominator, "Res(chi, 1 - x^n)") ** exponent
+        rows.append(_abs_integer(value.numerator, value.denominator, "Res(chi, 1 - x^n)") ** exponent)
+        yield rows[-1]
 
 
 def companion_oracle(char_poly: QPoly, n: int) -> int:

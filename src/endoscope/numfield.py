@@ -23,6 +23,10 @@ generated by alpha + h(alpha) and alpha h(alpha), is totally real.  A success
 is therefore a proof.  The candidate is tried on a ladder of precisions, 64
 bits doubled up to 2048 and then 3072 (_CM_LADDER): a wrong candidate at a
 low rung costs only its refusal, and failure at every rung reports "Other".
+The ladder runs only after one exact candidate: when m is reciprocal, as a
+cyclotomic polynomial is, z -> 1/z permutes the roots, and h = x^-1 mod m
+goes to the same exact verification first, at the cost of one palindrome
+test on every other field.
 """
 
 from __future__ import annotations
@@ -283,6 +287,19 @@ def _conjugation_candidate(approximation, bits: int) -> QPoly | None:
     return QPoly(coeffs)
 
 
+def _inverse_candidate(m: QPoly) -> QPoly | None:
+    """x^-1 mod m when the monic m is reciprocal, else None.
+
+    m is irreducible of degree at least 2 here, so m(1) != 0 and m is not
+    antireciprocal; a reciprocal m is a palindrome with m(0) = 1, and then
+    x^-1 = -(m - 1)/x mod m maps each root to its inverse: complex
+    conjugation when the roots lie on the unit circle, as for Q(zeta_k).
+    """
+    if m.num != m.num[::-1]:
+        return None
+    return _poly([-c for c in m.num[1:]], m.den)
+
+
 def cm_structure(field: NumberField) -> FieldTypeReport:
     """Classify the field as totally real, CM, or neither.
 
@@ -302,14 +319,22 @@ def _cm_structure_uncached(field: NumberField) -> FieldTypeReport:
     if real > 0:  # every field of odd degree has a real embedding
         return FieldTypeReport(OTHER, None)
 
-    approximation = approximate_roots(field.minpoly.clear_denominators()[1])
-    for bits in _CM_LADDER:
-        h = _conjugation_candidate(approximation, bits)
+    for h in _candidates(field.minpoly):
         if h is not None:
             report = _verify_cm(field, h)
             if report is not None:
                 return report
     return FieldTypeReport(OTHER, None)
+
+
+def _candidates(m: QPoly):
+    """The conjugation candidates, each QPoly or None, in the order tried:
+    x^-1 mod m, then one per rung of _CM_LADDER, the roots approximated only
+    when the first is refused."""
+    yield _inverse_candidate(m)
+    approximation = approximate_roots(m.clear_denominators()[1])
+    for bits in _CM_LADDER:
+        yield _conjugation_candidate(approximation, bits)
 
 
 def _verify_cm(field: NumberField, h: QPoly) -> FieldTypeReport | None:

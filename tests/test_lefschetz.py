@@ -5,11 +5,12 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from endoscope import cli, lefschetz, qpoly, quaternion
-from endoscope.classify import rational_eigenvalues
-from endoscope.errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, ValidationError
+from endoscope.classify import classify_growth, rational_eigenvalues
+from endoscope.errors import CrossCheckError, DivisibilityViolation, EndoscopeError, NonIntegralElement
+from endoscope.errors import ValidationError
 from endoscope.lefschetz import (
     ITERATE_CAP,
     EndomorphismSpec,
@@ -443,3 +444,119 @@ def test_resultant_counts_match_independent_oracles(index):
     for n, fix in enumerate(lefschetz._resultant_counts(chi, 1, nmax), 1):
         assert fix**2 == companion_oracle(chi, n), n
         assert fix == abs(qpoly.resultant(chi, ONE - X**n)), n
+
+
+def hurwitz_spec():
+    hamilton = QuatAlgebra(rationals_field(), [-1], [-1])
+    half = Fraction(1, 2)
+    return EndomorphismSpec(hamilton, hamilton.element(half, half, half, half), 2)
+
+
+# a spec of finite order k, and k: zeta5 in Q(zeta5), the Hurwitz unit (1+i+j+k)/2
+PERIODIC_SPECS = {
+    "zeta5": (lambda: field_spec((1, 1, 1, 1, 1), [0, 1], 2), 5),
+    "hurwitz": (hurwitz_spec, 6),
+}
+
+
+def _spy(monkeypatch, name):
+    """The calls of lefschetz.<name>, the binding the table paths use."""
+    calls, honest = [], getattr(lefschetz, name)
+    monkeypatch.setattr(lefschetz, name, lambda *args: calls.append(args) or honest(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC_SPECS))
+def test_periodic_table_costs_one_period_on_each_path(monkeypatch, name):
+    make, k = PERIODIC_SPECS[name]
+    spec, nmax = make(), 10**4
+    norms, newton = _spy(monkeypatch, "resultant_int"), _spy(monkeypatch, "newton_coefficients")
+    table = fixed_point_table(spec, nmax)
+    # row k is 0 and read off the period, not computed
+    assert len(norms) == len(newton) == k - 1
+    assert 0 not in table[: k - 1] and table[k - 1] == 0
+    assert table == (table[:k] * (nmax // k + 1))[:nmax]
+    assert table[: 3 * k] == [fixed_points_exact(spec, n) for n in range(1, 3 * k + 1)]
+    assert classify_growth(spec).period == k
+
+
+@pytest.mark.parametrize("index", [i for i in range(len(table_specs())) if i not in (1, 4)])
+def test_exponential_table_never_takes_the_period_shortcut(monkeypatch, index):
+    spec = table_specs()[index]  # all but zeta5 and the order-6 unit
+    assert classify_growth(spec).period is None
+    norms, newton = _spy(monkeypatch, "resultant_int"), _spy(monkeypatch, "newton_coefficients")
+    repeats = _spy(monkeypatch, "_repeat")
+    fixed_point_table(spec, 40)
+    assert len(norms) == len(newton) == 40 and not repeats
+
+
+@pytest.mark.parametrize("path", ["_norm_counts", "_resultant_counts"])
+@pytest.mark.parametrize("name", sorted(PERIODIC_SPECS))
+def test_a_period_declared_one_step_early_is_a_disagreement(monkeypatch, name, path):
+    # the path computes rows 1..k-2 honestly, then claims f^(k-1) = 1 and
+    # repeats them with period k - 1; the other path proves k on its own
+    make, k = PERIODIC_SPECS[name]
+    honest = getattr(lefschetz, path)
+
+    def early(*args):
+        rows = list(honest(*args[:-1], k - 2))
+        yield from rows
+        yield from lefschetz._repeat(rows, args[-1])
+
+    monkeypatch.setattr(lefschetz, path, early)
+    with pytest.raises(CrossCheckError, match=f"n={k - 1}:"):
+        fixed_point_table(make(), 10**4)
+
+
+_SQRT13 = NumberField(from_ints(-13, 0, 1))
+# (algebra, g): two totally real fields, four CM fields, two totally definite
+# and one totally indefinite quaternion algebra
+ALBERT_POOL = [
+    (NumberField(from_ints(-2, 0, 1)), 2),
+    (NumberField(from_ints(-1, -3, 0, 1)), 3),
+    (NumberField(from_ints(1, 0, 1)), 1),
+    (NumberField(from_ints(3, 0, 1)), 1),
+    (NumberField(from_ints(1, 1, 1, 1, 1)), 2),
+    (NumberField(from_ints(1, 0, 0, 0, 1)), 2),
+    (QuatAlgebra(rationals_field(), [-1], [-1]), 2),
+    (QuatAlgebra(_SQRT13, [-1], [-4, 1]), 4),
+    (QuatAlgebra(_SQRT13, [-2, -2], [2]), 4),
+]
+
+
+@st.composite
+def albert_specs(draw):
+    """An admissible spec: small coordinates over a denominator of 1 or 2."""
+    algebra, g = draw(st.sampled_from(ALBERT_POOL))
+    field, parts = (algebra, 1) if isinstance(algebra, NumberField) else (algebra.base, 4)
+    den = draw(st.sampled_from([1, 1, 2]))
+    coords = [[Fraction(draw(st.integers(-2, 2)), den) for _ in range(field.degree)] for _ in range(parts)]
+    try:
+        element = field.element(coords[0]) if parts == 1 else algebra.element(*coords)
+        spec = EndomorphismSpec(algebra, element, g)
+        lefschetz.admissibility_check(spec)
+    except EndoscopeError:
+        assume(False)
+    return spec
+
+
+@given(albert_specs())
+@example(PERIODIC_SPECS["zeta5"][0]())
+@example(hurwitz_spec())
+@example(field_spec((1, 0, 1), [0, 1], 1))
+@example(sqrt13_salem_spec())
+def test_tables_satisfy_dold_congruences_and_their_period(spec):
+    # fix(f^n) = det(1 - f^n) on H^1, a Lefschetz number, so
+    # sum over d | n of mu(n/d) fix(f^d) = 0 mod n (Dold 1983), here by the
+    # divisor sieve b_n = a_n - sum of b_d over d | n, d < n; and a spec of
+    # period k has fix(f^n) = fix(f^gcd(n, k)).  Only the printed rows are read.
+    nmax = 40
+    table = fixed_point_table(spec, nmax)
+    sieve = [0] + table
+    for n in range(1, nmax + 1):
+        assert sieve[n] % n == 0, n
+        for multiple in range(2 * n, nmax + 1, n):
+            sieve[multiple] -= sieve[n]
+    k = classify_growth(spec).period
+    if k is not None:
+        assert table == [table[math.gcd(n, k) - 1] for n in range(1, nmax + 1)]

@@ -223,8 +223,32 @@ FIRST_RUNG_FIELDS = [from_ints(1, 0, 1), from_ints(3, 0, 1)] + [_cyclotomic(n) f
 
 @pytest.mark.parametrize("minpoly", FIRST_RUNG_FIELDS, ids=repr)
 def test_cm_conjugation_is_found_at_the_first_rung(minpoly, rungs):
+    # a reciprocal minimal polynomial (x^2 + 1 and the cyclotomic ones) is
+    # proved by the exact candidate x^-1 before any rung; x^2 + 3 presents
+    # Q(zeta3) by a polynomial that is not reciprocal, and takes the 64-bit rung
     assert cm_structure(NumberField(minpoly)).kind == CM
-    assert rungs == [64]
+    assert rungs == ([64] if minpoly == from_ints(3, 0, 1) else [])
+
+
+@pytest.mark.parametrize("minpoly", FIRST_RUNG_FIELDS, ids=repr)
+def test_exact_inverse_and_the_ladder_find_the_same_conjugation(minpoly, monkeypatch):
+    exact = cm_structure(NumberField(minpoly))
+    monkeypatch.setattr(numfield, "_inverse_candidate", lambda m: None)
+    ladder = cm_structure(NumberField(minpoly))
+    assert exact == ladder
+    _assert_complex_conjugation(minpoly, ladder)
+
+
+def test_inverse_candidate_is_refused_off_the_unit_circle(rungs):
+    # x^4 + 6x^2 + 1 is reciprocal, with roots i(1 +- sqrt2) off the circle:
+    # x^-1 is an automorphism of order two, but alpha + 1/alpha = 2i is not
+    # real, so the exact proof refuses it and the ladder finds -x
+    minpoly = from_ints(1, 0, 6, 0, 1)
+    assert numfield._inverse_candidate(minpoly) is not None
+    assert _verify_cm(NumberField(minpoly), numfield._inverse_candidate(minpoly)) is None
+    rep = cm_structure(NumberField(minpoly))
+    assert rep.conj_automorphism.poly == -X and rungs == [64]
+    _assert_complex_conjugation(minpoly, rep)
 
 
 def test_cm_conjugation_with_large_coefficients_climbs_the_ladder(rungs):
