@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 self-test failure, 2 validation error,
 3 precision exhaustion, 4 internal error (any exception that is not an
 EndoscopeError: a bug).  Reports go to stdout as JSON unless --table,
 written by _dumps: one recursive writer of the bytes that json.dumps
-writes with indent=2, whose indented encoder is pure Python.
+writes with indent=2, whose indented encoder is pure Python; it recurses only
+into containers and other scalars, and writes str and int values inline.
 """
 
 from __future__ import annotations
@@ -81,20 +82,31 @@ def _dumps(obj, newline: str = "\n") -> str:
     """The bytes of json.dumps with indent=2, for objects with str keys:
     strings are escaped to ASCII, ints printed by int.__repr__, empty
     containers as [] and {}, and any other scalar by json.dumps.  newline is
-    a line break and the indent of the line obj ends on."""
+    a line break and the indent of the line obj ends on.  The str and int
+    values of a container, such as the rows of a table, are written inline,
+    with no call of their own."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = newline + "  "
-        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        items = [
+            encode_basestring_ascii(k)
+            + ": "
+            + (encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _dumps(v, inner))
+            for k, v in obj.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + newline + "]"
+        items = [
+            encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _dumps(v, inner)
+            for v in obj
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, int) and not isinstance(obj, bool):
         return int.__repr__(obj)
     return json.dumps(obj)

@@ -9,7 +9,10 @@ ones.  The Aberth-Ehrlich iteration (Aberth, Math. Comp. 1973; Bini,
 Numer. Algorithms 1996) runs first in double precision, started on circles
 read off the Newton polygon of log|a_j|, then on Gaussian integers over
 2^u, with q and q' evaluated exactly, until every correction is a few units
-of 2^-u.  No step of either pass is trusted: the certificate is exact.  For
+of 2^-u, or until one sweep's corrections are so small that cubic
+convergence puts the next below a unit: below 2^((2u - 8) / 3) units, so
+that no sweep runs only to confirm.  No step of either pass is trusted: the
+certificate is exact, and when it refuses the points u is doubled.  For
 seeds z_1..z_n and Weierstrass corrections
 
     W_i = p(z_i) / (lc * prod_{j != i} (z_i - z_j)),
@@ -383,8 +386,13 @@ def _sweep(shifted: list[int], dq: list[int], pts: list[tuple[int, int]], live: 
 def _polish(shifted: list[int], pts: list[tuple[int, int]], u: int, stalled=None) -> list[tuple[int, int]] | None:
     """Aberth-Ehrlich steps on the Gaussian dyadics (re + i im) / 2^u, with
     q and q' evaluated exactly, until every correction is at most a few
-    units of 2^-u or a step cap that grows with degree and precision is met.
-    None if two points meet.
+    units of 2^-u, or the largest correction c of a sweep, in units of 2^-u,
+    has 3 bitlen(c) < 2u - 8, or a step cap that grows with degree and
+    precision is met.  None if two points meet.
+
+    The steps converge cubically at simple roots, so after a sweep whose
+    corrections are below 2^((2u - 8) / 3) units the next one would move no
+    point by a unit: that confirming sweep is not run.
 
     At a repeated root the steps converge only linearly, so the cap would be
     met: stalled(), when given, is called once the largest correction has
@@ -396,7 +404,7 @@ def _polish(shifted: list[int], pts: list[tuple[int, int]], u: int, stalled=None
         if swept is None:
             return None
         live, largest = swept
-        if not live:
+        if not live or 3 * largest.bit_length() < 2 * u - 8:
             break
         slow = slow + 1 if last is not None and 4 * largest > last else 0
         last = largest

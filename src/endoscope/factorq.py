@@ -2,17 +2,26 @@
 a small prime, quadratic Hensel lifting and subset recombination, then each
 factor's multiplicity by exact division.
 
-The prime is the one of the first four good primes whose distinct-degree
-factorization gives the fewest factors (von zur Gathen and Gerhard, Modern
-Computer Algebra, 14.2): one factor proves the input irreducible, and
-equal-degree splitting runs only at the prime whose factors are lifted.
+The squarefree part comes from the modular gcd of qpoly, which proves a
+squarefree input so with one prime; then every multiplicity is 1 and no
+division runs.  A linear body is its own factor, and a quadratic is
+irreducible exactly when its discriminant is not a square.
+
+The prime search takes the good primes in turn (von zur Gathen and Gerhard,
+Modern Computer Algebra, 14.2) and runs distinct-degree factorization at
+each: one factor proves the input irreducible, and the search ends at the
+first prime with at most two factors, whose recombination is a single trial
+division, or else after four primes, at the one with the fewest.
+Equal-degree splitting runs only at the prime whose factors are lifted.
 
 Inputs are desk scale (degree <= 64), so the classical algorithm with
 exponential recombination in the worst case is a deliberate choice; the
 modular factor counts stay tiny for everything this library produces.  A
 subset of half the remaining factors is tried only with the first of them in
 it, as its complement makes the same split: x^4 + 1, two quadratics modulo
-every prime, is proved irreducible by one trial division.
+every prime, is proved irreducible by one trial division, at the first good
+prime.  A trial division is refused at once when the candidate's constant
+term does not divide the input's.
 """
 
 from __future__ import annotations
@@ -23,22 +32,27 @@ from itertools import combinations, zip_longest
 from math import isqrt
 
 from .errors import DegreeCapExceeded, ValidationError
-from .qpoly import QPoly, X, _convolve, _divmod_z, _poly, _prime_factors, binary_power
+from .qpoly import (
+    ONE,
+    QPoly,
+    X,
+    _convolve,
+    _next_prime,
+    _poly,
+    _symmetric,
+    _trim,
+    _zdivmod,
+    _zgcd,
+    _zmod,
+    _zmonic,
+    _zx_divides,
+    binary_power,
+)
 
 DEGREE_CAP = 64
 
 # ---------------------------------------------------------------------------
 # arithmetic for integer polynomials modulo m (constant term first)
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zmod(a: list[int], m: int) -> list[int]:
-    return _trim([c % m for c in a])
 
 
 def _zmul(a: list[int], b: list[int], m: int) -> list[int]:
@@ -51,38 +65,6 @@ def _zadd(a: list[int], b: list[int], m: int) -> list[int]:
 
 def _zsub(a: list[int], b: list[int], m: int) -> list[int]:
     return _zmod([x - y for x, y in zip_longest(a, b, fillvalue=0)], m)
-
-
-def _zdivmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division where lc(b) is invertible mod m."""
-    if not b:
-        raise ZeroDivisionError
-    inv = pow(b[-1], -1, m)
-    rem = [c % m for c in a]
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], _trim(rem)
-    quot = [0] * (len(rem) - db)
-    for k in range(len(rem) - db - 1, -1, -1):
-        c = (rem[db + k] * inv) % m
-        quot[k] = c
-        if c:
-            for j, bc in enumerate(b):
-                rem[j + k] = (rem[j + k] - c * bc) % m
-    return _trim(quot), _trim(rem[:db])
-
-
-def _zmonic(a: list[int], m: int) -> list[int]:
-    if not a:
-        return a
-    inv = pow(a[-1], -1, m)
-    return _trim([(c * inv) % m for c in a])
-
-
-def _zgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _zdivmod(a, b, p)[1]
-    return _zmonic(a, p)
 
 
 def _zxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
@@ -189,17 +171,6 @@ def _lift_factors(f: list[int], facs: list[list[int]], p: int, pk: int) -> list[
 # recombination
 
 
-def _symmetric(a: list[int], m: int) -> list[int]:
-    half = m // 2
-    return _trim([c - m if c > half else c for c in [x % m for x in a]])
-
-
-def _zx_divides(h: list[int], g: list[int]) -> list[int] | None:
-    """Exact quotient g/h in Z[x], or None: the division must not scale or leave a remainder."""
-    q, r, s = _divmod_z(list(g), h)
-    return q if s == 1 and not any(r) else None
-
-
 def _factor_squarefree_z(g: list[int]) -> list[QPoly]:
     """Irreducible monic rational factors of a primitive squarefree g in Z[x]."""
     n = len(g) - 1
@@ -207,20 +178,22 @@ def _factor_squarefree_z(g: list[int]) -> list[QPoly]:
         return [QPoly(g).monic()]
 
     deriv = _trim([g[i] * i for i in range(1, len(g))])
-    candidates = []
-    p = 2
-    while len(candidates) < 4:
+    best, tried, p = (n + 1, 0, []), 0, 2
+    while tried < 4 and best[0] > 2:
         p = _next_prime(p)
         if g[-1] % p == 0:
             continue
-        if len(_zgcd(_zmod(g, p), _zmod(deriv, p), p)) != 1:
+        gp = _zmod(g, p)
+        if len(_zgcd(gp, _zmod(deriv, p), p)) != 1:
             continue
-        blocks = _ddf(_zmonic(_zmod(g, p), p), p)
+        blocks = _ddf(_zmonic(gp, p), p)
         count = sum((len(block) - 1) // d for block, d in blocks)
         if count == 1:
             return [QPoly(g).monic()]
-        candidates.append((count, p, blocks))
-    _, p, blocks = min(candidates, key=lambda c: (c[0], c[1]))
+        if count < best[0]:
+            best = (count, p, blocks)
+        tried += 1
+    _, p, blocks = best
     rng = random.Random(0x5A55)
     facs = sorted(f for block, d in blocks for f in _edf(block, d, p, rng))
 
@@ -257,13 +230,6 @@ def _factor_squarefree_z(g: list[int]) -> list[QPoly]:
     return found
 
 
-def _next_prime(p: int) -> int:
-    p += 1
-    while _prime_factors(p) != [p]:
-        p += 1
-    return p
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -279,8 +245,9 @@ def factor(p: QPoly) -> list[tuple[QPoly, int]]:
 
     p equals lc(p) times the product of the returned factors raised to their
     multiplicities.  The squarefree part of p / x^k is factored once, and each
-    factor's multiplicity is read by exact division.  Factors are sorted by
-    (degree, coefficients) so output is canonical.
+    factor's multiplicity is read by exact division, unless the squarefree
+    part is p / x^k itself.  Factors are sorted by (degree, coefficients) so
+    output is canonical.
     """
     if p.is_zero:
         raise ValidationError("cannot factor the zero polynomial")
@@ -290,9 +257,12 @@ def factor(p: QPoly) -> list[tuple[QPoly, int]]:
     if shift:
         out.append((X, shift))
     body = _poly(list(p.num[shift:]), p.den)
-    if body.degree > 0:
+    if body.degree == 1:
+        out.append((body.monic(), 1))
+    elif body.degree > 1:
         part = body.squarefree_part()
-        rest = body // part  # each factor once fewer
+        # each factor once fewer: nothing left of a body the gcd proved squarefree
+        rest = body // part if part.degree < body.degree else ONE
         for irr in _factor_squarefree_z(part.clear_denominators()[1]):
             mult = 1
             while rest.degree >= irr.degree and not rest % irr:
@@ -307,5 +277,9 @@ def is_irreducible(p: QPoly) -> bool:
         return False
     if p.degree == 1:
         return True
+    if p.degree == 2:  # irreducible unless its discriminant is a square
+        c, b, a = p.num
+        disc = b * b - 4 * a * c
+        return disc < 0 or isqrt(disc) ** 2 != disc
     facs = factor(p)
     return len(facs) == 1 and facs[0][1] == 1

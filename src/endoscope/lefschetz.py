@@ -12,7 +12,8 @@ reads only the monic reduced characteristic polynomial chi, of degree m:
 row n is |Res(chi, 1 - x^n)|^(2g/(d e)), the product of (1 - mu^n) over the
 roots mu of chi, read by Newton's identities off s_n, s_2n, ..., s_mn, the
 power sums of chi that are those of the mu^n; one Newton recurrence keeps
-s_0, ..., s_(m nmax).  The paths share neither input nor exact kernel, so a
+s_0, s_1, ..., extended in doubling blocks as the rows need them, up to
+s_(m nmax).  The paths share neither input nor exact kernel, so a
 fault on either side shows up as a disagreement: a faulty product, reduced
 norm or determinant reaches the norms, a faulty chi or Newton step the power
 sums.  (chi is built once per spec, before the first row, and for a
@@ -22,9 +23,10 @@ A periodic table costs one period on each path.  f has finite order k
 exactly when the table is periodic, and each path proves k on its own at
 row k: the norm path when its integer vector of f^k is that of 1, the
 resultant path when s_k, s_2k, ..., s_mk all equal m, the power sums of
-(x - 1)^m.  From there each path repeats its own first k rows, and the table
-still compares every row, so a wrong period on either side is a
-disagreement.  An exponential table pays one identity test per row.
+(x - 1)^m, with fewer than 2 m k power sums computed.  From there each path
+repeats its own first k rows, and the table still compares every row, so a
+wrong period on either side is a disagreement.  An exponential table pays
+one identity test per row.
 
 fixed_points_exact is the single-n count, the norm of the element 1 - f^n.
 companion_oracle is an independent brute-force count for a benchmark's
@@ -48,7 +50,7 @@ from operator import mul
 from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType, ValidationError
 from .numfield import CM, TOTALLY_REAL, NumberField, cm_structure
 from .qpoly import QPoly, binary_power, det_int_bareiss, multiplication_columns, newton_coefficients
-from .qpoly import over_common_denominator, power_sums, resultant_int
+from .qpoly import extend_power_sums, over_common_denominator, power_sums, resultant_int
 from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness, reduced_norm_int
 
 ITERATE_CAP = 10**6
@@ -276,10 +278,11 @@ def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:
     """fix(f^1), ..., fix(f^nmax), every entry computed by two independent exact paths.
 
     The norm path steps f^n by the matrix of x -> x f and reads only the
-    element; the resultant path reads every row off the m nmax + 1 power sums
-    of chi = spec.charpoly_q(), m = deg chi, and reads only chi.  Each path
-    stops computing at the period it proves, if any, and repeats its rows.
-    Any disagreement, on any row, raises CrossCheckError.
+    element; the resultant path reads every row off the power sums of
+    chi = spec.charpoly_q(), m nmax + 1 at most for m = deg chi, and reads
+    only chi.  Each path stops computing at the period it proves, if any,
+    and repeats its rows.  Any disagreement, on any row, raises
+    CrossCheckError.
     """
     _check_iterate(nmax)
     admissibility_check(spec)
@@ -297,15 +300,18 @@ def _resultant_counts(chi: QPoly, exponent: int, nmax: int):
 
     Each row is the product of (1 - mu^n) over the roots mu of chi: the value
     at 1 of the monic polynomial whose roots mu^n have the power sums
-    s_n, s_2n, ..., s_mn of chi, kept as s_0, ..., s_(m nmax) from one
-    recurrence.  At the first n where these all equal m, that polynomial is
+    s_n, s_2n, ..., s_mn of chi, kept as s_0, s_1, ... from one recurrence,
+    which is extended in doubling blocks as the rows need it, up to
+    s_(m nmax).  At the first n where these all equal m, that polynomial is
     (x - 1)^m, so mu^n = 1 for every root: the table has period n and the
-    path repeats its own rows (_repeat).
+    path repeats its own rows (_repeat), with fewer than 2 m n sums computed.
     """
     m = chi.degree
-    s = power_sums(chi, m * nmax)
+    s = power_sums(chi, m)
     rows = []
     for n in range(1, nmax + 1):
+        if len(s) <= m * n:
+            extend_power_sums(chi, s, min(2 * (len(s) - 1), m * nmax))
         if s[n] == m and all(t == m for t in s[2 * n : m * n + 1 : n]):
             yield from _repeat(rows, nmax)
             return

@@ -23,10 +23,12 @@ generated by alpha + h(alpha) and alpha h(alpha), is totally real.  A success
 is therefore a proof.  The candidate is tried on a ladder of precisions, 64
 bits doubled up to 2048 and then 3072 (_CM_LADDER): a wrong candidate at a
 low rung costs only its refusal, and failure at every rung reports "Other".
-The ladder runs only after one exact candidate: when m is reciprocal, as a
+The ladder runs only after the exact candidates: when m is reciprocal, as a
 cyclotomic polynomial is, z -> 1/z permutes the roots, and h = x^-1 mod m
 goes to the same exact verification first, at the cost of one palindrome
-test on every other field.
+test on every other field; a quadratic m = x^2 + a_1 x + a_0 then tries its
+other root -x - a_1, which is complex conjugation on an imaginary quadratic
+field, so no quadratic field approximates its roots.
 """
 
 from __future__ import annotations
@@ -329,9 +331,12 @@ def _cm_structure_uncached(field: NumberField) -> FieldTypeReport:
 
 def _candidates(m: QPoly):
     """The conjugation candidates, each QPoly or None, in the order tried:
-    x^-1 mod m, then one per rung of _CM_LADDER, the roots approximated only
-    when the first is refused."""
+    x^-1 mod m; for a quadratic m = x^2 + a_1 x + a_0, the other root
+    -x - a_1; then one per rung of _CM_LADDER, the roots approximated only
+    when the exact candidates are refused."""
     yield _inverse_candidate(m)
+    if m.degree == 2:
+        yield QPoly((-m[1] / m[2], -1))
     approximation = approximate_roots(m.clear_denominators()[1])
     for bits in _CM_LADDER:
         yield _conjugation_candidate(approximation, bits)

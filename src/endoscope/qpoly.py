@@ -3,11 +3,14 @@
 A polynomial is one integer numerator over one denominator (FLINT's fmpq_poly
 layout): num, a tuple of ints constant term first without trailing zeros, over
 den > 0 with gcd(content(num), den) = 1; zero is ((), 1).  Arithmetic runs on
-the integers, and division by a monic integer polynomial stays in Z.  This
-module also carries integer determinants (Bareiss), resultants, Newton power
-sums and their inverse (the kernel of norms, traces, characteristic
-polynomials, composed products and powers in the higher layers), the
-cyclotomic-order test, and the exact real-root kernel: Sturm sequences count
+the integers, and division by a monic integer polynomial stays in Z.  The gcd
+and the squarefree part run on integer polynomials modulo primes (Brown's
+modular gcd, whose Z/p kernel factorq shares): one prime proves a squarefree
+polynomial so.  This module also carries integer determinants (Bareiss),
+resultants, Newton power sums, extensible in blocks, and their inverse (the
+kernel of norms, traces, characteristic polynomials, composed products and
+powers in the higher layers), the cyclotomic-order test, and the exact
+real-root kernel: Sturm sequences count
 real roots in an interval and read the sign of one polynomial at the real
 roots of another, so every real-root decision of the higher layers (unit
 circle, Salem, totally real, definiteness) is exact.  binary_power is the one
@@ -249,8 +252,13 @@ class QPoly:
         return _poly([c if lc > 0 else -c for c in self.num], abs(lc))
 
     def gcd(self, other: QPoly) -> QPoly:
-        """Monic greatest common divisor: the last entry of the integer remainder sequence."""
-        return _poly(list(_remainder_sequence(self.num, other.num)[-1])).monic()
+        """Monic greatest common divisor, by Brown's modular gcd on the
+        primitive integer parts (_gcd_z)."""
+        if self.is_zero or other.is_zero:
+            return (other if self.is_zero else self).monic()
+        if self.degree == 0 or other.degree == 0:
+            return ONE
+        return _poly(_gcd_z(self.clear_denominators()[1], other.clear_denominators()[1])[0]).monic()
 
     def derivative(self) -> QPoly:
         return _poly([i * c for i, c in enumerate(self.num)][1:], self.den)
@@ -281,9 +289,12 @@ class QPoly:
         return _poly(list(self.num[::-1]), self.den)
 
     def squarefree_part(self) -> QPoly:
+        """self / gcd(self, self'), monic: the cofactor that _gcd_z proves,
+        which is self itself once one prime gives a gcd of degree 0."""
         if self.degree <= 0:
             return self.monic()
-        return (self // self.gcd(self.derivative())).monic()
+        ints = self.clear_denominators()[1]
+        return _poly(_gcd_z(ints, self.derivative().clear_denominators()[1])[1]).monic()
 
     def clear_denominators(self) -> tuple[Fraction, list[int]]:
         """Returns (unit, ints) with self = unit * primitive integer polynomial.
@@ -382,6 +393,148 @@ def _divmod_z(a: list[int], b) -> tuple[list[int], list[int], int]:
         for j in range(db):
             a[j + k] -= c * b[j]
     return q, a[:db], s
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials modulo m (constant term first), and the gcd over Q that
+# runs on them
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _zmod(a, m: int) -> list[int]:
+    return _trim([c % m for c in a])
+
+
+def _zdivmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Division where lc(b) is invertible mod m."""
+    if not b:
+        raise ZeroDivisionError
+    inv = pow(b[-1], -1, m)
+    rem = [c % m for c in a]
+    db = len(b) - 1
+    if len(rem) - 1 < db:
+        return [], _trim(rem)
+    quot = [0] * (len(rem) - db)
+    low = b[:db]  # the leading term cancels rem[db + k], which is not read again
+    for k in range(len(rem) - db - 1, -1, -1):
+        c = (rem[db + k] * inv) % m
+        quot[k] = c
+        if c:
+            for j, bc in enumerate(low, k):
+                rem[j] = (rem[j] - c * bc) % m
+    return _trim(quot), _trim(rem[:db])
+
+
+def _zmonic(a: list[int], m: int) -> list[int]:
+    if not a:
+        return a
+    inv = pow(a[-1], -1, m)
+    return _trim([(c * inv) % m for c in a])
+
+
+def _zgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    while b:
+        a, b = b, _zdivmod(a, b, p)[1]
+    return _zmonic(a, p)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n < 3215031751 is prime: no composite below that bound is a
+    strong pseudoprime to all of the bases 2, 3, 5 and 7 (Jaeschke, Math.
+    Comp. 1993)."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _next_prime(p: int) -> int:
+    p += 1
+    while not _is_prime(p):
+        p += 1
+    return p
+
+
+# the primes of the modular gcd, ascending from 2^29 so that residues are
+# one machine digit; each is found once and kept
+_GCD_PRIMES = [_next_prime(1 << 29)]
+
+
+def _symmetric(a: list[int], m: int) -> list[int]:
+    """The residues a mod m in (-m/2, m/2]."""
+    half = m // 2
+    return _trim([c - m if c > half else c for c in [x % m for x in a]])
+
+
+def _zx_divides(h, g) -> list[int] | None:
+    """The exact quotient g / h in Z[x], or None: h(0) must divide g(0), and
+    the division must not scale or leave a remainder."""
+    if g[0] and (not h[0] or g[0] % h[0]):
+        return None
+    q, r, s = _divmod_z(list(g), h)
+    return q if s == 1 and not any(r) else None
+
+
+def _gcd_z(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(g, a / g): the primitive gcd g of the primitive integer polynomials a
+    and b of degree >= 1, positive leading coefficients, and the cofactor.
+
+    Brown's dense modular gcd (J. ACM 1971; von zur Gathen and Gerhard,
+    Modern Computer Algebra, 6.7).  Modulo a prime p dividing neither leading
+    coefficient, deg gcd(a mod p, b mod p) >= deg g, so a gcd of degree 0
+    modulo one such p proves g = 1 at once.  Otherwise a prime whose gcd has
+    a larger degree than another's is unlucky and is dropped; the images of
+    the smallest degree, each scaled to the leading coefficient
+    gcd(lc a, lc b), are combined by the Chinese remainder theorem, and the
+    candidate, the primitive part of the symmetric residues, is proved by
+    exact division of a and b.  It is tried once its coefficients are 20
+    bits below the modulus, which a wrong image rarely is.
+    """
+    c, lcs = gcd(a[-1], b[-1]), a[-1] * b[-1]
+    size, image, modulus = len(a) + 1, [], 1  # 1 + the least degree seen, past deg a at first
+    i = 0
+    while True:
+        if i == len(_GCD_PRIMES):
+            _GCD_PRIMES.append(_next_prime(_GCD_PRIMES[-1]))
+        p, i = _GCD_PRIMES[i], i + 1
+        if lcs % p == 0:
+            continue
+        gp = _zgcd(_zmod(a, p), _zmod(b, p), p)
+        if len(gp) == 1:
+            return [1], a
+        if len(gp) > size:
+            continue
+        gp = [x * c % p for x in gp]
+        if len(gp) < size:
+            size, image, modulus = len(gp), gp, p
+        else:
+            inv = pow(modulus, -1, p)
+            image = [x + modulus * ((y - x) * inv % p) for x, y in zip(image, gp)]
+            modulus *= p
+        candidate = _symmetric(image, modulus)
+        if max(abs(x) for x in candidate).bit_length() + 20 < modulus.bit_length():
+            content = gcd(*candidate)
+            candidate = [x // content for x in candidate]
+            cofactor = _zx_divides(candidate, a)
+            if cofactor is not None and _zx_divides(candidate, b) is not None:
+                return candidate, cofactor
 
 
 ZERO = _poly([])
@@ -485,13 +638,18 @@ def power_sums(p: QPoly, count: int) -> list:
     s_k is the sum of the k-th powers of the roots, with multiplicity; s_0 is
     the degree.  Computed exactly from Newton's identities on p.monic().
     """
+    return extend_power_sums(p, [p.degree], count)
+
+
+def extend_power_sums(p: QPoly, s: list, count: int) -> list:
+    """s, the power sums [s_0, ..., s_j] of the roots of p, extended in place
+    to s_count by the same recurrence as power_sums, and returned."""
     if p.degree < 0:
         raise ValidationError("the zero polynomial has no power sums")
     n = p.degree
     monic = p.monic()
     c = monic.num if monic.is_integral else monic.coeffs
-    s = [n]
-    for k in range(1, count + 1):
+    for k in range(len(s), count + 1):
         acc = k * c[n - k] if k <= n else 0
         for i in range(1, min(k - 1, n) + 1):
             acc += c[n - i] * s[k - i]
@@ -582,7 +740,7 @@ def root_bound_exponent(ints: list[int]) -> int:
 
 def _remainder_sequence(a, b) -> list:
     """a, b, -rem(a, b), ... up to positive factors, each remainder made
-    primitive; the last entry is gcd(a, b) up to a constant."""
+    primitive: the Sturm chain of a when b = a'."""
     chain = [a]
     while b:
         chain.append(b)

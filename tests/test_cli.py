@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import time
 from decimal import Decimal, Inexact, localcontext
 from pathlib import Path
@@ -793,6 +794,41 @@ json_values = st.recursive(
 @example({"a": [], "b": {}, "c": [[], {}, [{}]], "d": -(10**50), "e": True, "f": None})
 def test_dumps_matches_json_dumps_indented(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+report_strings = st.one_of(json_strings, st.sampled_from(["é \U0001f600", "√13", "ζ₈ ∈ ℚ(ζ₈)", ""]))
+report_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    report_strings,
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.builds(lambda sign, n: sign * n, st.sampled_from((1, -1)), st.integers(min_value=10**4999, max_value=10**5000 - 1)),
+)
+reports = st.recursive(
+    report_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.dictionaries(report_strings, children, max_size=5),
+        st.just([]),
+        st.just({}),
+    ),
+    max_leaves=40,
+)
+
+
+@given(st.dictionaries(report_strings, reports, min_size=1, max_size=4))
+@settings(max_examples=60)
+def test_dumps_writes_scalars_inline_as_json_dumps_does(report):
+    # reports nest lists and dicts of str and int values, which _dumps writes
+    # inline, among bools, None, floats and empty containers; ints of 5000
+    # digits need the int-to-str limit lifted, for json.dumps as for _dumps
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert cli._dumps(report) == json.dumps(report, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_reports_of_a_benchmark_stream_are_the_standard_encoding(tmp_path):

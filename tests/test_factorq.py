@@ -191,3 +191,77 @@ def test_factor_matches_sympy(parts, lead):
     if p.is_zero or p.degree < 1:
         return
     assert factor(p) == _sympy_factors(p)
+
+
+# ---------------------------------------------------------------------------
+# answers proved early: quadratics, squarefree bodies and the prime search
+
+SD16 = from_ints(46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0, -141912, 0, 6476, 0, -136, 0, 1)
+X4_PLUS_1, SQRT2_PLUS_SQRT3 = from_ints(1, 0, 0, 0, 1), from_ints(1, 0, -10, 0, 1)
+
+
+def _sympy_irreducible(p: QPoly) -> bool:
+    facs = _sympy_factors(p)
+    return len(facs) == 1 and facs[0][1] == 1
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        from_ints(1, 5, 6),  # (2x + 1)(3x + 1), discriminant 1
+        from_ints(9, -12, 4),  # (2x - 3)^2, discriminant 0
+        from_ints(5, 3, 2),  # discriminant -31
+        from_ints(-7, 0, 3),  # discriminant 84
+        from_ints(-8, 2, 15),  # (3x - 2)(5x + 4), discriminant 484
+        QPoly((Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4))),
+        QPoly((Fraction(-9, 2), 0, Fraction(1, 2))),  # (x^2 - 9) / 2
+    ],
+    ids=repr,
+)
+def test_non_monic_quadratics_match_sympy(p):
+    assert factor(p) == _sympy_factors(p)
+    assert is_irreducible(p) == _sympy_irreducible(p)
+
+
+@given(st.integers(-60, 60).filter(bool), st.integers(-60, 60), st.integers(-60, 60))
+def test_quadratic_irreducibility_is_read_off_the_discriminant(a, b, c):
+    p = from_ints(c, b, a)
+    assert is_irreducible(p) == _sympy_irreducible(p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        X4_PLUS_1,
+        SQRT2_PLUS_SQRT3,
+        X4_PLUS_1 * SQRT2_PLUS_SQRT3,
+        X4_PLUS_1**2 * SQRT2_PLUS_SQRT3,
+        QPoly((Fraction(-3, 7),)) * X4_PLUS_1 * SQRT2_PLUS_SQRT3**3 * from_ints(0, 1),
+        SD16,
+        SD16 * X4_PLUS_1,
+    ],
+    ids=repr,
+)
+def test_split_everywhere_inputs_match_sympy(p):
+    # x^4 + 1, x^4 - 10x^2 + 1 and SD16 split modulo every prime
+    assert factor(p) == _sympy_factors(p)
+    assert is_irreducible(p) == _sympy_irreducible(p)
+
+
+@pytest.mark.parametrize("p, prime", [(X4_PLUS_1, 3), (SQRT2_PLUS_SQRT3, 5)], ids=repr)
+def test_two_modular_factors_end_the_prime_search(p, prime, monkeypatch):
+    # two quadratics modulo the first good prime: recombination is one trial
+    # division, so no further prime is factored
+    primes, ddf = [], factorq._ddf
+    monkeypatch.setattr(factorq, "_ddf", lambda f, q: primes.append(q) or ddf(f, q))
+    assert is_irreducible(p)
+    assert primes == [prime]
+
+
+def test_a_squarefree_body_is_not_divided(monkeypatch):
+    # the gcd proves the body squarefree, so no multiplicity is read by division
+    divisions, divmod_ = [], QPoly.divmod
+    monkeypatch.setattr(QPoly, "divmod", lambda a, b: divisions.append(b) or divmod_(a, b))
+    assert factor(SD16) == [(SD16, 1)]
+    assert factor(from_ints(0, 0, 3, 2)) == [(from_ints(0, 1), 2), (from_ints(Fraction(3, 2), 1), 1)]
+    assert divisions == []

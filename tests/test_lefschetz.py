@@ -471,9 +471,15 @@ def test_periodic_table_costs_one_period_on_each_path(monkeypatch, name):
     make, k = PERIODIC_SPECS[name]
     spec, nmax = make(), 10**4
     norms, newton = _spy(monkeypatch, "resultant_int"), _spy(monkeypatch, "newton_coefficients")
+    extensions = _spy(monkeypatch, "extend_power_sums")
     table = fixed_point_table(spec, nmax)
     # row k is 0 and read off the period, not computed
     assert len(norms) == len(newton) == k - 1
+    # the power sums are extended in doubling blocks up to s_mk, which row k
+    # reads, and not towards s_(m nmax): fewer than 2 m k of them, in blocks
+    m, sums = spec.charpoly_q().degree, extensions[-1][1]
+    assert m * k <= len(sums) - 1 < 2 * m * k
+    assert len(extensions) <= k.bit_length()
     assert 0 not in table[: k - 1] and table[k - 1] == 0
     assert table == (table[:k] * (nmax // k + 1))[:nmax]
     assert table[: 3 * k] == [fixed_points_exact(spec, n) for n in range(1, 3 * k + 1)]
@@ -485,9 +491,12 @@ def test_exponential_table_never_takes_the_period_shortcut(monkeypatch, index):
     spec = table_specs()[index]  # all but zeta5 and the order-6 unit
     assert classify_growth(spec).period is None
     norms, newton = _spy(monkeypatch, "resultant_int"), _spy(monkeypatch, "newton_coefficients")
-    repeats = _spy(monkeypatch, "_repeat")
+    repeats, extensions = _spy(monkeypatch, "_repeat"), _spy(monkeypatch, "extend_power_sums")
     fixed_point_table(spec, 40)
     assert len(norms) == len(newton) == 40 and not repeats
+    # all m nmax + 1 power sums, in doubling blocks: one call per block
+    m = spec.charpoly_q().degree
+    assert len(extensions[-1][1]) == m * 40 + 1 and len(extensions) == 6
 
 
 @pytest.mark.parametrize("path", ["_norm_counts", "_resultant_counts"])

@@ -225,9 +225,10 @@ FIRST_RUNG_FIELDS = [from_ints(1, 0, 1), from_ints(3, 0, 1)] + [_cyclotomic(n) f
 def test_cm_conjugation_is_found_at_the_first_rung(minpoly, rungs):
     # a reciprocal minimal polynomial (x^2 + 1 and the cyclotomic ones) is
     # proved by the exact candidate x^-1 before any rung; x^2 + 3 presents
-    # Q(zeta3) by a polynomial that is not reciprocal, and takes the 64-bit rung
+    # Q(zeta3) by a polynomial that is not reciprocal, and is proved by the
+    # exact quadratic candidate, its other root -x, before any rung too
     assert cm_structure(NumberField(minpoly)).kind == CM
-    assert rungs == ([64] if minpoly == from_ints(3, 0, 1) else [])
+    assert rungs == []
 
 
 @pytest.mark.parametrize("minpoly", FIRST_RUNG_FIELDS, ids=repr)

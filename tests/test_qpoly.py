@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from endoscope import factorq
+from endoscope import factorq, qpoly
 from endoscope.errors import ValidationError
 from endoscope.factorq import factor
 from endoscope.numfield import NFElement, NumberField
@@ -283,3 +283,86 @@ def test_parse_digits_matches_decimal():
             assert _parse_digits(s) == int(Decimal(s)), length
     s = "".join(rng.choice("0123456789") for _ in range(3 * cut))
     assert QPoly([f"-{s}/{s[::-1]}"]) == QPoly((Fraction(-int(Decimal(s)), int(Decimal(s[::-1]))),))
+
+
+# ---------------------------------------------------------------------------
+# the modular gcd (Brown) against sympy, and its unlucky primes
+
+
+def _sympy_poly(p: QPoly):
+    sympy = pytest.importorskip("sympy")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
+
+
+def _from_sympy(f) -> QPoly:
+    return QPoly([Fraction(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())])
+
+
+def _big_poly(bits: int, degree: int) -> st.SearchStrategy:
+    top = 1 << bits
+    return st.lists(st.integers(-top, top), min_size=degree, max_size=degree).map(
+        lambda cs: QPoly(cs + [top - 1])
+    )
+
+
+big_polys = st.tuples(st.integers(100, 300), st.integers(1, 7)).flatmap(lambda bd: _big_poly(*bd))
+
+
+@given(big_polys, big_polys, st.one_of(st.none(), big_polys, st.lists(st.integers(-9, 9), min_size=2, max_size=4)))
+def test_modular_gcd_matches_sympy_on_large_coefficients(a, b, common):
+    # random pairs with 100- to 300-bit coefficients, coprime as a rule, and
+    # the same pairs times a planted common factor, large or small
+    if isinstance(common, list):
+        common = QPoly(common)
+    if common is not None and common.degree > 0:
+        a, b = a * common, b * common
+    got = a.gcd(b)
+    assert got == _from_sympy(_sympy_poly(a).gcd(_sympy_poly(b)))
+    assert common is None or common.degree < 1 or (got % common).is_zero
+    assert a.squarefree_part() == _from_sympy(_sympy_poly(a).sqf_part())
+
+
+def _gcd_primes_taken(monkeypatch) -> list[tuple[int, int]]:
+    """(p, deg gcd mod p) for each prime the modular gcd takes."""
+    taken, zgcd = [], qpoly._zgcd
+
+    def spy(a, b, p):
+        g = zgcd(a, b, p)
+        taken.append((p, len(g) - 1))
+        return g
+
+    monkeypatch.setattr(qpoly, "_zgcd", spy)
+    return taken
+
+
+def test_a_prime_dividing_a_leading_coefficient_is_skipped(monkeypatch):
+    p, q = qpoly._GCD_PRIMES[0], qpoly._next_prime(qpoly._GCD_PRIMES[0])
+    a = from_ints(1, 1) * from_ints(-3, p)  # lc(a) = p
+    b = from_ints(1, 1) * from_ints(5, 1) ** 2
+    taken = _gcd_primes_taken(monkeypatch)
+    assert a.gcd(b) == from_ints(1, 1)
+    assert [prime for prime, _ in taken][0] == q
+
+
+@pytest.mark.parametrize("want", [ONE, from_ints(1, 1), from_ints(2, 3, 1)], ids=repr)
+@pytest.mark.parametrize("square", [1, 2])
+def test_a_prime_dividing_the_resultant_is_unlucky_and_dropped(want, square, monkeypatch):
+    # a = x want^square and b = (x + p) want, for the first prime p: their
+    # resultant is a multiple of p, and modulo p both are divisible by x, so
+    # the gcd there has one degree too many; the next prime decides
+    p = qpoly._GCD_PRIMES[0]
+    a, b = from_ints(0, 1) * want**square, from_ints(p, 1) * want
+    taken = _gcd_primes_taken(monkeypatch)
+    assert a.gcd(b) == want == _from_sympy(_sympy_poly(a).gcd(_sympy_poly(b)))
+    assert taken[0] == (p, want.degree + 1)
+    assert taken[1][1] == want.degree
+
+
+def test_one_prime_proves_a_polynomial_squarefree(monkeypatch):
+    # a degree-0 gcd of p and p' modulo one prime proves gcd(p, p') = 1, and
+    # squarefree_part is then p itself, with no division
+    p = QPoly([3**60 + k for k in range(20)] + [7])
+    taken = _gcd_primes_taken(monkeypatch)
+    assert p.squarefree_part() == p.monic()
+    assert len(taken) == 1 and taken[0][1] == 0
