@@ -14,27 +14,23 @@ factors it made, refined the number's minpoly with its enclosure as the target.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
 from . import factorq
-from .enclosures import MAX_BITS, ComplexEnclosure, disk_product, isolate_roots
+from .enclosures import MAX_BITS, ComplexEnclosure, _isolate, disk_product
 from .errors import CrossCheckError, PrecisionExhausted, ValidationError
 from .qpoly import QPoly, X, _exact, from_power_sums, newton_coefficients, power_sums
 
 
-class AlgebraicNumber:
-    """One root of an irreducible monic rational polynomial, pinned by a disk."""
+class AlgebraicNumber(namedtuple("AlgebraicNumber", "minpoly enclosure bits", defaults=(128,))):
+    """One root of an irreducible monic rational polynomial, pinned by a disk.
 
-    __slots__ = ("minpoly", "enclosure", "bits")
+    minpoly: the QPoly; enclosure: a ComplexEnclosure holding this root and
+    no other; bits: the precision it was certified at, 128 by default."""
 
-    def __init__(self, minpoly: QPoly, enclosure: ComplexEnclosure, bits: int = 128):
-        object.__setattr__(self, "minpoly", minpoly)
-        object.__setattr__(self, "enclosure", enclosure)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraicNumber is immutable")
+    __slots__ = ()
 
     def __repr__(self):
         return f"AlgebraicNumber({self.minpoly!r} @ {self.enclosure!r})"
@@ -72,7 +68,7 @@ def _select_root(candidates: list[QPoly], disk_of, bits: int) -> tuple[QPoly, Co
     """
     while bits <= MAX_BITS:
         disk = disk_of(bits)
-        hits = [(q, e) for q in candidates for e in isolate_roots(q, bits) if e.meets(disk)]
+        hits = [(q, e) for q in candidates for e in _isolate(q, bits) if e.meets(disk)]
         if len(hits) == 1:
             return hits[0][0], hits[0][1], bits
         if not hits:

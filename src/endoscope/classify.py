@@ -37,7 +37,7 @@ from functools import cached_property
 from math import prod
 
 from . import algnum, factorq
-from .enclosures import ON_CIRCLE, OUTSIDE, circle_root_count, disk_product, isolate_roots, unit_circle_status
+from .enclosures import ON_CIRCLE, OUTSIDE, _isolate, circle_root_count, disk_product, unit_circle_status
 from .errors import CrossCheckError, NotSimpleAlbertType, ValidationError
 from .lefschetz import CM_FIELD, TOTALLY_DEFINITE_QUATERNION, TOTALLY_INDEFINITE_QUATERNION, TOTALLY_REAL_FIELD
 from .lefschetz import AlbertType, EndomorphismSpec, admissibility_check
@@ -114,7 +114,7 @@ def rational_eigenvalues(spec: EndomorphismSpec, precision_bits: int = 128) -> S
     mult *= spec.exponent()
     if mult * q.degree != 2 * spec.g:
         raise CrossCheckError("eigenvalue multiset total differs from 2g")
-    statuses = tuple(unit_circle_status(q, isolate_roots(q, precision_bits)))
+    statuses = tuple(unit_circle_status(q, _isolate(q, precision_bits)))
     return Spectrum(q, mult, cyclotomic_order(q), statuses)
 
 
@@ -254,7 +254,7 @@ def is_salem_polynomial(p: QPoly) -> SalemReport:
         return SalemReport(False, None, "more than one root off the unit circle on some side")
     if count_real_roots(t, 2) != 1:
         return SalemReport(False, None, "real roots are not positive")
-    lead = [e for e in isolate_roots(p) if e.is_real][-1]  # the roots come sorted by midpoint
+    lead = [e for e in _isolate(p, 128) if e.is_real][-1]  # the roots come sorted by midpoint
     return SalemReport(True, lead, "reciprocal, irreducible, lead root real > 1, rest on |z| = 1")
 
 

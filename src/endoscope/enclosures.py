@@ -8,10 +8,10 @@ disk, and an absolute error means the same for large roots as for small
 ones.  The Aberth-Ehrlich iteration (Aberth, Math. Comp. 1973; Bini,
 Numer. Algorithms 1996) runs first in double precision, started on circles
 read off the Newton polygon of log|a_j|, then on Gaussian integers over
-2^u, with q and q' evaluated exactly, until every correction is a few units
-of 2^-u, or until one sweep's corrections are so small that cubic
-convergence puts the next below a unit: below 2^((2u - 8) / 3) units, so
-that no sweep runs only to confirm.  No step of either pass is trusted: the
+2^u, with q and q' evaluated exactly, until one sweep's corrections are so
+small that cubic convergence puts the next below a unit: below
+2^((2u - 8) / 3) units, so that no sweep runs only to confirm.  That is the
+fixed-point pass's one stopping rule.  No step of either pass is trusted: the
 certificate is exact, and when it refuses the points u is doubled.  For
 seeds z_1..z_n and Weierstrass corrections
 
@@ -25,6 +25,15 @@ component).  So once the disks are pairwise disjoint, each contains exactly
 one root.  p(z_i) 2^(un) and the products 2^(u(n-1)) lc prod (z_i - z_j) are
 Gaussian integers, so |W_i|^2 is one quotient of integers, and its square
 root is rounded up.  If the disks are too large or meet, u is doubled.
+
+Squarefreeness is checked once, at the public entry: isolate_roots takes
+gcd(p, p') by qpoly's modular gcd and raises NonSquarefreeInput before any
+root is approximated, so rejecting (x^2 + 1)^8 costs that one gcd and no
+sweep.  At a repeated root the Aberth steps converge only linearly and no
+certificate can pass, as n disjoint disks prove n distinct roots:
+unchecked, the polish would run to its step cap at every precision.  The
+library's own callers isolate irreducible polynomials, which are
+squarefree, and call _isolate, which runs no gcd.
 
 The recentring, the seeds and the fixed-point pass are one untrusted step,
 approximate_roots; the CM conjugation candidate in numfield interpolates
@@ -77,15 +86,11 @@ INSIDE, ON_CIRCLE, OUTSIDE = -1, 0, 1
 
 # root seeds: at most _DOUBLE_STEPS double-precision Aberth sweeps; start
 # circles turned by _SIGMA plus the golden angle per Newton-polygon edge, of
-# radius at least e^_LOG_TINY; a fixed-point root is done once its step is at
-# most _FEW_UNITS units, and the fixed-point pass has stalled once its largest
-# step gained fewer than 2 bits in _STALL_SWEEPS sweeps in a row
+# radius at least e^_LOG_TINY
 _DOUBLE_STEPS = 100
 _SIGMA = 0.7
 _GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
 _LOG_TINY = -1000 * math.log(2)
-_FEW_UNITS = 2
-_STALL_SWEEPS = 8
 _LN2 = math.log(2)
 
 
@@ -350,13 +355,11 @@ def _fixed(x: float, w: int) -> int:
     return round(math.ldexp(x, e)) << (w - e)
 
 
-def _sweep(shifted: list[int], dq: list[int], pts: list[tuple[int, int]], live: list[int], u: int):
-    """One Aberth-Ehrlich sweep over the points pts[i], i in live, in place:
-    the points whose correction exceeded a few units of 2^-u and the largest
-    correction in those units, or None if two points meet."""
-    one, moved, largest = 1 << u, [], 0
-    for i in live:
-        yr, yi = pts[i]
+def _sweep(shifted: list[int], dq: list[int], pts: list[tuple[int, int]], u: int) -> int | None:
+    """One Aberth-Ehrlich sweep over the points pts, in place: the largest
+    correction in units of 2^-u, or None if two points meet."""
+    one, largest = 1 << u, 0
+    for i, (yr, yi) in enumerate(pts):
         vr, vi = _horner(shifted, yr, yi, u)
         if not (vr or vi):
             continue
@@ -376,40 +379,27 @@ def _sweep(shifted: list[int], dq: list[int], pts: list[tuple[int, int]], live: 
         br, bi = one - ((nr * sr - ni * si) >> u), -((nr * si + ni * sr) >> u)
         cr, ci = _cdiv(nr, ni, br, bi, u) if br or bi else (nr, ni)
         pts[i] = (yr - cr, yi - ci)
-        step = max(abs(cr), abs(ci))
-        largest = max(largest, step)
-        if step > _FEW_UNITS:
-            moved.append(i)
-    return moved, largest
+        largest = max(largest, abs(cr), abs(ci))
+    return largest
 
 
-def _polish(shifted: list[int], pts: list[tuple[int, int]], u: int, stalled=None) -> list[tuple[int, int]] | None:
+def _polish(shifted: list[int], pts: list[tuple[int, int]], u: int) -> list[tuple[int, int]] | None:
     """Aberth-Ehrlich steps on the Gaussian dyadics (re + i im) / 2^u, with
-    q and q' evaluated exactly, until every correction is at most a few
-    units of 2^-u, or the largest correction c of a sweep, in units of 2^-u,
-    has 3 bitlen(c) < 2u - 8, or a step cap that grows with degree and
-    precision is met.  None if two points meet.
+    q and q' evaluated exactly, until the largest correction c of a sweep, in
+    units of 2^-u, has 3 bitlen(c) < 2u - 8, or a step cap that grows with
+    degree and precision is met.  None if two points meet.
 
     The steps converge cubically at simple roots, so after a sweep whose
     corrections are below 2^((2u - 8) / 3) units the next one would move no
-    point by a unit: that confirming sweep is not run.
-
-    At a repeated root the steps converge only linearly, so the cap would be
-    met: stalled(), when given, is called once the largest correction has
-    gained fewer than 2 bits in each of _STALL_SWEEPS sweeps in a row."""
+    point by a unit: that confirming sweep is not run.  As u >= 64, a sweep
+    whose corrections are all a few units already stops the polish."""
     dq = [j * a for j, a in enumerate(shifted)][1:]
-    live, slow, last = list(range(len(pts))), 0, None
     for _ in range(len(pts) + u):
-        swept = _sweep(shifted, dq, pts, live, u)
-        if swept is None:
+        largest = _sweep(shifted, dq, pts, u)
+        if largest is None:
             return None
-        live, largest = swept
-        if not live or 3 * largest.bit_length() < 2 * u - 8:
+        if 3 * largest.bit_length() < 2 * u - 8:
             break
-        slow = slow + 1 if last is not None and 4 * largest > last else 0
-        last = largest
-        if slow == _STALL_SWEEPS and stalled is not None:
-            stalled()
     return pts
 
 
@@ -422,7 +412,6 @@ def approximate_roots(ints: list[int]) -> tuple[Fraction | int, list[int], Calla
 
     isolate_roots certifies these points; the CM conjugation candidate only
     interpolates through them, and its answer is proved exactly afterwards.
-    polish(u, stalled) passes stalled on to _polish.
     """
     n = len(ints) - 1
     # recentre at the roots' centroid c when that lowers the root bound by 2
@@ -439,8 +428,8 @@ def approximate_roots(ints: list[int]) -> tuple[Fraction | int, list[int], Calla
         c, shifted = 0, ints
     k, seeds = _seeds(shifted)
 
-    def polish(u: int, stalled=None) -> list[tuple[int, int]] | None:
-        return _polish(shifted, [(_fixed(y.real, u + k), _fixed(y.imag, u + k)) for y in seeds], u, stalled)
+    def polish(u: int) -> list[tuple[int, int]] | None:
+        return _polish(shifted, [(_fixed(y.real, u + k), _fixed(y.imag, u + k)) for y in seeds], u)
 
     return c, shifted, polish
 
@@ -452,8 +441,18 @@ def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]
     imaginary midpoint and non-real enclosures come in exact conjugate pairs,
     both proved by the certificate of a point set closed under conjugation
     (a disk centred on the real axis is its own mirror, so its one root is
-    real).  Radii shrink when precision_bits grows.
+    real).  Radii shrink when precision_bits grows.  A p with a repeated root
+    raises NonSquarefreeInput before any root is approximated.
     """
+    if p.degree > 1 and p.gcd(p.derivative()).degree > 0:
+        raise NonSquarefreeInput("input polynomial has repeated roots")
+    return _isolate(p, precision_bits)
+
+
+def _isolate(p: QPoly, precision_bits: int) -> list[ComplexEnclosure]:
+    """isolate_roots with no squarefree check, for a p known to be
+    irreducible: a repeated root would run every polish to its step cap and
+    every precision to the cap before PrecisionExhausted."""
     if precision_bits < 64:
         raise ValidationError("precision_bits must be at least 64")
     if p.is_zero:
@@ -465,27 +464,13 @@ def isolate_roots(p: QPoly, precision_bits: int = 128) -> list[ComplexEnclosure]
     if n == 1:
         return [_enclosure(-ints[0], 0, 0, ints[1])]
 
-    # n pairwise-disjoint disks, each holding one root counted with
-    # multiplicity, prove n distinct roots, so a repeated root only ever
-    # stalls the polish or fails the certificate: the gcd runs once, at the
-    # first of the two
-    squarefree = False
-
-    def check_squarefree():
-        nonlocal squarefree
-        if not squarefree:
-            if p.gcd(p.derivative()).degree > 0:
-                raise NonSquarefreeInput("input polynomial has repeated roots")
-            squarefree = True
-
     c, shifted, polish = approximate_roots(ints)
     wp = precision_bits + 32 + 8 * n
     cap = max(8 * precision_bits, MAX_BITS) + 8 * n
     while wp <= cap:
-        got = _attempt(shifted, c, polish(wp, check_squarefree), wp, precision_bits - 4)
+        got = _attempt(shifted, c, polish(wp), wp, precision_bits - 4)
         if got is not None:
             return got
-        check_squarefree()
         wp *= 2
     raise PrecisionExhausted(f"could not separate roots of {p!r} within {cap} bits")
 
@@ -573,7 +558,7 @@ def unit_circle_status(q: QPoly, enclosures=None) -> list[tuple[ComplexEnclosure
     if not q.is_monic or not q.is_integral:
         raise ValidationError("unit-circle test expects a monic integer polynomial")
     on_circle, bits = circle_root_count(q), 128
-    encl = isolate_roots(q, bits) if enclosures is None else enclosures
+    encl = _isolate(q, bits) if enclosures is None else enclosures
     while True:
         statuses = [e.side() for e in encl]
         if statuses.count(ON_CIRCLE) == on_circle:
@@ -581,4 +566,4 @@ def unit_circle_status(q: QPoly, enclosures=None) -> list[tuple[ComplexEnclosure
         bits *= 2
         if bits > MAX_BITS:
             raise PrecisionExhausted(f"unit-circle position of {q!r} unresolved at {MAX_BITS} bits")
-        encl = isolate_roots(q, bits)
+        encl = _isolate(q, bits)

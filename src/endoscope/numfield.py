@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from . import factorq
 from .enclosures import _cdiv, approximate_roots
-from .errors import CrossCheckError, NonSquarefreeInput, ValidationError
+from .errors import CrossCheckError, ValidationError
 from .qpoly import ONE, QPoly, X, _combine, _mul_mod, _poly, count_real_roots, from_power_sums, power_sums, resultant
 
 TOTALLY_REAL = "TotallyReal"
@@ -352,9 +352,9 @@ def _verify_cm(field: NumberField, h: QPoly) -> FieldTypeReport | None:
     when the minimal polynomials of its generators have only real roots.
 
     s and t lie in K, so halving their first [F:Q]/2 traces gives their
-    characteristic polynomials over K (charpoly_q(2)): a power of the minimal
-    polynomial, and the minimal polynomial itself when it is squarefree,
-    which the Sturm count checks on the way.
+    characteristic polynomials over K (charpoly_q(2)), each a power of the
+    minimal polynomial.  The Sturm count reads the roots of its squarefree
+    part, which is the characteristic polynomial itself when y generates K.
     """
     m = field.minpoly
     h = h % m
@@ -363,15 +363,10 @@ def _verify_cm(field: NumberField, h: QPoly) -> FieldTypeReport | None:
     gen, conj_gen = field.gen(), field.element(h)
     for y in (gen + conj_gen, gen * conj_gen):
         cp = y.charpoly_q(2)
-        try:
-            real = count_real_roots(cp)
-        except NonSquarefreeInput:  # y has degree below [F:Q]/2
-            mp_ = cp.squarefree_part()
-            if count_real_roots(mp_) != mp_.degree:
-                return None
-        else:  # cp is the minimal polynomial of y, which generates K
-            if real != cp.degree:
-                return None
+        mp_ = cp.squarefree_part()
+        if count_real_roots(mp_) != mp_.degree:
+            return None
+        if mp_ == cp:  # cp is the minimal polynomial of y, which generates K
             break
     return FieldTypeReport(CM, conj_gen)
 

@@ -290,8 +290,10 @@ class QPoly:
 
     def squarefree_part(self) -> QPoly:
         """self / gcd(self, self'), monic: the cofactor that _gcd_z proves,
-        which is self itself once one prime gives a gcd of degree 0."""
-        if self.degree <= 0:
+        which is self itself once one prime gives a gcd of degree 0, or at
+        once for degree at most 1 and for a quadratic of nonzero discriminant."""
+        a = self.num
+        if len(a) <= 2 or len(a) == 3 and a[1] * a[1] != 4 * a[0] * a[2]:
             return self.monic()
         ints = self.clear_denominators()[1]
         return _poly(_gcd_z(ints, self.derivative().clear_denominators()[1])[1]).monic()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from endoscope import algnum
+from endoscope import algnum, enclosures
 from endoscope.enclosures import ComplexEnclosure, isolate_roots
 from endoscope.factorq import is_irreducible
 from endoscope.qpoly import QPoly, from_ints
@@ -125,12 +125,12 @@ def test_select_root_isolates_only_the_factors_that_hit(monkeypatch):
 
     def counted(q, bits):
         calls.append((q, bits))
-        return isolate_roots(q, bits)
+        return enclosures._isolate(q, bits)
 
     def disk_of(bits):
         return ComplexEnclosure(sqrt2.re, 0, Fraction(1) if bits == 128 else Fraction(1, 8))
 
-    monkeypatch.setattr(algnum, "isolate_roots", counted)
+    monkeypatch.setattr(algnum, "_isolate", counted)
     candidates = [from_ints(-2, 0, 1), from_ints(-3, 0, 1), from_ints(-5, 1)]
     q, e, bits = algnum._select_root(candidates, disk_of, 128)
     assert q == from_ints(-2, 0, 1) and FractionDisk.of(e).contains_point(sqrt2.re, 0) and bits == 256
@@ -146,7 +146,7 @@ def test_isolate_roots_runs_only_in_select_root():
         for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
-        if isinstance(node, ast.Name) and node.id == "isolate_roots"
+        if isinstance(node, ast.Name) and node.id == "_isolate"
     ]
     assert owners == ["_select_root"]
 

@@ -358,10 +358,10 @@ def test_entropy_reads_the_salem_flag_without_testing_gamma_again(monkeypatch):
     spec = salem_unit_spec()
     q = classify._decided(spec).gamma.minpoly
     assert q == from_ints(1, -3, 1, -3, 1)
-    calls, is_irreducible, isolate = [], factorq.is_irreducible, enclosures.isolate_roots
+    calls, is_irreducible, isolate = [], factorq.is_irreducible, enclosures._isolate
     monkeypatch.setattr(factorq, "is_irreducible", lambda p: calls.append(p) or is_irreducible(p))
     for module in (enclosures, algnum, classify):
-        monkeypatch.setattr(module, "isolate_roots", lambda p, *a: calls.append(p) or isolate(p, *a))
+        monkeypatch.setattr(module, "_isolate", lambda p, *a: calls.append(p) or isolate(p, *a))
     assert entropy(spec).is_salem is True
     assert q not in calls
 

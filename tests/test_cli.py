@@ -324,6 +324,20 @@ def test_validation_error_points_at_field(tmp_path, capsys):
     assert "spec.element.coords" in json.loads(out)["error"]["detail"]
 
 
+@pytest.mark.parametrize("coord", [True, 1.5])
+def test_bare_integer_coefficients_read_as_strings_do(tmp_path, capsys, coord):
+    # the README's promise: [1, 0, 1] reads as ["1/1", "0/1", "1/1"], and
+    # true or a float exits 2 with a pointer to its array
+    def job(minpoly, coords):
+        spec = {"algebra": {"kind": "field", "minpoly": minpoly}, "element": {"coords": coords}, "g": 1}
+        return write_job(tmp_path, {"spec": spec, "commands": ["classify", {"op": "fixpoints", "nmax": 4}]})
+
+    strings = run_cli(capsys, "run", job(["1/1", "0/1", "1/1"], ["1/1", "1/1"]))
+    assert strings[0] == 0 and run_cli(capsys, "run", job([1, 0, 1], [1, 1])) == strings
+    code, out = run_cli(capsys, "run", job([1, 0, 1], [1, coord]))
+    assert code == 2 and "spec.element.coords" in json.loads(out)["error"]["detail"]
+
+
 def test_missing_spec_detected(tmp_path, capsys):
     code, out = run_cli(capsys, "run", write_job(tmp_path, {"commands": ["classify"]}))
     assert code == 2

@@ -108,25 +108,41 @@ def test_non_squarefree_rejected():
 
 
 @pytest.mark.parametrize("bits", [128, 512])
-def test_a_repeated_root_is_rejected_once_the_polish_stalls(bits, monkeypatch):
-    # at a repeated root the Aberth steps converge only linearly, so without
-    # the stall check (x^2 + 1)^8 ran all n + u = 304 sweeps at 128 bits, and
-    # 688 at 512, before its gcd
+def test_a_repeated_root_is_rejected_before_any_sweep(bits, monkeypatch):
+    # at a repeated root the Aberth steps converge only linearly, so a polish
+    # of (x^2 + 1)^8 would run to its step cap at every precision: the gcd
+    # with the derivative runs first and rejects the input before any sweep
     sweeps, sweep = [], enclosures._sweep
     monkeypatch.setattr(enclosures, "_sweep", lambda *a: sweeps.append(a[-1]) or sweep(*a))
     with pytest.raises(NonSquarefreeInput):
         isolate_roots(from_ints(1, 0, 1) ** 8, bits)
-    assert 0 < len(sweeps) <= 2 * enclosures._STALL_SWEEPS
+    assert sweeps == []
 
 
-def test_irreducible_input_runs_no_squarefree_gcd(monkeypatch):
-    # the certificate of n disjoint disks already proves n distinct roots, so
-    # the gcd with the derivative waits for a failed attempt
-    calls, gcd = [], QPoly.gcd
-    monkeypatch.setattr(QPoly, "gcd", lambda self, other: calls.append(self) or gcd(self, other))
-    for p in (from_ints(1, 0, 1), from_ints(-1, -1, 1), from_ints(1, 1, 1, 1, 1, 1, 1), from_ints(1, 0, -10, 0, 1)):
-        assert len(isolate_roots(p, 128)) == p.degree
-    assert calls == []
+def _readme_spec():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])["spec"]
+
+
+def test_irreducible_input_runs_no_squarefree_gcd(tmp_path, capsys, monkeypatch):
+    # classify isolates the roots of an irreducible q, which is squarefree, so
+    # it calls the kernel behind isolate_roots and runs no gcd with q'
+    zeta5 = {"kind": "field", "minpoly": ["1", "1", "1", "1", "1"]}
+    zeta5 = {"algebra": zeta5, "element": {"coords": ["0", "1"]}, "g": 2}
+    calls, sweeps, gcd, sweep = [], [], QPoly.gcd, enclosures._sweep
+
+    def spy(self, other):
+        calls.append(sys._getframe(1).f_globals["__name__"])
+        return gcd(self, other)
+
+    monkeypatch.setattr(QPoly, "gcd", spy)
+    monkeypatch.setattr(enclosures, "_sweep", lambda *a: sweeps.append(a[-1]) or sweep(*a))
+    for spec in (zeta5, _readme_spec()):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"spec": spec, "commands": ["classify"]}))
+        assert main(["run", str(job)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][0]["op"] == "classify"
+    assert sweeps and "endoscope.enclosures" not in calls
 
 
 def test_precision_floor_rejected():

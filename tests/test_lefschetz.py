@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
+from mpmath import mp
 
 from endoscope import cli, lefschetz, qpoly, quaternion
-from endoscope.classify import classify_growth, rational_eigenvalues
+from endoscope.classify import classify_growth, entropy, rational_eigenvalues
 from endoscope.errors import CrossCheckError, DivisibilityViolation, EndoscopeError, NonIntegralElement
 from endoscope.errors import ValidationError
 from endoscope.lefschetz import (
@@ -569,3 +570,51 @@ def test_tables_satisfy_dold_congruences_and_their_period(spec):
     k = classify_growth(spec).period
     if k is not None:
         assert table == [table[math.gcd(n, k) - 1] for n in range(1, nmax + 1)]
+
+
+def _growth_ratio_and_bounds(spec, n, value):
+    """fix(f^n) / gamma^n with gamma = exp(value), and the bounds the 2g
+    eigenvalues mu_i put on it: for each mu_i off the circle and
+    r_i = min(|mu_i|, 1/|mu_i|), |1 - mu_i^n| / max(1, |mu_i|)^n lies in
+    [1 - r_i^n, 1 + r_i^n], and for each mu_i on it in [0, 2].  The moduli
+    come from mpmath on chi, each root counted 2g / deg chi times."""
+    chi = spec.charpoly_q()
+    with mp.workdps(60):
+        roots = mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in reversed(chi.coeffs)],
+                             maxsteps=4000, extraprec=400)
+        moduli = [abs(mu) for mu in roots] * (2 * spec.g // chi.degree)
+        on_circle = sum(abs(m - 1) < mp.mpf(10) ** -20 for m in moduli)
+        r = [min(m, 1 / m) ** n for m in moduli if abs(m - 1) >= mp.mpf(10) ** -20]
+        ratio = mp.mpf(fixed_point_table(spec, n)[-1]) / mp.exp(n * mp.mpf(str(value)))
+        lower = mp.fprod(1 - x for x in r) if not on_circle else mp.zero
+        upper = 2**on_circle * mp.fprod(1 + x for x in r)
+        slack = mp.mpf(10) ** -20
+        return ratio, lower * (1 - slack), upper * (1 + slack), on_circle
+
+
+@given(albert_specs(), st.integers(20, 60))
+@example(sqrt13_salem_spec(), 60)
+@example(hurwitz_spec(), 20)
+@example(field_spec((-2, 0, 1), [1, 1], 2), 40)
+@example(field_spec((1, 0, 1), [1, 1], 1), 33)
+def test_tables_grow_at_the_printed_entropy(spec, n):
+    # log fix(f^n) / n tends to log gamma, the printed entropy (Lind, Schmidt
+    # and Ward 1990): fix(f^n) / gamma^n lies between prod(1 - r_i^n) and
+    # prod(1 + r_i^n) for ExponentialPure, and below 2^c prod(1 + r_i^n) for
+    # ExponentialMixed with c eigenvalues on the circle
+    growth = classify_growth(spec).growth_class
+    assume(growth != "Periodic")
+    ratio, lower, upper, on_circle = _growth_ratio_and_bounds(spec, n, entropy(spec).value)
+    assert (growth == "ExponentialMixed") == (on_circle > 0)
+    assert lower <= ratio <= upper
+
+
+@pytest.mark.parametrize("make", [sqrt13_salem_spec, lambda: field_spec((-2, 0, 1), [1, 1], 2)])
+def test_a_wrong_norm_exponent_breaks_the_growth_bounds(monkeypatch, make):
+    # an exponent doubled in the table path alone squares every row, which
+    # the two table paths cannot see, as both raise the norm to it
+    spec = make()
+    value, exponent = entropy(spec).value, EndomorphismSpec.exponent
+    monkeypatch.setattr(EndomorphismSpec, "exponent", lambda self: 2 * exponent(self))
+    ratio, lower, upper, _ = _growth_ratio_and_bounds(spec, 30, value)
+    assert not lower <= ratio <= upper

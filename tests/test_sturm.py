@@ -115,11 +115,12 @@ def test_circle_root_census():
 @pytest.fixture
 def no_isolation(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("isolate_roots called")
+        raise AssertionError("root isolation called")
 
     for module in (enclosures, numfield, lefschetz, algnum, classify):
-        if hasattr(module, "isolate_roots"):
-            monkeypatch.setattr(module, "isolate_roots", refuse)
+        for name in ("isolate_roots", "_isolate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
 
 
 def test_decisions_without_isolation(no_isolation):
@@ -143,14 +144,14 @@ def test_spectrum_isolates_each_factor_once(monkeypatch):
     spec = EndomorphismSpec(algebra, algebra.element([Fraction(1, 4), Fraction(-1, 4)], Fraction(1, 4)), 4)
     admissibility_check(spec)
     seen = []
-    isolate = enclosures.isolate_roots
+    isolate = enclosures._isolate
 
     def spy(p, *args, **kwargs):
         seen.append(p)
         return isolate(p, *args, **kwargs)
 
     for module in (enclosures, classify):
-        monkeypatch.setattr(module, "isolate_roots", spy)
+        monkeypatch.setattr(module, "_isolate", spy)
     spectrum = classify._decided(spec).spectrum
     assert seen == [spectrum.poly]
     assert sorted(s for _, s in spectrum.statuses) == [INSIDE, ON_CIRCLE, ON_CIRCLE, OUTSIDE]
