@@ -6,7 +6,10 @@
 
 Exit codes: 0 success, 1 self-test failure, 2 validation error,
 3 precision exhaustion, 4 internal error (any exception that is not an
-EndoscopeError: a bug).  Reports go to stdout as JSON unless --table,
+EndoscopeError: a bug).  Each command returns its exit code and its whole
+output, and main writes that once: if the reader has closed stdout (say
+"| head -1"), the rest is dropped, with no traceback and the same exit
+code.  Reports go to stdout as JSON unless --table,
 written by _dumps: one recursive writer of the bytes that json.dumps
 writes with indent=2, whose indented encoder is pure Python; it recurses only
 into containers and other scalars, and writes str and int values inline.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -63,19 +67,25 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "paper-examples":
-            return _cmd_self_test(args)
-        return _cmd_salem(args)
+            code, text = _cmd_run(args)
+        elif args.command == "paper-examples":
+            code, text = _cmd_self_test(args)
+        else:
+            code, text = _cmd_salem(args)
     except PrecisionExhausted as exc:
-        _emit_error(exc.kind, str(exc))
-        return 3
+        code, text = 3, _error_report(exc.kind, str(exc))
     except EndoscopeError as exc:
-        _emit_error(exc.kind, str(exc))
-        return 2
+        code, text = 2, _error_report(exc.kind, str(exc))
     except Exception as exc:  # a bug: still one JSON error, not a traceback
-        _emit_error("internal-error", f"{type(exc).__name__}: {exc}")
-        return 4
+        code, text = 4, _error_report("internal-error", f"{type(exc).__name__}: {exc}")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # interpreter exit writes nothing to the pipe either
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return code
 
 
 def _dumps(obj, newline: str = "\n") -> str:
@@ -112,8 +122,8 @@ def _dumps(obj, newline: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _emit_error(kind: str, detail: str) -> None:
-    print(_dumps({"error": {"kind": kind, "detail": detail}}))
+def _error_report(kind: str, detail: str) -> str:
+    return _dumps({"error": {"kind": kind, "detail": detail}})
 
 
 def _json_int(digits: str) -> int:
@@ -124,7 +134,7 @@ def _json_int(digits: str) -> int:
         raise ValidationError(f"{detail}, more than any integer field takes") from None
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[int, str]:
     try:
         with open(args.job, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_int=_json_int)
@@ -148,28 +158,24 @@ def _cmd_run(args) -> int:
             cmd = {"op": "fixpoints", "nmax": args.nmax}
         results.append(jobs.run_command(spec, cmd))
     report = {"precision_bits": precision, "results": results}
-    if args.table:
-        _print_table(report)
-    else:
-        print(_dumps(report))
-    return 0
+    return 0, _table(report) if args.table else _dumps(report)
 
 
-def _print_table(report: dict) -> None:
-    print(f"precision_bits: {report['precision_bits']}")
+def _table(report: dict) -> str:
+    lines = [f"precision_bits: {report['precision_bits']}"]
     for res in report["results"]:
-        print(f"-- {res['op']}")
+        lines.append(f"-- {res['op']}")
         for key, value in res.items():
             if key == "op":
                 continue
             if key == "fix":
-                for row in value:
-                    print(f"   fix(f^{row['n']}) = {row['fix']}")
+                lines += [f"   fix(f^{row['n']}) = {row['fix']}" for row in value]
             else:
-                print(f"   {key}: {json.dumps(value)}")
+                lines.append(f"   {key}: {json.dumps(value)}")
+    return "\n".join(lines)
 
 
-def _cmd_salem(args) -> int:
+def _cmd_salem(args) -> tuple[int, str]:
     text = args.coeffs.strip()
     try:
         if text.startswith("["):
@@ -180,8 +186,7 @@ def _cmd_salem(args) -> int:
     except (ValidationError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot parse coefficients: {exc}") from exc
     report = classify.is_salem_polynomial(poly)
-    print(_dumps({"op": "salem", **jobs.salem_json(report, poly)}))
-    return 0
+    return 0, _dumps({"op": "salem", **jobs.salem_json(report, poly)})
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +255,26 @@ def _poly_str(p: QPoly) -> str:
     return ",".join(p.to_json())
 
 
-def _cmd_self_test(args) -> int:
+def _cmd_self_test(args) -> tuple[int, str]:
     rows = []
-    all_ok = True
     for row in _published_rows():
         checks = _check_row(row)
         ok = all(c["ok"] for c in checks)
-        all_ok = all_ok and ok
         rows.append({"algebra": row["label"], "ok": ok, "note": row["note"], "checks": checks})
+    all_ok = all(row["ok"] for row in rows)
+    code = 0 if all_ok else 1
     if args.json:
-        print(_dumps({"rows": rows, "ok": all_ok}))
-    else:
-        for row in rows:
-            print(f"== {row['algebra']}  [{'PASS' if row['ok'] else 'FAIL'}]")
-            if row["note"]:
-                print(f"   note: {row['note']}")
-            for c in row["checks"]:
-                mark = "ok " if c["ok"] else "FAIL"
-                print(f"   {mark} {c['check']}: expected {c['expected']!r}, computed {c['computed']!r}")
-        print("all checks passed" if all_ok else "SOME CHECKS FAILED")
-    return 0 if all_ok else 1
+        return code, _dumps({"rows": rows, "ok": all_ok})
+    lines = []
+    for row in rows:
+        lines.append(f"== {row['algebra']}  [{'PASS' if row['ok'] else 'FAIL'}]")
+        if row["note"]:
+            lines.append(f"   note: {row['note']}")
+        for c in row["checks"]:
+            mark = "ok " if c["ok"] else "FAIL"
+            lines.append(f"   {mark} {c['check']}: expected {c['expected']!r}, computed {c['computed']!r}")
+    lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
+    return code, "\n".join(lines)
 
 
 if __name__ == "__main__":

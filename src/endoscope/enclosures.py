@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
@@ -94,7 +95,7 @@ _LOG_TINY = -1000 * math.log(2)
 _LN2 = math.log(2)
 
 
-class ComplexEnclosure:
+class ComplexEnclosure(namedtuple("ComplexEnclosure", "re_num im_num rad_num den")):
     """Closed disk |z - (re_num + i*im_num) / den| <= rad_num / den holding
     exactly one root: integers re_num, im_num, rad_num >= 0 over one
     denominator den > 0.
@@ -105,17 +106,14 @@ class ComplexEnclosure:
     denominators.
     """
 
-    __slots__ = ("re_num", "im_num", "rad_num", "den")
+    __slots__ = ()
 
-    def __init__(self, re, im, radius):
+    def __new__(cls, re, im, radius):
         re, im, radius = Fraction(re), Fraction(im), Fraction(radius)
         if radius < 0:
             raise ValidationError("negative enclosure radius")
         den = lcm(re.denominator, im.denominator, radius.denominator)
-        _fill(self, *(q.numerator * (den // q.denominator) for q in (re, im, radius)), den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexEnclosure is immutable")
+        return tuple.__new__(cls, (*(q.numerator * (den // q.denominator) for q in (re, im, radius)), den))
 
     def __repr__(self):
         """The midpoint to 12 digits and the radius rounded up to 3, divided in
@@ -134,6 +132,9 @@ class ComplexEnclosure:
 
     def __eq__(self, other):
         return isinstance(other, ComplexEnclosure) and self._key() == other._key()
+
+    def __ne__(self, other):  # not the tuple's field-wise !=
+        return not self == other
 
     def __hash__(self):
         return hash(self._key())
@@ -180,17 +181,9 @@ class ComplexEnclosure:
         return _enclosure(self.re_num, -self.im_num, self.rad_num, self.den)
 
 
-def _fill(e: ComplexEnclosure, re: int, im: int, rad: int, den: int) -> None:
-    """Set the four integers of e, past its immutability guard."""
-    for name, value in zip(ComplexEnclosure.__slots__, (re, im, rad, den)):
-        object.__setattr__(e, name, value)
-
-
 def _enclosure(re: int, im: int, rad: int, den: int) -> ComplexEnclosure:
     """The disk of the integers re, im and rad >= 0 over den > 0, as they are."""
-    e = object.__new__(ComplexEnclosure)
-    _fill(e, re, im, rad, den)
-    return e
+    return tuple.__new__(ComplexEnclosure, (re, im, rad, den))
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +343,11 @@ def _seeds(shifted: list[int]) -> tuple[int, list[complex]]:
 
 
 def _fixed(x: float, w: int) -> int:
-    """x * 2^w rounded to an integer, for |x| < 2^20."""
-    e = min(w, 1000)
-    return round(math.ldexp(x, e)) << (w - e)
+    """x * 2^w rounded to the nearest integer, ties to even, exactly: a
+    double is n / d with d a power of two."""
+    n, d = x.as_integer_ratio()
+    q, r = divmod(n << w, d)
+    return q + (2 * r > d or 2 * r == d and q & 1)
 
 
 def _sweep(shifted: list[int], dq: list[int], pts: list[tuple[int, int]], u: int) -> int | None:

@@ -100,19 +100,15 @@ def rationals_field() -> NumberField:
     return NumberField(X)
 
 
-class NFElement:
+class NFElement(namedtuple("NFElement", "parent poly")):
     """Residue representative of degree < [F:Q]; canonical, hence hashable."""
 
-    __slots__ = ("parent", "poly")
+    __slots__ = ()
 
-    def __init__(self, parent: NumberField, poly: QPoly):
+    def __new__(cls, parent: NumberField, poly: QPoly):
         if poly.degree >= parent.degree:
             poly = poly % parent.minpoly
-        _set_parent(self, parent)
-        _set_poly(self, poly)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NFElement is immutable")
+        return tuple.__new__(cls, (parent, poly))
 
     @property
     def coeffs(self):
@@ -122,29 +118,18 @@ class NFElement:
     def is_zero(self) -> bool:
         return self.poly.is_zero
 
-    @property
-    def is_rational(self) -> bool:
-        return self.poly.degree <= 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValidationError("element is not rational")
-        return self.poly[0]
-
     def __repr__(self):
         return f"NFElement({self.poly!r} in deg-{self.parent.degree} field)"
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.poly == QPoly((Fraction(other),))
-        return (
-            isinstance(other, NFElement)
-            and self.parent == other.parent
-            and self.poly == other.poly
-        )
+        return isinstance(other, NFElement) and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.parent.minpoly, self.poly))
+    def __ne__(self, other):  # not the tuple's field-wise !=
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def _coerce(self, other) -> NFElement:
         if isinstance(other, NFElement):
@@ -224,15 +209,9 @@ class NFElement:
         return Fraction(sum(c * s for c, s in zip(self.poly.num, self.parent._power_sums))) / self.poly.den
 
 
-_set_parent, _set_poly = NFElement.parent.__set__, NFElement.poly.__set__
-
-
 def _element(parent: NumberField, poly: QPoly) -> NFElement:
     """The element with the reduced representative poly."""
-    x = object.__new__(NFElement)
-    _set_parent(x, parent)
-    _set_poly(x, poly)
-    return x
+    return tuple.__new__(NFElement, (parent, poly))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,11 @@ class QPoly:
             return Fraction(self.num[i], self.den)
         return Fraction(0)
 
+    def __iter__(self):
+        """The coefficients, constant term first: p[i] is 0 past the degree,
+        so iteration cannot rely on __getitem__ to end."""
+        return iter(self.coeffs)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self.num == other.num and self.den == other.den
 

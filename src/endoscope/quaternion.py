@@ -81,18 +81,10 @@ class QuatAlgebra:
         return self.element(0, 0, 0, 1)
 
 
-class QuatElement:
-    __slots__ = ("algebra", "a", "b", "c", "d")
+class QuatElement(namedtuple("QuatElement", "algebra a b c d")):
+    """a + b i + c j + d k in the algebra, with coordinates a, b, c, d in its base field."""
 
-    def __init__(self, algebra: QuatAlgebra, a: NFElement, b: NFElement, c: NFElement, d: NFElement):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuatElement is immutable")
+    __slots__ = ()
 
     def __repr__(self):
         return f"QuatElement(a={self.a.poly!r}, b={self.b.poly!r}, c={self.c.poly!r}, d={self.d.poly!r})"
@@ -104,14 +96,12 @@ class QuatElement:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.algebra.element(other)
-        return (
-            isinstance(other, QuatElement)
-            and self.algebra == other.algebra
-            and (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        )
+        return isinstance(other, QuatElement) and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.algebra, self.a, self.b, self.c, self.d))
+    def __ne__(self, other):  # not the tuple's field-wise !=
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def _coerce(self, other) -> QuatElement:
         if isinstance(other, QuatElement):

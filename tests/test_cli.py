@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from decimal import Decimal, Inexact, localcontext
@@ -861,3 +863,19 @@ def test_reports_of_a_benchmark_stream_are_the_standard_encoding(tmp_path):
         text = out.getvalue()
         assert text == json.dumps(json.loads(text), indent=2) + "\n", job["id"]
         assert (code, hashlib.sha256(text.encode("utf-8")).hexdigest()) == (want_code, want_sha), job["id"]
+
+
+def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path):
+    # the README spec's table to nmax 2000 is about 1 MB, more than a pipe
+    # holds: the reader takes one line and closes the pipe while the report
+    # is still being written
+    element = {"a": ["1/4", "-1/4"], "b": ["1/4"], "c": [], "d": []}
+    job = write_job(tmp_path, {"spec": {"algebra": QUAT, "element": element, "g": 4}, "commands": ["fixpoints"]})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    argv = [sys.executable, "-m", "endoscope.cli", "run", job, "--nmax", "2000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, stderr) == (0, b"")

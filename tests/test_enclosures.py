@@ -684,3 +684,60 @@ def test_a_fixpoints_job_never_loads_mpmath(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(enclosures.__file__).parent.parent))
     done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.stdout.strip() == "[0, 0, 0, 0] []", done.stderr
+
+
+def _three_scales(e: int) -> QPoly:
+    """x^3 - (2^e + 1) x^2 + (2^e - 1) x + 2, irreducible as none of +-1, +-2
+    is a root, with roots near 2^e, 1 + 2^-e and -2^-e."""
+    return from_ints(2, 2**e - 1, -(2**e + 1), 1)
+
+
+def test_a_seed_below_2_to_the_minus_1000_is_converted_exactly():
+    # the seed of the root -2^-1000, scaled by the root bound 2^1001, is
+    # below 2^-2000: it must not round to 0, where the seed of 1 + 2^-1000 lands too
+    assert enclosures._fixed(2.0**-1050, 1100) == 2**50
+    assert [enclosures._fixed(x, 0) for x in (0.5, 1.5, 2.5, -0.5, -2.5)] == [0, 2, 2, 0, -2]  # as round()
+    p = _three_scales(1000)
+    encl = isolate_roots(p, 128)
+    assert len(encl) == 3 and all(e.is_real for e in encl)
+    for e in encl:  # p changes sign across each disk
+        assert p(e.re - e.radius) * p(e.re + e.radius) < 0
+    small, near_one, large = encl
+    assert abs(small.re) < Fraction(1, 2**999) and abs(near_one.re - 1) < Fraction(1, 2**120) and large.re > 2**999
+
+
+def test_entropy_of_a_field_with_roots_at_three_scales(tmp_path, capsys):
+    # f = x in the totally real cubic field of _three_scales(1000): the
+    # entropy is twice the sum of log|mu| over the two roots outside the circle
+    minpoly = _three_scales(1000)
+    job = {
+        "spec": {"algebra": {"kind": "field", "minpoly": minpoly.to_json()}, "element": {"coords": ["0/1", "1/1"]}, "g": 3},
+        "commands": ["entropy"],
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main(["run", str(path)]) == 0
+    value = json.loads(capsys.readouterr().out)["results"][0]["entropy"]["value_decimal"]
+    assert value == "1386.29436111989062"
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.mp.workdps(40):
+        roots = mpmath.polyroots([int(c) for c in reversed(minpoly.coeffs)], maxsteps=200, extraprec=3000)
+        expected = 2 * sum(mpmath.log(abs(r)) for r in roots if abs(r) > 1)
+        assert abs(expected - mpmath.mpf(value)) < mpmath.mpf(10) ** -14
+
+
+def test_a_root_within_the_first_radius_of_the_circle_is_isolated_again(monkeypatch):
+    # 1 + ~2^-300 lies within the radius of its 128-bit enclosure from
+    # |z| = 1, which no root of the irreducible cubic is on; at 256 bits its
+    # disk is outside the circle
+    bits = []
+    isolate = enclosures._isolate
+
+    def spy(q, precision_bits):
+        bits.append(precision_bits)
+        return isolate(q, precision_bits)
+
+    monkeypatch.setattr(enclosures, "_isolate", spy)
+    statuses = unit_circle_status(_three_scales(300))
+    assert bits == [128, 256]
+    assert [side for _, side in statuses] == [INSIDE, OUTSIDE, OUTSIDE]

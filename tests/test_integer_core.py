@@ -2,7 +2,8 @@
 tests/oracles.py: every operation gives the same coefficients, and every
 result is in canonical form (den > 0, gcd(content(num), den) = 1, no trailing
 zeros), so equal polynomials compare and hash equal.  NFElement and
-QuatElement arithmetic, which runs on QPoly, is checked the same way.  The
+QuatElement arithmetic, which runs on QPoly, is checked the same way, and
+they and ComplexEnclosure are immutable values.  The
 integer kernels of the norm path, resultant_int and reduced_norm_int, are
 checked against sympy and against x * conj(x)."""
 
@@ -13,7 +14,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from endoscope.numfield import NumberField
+from endoscope.enclosures import ComplexEnclosure, _enclosure
+from endoscope.numfield import NFElement, NumberField
 from endoscope.qpoly import QPoly, from_ints, multiplication_columns, power_sums, resultant, resultant_int
 from endoscope.quaternion import QuatAlgebra, reduced_norm_int
 
@@ -315,3 +317,36 @@ def test_compose_mod_against_sympy_with_a_rational_modulus():
             assert sympy.expand(at_y(got.coeffs) - expected) == 0, (p, inner, m)
             rm = ref_trim(m)
             assert canonical(got, ref_compose_mod(ref_trim(p), ref_divmod(ref_trim(inner), rm)[1], rm))
+
+
+def test_elements_and_enclosures_are_immutable_and_hash_by_value():
+    # NFElement, QuatElement and ComplexEnclosure are named tuples: no field
+    # can be assigned and no attribute added, equal values hash equally, and
+    # != is the negation of their own ==, not the tuple's
+    def field():
+        return NumberField(from_ints(-13, 0, 1))
+
+    def algebra():
+        return QuatAlgebra(field(), [-2, -2], [2])
+
+    x = NFElement(field(), QPoly((1, Fraction(1, 3), 0, 1)))  # reduced modulo x^2 - 13
+    assert x.poly == QPoly((1, Fraction(40, 3)))
+    q = algebra().element([Fraction(1, 4), Fraction(-1, 4)], Fraction(1, 4))
+    e = ComplexEnclosure(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 6))  # on one denominator
+    assert tuple(e) == (3, -2, 1, 6)
+    twins = [
+        (x, field().element([1, Fraction(40, 3)])),
+        (q, algebra().element([Fraction(1, 4), Fraction(-1, 4)], Fraction(1, 4))),
+        (e, _enclosure(6, -4, 2, 12)),
+    ]
+    for a, b in twins:
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != tuple(a) and not a == tuple(a)  # equality is not the tuple's
+        for name in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            a.note = "no attribute beyond the fields"
+    one, unit = field().one(), algebra().one()
+    assert one == 1 and not one != 1 and one != 2 and x != 1
+    assert unit == 1 and not unit != 1 and q != 1

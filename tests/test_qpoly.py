@@ -366,3 +366,13 @@ def test_one_prime_proves_a_polynomial_squarefree(monkeypatch):
     taken = _gcd_primes_taken(monkeypatch)
     assert p.squarefree_part() == p.monic()
     assert len(taken) == 1 and taken[0][1] == 0
+
+
+def test_iteration_ends_at_the_degree():
+    # p[i] reads 0 past the degree, so an iteration through __getitem__
+    # alone would never end; islice keeps a failure from hanging
+    p = QPoly((1, 2, 3))
+    assert list(itertools.islice(p, 5)) == [1, 2, 3]
+    assert list(QPoly()) == []
+    assert QPoly(p) == p
+    assert 3 in p and 5 not in p
