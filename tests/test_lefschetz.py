@@ -577,12 +577,14 @@ def _growth_ratio_and_bounds(spec, n, value):
     eigenvalues mu_i put on it: for each mu_i off the circle and
     r_i = min(|mu_i|, 1/|mu_i|), |1 - mu_i^n| / max(1, |mu_i|)^n lies in
     [1 - r_i^n, 1 + r_i^n], and for each mu_i on it in [0, 2].  The moduli
-    come from mpmath on chi, each root counted 2g / deg chi times."""
-    chi = spec.charpoly_q()
+    come from mpmath on the squarefree part q of chi, each root counted
+    2g / deg q times: polyroots does not converge on a repeated root, as in
+    chi = (x - 2)^4."""
+    q = spec.charpoly_q().squarefree_part()
     with mp.workdps(60):
-        roots = mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in reversed(chi.coeffs)],
+        roots = mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in reversed(q.coeffs)],
                              maxsteps=4000, extraprec=400)
-        moduli = [abs(mu) for mu in roots] * (2 * spec.g // chi.degree)
+        moduli = [abs(mu) for mu in roots] * (2 * spec.g // q.degree)
         on_circle = sum(abs(m - 1) < mp.mpf(10) ** -20 for m in moduli)
         r = [min(m, 1 / m) ** n for m in moduli if abs(m - 1) >= mp.mpf(10) ** -20]
         ratio = mp.mpf(fixed_point_table(spec, n)[-1]) / mp.exp(n * mp.mpf(str(value)))
