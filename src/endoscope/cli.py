@@ -30,7 +30,7 @@ from . import classify, jobs
 from .errors import EndoscopeError, PrecisionExhausted, ValidationError
 from .lefschetz import EndomorphismSpec
 from .numfield import NumberField
-from .qpoly import QPoly, cyclotomic_order, from_ints
+from .qpoly import QPoly, cyclotomic_order, exact_decimal, from_ints
 from .quaternion import QuatAlgebra, definiteness
 
 
@@ -93,8 +93,8 @@ def _dumps(obj, newline: str = "\n") -> str:
     strings are escaped to ASCII, ints printed by int.__repr__, empty
     containers as [] and {}, and any other scalar by json.dumps.  newline is
     a line break and the indent of the line obj ends on.  The str and int
-    values of a container, such as the rows of a table, are written inline,
-    with no call of their own."""
+    values of a container are written inline, with no call of their own, and
+    the int rows of a fixpoints table (jobs.FixRows) from one row template."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
@@ -112,10 +112,14 @@ def _dumps(obj, newline: str = "\n") -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        items = [
-            encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _dumps(v, inner)
-            for v in obj
-        ]
+        if type(obj) is jobs.FixRows:  # one template for every row
+            row = "{" + inner + '  "n": %d,' + inner + '  "fix": "%s"' + inner + "}"
+            items = [row % (n, exact_decimal(fix)) for n, fix in enumerate(obj, 1)]
+        else:
+            items = [
+                encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _dumps(v, inner)
+                for v in obj
+            ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, int) and not isinstance(obj, bool):
         return int.__repr__(obj)
@@ -168,8 +172,8 @@ def _table(report: dict) -> str:
         for key, value in res.items():
             if key == "op":
                 continue
-            if key == "fix":
-                lines += [f"   fix(f^{row['n']}) = {row['fix']}" for row in value]
+            if type(value) is jobs.FixRows:
+                lines += ["   fix(f^%d) = %s" % (n, exact_decimal(fix)) for n, fix in enumerate(value, 1)]
             else:
                 lines.append(f"   {key}: {json.dumps(value)}")
     return "\n".join(lines)

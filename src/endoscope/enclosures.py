@@ -115,6 +115,9 @@ class ComplexEnclosure(namedtuple("ComplexEnclosure", "re_num im_num rad_num den
         den = lcm(re.denominator, im.denominator, radius.denominator)
         return tuple.__new__(cls, (*(q.numerator * (den // q.denominator) for q in (re, im, radius)), den))
 
+    def __reduce__(self):  # copy and pickle rebuild the four fields as they are: __new__ takes rationals
+        return tuple.__new__, (type(self), tuple(self))
+
     def __repr__(self):
         """The midpoint to 12 digits and the radius rounded up to 3, divided in
         Decimal: a float quotient overflows past 10^308."""

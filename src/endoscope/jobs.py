@@ -21,7 +21,7 @@ from .errors import PrecisionExhausted, ValidationError
 from .lefschetz import DIMENSION_CAP, ITERATE_CAP, EndomorphismSpec, fixed_point_table
 from .lefschetz import fixed_points_exact  # noqa: F401  re-export; perfbench/tests checks the tracer patches it
 from .numfield import NumberField, cm_structure
-from .qpoly import QPoly, exact_decimal
+from .qpoly import QPoly
 from .quaternion import QuatAlgebra, definiteness
 
 KNOWN_OPS = ("check-algebra", "classify", "fixpoints", "entropy", "salem")
@@ -141,8 +141,12 @@ def parse_job(data) -> tuple[EndomorphismSpec | None, list[dict], int | None]:
 
 
 # ---------------------------------------------------------------------------
-# report builders (all values exact strings or JSON scalars, so output is
-# byte-identical run to run)
+# report builders (all values exact strings or JSON scalars, or the int rows
+# of a fixpoints table, so output is byte-identical run to run)
+
+
+class FixRows(list):
+    """The int rows fix(f^1), fix(f^2), ... of a fixpoints report; cli writes each from one template."""
 
 
 def albert_json(at: classify.AlbertType) -> dict:
@@ -233,8 +237,7 @@ def run_command(spec: EndomorphismSpec | None, cmd: dict) -> dict:
         out["charpoly_q"] = spec.charpoly_q().to_json()
         return out
     if op == "fixpoints":
-        table = fixed_point_table(spec, cmd["nmax"])
-        return {"op": op, "fix": [{"n": n, "fix": exact_decimal(fix)} for n, fix in enumerate(table, 1)]}
+        return {"op": op, "fix": FixRows(fixed_point_table(spec, cmd["nmax"]))}
     if op == "entropy":
         rep = classify.entropy(spec)
         return {"op": op, "entropy": entropy_json(rep)}

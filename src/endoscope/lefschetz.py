@@ -2,22 +2,23 @@
 the degree data of the endomorphism algebra.
 
 A table fix(f^1..f^nmax) runs two exact paths side by side.  The norm path
-reads only the element: it keeps f^n as one integer vector over one
-denominator, steps it by the integer matrix of x -> x f, built once per table
-from the algebra's own product, and takes the norm of 1 - f^n = w / s on the
-integer vector w and s, with no element object per row, through the integer
-kernels behind every norm: qpoly.resultant_int, after
-quaternion.reduced_norm_int for a quaternion algebra.  The resultant path
-reads only the monic reduced characteristic polynomial chi, of degree m:
-row n is |Res(chi, 1 - x^n)|^(2g/(d e)), the product of (1 - mu^n) over the
-roots mu of chi, read by Newton's identities off s_n, s_2n, ..., s_mn, the
-power sums of chi that are those of the mu^n; one Newton recurrence keeps
-s_0, s_1, ..., extended in doubling blocks as the rows need them, up to
-s_(m nmax).  The paths share neither input nor exact kernel, so a
-fault on either side shows up as a disagreement: a faulty product, reduced
-norm or determinant reaches the norms, a faulty chi or Newton step the power
-sums.  (chi is built once per spec, before the first row, and for a
-quaternion it reads the reduced norm of f.)
+reads only the element: it steps one integer vector over one denominator by
+one integer matrix, built once per table, and reads each row off it through
+qpoly.resultant_int, the kernel behind every norm.  Over a field the vector
+is f^n and the matrix that of x -> x f.  Over a quaternion algebra with
+centre F, f^n = A + B f lies in F + F f, and the vector holds A, B and
+P = Nrd(f)^n, stepped by (A, B, P) -> (-N B, A + t B, N P) as f^2 = t f - N:
+t = Trd(f) = 2a, and N = t f - f f, one product in the algebra, must be
+central.  A central f = a steps by (A, B, P) -> (a A, 0, N P), so f^k = 1
+returns to the state of 1.  Row n reads Nrd(1 - f^n) = 1 - (2 A + t B) + P.
+The resultant path reads only the monic reduced characteristic polynomial
+chi, of degree m: row n is |Res(chi, 1 - x^n)|^(2g/(d e)), the product of
+(1 - mu^n) over the roots mu of chi, read by Newton's identities off s_n,
+s_2n, ..., s_mn, the power sums of the mu^n, kept as s_0, s_1, ... from one
+recurrence and extended in doubling blocks up to s_(m nmax).  The paths share
+neither input nor exact kernel, so a fault on either side is a disagreement:
+a faulty product or determinant reaches the norms, a faulty chi, reduced norm
+(quaternion.reduced_norm_int, read by chi alone) or Newton step the power sums.
 
 A periodic table costs one period on each path.  f has finite order k
 exactly when the table is periodic, and each path proves k on its own at
@@ -51,7 +52,7 @@ from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, 
 from .numfield import CM, TOTALLY_REAL, NumberField, cm_structure
 from .qpoly import QPoly, binary_power, det_int_bareiss, multiplication_columns, newton_coefficients
 from .qpoly import extend_power_sums, over_common_denominator, power_sums, resultant_int
-from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness, reduced_norm_int
+from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness
 
 ITERATE_CAP = 10**6
 # dimension cap: every count is raised to 2g/(de), so the digits printed grow with g
@@ -198,21 +199,21 @@ def fixed_points_exact(spec: EndomorphismSpec, n: int) -> int:
 def _norm_counts(spec: EndomorphismSpec, nmax: int):
     """|N(1 - f^n)|^exponent for n = 1..nmax, reading only the element.
 
-    f^n is one integer vector v over one denominator s on the Q-basis of
-    _right_multiplication; each step is v <- M v, s <- s D and the common
-    factor of s and v divided out, so v stays as small as f^n itself.  The
-    norm of 1 - f^n = w / s runs on (w, s) through the integer kernels: over
-    the field Q[x]/(m) it is Res(m, w / s), and over a quaternion algebra the
-    same resultant of the reduced norm of w / s.  At the first n with
-    f^n = 1, that is v = (1, 0, ..., 0) and s = 1, the table has period n and
-    the path repeats its own rows (_repeat).
+    The state is one integer vector v over one denominator s, stepped by the
+    matrix M / D of _right_multiplication: v <- M v, s <- s D and the common
+    factor of s and v divided out, so v stays as small as f^n itself.  Row n
+    is Res(m, w / s) for the minimal polynomial m of the field or the centre,
+    with w / s = 1 - f^n, or Nrd(1 - f^n) read off v by R / D_R.  At the
+    first n where v and s are those of 1, the table has period n and the path
+    repeats its own rows (_repeat).
     """
-    matrix, den = _right_multiplication(spec)
+    matrix, den, read, read_den = _right_multiplication(spec)
     exponent = spec.exponent()
-    quaternion = not spec.is_field_case
-    field = spec.algebra.base if quaternion else spec.algebra
-    e, m = field.degree, field.minpoly
+    field = spec.algebra if spec.is_field_case else spec.algebra.base
+    m = field.minpoly
     one = [1] + [0] * (len(matrix) - 1)
+    if read:
+        one[2 * field.degree] = 1  # P = Nrd(1)
     v, s, rows = one, 1, []
     for _ in range(nmax):
         v = [sum(map(mul, row, v)) for row in matrix]
@@ -223,10 +224,11 @@ def _norm_counts(spec: EndomorphismSpec, nmax: int):
         if s == 1 and v == one:
             yield from _repeat(rows, nmax)
             return
-        w, t = [-c for c in v], s
-        w[0] += s
-        if quaternion:
-            w, t = reduced_norm_int(spec.algebra, [w[b : b + e] for b in range(0, 4 * e, e)], s)
+        if read:
+            w, t = [sum(map(mul, row, v)) for row in read], s * read_den
+        else:
+            w, t = [-c for c in v], s
+        w[0] += t
         rows.append(_abs_integer(*resultant_int(m.num, m.den, w, t), "norm of an integral element") ** exponent)
         yield rows[-1]
 
@@ -238,32 +240,48 @@ def _repeat(rows: list[int], nmax: int):
     return islice(cycle(rows), len(rows) - 1, nmax)
 
 
-def _right_multiplication(spec: EndomorphismSpec) -> tuple[list[list[int]], int]:
-    """(rows of M, D) for the integer matrix M with M / D the matrix of x -> x f,
-    D the least common denominator of its entries.
+def _right_multiplication(spec: EndomorphismSpec) -> tuple[list[list[int]], int, list[list[int]] | None, int]:
+    """(M, D, R, D_R), integer rows over least common denominators: M / D
+    the step of the norm path's state, R / D_R its reading for a quaternion
+    algebra (None and 1 for a field).
 
-    The Q-basis is x^k for a field of degree e, and x^k u for u = 1, i, j, k
-    for a quaternion algebra over one, coordinate u e + k.  The columns of
-    block u are x^k u f: each coordinate of u f on 1, i, j, k times x^k in
-    the base field (qpoly.multiplication_columns).  1 f is f itself, and
-    i f, j f, k f come from the algebra's own product.
+    For a field of degree e, M / D is x -> x f on the basis x^k.  Over a
+    quaternion algebra with centre F of degree e, it is A, B and P, each on
+    the basis x^k of F, stepped as the module docstring says, and R reads
+    Nrd(1 - f^n) - 1 = -(2 A + t B) + P.  Each block is a multiplication
+    matrix on F (qpoly.multiplication_columns).
     """
     algebra, f = spec.algebra, spec.element
     if spec.is_field_case:
-        m, images = algebra.minpoly, [[f.poly]]
+        field, polys = algebra, [f.poly]
     else:
-        m = algebra.base.minpoly
-        units = (algebra.gen_i(), algebra.gen_j(), algebra.gen_k())
-        images = [[w.a.poly, w.b.poly, w.c.poly, w.d.poly] for w in (f, *(u * f for u in units))]
-    nums, s = over_common_denominator([p for parts in images for p in parts])
+        t = f.reduced_trace()
+        n, *pure = (t * x - y for x, y in zip(f[1:], (f * f)[1:]))
+        if not all(x.is_zero for x in pure):
+            raise CrossCheckError("Trd(f) f - f^2 is not central")
+        field, polys = algebra.base, [*(x.poly for x in (f.a, t, n, -n, -t)), QPoly((1,)), QPoly((-2,))]
+    m, e = field.minpoly, field.degree
+    nums, s = over_common_denominator(polys)
     kernels = [multiplication_columns(m.num, m.den, p, s) for p in nums]
     den = kernels[0][1]  # the coordinates are reduced, so every kernel gives the same one
-    # column k of block u stacks column k of each coordinate of u f
-    width = len(images[0])
-    blocks = [[c for c, _ in kernels[u : u + width]] for u in range(0, len(nums), width)]
-    columns = [sum(cols, []) for block in blocks for cols in zip(*block)]
-    g = gcd(den, *(c for col in columns for c in col))
-    return [[c // g for c in row] for row in zip(*columns)], den // g
+    # the rows of multiplication by f; or by a, t, N, -N, -t, 1 and -2, and a row of blocks joins their rows
+    blocks = [list(zip(*cols)) for cols, _ in kernels]
+    if spec.is_field_case:
+        return (*_lowest(blocks[0], den), None, 1)
+    a, t, n, neg_n, neg_t, one, neg_two = blocks
+    zero = [(0,) * e] * e
+    if f.b.is_zero and f.c.is_zero and f.d.is_zero:
+        grid = [[a, zero, zero], [zero] * 3, [zero, zero, n]]
+    else:
+        grid = [[zero, neg_n, zero], [one, t, zero], [zero, zero, n]]
+    step = [sum(rows, ()) for line in grid for rows in zip(*line)]
+    return (*_lowest(step, den), *_lowest([sum(rows, ()) for rows in zip(neg_two, neg_t, one)], den))
+
+
+def _lowest(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """rows and den divided by the gcd of den and every entry."""
+    g = gcd(den, *(c for row in rows for c in row))
+    return [[c // g for c in row] for row in rows], den // g
 
 
 def _abs_integer(num: int, den: int, what: str) -> int:
@@ -277,8 +295,8 @@ def _abs_integer(num: int, den: int, what: str) -> int:
 def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:
     """fix(f^1), ..., fix(f^nmax), every entry computed by two independent exact paths.
 
-    The norm path steps f^n by the matrix of x -> x f and reads only the
-    element; the resultant path reads every row off the power sums of
+    The norm path steps its state of f^n by one integer matrix and reads only
+    the element; the resultant path reads every row off the power sums of
     chi = spec.charpoly_q(), m nmax + 1 at most for m = deg chi, and reads
     only chi.  Each path stops computing at the period it proves, if any,
     and repeats its rows.  Any disagreement, on any row, raises

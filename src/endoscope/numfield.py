@@ -110,6 +110,9 @@ class NFElement(namedtuple("NFElement", "parent poly")):
             poly = poly % parent.minpoly
         return tuple.__new__(cls, (parent, poly))
 
+    def __reduce__(self):  # as _element: __new__ reads a field that copy or pickle may still be building
+        return tuple.__new__, (type(self), tuple(self))
+
     @property
     def coeffs(self):
         return self.poly.coeffs

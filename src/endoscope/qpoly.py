@@ -56,19 +56,24 @@ def _parse_digits(s: str) -> int:
     return parse(s)
 
 
+# ints up to this many bits (603 digits) are printed by int.__repr__, under any digit limit
+_REPR_BITS = 2000
 # ints up to this many bits are converted by one Decimal(n) call
 _DECIMAL_SPLIT_BITS = 1 << 13
 
 
 def exact_decimal(n: int) -> str:
-    """str(n) for an int of any length: Decimal prints the same digits and is
-    exempt from Python's limit on int-to-str conversion.
+    """str(n) for an int of any length: int.__repr__ up to 2000 bits, which
+    no limit on int-to-str conversion can refuse, and above them Decimal,
+    which prints the same digits and is exempt from that limit.
 
     Decimal(n) is quadratic in the digits, so a long n is split by bits, both
     halves are converted and joined by an exact Decimal multiply-add with a
     cached power of two: subquadratic, as Decimal multiplies large numbers
     by number-theoretic transforms.
     """
+    if n.bit_length() <= _REPR_BITS:
+        return int.__repr__(n)
     if n.bit_length() <= _DECIMAL_SPLIT_BITS:
         return str(Decimal(n))
     two_pows: dict[int, Decimal] = {}
@@ -140,6 +145,9 @@ class QPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild the value from num and den
+        return _poly, (list(self.num), self.den)
 
     # -- basic structure ---------------------------------------------------
 

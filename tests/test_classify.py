@@ -626,3 +626,45 @@ def test_classify_decides_each_parsed_spec_once(monkeypatch):
     assert calls["fixed_point_table"] == []
     assert len(jobs.run_command(spec, {"op": "fixpoints", "nmax": 4})["fix"]) == 4  # the spy sees a table
     assert len(calls["fixed_point_table"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# values and records survive copy and pickle
+
+
+def _values_and_reports():
+    """One QPoly, NFElement, QuatElement and ComplexEnclosure, and one report of each record type."""
+    from endoscope.algnum import AlgebraicNumber
+    from endoscope.numfield import cm_structure
+    from endoscope.quaternion import definiteness
+
+    spec = salem_unit_spec()
+    f = spec.element
+    salem = is_salem_polynomial(spec.charpoly_q())
+    report = entropy(spec)
+    return [
+        spec.charpoly_q(),
+        f.a,
+        f,
+        salem.lead_root,
+        admissibility_check(spec),
+        cm_structure(spec.algebra.base),
+        definiteness(spec.algebra),
+        classify.rational_eigenvalues(spec),
+        AlgebraicNumber(report.gamma_minpoly, report.gamma_enclosure),
+        classify_growth(spec),
+        salem,
+        report,
+    ]
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_values_and_reports_survive_copy_deepcopy_and_pickle(index):
+    import copy
+    import pickle
+
+    value = _values_and_reports()[index]
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
+        if isinstance(value, tuple):  # the same fields, not only an equal value
+            assert tuple(twin) == tuple(value)

@@ -565,6 +565,24 @@ def test_fix_rows_print_integers_past_the_digit_limit(tmp_path, capsys):
     assert rows[-1] == {"n": 500, "fix": "9" * 2499 + "8" + "0" * 2499 + "1"}
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_table_rows_print_under_the_least_digit_limit(sign):
+    # int.__repr__ prints rows up to 2000 bits, 603 digits, below 640, the
+    # least limit Python accepts; longer rows take the Decimal path.  The
+    # bytes are those of the row dicts json.dumps writes
+    rows = [sign * (2**2000 - 1), sign * (2**8192 + 1), sign * (10**100000 - 1)]
+    digits = [str(Decimal(v)) for v in rows[:2]] + [("-" if sign < 0 else "") + "9" * 100000]
+    report = {"precision_bits": 128, "results": [{"op": "fixpoints", "fix": jobs.FixRows(rows)}]}
+    dict_rows = [{"n": n, "fix": d} for n, d in enumerate(digits, 1)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert cli._dumps(report) == json.dumps({**report, "results": [{"op": "fixpoints", "fix": dict_rows}]}, indent=2)
+        assert cli._table(report).splitlines()[2:] == [f"   fix(f^{n}) = {d}" for n, d in enumerate(digits, 1)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_charpoly_prints_integers_past_the_digit_limit(tmp_path, capsys):
     job = {
         "spec": {

@@ -4,8 +4,8 @@ result is in canonical form (den > 0, gcd(content(num), den) = 1, no trailing
 zeros), so equal polynomials compare and hash equal.  NFElement and
 QuatElement arithmetic, which runs on QPoly, is checked the same way, and
 they and ComplexEnclosure are immutable values.  The
-integer kernels of the norm path, resultant_int and reduced_norm_int, are
-checked against sympy and against x * conj(x)."""
+integer kernels resultant_int, behind every norm, and reduced_norm_int,
+behind chi, are checked against sympy and against x * conj(x)."""
 
 import random
 from fractions import Fraction

@@ -5,11 +5,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
-from endoscope import cli, lefschetz, qpoly, quaternion
-from endoscope.classify import classify_growth, entropy, rational_eigenvalues
+from endoscope import cli, jobs, lefschetz, qpoly, quaternion
+from endoscope.classify import classify_growth, entropy, is_salem_polynomial, rational_eigenvalues
 from endoscope.errors import CrossCheckError, DivisibilityViolation, EndoscopeError, NonIntegralElement
 from endoscope.errors import ValidationError
 from endoscope.lefschetz import (
@@ -317,27 +317,35 @@ def test_table_raises_when_paths_disagree(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("index", range(len(table_specs())))
 def test_right_multiplication_matrix_against_the_product(index):
     # (M / D) coords(x) = coords(x f) for random x, with x f by field
-    # arithmetic, or for a quaternion by the textbook product on field elements
+    # arithmetic; for a quaternion, M / D steps a random state (A, B, P) to
+    # (A', B', P') with A' + B' f = (A + B f) f and P' = Nrd(f) P, and R / D_R
+    # reads P - Trd(A + B f), all by the textbook product on field elements
     spec = table_specs()[index]
-    matrix, den = lefschetz._right_multiplication(spec)
+    matrix, den, read, read_den = lefschetz._right_multiplication(spec)
     field = spec.algebra if spec.is_field_case else spec.algebra.base
     e, rng = field.degree, random.Random(index)
 
     def draw():
-        return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(e)]
+        return field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(e)])
+
+    def apply(rows, d, parts):
+        vector = [p.poly[k] for p in parts for k in range(e)]
+        image = [sum(c * v for c, v in zip(row, vector)) / d for row in rows]
+        return [field.element(image[b : b + e]) for b in range(0, len(image), e)]
 
     for _ in range(8):
         if spec.is_field_case:
-            x = field.element(draw())
-            parts, image = [x], [x * spec.element]
-        else:
-            x = spec.algebra.element(draw(), draw(), draw(), draw())
-            w = quaternion_product(x, spec.element)
-            parts, image = [x.a, x.b, x.c, x.d], [w.a, w.b, w.c, w.d]
-        vector = [p.poly[k] for p in parts for k in range(e)]
-        assert [sum(c * v for c, v in zip(row, vector)) / den for row in matrix] == [
-            p.poly[k] for p in image for k in range(e)
-        ]
+            x = draw()
+            assert apply(matrix, den, [x]) == [x * spec.element]
+            continue
+        algebra, f = spec.algebra, spec.element
+        a, b, p = draw(), draw(), draw()
+        x = algebra.element(a) + quaternion_product(algebra.element(b), f)
+        a2, b2, p2 = apply(matrix, den, [a, b, p])
+        assert algebra.element(a2) + quaternion_product(algebra.element(b2), f) == quaternion_product(x, f)
+        nrd = quaternion_product(f, f.conjugate())
+        assert nrd == algebra.element(nrd.a) and p2 == nrd.a * p
+        assert apply(read, read_den, [a, b, p]) == [p - (x.a + x.a)]
 
 
 def test_table_paths_share_no_input():
@@ -377,7 +385,7 @@ def test_faulty_product_reaches_only_the_norm_path(monkeypatch, make_spec, fault
     faulty = make_spec()
     assert faulty.charpoly_q() == chi
     assert list(lefschetz._resultant_counts(chi, faulty.exponent(), 5)) == table
-    with pytest.raises(CrossCheckError, match="paths disagree|norm of an integral element"):
+    with pytest.raises(CrossCheckError, match="paths disagree|norm of an integral element|not central"):
         fixed_point_table(faulty, 5)
 
 
@@ -397,8 +405,9 @@ def _break_every_copy(monkeypatch, home, name, fault):
 KERNEL_FAULTS = {
     "det_int_bareiss": (qpoly, lambda d: d + 1, "resultant"),
     "newton_coefficients": (qpoly, lambda c: [c[0] + 1] + c[1:], "norm"),
-    # twice the reduced norm: no row of the sqrt13 quaternion is zero
-    "reduced_norm_int": (quaternion, lambda rt: ([2 * c for c in rt[0]], rt[1]), "resultant"),
+    # twice the reduced norm, which only chi reads: the sqrt13 quaternion's
+    # Nrd(f) = 1 reads as 2, and its chi stays integral
+    "reduced_norm_int": (quaternion, lambda rt: ([2 * c for c in rt[0]], rt[1]), "norm"),
 }
 
 
@@ -407,8 +416,8 @@ KERNEL_FAULTS = {
     [(0, "det_int_bareiss"), (0, "newton_coefficients")] + [(3, kernel) for kernel in sorted(KERNEL_FAULTS)],
 )
 def test_table_paths_share_no_exact_kernel(monkeypatch, kernel, index):
-    # determinants and reduced norms serve only the norms, Newton's identities
-    # only the power sums of chi: a faulty kernel leaves the other path's rows
+    # determinants serve only the norms, Newton's identities and reduced norms
+    # only chi and its power sums: a faulty kernel leaves the other path's rows
     # as they were
     spec = table_specs()[index]
     lefschetz.admissibility_check(spec)  # builds and caches chi and the Albert type
@@ -416,6 +425,8 @@ def test_table_paths_share_no_exact_kernel(monkeypatch, kernel, index):
     table = fixed_point_table(spec, 5)
     home, fault, honest_path = KERNEL_FAULTS[kernel]
     _break_every_copy(monkeypatch, home, kernel, fault)
+    if kernel == "reduced_norm_int":  # chi reads it when it is built, so build the spec again
+        spec = table_specs()[index]
     if honest_path == "norm":
         assert list(lefschetz._norm_counts(spec, 5)) == table
     else:
@@ -485,6 +496,20 @@ def test_periodic_table_costs_one_period_on_each_path(monkeypatch, name):
     assert table == (table[:k] * (nmax // k + 1))[:nmax]
     assert table[: 3 * k] == [fixed_points_exact(spec, n) for n in range(1, 3 * k + 1)]
     assert classify_growth(spec).period == k
+
+
+@pytest.mark.parametrize("a, k", [(-1, 2), (1, 1)])
+def test_a_central_element_proves_its_period_on_the_norm_path(monkeypatch, a, k):
+    # f = a in F: the norm path steps (A, B, P) to (a A, 0, N P), so f^k = 1
+    # brings back the state of 1, and the path stops stepping at row k <= 2
+    algebra = QuatAlgebra(NumberField(from_ints(-13, 0, 1)), [-2, -2], [2])
+    spec = EndomorphismSpec(algebra, algebra.element(a), 4)
+    honest = fixed_point_table(spec, 30)
+    norms, repeats = _spy(monkeypatch, "resultant_int"), _spy(monkeypatch, "_repeat")
+    assert list(lefschetz._norm_counts(spec, 30)) == honest
+    assert len(norms) == k - 1 and len(repeats) == 1
+    expected = [256 * (n % 2) * (a == -1) for n in range(1, 31)]  # |N(Nrd(2))|^2 = 16^2 at odd n for f = -1
+    assert honest == [fixed_points_exact(spec, n) for n in range(1, 31)] == expected
 
 
 @pytest.mark.parametrize("index", [i for i in range(len(table_specs())) if i not in (1, 4)])
@@ -620,3 +645,45 @@ def test_a_wrong_norm_exponent_breaks_the_growth_bounds(monkeypatch, make):
     monkeypatch.setattr(EndomorphismSpec, "exponent", lambda self: 2 * exponent(self))
     ratio, lower, upper, _ = _growth_ratio_and_bounds(spec, 30, value)
     assert not lower <= ratio <= upper
+
+
+def _nstr18_or_tie(v):
+    """mpmath's nstr(v, 18, strip_zeros=False), or None for a v within 10^-60
+    of a rounding tie, where 80 digits cannot tell which way it rounds."""
+    if v:
+        step = mp.mpf(10) ** (mp.floor(mp.log10(abs(v))) - 17)
+        if abs(abs(v) / step % 1 - mp.mpf(1) / 2) * step < mp.mpf(10) ** -60:
+            return None
+    return mp.nstr(v, 18, strip_zeros=False)
+
+
+def _roots_80(q):
+    """The roots of the QPoly q by mpmath polyroots at 80 digits."""
+    return mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in reversed(q.coeffs)], maxsteps=4000, extraprec=600)
+
+
+@given(albert_specs())
+@settings(max_examples=100)
+@example(sqrt13_salem_spec())
+@example(hurwitz_spec())
+@example(field_spec((-2, 0, 1), [1, 1], 2))
+def test_printed_entropy_and_salem_root_match_an_mpmath_oracle(spec):
+    # value_decimal is exponent * mult * sum of log|a| over the roots a of q
+    # outside the circle, q the squarefree part of chi and mult = deg chi /
+    # deg q; the oracle takes them from mpmath at 80 digits and prints them
+    # as nstr(v, 18, strip_zeros=False); a Salem gamma's lead_root likewise.
+    # Values within 10^-60 of a rounding tie are skipped (_nstr18_or_tie).
+    report = entropy(spec)
+    chi = spec.charpoly_q()
+    q = chi.squarefree_part()
+    with mp.workdps(80):
+        logs = [mp.log(abs(a)) for a in _roots_80(q) if abs(a) > 1 + mp.mpf(10) ** -40]
+        expected = _nstr18_or_tie(spec.exponent() * (chi.degree // q.degree) * mp.fsum(logs))
+    assume(expected is not None)
+    assert jobs.entropy_json(report)["value_decimal"] == expected
+    if report.is_salem:
+        gamma = report.gamma_minpoly
+        with mp.workdps(80):
+            lead = _nstr18_or_tie(max(mp.re(a) for a in _roots_80(gamma) if abs(mp.im(a)) < mp.mpf(10) ** -40))
+        assume(lead is not None)
+        assert jobs.salem_json(is_salem_polynomial(gamma), gamma)["lead_root"] == lead
