@@ -184,8 +184,12 @@ def _cmd_salem(args) -> tuple[int, str]:
     try:
         if text.startswith("["):
             raw = json.loads(text, parse_int=_json_int)
-        else:
-            raw = [tok for tok in text.replace(",", " ").split() if tok]
+        else:  # str.split would drop an empty field between two commas
+            fields = text.split(",")
+            empty = next((k for k, f in enumerate(fields, 1) if not f.strip()), None)
+            if empty is not None:
+                raise ValidationError(f"field {empty} of {len(fields)} in {text!r} is empty")
+            raw = [tok for f in fields for tok in f.split()]
         poly = QPoly(raw)
     except (ValidationError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot parse coefficients: {exc}") from exc

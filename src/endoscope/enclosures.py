@@ -36,9 +36,7 @@ library's own callers isolate irreducible polynomials, which are
 squarefree, and call _isolate, which runs no gcd.
 
 The recentring, the seeds and the fixed-point pass are one untrusted step,
-approximate_roots; the CM conjugation candidate in numfield interpolates
-through its points directly, with no certificate, since its answer is
-proved exactly.
+approximate_roots, which only the certificate reads.
 
 The certified points are closed under conjugation: each point below the
 axis is replaced by the mirror of one above it.  As p is real, each root's
@@ -407,9 +405,6 @@ def approximate_roots(ints: list[int]) -> tuple[Fraction | int, list[int], Calla
     q = p(x + c), and polish(u), the Aberth-Ehrlich points (re, im) over 2^u
     for the roots of q (None if two points meet).  The double seeds are found
     once, here; polish(u) starts from them at every u.
-
-    isolate_roots certifies these points; the CM conjugation candidate only
-    interpolates through them, and its answer is proved exactly afterwards.
     """
     n = len(ints) - 1
     # recentre at the roots' centroid c when that lowers the root bound by 2

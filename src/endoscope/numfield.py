@@ -13,22 +13,14 @@ Norms are resultants, N(a) = Res(m, a) for the monic m; traces are read off
 the Newton power sums of m, and characteristic polynomials are rebuilt from
 the traces of the powers of the element.
 
-The CM test is untrusted points in, exact proof out: the candidate
-conjugation is interpolated through the roots' Aberth points
-(enclosures.approximate_roots, with no certificate), its coefficients
-reconstructed by Fraction.limit_denominator, then everything that matters is
-verified exactly: the field is totally imaginary, the candidate h is an
-automorphism of order two other than the identity, and its fixed field,
-generated by alpha + h(alpha) and alpha h(alpha), is totally real.  A success
-is therefore a proof.  The candidate is tried on a ladder of precisions, 64
-bits doubled up to 2048 and then 3072 (_CM_LADDER): a wrong candidate at a
-low rung costs only its refusal, and failure at every rung reports "Other".
-The ladder runs only after the exact candidates: when m is reciprocal, as a
-cyclotomic polynomial is, z -> 1/z permutes the roots, and h = x^-1 mod m
-goes to the same exact verification first, at the cost of one palindrome
-test on every other field; a quadratic m = x^2 + a_1 x + a_0 then tries its
-other root -x - a_1, which is complex conjugation on an imaginary quadratic
-field, so no quadratic field approximates its roots.
+The CM test proves both answers.  _verify_cm is the one judge of a
+candidate conjugation h: an automorphism of order two other than the
+identity whose fixed field, generated by alpha + h(alpha) and alpha h(alpha),
+is totally real.  The exact candidates come first: x^-1 mod m for a
+reciprocal m, as a cyclotomic polynomial is, and the other root -x - a_1 of
+a quadratic m.  The last is read off the trace form in one certified pass
+over the root disks, which either pins the traces Tr(alpha^i h(alpha)) of
+the only possible h or proves that the field is not CM (_trace_candidate).
 """
 
 from __future__ import annotations
@@ -37,16 +29,13 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import factorq
-from .enclosures import _cdiv, approximate_roots
-from .errors import CrossCheckError, ValidationError
+from .enclosures import MAX_BITS, _disk_in, _disk_mul, _isolate
+from .errors import CrossCheckError, PrecisionExhausted, ValidationError
 from .qpoly import ONE, QPoly, X, _combine, _mul_mod, _poly, count_real_roots, from_power_sums, power_sums, resultant
 
 TOTALLY_REAL = "TotallyReal"
 CM = "CM"
 OTHER = "Other"
-
-# the precisions in bits at which the CM conjugation is reconstructed, in turn
-_CM_LADDER = (64, 128, 256, 512, 1024, 2048, 3072)
 
 
 class NumberField:
@@ -232,45 +221,6 @@ def is_totally_real(field: NumberField) -> bool:
 FieldTypeReport = namedtuple("FieldTypeReport", "kind conj_automorphism")
 
 
-def _conjugation_candidate(approximation, bits: int) -> QPoly | None:
-    """Interpolate alpha -> conj(alpha) through all embeddings and reconstruct.
-
-    The embeddings are the points of approximate_roots, polished over 2^w
-    and moved by its centre c; the interpolant is found without a linear
-    solve: Newton divided differences, then expanded into the power basis
-    (Bjorck-Pereyra), on Gaussian integers over 2^w: every quotient is
-    rounded to one, every product is shifted right by w.
-    """
-    c, _, polish = approximation
-    w = bits + 30
-    pts = polish(w)
-    if pts is None:
-        return None
-    e, cw = len(pts), (c.numerator << w) // c.denominator
-    z = [(cw + re, im) for re, im in pts]
-    sol = [(re, -im) for re, im in z]
-    for k in range(e - 1):
-        for i in range(e - 1, k, -1):
-            (ar, ai), (br, bi), (cr, ci), (dr, di) = sol[i], sol[i - 1], z[i], z[i - k - 1]
-            sol[i] = _cdiv(ar - br, ai - bi, cr - dr, ci - di, w)
-    for k in range(e - 2, -1, -1):
-        zr, zi = z[k]
-        for i in range(k, e - 1):
-            (ar, ai), (br, bi) = sol[i], sol[i + 1]
-            sol[i] = ar - ((zr * br - zi * bi) >> w), ai - ((zr * bi + zi * br) >> w)
-    bound, half = 1 << max(bits // 4, 32), bits // 2
-    coeffs = []
-    for re, im in sol:
-        if abs(im) > 1 << (w - half):
-            return None
-        approx = Fraction(re, 1 << w)
-        cand = approx.limit_denominator(bound)
-        if abs(cand - approx) > Fraction(1, 1 << half):
-            return None
-        coeffs.append(cand)
-    return QPoly(coeffs)
-
-
 def _inverse_candidate(m: QPoly) -> QPoly | None:
     """x^-1 mod m when the monic m is reciprocal, else None.
 
@@ -303,7 +253,7 @@ def _cm_structure_uncached(field: NumberField) -> FieldTypeReport:
     if real > 0:  # every field of odd degree has a real embedding
         return FieldTypeReport(OTHER, None)
 
-    for h in _candidates(field.minpoly):
+    for h in _candidates(field):
         if h is not None:
             report = _verify_cm(field, h)
             if report is not None:
@@ -311,17 +261,60 @@ def _cm_structure_uncached(field: NumberField) -> FieldTypeReport:
     return FieldTypeReport(OTHER, None)
 
 
-def _candidates(m: QPoly):
+def _candidates(field: NumberField):
     """The conjugation candidates, each QPoly or None, in the order tried:
     x^-1 mod m; for a quadratic m = x^2 + a_1 x + a_0, the other root
-    -x - a_1; then one per rung of _CM_LADDER, the roots approximated only
-    when the exact candidates are refused."""
+    -x - a_1; last, the trace-form candidate, which isolates the roots."""
+    m = field.minpoly
     yield _inverse_candidate(m)
     if m.degree == 2:
         yield QPoly((-m[1] / m[2], -1))
-    approximation = approximate_roots(m.clear_denominators()[1])
-    for bits in _CM_LADDER:
-        yield _conjugation_candidate(approximation, bits)
+    yield _trace_candidate(field)
+
+
+def _trace_candidate(field: NumberField) -> QPoly | None:
+    """The one candidate for complex conjugation h left on a totally imaginary
+    field, or None when the field is proved not CM.
+
+    Take beta = alpha - c, c the integer nearest the roots' centroid, and L
+    the leading coefficient of m's primitive integer multiple.  Were h complex
+    conjugation, t_i = Tr(beta^i h(beta)) would be the sum of w^i conj(w) over
+    the roots w = z - c, and L^(i+1) t_i an integer, as L beta is integral.
+    The sums are enclosed on the certified root disks (real, as the roots are
+    closed under conjugation): a scaled interval holding no integer proves F
+    not CM, one holding two or more doubles the bits.  Euler's lemma gives
+    h(beta) = m'(alpha)^-1 sum_j t_j b_j for m(x + c) = (x - beta) sum_j b_j x^j,
+    the inverse by Cayley-Hamilton.  A CM field's conjugation gives these
+    very t_i, so a refused candidate proves it is not CM.
+    """
+    m, n = field.minpoly, field.degree
+    lead, c, bits = m.clear_denominators()[1][-1], round(-m[n - 1] / n), 64
+    while True:
+        if bits > MAX_BITS:
+            raise PrecisionExhausted(f"trace form of {m!r} unresolved at {MAX_BITS} bits")
+        mids, rads = [0] * n, [0] * n
+        for e in _isolate(m, bits):
+            re, im, rad = _disk_in(e, bits)
+            w = re - (c << bits), im, rad
+            term = w[0], -im, rad  # conj(w), the i = 0 term
+            for i in range(n):
+                mids[i], rads[i] = mids[i] + term[0], rads[i] + term[2]
+                term = _disk_mul(term, w, bits)
+        # the integers L^(i+1) t_i in L^(i+1) [mid - rad, mid + rad] / 2^bits
+        spans = [(-(-(mid - rad) * lead ** (i + 1) >> bits), (mid + rad) * lead ** (i + 1) >> bits)
+                 for i, (mid, rad) in enumerate(zip(mids, rads))]
+        if any(lo > hi for lo, hi in spans):
+            return None
+        if all(lo == hi for lo, hi in spans):
+            break
+        bits *= 2
+    a = m(X + c).coeffs
+    t = [Fraction(lo, lead ** (i + 1)) for i, (lo, _) in enumerate(spans)]
+    dual_sum = QPoly([sum(t[j] * a[j + k + 1] for j in range(n - k)) for k in range(n)])
+    derivative = field.element(m.derivative())
+    cp = derivative.charpoly_q()
+    inverse = (QPoly(cp.coeffs[1:]) * (-1 / cp[0])).compose_mod(derivative.poly, m)
+    return _mul_mod(dual_sum(X - c), inverse, m) + c
 
 
 def _verify_cm(field: NumberField, h: QPoly) -> FieldTypeReport | None:

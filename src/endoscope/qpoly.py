@@ -459,15 +459,16 @@ def _zgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_prime(n: int) -> bool:
-    """Whether n < 3215031751 is prime: no composite below that bound is a
-    strong pseudoprime to all of the bases 2, 3, 5 and 7 (Jaeschke, Math.
-    Comp. 1993)."""
+    """Whether n < 3317044064679887385961981 is prime: no composite below
+    3215031751 is a strong pseudoprime to all of the bases 2, 3, 5 and 7
+    (Jaeschke, Math. Comp. 1993), and none below the bound to all primes up
+    to 41 (Sorenson and Webster, Math. Comp. 2017)."""
     if n < 11:
         return n in (2, 3, 5, 7)
     d, s = n - 1, 0
     while not d & 1:
         d, s = d >> 1, s + 1
-    for a in (2, 3, 5, 7):
+    for a in (2, 3, 5, 7) if n < 3215031751 else (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -696,15 +697,21 @@ def from_power_sums(s, n: int) -> QPoly:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
+    """The distinct primes dividing n >= 1, ascending: trial division below
+    2^16, then the part free of those primes is prime below 2^32 or if
+    _is_prime proves it, else ValidationError: splitting it is unbounded work."""
+    out, p, m = [], 2, n
+    while p * p <= m:
+        if p == 1 << 16:
+            if m >= 3317044064679887385961981 or not _is_prime(m):
+                raise ValidationError(f"cannot factor {n}: its part {m} free of primes below 2^16 is not proved prime")
+            break
+        if m % p == 0:
             out.append(p)
-            while n % p == 0:
-                n //= p
+            while m % p == 0:
+                m //= p
         p += 1
-    return out + [n] if n > 1 else out
+    return out + [m] if m > 1 else out
 
 
 def cyclotomic_order(q: QPoly) -> int | None:

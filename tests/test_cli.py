@@ -101,6 +101,23 @@ def test_salem_rejects_garbage(capsys):
     assert json.loads(out)["error"]["kind"] == "validation"
 
 
+@pytest.mark.parametrize("text, field", [("1,,-1,-1,-1,1", "field 2 of 6"), (",1,-1,-1,-1,1", "field 1 of 6"),
+                                         ("1,-1,-1,-1,1,", "field 6 of 6"), ("1, ,-1,-1,-1,1", "field 2 of 6")])
+def test_salem_rejects_an_empty_field(capsys, text, field):
+    # six fields are not five coefficients: an empty one exits 2 and is named
+    code, out = run_cli(capsys, "salem", text)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "validation" and field in err["detail"]
+
+
+@pytest.mark.parametrize("text", ["1,-1,-1,-1,1", "1, -1, -1, -1, 1", "1 -1 -1 -1 1", "[1, -1, -1, -1, 1]"])
+def test_salem_reads_commas_spaces_and_json(capsys, text):
+    code, out = run_cli(capsys, "salem", text)
+    assert code == 0
+    assert json.loads(out)["poly"] == ["1/1", "-1/1", "-1/1", "-1/1", "1/1"]
+
+
 def test_salem_rejects_exponent_notation(capsys):
     # "1e999999" is 9 characters but would parse to a 3.3-million-bit integer
     code, out = run_cli(capsys, "salem", "1e999999,1")
@@ -881,6 +898,25 @@ def test_reports_of_a_benchmark_stream_are_the_standard_encoding(tmp_path):
         text = out.getvalue()
         assert text == json.dumps(json.loads(text), indent=2) + "\n", job["id"]
         assert (code, hashlib.sha256(text.encode("utf-8")).hexdigest()) == (want_code, want_sha), job["id"]
+
+
+JOBS = Path(__file__).parent / "jobs"
+
+
+@pytest.mark.parametrize("report, argv", [
+    ("zeta7-shifted.json", ["zeta7-shifted.json"]),
+    ("quartic-other.json", ["quartic-other.json"]),
+    ("readme-2000.json", ["readme.json", "--nmax", "2000"]),
+    ("readme-2000.txt", ["readme.json", "--nmax", "2000", "--table"]),
+])
+def test_recorded_reports_are_byte_identical(report, argv):
+    # the digests in tests/jobs/reports.sha256, which CI also checks; the
+    # 10^6-row Hurwitz report there is left to CI
+    digests = dict(line.split()[::-1] for line in (JOBS / "reports.sha256").read_text().splitlines())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["run", str(JOBS / argv[0]), *argv[1:]])
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digests[report]
 
 
 def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from endoscope import numfield
 from endoscope.enclosures import isolate_roots
-from endoscope.errors import ValidationError
+from endoscope.errors import PrecisionExhausted, ValidationError
 from endoscope.numfield import (
     CM,
     OTHER,
@@ -136,7 +136,7 @@ def test_cm_structure_zeta8():
     rep = cm_structure(zeta8)
     assert rep.kind == CM
     assert _real_subfield_minpoly(rep, zeta8) == from_ints(-2, 0, 1)
-    # a + zeta_n of degree 12, 18 and 24: the interpolation at scale
+    # a + zeta_n of degree 12, 18 and 24: the trace form at scale
     for a, n in ((100, 13), (5000, 19), (3, 35)):
         field = NumberField(_cyclotomic(n)(X - a))
         rep = cm_structure(field)
@@ -147,10 +147,10 @@ def test_cm_structure_zeta8():
         assert _real_subfield_minpoly(rep, field).degree == field.degree // 2
 
 
-def test_cm_structure_other_cases(rungs):
+def test_cm_structure_other_cases(isolations):
     assert cm_structure(F(-2, 0, 0, 1)).kind == OTHER  # one real, two complex
     assert cm_structure(F(1, 1, 0, 0, 1)).kind == OTHER  # totally imaginary, not CM
-    assert rungs == [64, 128, 256, 512, 1024, 2048, 3072]  # after every rung of the ladder
+    assert isolations == [64]  # proved by one certified pass
     # a Salem field has two real and two complex embeddings: neither class
     assert cm_structure(F(1, -1, -1, -1, 1)).kind == OTHER
     assert cm_structure(F(-2, 0, 1)).kind == TOTALLY_REAL
@@ -200,8 +200,8 @@ CYCLOTOMIC_CM = [n for n in range(3, 91) if sum(math.gcd(k, n) == 1 for k in ran
 
 @pytest.mark.parametrize("n", CYCLOTOMIC_CM)
 def test_cm_conjugation_is_proved_by_one_verification(n, monkeypatch):
-    # the first reconstructed candidate (Fraction.limit_denominator) is
-    # complex conjugation, so the exact proof runs once
+    # the first candidate, the exact x^-1 of a reciprocal minimal polynomial,
+    # is complex conjugation, so the exact proof runs once
     verified, verify = [], numfield._verify_cm
     monkeypatch.setattr(numfield, "_verify_cm", lambda field, h: verified.append(h) or verify(field, h))
     minpoly = _cyclotomic(n)
@@ -211,56 +211,92 @@ def test_cm_conjugation_is_proved_by_one_verification(n, monkeypatch):
 
 
 @pytest.fixture
-def rungs(monkeypatch):
-    """The precisions at which cm_structure asks for a conjugation candidate."""
-    asked, candidate = [], numfield._conjugation_candidate
-    monkeypatch.setattr(numfield, "_conjugation_candidate", lambda a, bits: asked.append(bits) or candidate(a, bits))
+def isolations(monkeypatch):
+    """The precisions at which cm_structure isolates the roots of m."""
+    asked, isolate = [], numfield._isolate
+    monkeypatch.setattr(numfield, "_isolate", lambda p, bits: asked.append(bits) or isolate(p, bits))
     return asked
 
 
-FIRST_RUNG_FIELDS = [from_ints(1, 0, 1), from_ints(3, 0, 1)] + [_cyclotomic(n) for n in (5, 8, 7, 9, 11, 13, 16, 31)]
+EXACT_CANDIDATE_FIELDS = [from_ints(1, 0, 1), from_ints(3, 0, 1)] + [_cyclotomic(n) for n in (5, 8, 7, 9, 11, 13, 16, 31)]
 
 
-@pytest.mark.parametrize("minpoly", FIRST_RUNG_FIELDS, ids=repr)
-def test_cm_conjugation_is_found_at_the_first_rung(minpoly, rungs):
+@pytest.mark.parametrize("minpoly", EXACT_CANDIDATE_FIELDS, ids=repr)
+def test_cm_conjugation_is_found_at_the_first_rung(minpoly, isolations):
     # a reciprocal minimal polynomial (x^2 + 1 and the cyclotomic ones) is
-    # proved by the exact candidate x^-1 before any rung; x^2 + 3 presents
-    # Q(zeta3) by a polynomial that is not reciprocal, and is proved by the
-    # exact quadratic candidate, its other root -x, before any rung too
+    # proved by the exact candidate x^-1 with no root isolated; x^2 + 3
+    # presents Q(zeta3) by a polynomial that is not reciprocal, and is proved
+    # by the exact quadratic candidate, its other root -x, with none either
     assert cm_structure(NumberField(minpoly)).kind == CM
-    assert rungs == []
+    assert isolations == []
 
 
-@pytest.mark.parametrize("minpoly", FIRST_RUNG_FIELDS, ids=repr)
+@pytest.mark.parametrize("minpoly", EXACT_CANDIDATE_FIELDS, ids=repr)
 def test_exact_inverse_and_the_ladder_find_the_same_conjugation(minpoly, monkeypatch):
+    # with x^-1 withheld, the trace-form candidate proves the same conjugation
     exact = cm_structure(NumberField(minpoly))
     monkeypatch.setattr(numfield, "_inverse_candidate", lambda m: None)
-    ladder = cm_structure(NumberField(minpoly))
-    assert exact == ladder
-    _assert_complex_conjugation(minpoly, ladder)
+    trace_form = cm_structure(NumberField(minpoly))
+    assert exact == trace_form
+    _assert_complex_conjugation(minpoly, trace_form)
 
 
-def test_inverse_candidate_is_refused_off_the_unit_circle(rungs):
+def test_inverse_candidate_is_refused_off_the_unit_circle(isolations):
     # x^4 + 6x^2 + 1 is reciprocal, with roots i(1 +- sqrt2) off the circle:
     # x^-1 is an automorphism of order two, but alpha + 1/alpha = 2i is not
-    # real, so the exact proof refuses it and the ladder finds -x
+    # real, so the exact proof refuses it and the trace form finds -x
     minpoly = from_ints(1, 0, 6, 0, 1)
     assert numfield._inverse_candidate(minpoly) is not None
     assert _verify_cm(NumberField(minpoly), numfield._inverse_candidate(minpoly)) is None
     rep = cm_structure(NumberField(minpoly))
-    assert rep.conj_automorphism.poly == -X and rungs == [64]
+    assert rep.conj_automorphism.poly == -X and isolations == [64]
     _assert_complex_conjugation(minpoly, rep)
 
 
-def test_cm_conjugation_with_large_coefficients_climbs_the_ladder(rungs):
+def test_cm_conjugation_with_large_coefficients_climbs_the_ladder(isolations):
     # alpha = zeta5 + 10^9 zeta5^2 + 12345 zeta5^3: complex conjugation, as a
-    # polynomial in alpha, has coefficients of about 150 bits, which the
-    # 64-bit rung cannot reconstruct; a wrong candidate is refused exactly
+    # polynomial in alpha, has coefficients of about 150 bits; the scaled
+    # trace sums of roots near 10^9 do not resolve to integers at 64 bits,
+    # so the bits are doubled
     minpoly = F(1, 1, 1, 1, 1).element([0, 1, 10**9, 12345]).minimal_polynomial()
     rep = cm_structure(NumberField(minpoly))
     _assert_complex_conjugation(minpoly, rep)
-    assert rungs[0] == 64 and len(rungs) > 1
+    assert isolations[0] == 64 and len(isolations) > 1
     assert max(c.denominator for c in rep.conj_automorphism.coeffs) > 1 << 64
+
+
+def test_unresolved_trace_sums_raise_rather_than_answer(monkeypatch):
+    # the same field with a cap of 64 bits: the sums hold two or more integers
+    # at 64 bits, and no answer is given without a proof
+    minpoly = F(1, 1, 1, 1, 1).element([0, 1, 10**9, 12345]).minimal_polynomial()
+    monkeypatch.setattr(numfield, "MAX_BITS", 64)
+    with pytest.raises(PrecisionExhausted):
+        cm_structure(NumberField(minpoly))
+
+
+# totally imaginary sextics that are not CM, Q(cbrt2 + i) and x^6 + x + 1: a
+# trace sum whose interval holds no integer, or a refused candidate, proves
+# it at the first precision, as for x^4 + x + 1 above
+NOT_CM_FIELDS = [from_ints(5, 12, 3, -4, 3, 0, 1), from_ints(1, 1, 0, 0, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("minpoly", NOT_CM_FIELDS, ids=repr)
+def test_other_is_proved_by_one_isolation(minpoly, isolations):
+    assert cm_structure(NumberField(minpoly)).kind == OTHER
+    assert isolations == [64]
+
+
+# the fields above whose conjugation the trace form finds on its own
+TRACE_FORM_CM_FIELDS = CM_FIELDS + [_cyclotomic(n)(X - a) for a, n in ((100, 13), (5000, 19), (3, 35))]
+TRACE_FORM_CM_FIELDS += [from_ints(1, 0, 6, 0, 1), F(1, 1, 1, 1, 1).element([0, 1, 10**9, 12345]).minimal_polynomial()]
+
+
+@pytest.mark.parametrize("minpoly", TRACE_FORM_CM_FIELDS, ids=repr)
+def test_trace_candidate_is_complex_conjugation(minpoly):
+    field = NumberField(minpoly)
+    h = numfield._trace_candidate(field)
+    assert h == cm_structure(field).conj_automorphism.poly
+    _assert_complex_conjugation(minpoly, _verify_cm(field, h))
 
 
 def test_verify_cm_when_alpha_plus_conj_alpha_has_low_degree():
@@ -339,13 +375,17 @@ def test_totally_real_subfield_closure(xc):
     assert is_totally_real(sub)
 
 
-@given(elements)
-def test_cm_subfield_closure(xc):
-    # subfields of a CM field are totally real or CM, never Other
-    field = F(1, 1, 1, 1, 1)
-    x = field.element(xc)
+@given(st.sampled_from([5, 7, 8, 12]), elements)
+def test_cm_subfield_closure(n, xc):
+    # subfields of a CM field Q(zeta_n) are totally real or CM, never Other;
+    # their minimal polynomials are seldom reciprocal or quadratic, so the
+    # trace-form candidate proves most of the CM answers
+    x = NumberField(_cyclotomic(n)).element(xc)
     sub = NumberField(x.minimal_polynomial())
-    assert cm_structure(sub).kind in (TOTALLY_REAL, CM)
+    rep = cm_structure(sub)
+    assert rep.kind in (TOTALLY_REAL, CM)
+    if rep.kind == CM:
+        _assert_complex_conjugation(sub.minpoly, rep)
 
 
 @given(elements)

@@ -1,3 +1,5 @@
+import contextlib
+import signal
 from fractions import Fraction
 
 import pytest
@@ -147,6 +149,37 @@ def test_hilbert_symbols():
     assert rational_quaternion_is_division(Fraction(-1), Fraction(-7)) is True
     # (p, q) examples with odd primes: (3, 5) splits, (3, -1) does not
     assert rational_quaternion_is_division(Fraction(3), Fraction(-1)) is True
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the block with TimeoutError once seconds of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("b, answer", [(2**61 - 1, True), (2**64 - 59, False), (Fraction(1, 2**61 - 1), True)])
+def test_hilbert_places_of_a_large_prime_are_found_in_bounded_time(b, answer):
+    # 2^61 - 1 and 2^64 - 59 are primes past any trial division, proved by
+    # the Miller-Rabin test; (-1, p) is division exactly when p = 3 mod 4
+    with _deadline(1.0):
+        assert rational_quaternion_is_division(Fraction(-1), Fraction(b)) is answer
+
+
+@pytest.mark.parametrize("b", [(2**31 - 1) * (2**61 - 1), 65537 * 65539, (2**89 - 1) * 3**40])
+def test_hilbert_places_that_cannot_be_factored_are_refused_in_bounded_time(b):
+    # a part free of primes below 2^16 that is composite, or too large for the
+    # deterministic Miller-Rabin test, is named in a ValidationError
+    with _deadline(1.0), pytest.raises(ValidationError, match=str(b)):
+        rational_quaternion_is_division(Fraction(-1), Fraction(b))
 
 
 coords = st.lists(
