@@ -88,13 +88,19 @@ def main(argv=None) -> int:
     return code
 
 
+# the rows of a fixpoints table are formatted and joined this many at a time,
+# so the strings of all the rows of a long table are never held at once
+_ROW_BLOCK = 4096
+
+
 def _dumps(obj, newline: str = "\n") -> str:
     """The bytes of json.dumps with indent=2, for objects with str keys:
     strings are escaped to ASCII, ints printed by int.__repr__, empty
     containers as [] and {}, and any other scalar by json.dumps.  newline is
     a line break and the indent of the line obj ends on.  The str and int
     values of a container are written inline, with no call of their own, and
-    the int rows of a fixpoints table (jobs.FixRows) from one row template."""
+    the int rows of a fixpoints table (jobs.FixRows) from one row template,
+    _ROW_BLOCK rows to a string."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
@@ -112,14 +118,17 @@ def _dumps(obj, newline: str = "\n") -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        if type(obj) is jobs.FixRows:  # one template for every row
-            row = "{" + inner + '  "n": %d,' + inner + '  "fix": "%s"' + inner + "}"
-            items = [row % (n, exact_decimal(fix)) for n, fix in enumerate(obj, 1)]
-        else:
-            items = [
-                encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _dumps(v, inner)
-                for v in obj
-            ]
+        if type(obj) is jobs.FixRows:  # one template for every row, joined in blocks with the brackets
+            row, sep = "{" + inner + '  "n": %d,' + inner + '  "fix": "%s"' + inner + "}", "," + inner
+            parts = ["[" + inner]
+            for i in range(0, len(obj), _ROW_BLOCK):
+                parts += sep.join([row % (n, exact_decimal(fix)) for n, fix in enumerate(obj[i : i + _ROW_BLOCK], i + 1)]), sep
+            parts[-1] = newline + "]"  # in place of the separator after the last block
+            return "".join(parts)
+        items = [
+            encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _dumps(v, inner)
+            for v in obj
+        ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, int) and not isinstance(obj, bool):
         return int.__repr__(obj)

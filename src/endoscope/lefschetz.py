@@ -15,16 +15,28 @@ The resultant path reads only the monic reduced characteristic polynomial
 chi, of degree m: row n is |Res(chi, 1 - x^n)|^(2g/(d e)), the product of
 (1 - mu^n) over the roots mu of chi, read by Newton's identities off s_n,
 s_2n, ..., s_mn, the power sums of the mu^n, kept as s_0, s_1, ... from one
-recurrence and extended in doubling blocks up to s_(m nmax).  The paths share
-neither input nor exact kernel, so a fault on either side is a disagreement:
-a faulty product or determinant reaches the norms, a faulty chi, reduced norm
-(quaternion.reduced_norm_int, read by chi alone) or Newton step the power sums.
+recurrence and extended in doubling blocks.  The signed rows
+r_n = prod(1 - mu^n) form a Lehmer-Pierce sequence: a signed sum of the n-th
+powers of the 2^m products of subsets of the roots, so they follow the
+recurrence of order 2^m whose monic polynomial Q has those products as
+roots.  Q's power sums are P_j = prod(1 + mu^j), (-1)^m times the value at -1
+of the polynomial row j reads at 1.  Where a count of products says it pays
+(_recurrence_pays: about 4^m / 2 to set up, then 2^m a row against about
+1.5 m^2), Newton's identities read rows 1..2^m, one more Newton call of
+degree 2^m turns P_1..P_(2^m) into Q, and each later row is one dot product
+of Q with the last 2^m signed rows; the power sums then end at s_(m 2^m),
+else at s_(m nmax).  The paths share neither input nor exact kernel, so a
+fault on either side is a disagreement: a faulty product or determinant
+reaches the norms, a faulty chi, reduced norm (quaternion.reduced_norm_int,
+read by chi alone), Newton step or Q the resultant rows.
 
 A periodic table costs one period on each path.  f has finite order k
 exactly when the table is periodic, and each path proves k on its own at
 row k: the norm path when its integer vector of f^k is that of 1, the
 resultant path when s_k, s_2k, ..., s_mk all equal m, the power sums of
-(x - 1)^m, with fewer than 2 m k power sums computed.  From there each path
+(x - 1)^m, with fewer than 2 m k power sums computed.  On the recurrence only
+a row that is 0 starts that proof, as mu^k = 1 for every root makes it so,
+and the power sums are extended to s_mk for it.  From there each path
 repeats its own first k rows, and the table still compares every row, so a
 wrong period on either side is a disagreement.  An exponential table pays
 one identity test per row.
@@ -43,7 +55,7 @@ live in classify.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from itertools import cycle, islice
 from math import gcd
 from operator import mul
@@ -297,10 +309,10 @@ def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:
 
     The norm path steps its state of f^n by one integer matrix and reads only
     the element; the resultant path reads every row off the power sums of
-    chi = spec.charpoly_q(), m nmax + 1 at most for m = deg chi, and reads
-    only chi.  Each path stops computing at the period it proves, if any,
-    and repeats its rows.  Any disagreement, on any row, raises
-    CrossCheckError.
+    chi = spec.charpoly_q(), m nmax + 1 at most for m = deg chi, or off
+    their recurrence past row 2^m, and reads only chi.  Each path stops
+    computing at the period it proves, if any, and repeats its rows.  Any
+    disagreement, on any row, raises CrossCheckError.
     """
     _check_iterate(nmax)
     admissibility_check(spec)
@@ -319,23 +331,70 @@ def _resultant_counts(chi: QPoly, exponent: int, nmax: int):
     Each row is the product of (1 - mu^n) over the roots mu of chi: the value
     at 1 of the monic polynomial whose roots mu^n have the power sums
     s_n, s_2n, ..., s_mn of chi, kept as s_0, s_1, ... from one recurrence,
-    which is extended in doubling blocks as the rows need it, up to
-    s_(m nmax).  At the first n where these all equal m, that polynomial is
-    (x - 1)^m, so mu^n = 1 for every root: the table has period n and the
-    path repeats its own rows (_repeat), with fewer than 2 m n sums computed.
+    which is extended in doubling blocks as the rows need it.  At the first n
+    where these all equal m, that polynomial is (x - 1)^m, so mu^n = 1 for
+    every root: the table has period n and the path repeats its own rows
+    (_repeat), with fewer than 2 m n sums computed.
+
+    Past row 2^m, where _recurrence_pays, the signed rows r_n, sums over the
+    subsets S of the roots of (-1)^|S| times the n-th power of their product,
+    follow the order-2^m recurrence of _recurrence_polynomial, one dot
+    product a row, and the power sums end at s_(m 2^m).  A row there starts
+    the period proof only when it is 0, as mu^n = 1 for every root makes it.
     """
     m = chi.degree
+    order = 1 << m
+    last = order if _recurrence_pays(m, nmax) else nmax  # the last row read by Newton's identities
     s = power_sums(chi, m)
-    rows = []
+    rows, sums = [], []
+    signed = deque(maxlen=order) if last < nmax else None  # the last 2^m signed rows
     for n in range(1, nmax + 1):
-        if len(s) <= m * n:
-            extend_power_sums(chi, s, min(2 * (len(s) - 1), m * nmax))
-        if s[n] == m and all(t == m for t in s[2 * n : m * n + 1 : n]):
-            yield from _repeat(rows, nmax)
-            return
-        value = sum(newton_coefficients(s[: m * n + 1 : n], m))
+        if n <= last:
+            if len(s) <= m * n:
+                extend_power_sums(chi, s, min(2 * (len(s) - 1), m * last))
+            if _proves_period(s, m, n):
+                yield from _repeat(rows, nmax)
+                return
+            c = newton_coefficients(s[: m * n + 1 : n], m)
+            value = sum(c)
+            if last < nmax:
+                signed.append(value)
+                # (-1)^m times the value at -1: P_n, the product of (1 + mu^n)
+                sums.append(sum(c[m % 2 :: 2]) - sum(c[1 - m % 2 :: 2]))
+        else:
+            if n == order + 1:
+                q = _recurrence_polynomial(sums)
+            value = -sum(map(mul, q, signed))
+            signed.append(value)
+            if value == 0 and _proves_period(extend_power_sums(chi, s, m * n), m, n):
+                yield from _repeat(rows, nmax)
+                return
         rows.append(_abs_integer(value.numerator, value.denominator, "Res(chi, 1 - x^n)") ** exponent)
         yield rows[-1]
+
+
+def _proves_period(s: list, m: int, n: int) -> bool:
+    """s_n = s_2n = ... = s_mn = m: every mu^n is 1."""
+    return s[n] == m and all(t == m for t in s[2 * n : m * n + 1 : n])
+
+
+def _recurrence_pays(m: int, nmax: int) -> bool:
+    """Whether rows 2^m + 1..nmax cost less on the recurrence than on Newton's
+    identities, counted in products: its setup, Newton's identities on 2^m
+    sums, is about 4^m / 2 of them, and then a row costs 2^m against about
+    1.5 m^2: m power sums of m products each, and Newton's identities on m
+    sums.  That pays only for m = 2..5, from nmax = 9, 14, 33 and 126 on."""
+    order = 1 << m
+    return nmax > order and (nmax - order) * (3 * m * m - 2 * order) > order * order
+
+
+def _recurrence_polynomial(sums: list) -> list:
+    """Coefficients below the leading 1, constant term first, of the monic Q
+    of degree 2^m whose roots are the 2^m products of subsets of the roots of
+    chi, from their power sums P_j = prod(1 + mu^j), j = 1..2^m.  The signed
+    rows r_n are signed sums of the n-th powers of these roots, so they
+    follow Q's recurrence."""
+    return newton_coefficients([len(sums), *sums], len(sums))[:-1]
 
 
 def companion_oracle(char_poly: QPoly, n: int) -> int:

@@ -600,6 +600,16 @@ def test_table_rows_print_under_the_least_digit_limit(sign):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("count", [1, cli._ROW_BLOCK - 1, cli._ROW_BLOCK, cli._ROW_BLOCK + 1, 2 * cli._ROW_BLOCK + 3])
+def test_table_rows_joined_in_blocks_are_the_bytes_json_dumps_writes(count):
+    # the rows of a table are joined a block at a time: the separators
+    # between blocks and the brackets around them are those of one join
+    rows = [n * n - 7 for n in range(count)]
+    report = {"results": [{"op": "fixpoints", "fix": jobs.FixRows(rows)}]}
+    dict_rows = [{"n": n, "fix": str(v)} for n, v in enumerate(rows, 1)]
+    assert cli._dumps(report) == json.dumps({"results": [{"op": "fixpoints", "fix": dict_rows}]}, indent=2)
+
+
 def test_charpoly_prints_integers_past_the_digit_limit(tmp_path, capsys):
     job = {
         "spec": {
@@ -908,6 +918,7 @@ JOBS = Path(__file__).parent / "jobs"
     ("quartic-other.json", ["quartic-other.json"]),
     ("readme-2000.json", ["readme.json", "--nmax", "2000"]),
     ("readme-2000.txt", ["readme.json", "--nmax", "2000", "--table"]),
+    ("zeta7-table.json", ["zeta7-table.json"]),
 ])
 def test_recorded_reports_are_byte_identical(report, argv):
     # the digests in tests/jobs/reports.sha256, which CI also checks; the

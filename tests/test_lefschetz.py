@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -401,38 +402,46 @@ def _break_every_copy(monkeypatch, home, name, fault):
             monkeypatch.setattr(module, name, faulty)
 
 
-# a fault in each exact kernel, and the path that must not see it
+# a fault in each exact kernel, the path that must not see it, and the
+# length of a table that reaches the kernel
 KERNEL_FAULTS = {
-    "det_int_bareiss": (qpoly, lambda d: d + 1, "resultant"),
-    "newton_coefficients": (qpoly, lambda c: [c[0] + 1] + c[1:], "norm"),
+    "det_int_bareiss": (qpoly, lambda d: d + 1, "resultant", 5),
+    "newton_coefficients": (qpoly, lambda c: [c[0] + 1] + c[1:], "norm", 5),
     # twice the reduced norm, which only chi reads: the sqrt13 quaternion's
     # Nrd(f) = 1 reads as 2, and its chi stays integral
-    "reduced_norm_int": (quaternion, lambda rt: ([2 * c for c in rt[0]], rt[1]), "norm"),
+    "reduced_norm_int": (quaternion, lambda rt: ([2 * c for c in rt[0]], rt[1]), "norm", 5),
+    # the recurrence of the rows past 2^m, which 40 rows reach for m = 2 and 4
+    "_recurrence_polynomial": (lefschetz, lambda q: [q[0] + 1] + q[1:], "norm", 40),
 }
 
 
 @pytest.mark.parametrize(
     "index, kernel",  # 0 is 1+sqrt2, 3 the sqrt13 quaternion
-    [(0, "det_int_bareiss"), (0, "newton_coefficients")] + [(3, kernel) for kernel in sorted(KERNEL_FAULTS)],
+    [(0, "det_int_bareiss"), (0, "newton_coefficients"), (0, "_recurrence_polynomial")]
+    + [(3, kernel) for kernel in sorted(KERNEL_FAULTS)],
 )
 def test_table_paths_share_no_exact_kernel(monkeypatch, kernel, index):
-    # determinants serve only the norms, Newton's identities and reduced norms
-    # only chi and its power sums: a faulty kernel leaves the other path's rows
-    # as they were
+    # determinants serve only the norms; Newton's identities, the rows'
+    # recurrence and reduced norms only chi and its power sums: a faulty kernel
+    # leaves the other path's rows as they were
     spec = table_specs()[index]
     lefschetz.admissibility_check(spec)  # builds and caches chi and the Albert type
     chi, exponent = spec.charpoly_q(), spec.exponent()
-    table = fixed_point_table(spec, 5)
-    home, fault, honest_path = KERNEL_FAULTS[kernel]
+    home, fault, honest_path, nmax = KERNEL_FAULTS[kernel]
+    table = fixed_point_table(spec, nmax)
     _break_every_copy(monkeypatch, home, kernel, fault)
     if kernel == "reduced_norm_int":  # chi reads it when it is built, so build the spec again
         spec = table_specs()[index]
     if honest_path == "norm":
-        assert list(lefschetz._norm_counts(spec, 5)) == table
+        assert list(lefschetz._norm_counts(spec, nmax)) == table
     else:
-        assert list(lefschetz._resultant_counts(chi, exponent, 5)) == table
+        assert list(lefschetz._resultant_counts(chi, exponent, nmax)) == table
+    if kernel == "_recurrence_polynomial":  # rows 1..2^m come from Newton's identities
+        first = 2**chi.degree
+        assert lefschetz._recurrence_pays(chi.degree, nmax)
+        assert list(lefschetz._resultant_counts(chi, exponent, first)) == table[:first]
     with pytest.raises(CrossCheckError, match="paths disagree|norm of an integral element"):
-        fixed_point_table(spec, 5)
+        fixed_point_table(spec, nmax)
 
 
 def _monic(rng, degree, bound=3):
@@ -447,7 +456,15 @@ def _chi_samples():
     samples += [_monic(rng, degree) ** 2 for degree in (1, 2, 4, 8)]  # the quaternion shape
     samples += [phi[5] * _monic(rng, 3), phi[3] * phi[4] * phi[12] * _monic(rng, 4), phi[12] ** 2]
     samples.append(from_ints(-(10**6), 1) * _monic(rng, 3))  # one large root
-    return [(chi, 30) for chi in samples] + [(_monic(rng, 64, 2), 8)]
+    samples = [(chi, _past_the_recurrence(chi.degree)) for chi in samples] + [(_monic(rng, 64, 2), 8)]
+    # zero rows on the recurrence that are not a period
+    mixed = [from_ints(-2, 1) * phi[3], phi[4] * from_ints(-1, 1, 1)]
+    return samples + [(chi, _past_the_recurrence(chi.degree)) for chi in mixed]
+
+
+def _past_the_recurrence(m):
+    """30, or the first nmax from 30 on whose rows past 2^m come from the recurrence."""
+    return next((nmax for nmax in range(30, 200) if lefschetz._recurrence_pays(m, nmax)), 30)
 
 
 @pytest.mark.parametrize("index", range(len(_chi_samples())))
@@ -456,6 +473,30 @@ def test_resultant_counts_match_independent_oracles(index):
     for n, fix in enumerate(lefschetz._resultant_counts(chi, 1, nmax), 1):
         assert fix**2 == companion_oracle(chi, n), n
         assert fix == abs(qpoly.resultant(chi, ONE - X**n)), n
+
+
+def test_the_recurrence_is_taken_by_a_rule_on_m_and_nmax():
+    # (nmax - 2^m) (1.5 m^2 - 2^m) > 4^m / 2 products: only for m = 2..5,
+    # from these nmax on, and never for nmax <= 2^m
+    first = {m: next((n for n in range(1, 10**4) if lefschetz._recurrence_pays(m, n)), None) for m in range(1, 11)}
+    assert first == {1: None, 2: 9, 3: 14, 4: 33, 5: 126, 6: None, 7: None, 8: None, 9: None, 10: None}
+    assert all(lefschetz._recurrence_pays(m, ITERATE_CAP) for m in range(2, 6))
+    assert not any(lefschetz._recurrence_pays(m, ITERATE_CAP) for m in (1, *range(6, 65)))
+
+
+def test_resultant_counts_keep_no_power_sums_past_the_newton_rows():
+    # a root at 1000 gives s_k about 10 k bits: reading every row by Newton's
+    # identities keeps the power sums to s_(m nmax), about 44 MiB at this
+    # nmax, while the rows, which the path keeps for a period, take about 3 MB
+    chi = from_ints(-1000, 1) * from_ints(2, -1, 3, 1)
+    tracemalloc.start()
+    try:
+        for _ in lefschetz._resultant_counts(chi, 1, 2000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def hurwitz_spec():
@@ -483,13 +524,19 @@ def test_periodic_table_costs_one_period_on_each_path(monkeypatch, name):
     make, k = PERIODIC_SPECS[name]
     spec, nmax = make(), 10**4
     norms, newton = _spy(monkeypatch, "resultant_int"), _spy(monkeypatch, "newton_coefficients")
-    extensions = _spy(monkeypatch, "extend_power_sums")
+    extensions, repeats = _spy(monkeypatch, "extend_power_sums"), _spy(monkeypatch, "_repeat")
     table = fixed_point_table(spec, nmax)
-    # row k is 0 and read off the period, not computed
-    assert len(norms) == len(newton) == k - 1
+    # row k is 0 and read off the period on each path, which has computed
+    # rows 1..k-1: the norm path by k - 1 norms, the resultant path by
+    # Newton's identities up to row 2^m and by the recurrence after it, set
+    # up by one more Newton call of degree 2^m (zeta5: m = 4, k = 5 <= 16;
+    # the Hurwitz unit: m = 2, k = 6 > 4, so row 5 is on the recurrence)
+    m = spec.charpoly_q().degree
+    assert len(norms) == k - 1 and [args[0] for args in repeats] == [table[:k]] * 2
+    assert [args[1] for args in newton] == [m] * min(k - 1, 2**m) + [2**m] * (k - 1 > 2**m)
     # the power sums are extended in doubling blocks up to s_mk, which row k
     # reads, and not towards s_(m nmax): fewer than 2 m k of them, in blocks
-    m, sums = spec.charpoly_q().degree, extensions[-1][1]
+    sums = extensions[-1][1]
     assert m * k <= len(sums) - 1 < 2 * m * k
     assert len(extensions) <= k.bit_length()
     assert 0 not in table[: k - 1] and table[k - 1] == 0
@@ -519,10 +566,17 @@ def test_exponential_table_never_takes_the_period_shortcut(monkeypatch, index):
     norms, newton = _spy(monkeypatch, "resultant_int"), _spy(monkeypatch, "newton_coefficients")
     repeats, extensions = _spy(monkeypatch, "_repeat"), _spy(monkeypatch, "extend_power_sums")
     fixed_point_table(spec, 40)
-    assert len(norms) == len(newton) == 40 and not repeats
-    # all m nmax + 1 power sums, in doubling blocks: one call per block
+    assert len(norms) == 40 and not repeats
+    # Newton's identities read every row, or rows 1..2^m and set up the
+    # recurrence of the rest: m = 2, 3 and 4 take it at nmax 40, m = 6 does
+    # not, and a zero row, the only one that could start a period proof there,
+    # never comes
     m = spec.charpoly_q().degree
-    assert len(extensions[-1][1]) == m * 40 + 1 and len(extensions) == 6
+    last = {2: 4, 3: 8, 4: 16}.get(m, 40)
+    assert [args[1] for args in newton] == [m] * last + [2**m] * (last < 40)
+    # the m last + 1 power sums the Newton rows read, in doubling blocks: one
+    # call per block, none past them toward s_(m nmax)
+    assert len(extensions[-1][1]) == m * last + 1 and len(extensions) == (last - 1).bit_length()
 
 
 @pytest.mark.parametrize("path", ["_norm_counts", "_resultant_counts"])
