@@ -10,9 +10,10 @@ EndoscopeError: a bug).  Each command returns its exit code and its whole
 output, and main writes that once: if the reader has closed stdout (say
 "| head -1"), the rest is dropped, with no traceback and the same exit
 code.  Reports go to stdout as JSON unless --table,
-written by _dumps: one recursive writer of the bytes that json.dumps
-writes with indent=2, whose indented encoder is pure Python; it recurses only
-into containers and other scalars, and writes str and int values inline.
+written by _dumps: the bytes that json.dumps writes with indent=2, whose
+indented encoder is pure Python, collected as parts by one recursive writer
+and joined once; it recurses only into containers and other scalars, and
+writes str and int values inline.
 """
 
 from __future__ import annotations
@@ -97,42 +98,48 @@ def _dumps(obj, newline: str = "\n") -> str:
     """The bytes of json.dumps with indent=2, for objects with str keys:
     strings are escaped to ASCII, ints printed by int.__repr__, empty
     containers as [] and {}, and any other scalar by json.dumps.  newline is
-    a line break and the indent of the line obj ends on.  The str and int
-    values of a container are written inline, with no call of their own, and
-    the int rows of a fixpoints table (jobs.FixRows) from one row template,
-    _ROW_BLOCK rows to a string."""
+    a line break and the indent of the line obj ends on.  The parts of the
+    text are collected by _write and joined once, so a long table is copied
+    into the report once, not once for each container around it."""
+    parts = []
+    _write(obj, newline, parts)
+    return "".join(parts)
+
+
+def _write(obj, newline: str, parts: list) -> None:
+    """Append the text of obj to parts.  The str and int values of a
+    container are written inline, with no call of their own, and the int rows
+    of a fixpoints table (jobs.FixRows) from one row template, _ROW_BLOCK rows
+    to a string."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+        parts.append(encode_basestring_ascii(obj))
+    elif type(obj) is jobs.FixRows and obj:  # one template for every row, joined in blocks
         inner = newline + "  "
-        items = [
-            encode_basestring_ascii(k)
-            + ": "
-            + (encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _dumps(v, inner))
-            for k, v in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = newline + "  "
-        if type(obj) is jobs.FixRows:  # one template for every row, joined in blocks with the brackets
-            row, sep = "{" + inner + '  "n": %d,' + inner + '  "fix": "%s"' + inner + "}", "," + inner
-            parts = ["[" + inner]
-            for i in range(0, len(obj), _ROW_BLOCK):
-                parts += sep.join([row % (n, exact_decimal(fix)) for n, fix in enumerate(obj[i : i + _ROW_BLOCK], i + 1)]), sep
-            parts[-1] = newline + "]"  # in place of the separator after the last block
-            return "".join(parts)
-        items = [
-            encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _dumps(v, inner)
-            for v in obj
-        ]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return int.__repr__(obj)
-    return json.dumps(obj)
+        row, sep = "{" + inner + '  "n": %d,' + inner + '  "fix": "%s"' + inner + "}", "," + inner
+        parts.append("[" + inner)
+        for i in range(0, len(obj), _ROW_BLOCK):
+            parts += sep.join([row % (n, exact_decimal(fix)) for n, fix in enumerate(obj[i : i + _ROW_BLOCK], i + 1)]), sep
+        parts[-1] = newline + "]"  # in place of the separator after the last block
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        inner, is_dict = newline + "  ", isinstance(obj, dict)
+        sep = "{" if is_dict else "["
+        for k, v in obj.items() if is_dict else ((None, v) for v in obj):
+            head = sep + inner if k is None else sep + inner + encode_basestring_ascii(k) + ": "
+            if type(v) is str:
+                parts.append(head + encode_basestring_ascii(v))
+            elif type(v) is int:
+                parts.append(head + int.__repr__(v))
+            else:
+                parts.append(head)
+                _write(v, inner, parts)
+            sep = ","
+        parts.append(newline + ("}" if is_dict else "]"))
+    elif isinstance(obj, (dict, list, tuple)):
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        parts.append(int.__repr__(obj))
+    else:
+        parts.append(json.dumps(obj))
 
 
 def _error_report(kind: str, detail: str) -> str:

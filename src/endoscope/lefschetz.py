@@ -15,20 +15,30 @@ The resultant path reads only the monic reduced characteristic polynomial
 chi, of degree m: row n is |Res(chi, 1 - x^n)|^(2g/(d e)), the product of
 (1 - mu^n) over the roots mu of chi, read by Newton's identities off s_n,
 s_2n, ..., s_mn, the power sums of the mu^n, kept as s_0, s_1, ... from one
-recurrence and extended in doubling blocks.  The signed rows
-r_n = prod(1 - mu^n) form a Lehmer-Pierce sequence: a signed sum of the n-th
-powers of the 2^m products of subsets of the roots, so they follow the
-recurrence of order 2^m whose monic polynomial Q has those products as
-roots.  Q's power sums are P_j = prod(1 + mu^j), (-1)^m times the value at -1
-of the polynomial row j reads at 1.  Where a count of products says it pays
-(_recurrence_pays: about 4^m / 2 to set up, then 2^m a row against about
-1.5 m^2), Newton's identities read rows 1..2^m, one more Newton call of
-degree 2^m turns P_1..P_(2^m) into Q, and each later row is one dot product
-of Q with the last 2^m signed rows; the power sums then end at s_(m 2^m),
-else at s_(m nmax).  The paths share neither input nor exact kernel, so a
-fault on either side is a disagreement: a faulty product or determinant
-reaches the norms, a faulty chi, reduced norm (quaternion.reduced_norm_int,
-read by chi alone), Newton step or Q the resultant rows.
+recurrence and extended in doubling blocks.
+
+Both paths read later rows off a recurrence.  The signed rows
+a_n = N(1 - f^n) = prod(1 - mu^n), a_0 = 0, form a Lehmer-Pierce sequence:
+the sum over the subsets S of the roots of (-1)^|S| times the n-th power of
+the product of S, so they follow a linear recurrence of order L <= 2^m.  The
+resultant path builds the one of order 2^m whose monic polynomial Q has all
+2^m products as roots: Q's power sums are P_j = prod(1 + mu^j), (-1)^m times
+the value at -1 of the polynomial row j reads at 1, so one more Newton call
+of degree 2^m turns P_1..P_(2^m) into Q, and the power sums end at
+s_(m 2^m).  The norm path finds its own from its rows alone, so it still
+reads only the element: Massey's shift-register synthesis
+(qpoly.berlekamp_massey; IEEE Trans. Inf. Theory 15, 1969) recovers the
+shortest recurrence exactly from a_0..a_(2^(m+1)-1), as L <= 2^m.  An L past
+2^m, which the identity forbids, or a row that its constant term does not
+divide, is a CrossCheckError.  Each later row is one dot product with the
+last L rows, in a loop of each path's own.  Each path takes its recurrence
+where _recurrence_pays, one measured rule for both that weighs every product
+by the bits of its operands, says it costs less than reading the rows
+directly.  The paths share neither input nor exact kernel, so a fault on
+either side is a disagreement: a faulty product, determinant or
+Berlekamp-Massey reaches the norms, a faulty chi, reduced norm
+(quaternion.reduced_norm_int, read by chi alone), Newton step or Q the
+resultant rows.
 
 A periodic table costs one period on each path.  f has finite order k
 exactly when the table is periodic, and each path proves k on its own at
@@ -56,13 +66,14 @@ live in classify.
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from functools import partial
 from itertools import cycle, islice
 from math import gcd
 from operator import mul
 
 from .errors import CrossCheckError, DivisibilityViolation, NonIntegralElement, NotSimpleAlbertType, ValidationError
 from .numfield import CM, TOTALLY_REAL, NumberField, cm_structure
-from .qpoly import QPoly, binary_power, det_int_bareiss, multiplication_columns, newton_coefficients
+from .qpoly import QPoly, berlekamp_massey, binary_power, det_int_bareiss, multiplication_columns, newton_coefficients
 from .qpoly import extend_power_sums, over_common_denominator, power_sums, resultant_int
 from .quaternion import MIXED, TOTALLY_DEFINITE, QuatAlgebra, QuatElement, definiteness
 
@@ -205,7 +216,7 @@ def fixed_points_exact(spec: EndomorphismSpec, n: int) -> int:
     admissibility_check(spec)
     x = spec.algebra.one() - spec.element**n
     value = (x if spec.is_field_case else x.reduced_norm()).norm_q()
-    return _abs_integer(value.numerator, value.denominator, "norm of an integral element") ** spec.exponent()
+    return abs(_quotient(value.numerator, value.denominator, "norm of an integral element")) ** spec.exponent()
 
 
 def _norm_counts(spec: EndomorphismSpec, nmax: int):
@@ -218,16 +229,31 @@ def _norm_counts(spec: EndomorphismSpec, nmax: int):
     with w / s = 1 - f^n, or Nrd(1 - f^n) read off v by R / D_R.  At the
     first n where v and s are those of 1, the table has period n and the path
     repeats its own rows (_repeat).
+
+    Past row 2^(m+1) - 1, where _recurrence_pays, the rows come off the
+    recurrence of order L <= 2^m that Berlekamp-Massey reads from the signed
+    rows a_0 = 0, a_1, ..., a_(2^(m+1)-1) (_norm_recurrence).  A finite order
+    k comes first: the roots of chi are then k-th roots of unity, conjugate,
+    so phi(k) <= m, which keeps k below 2^(m+1).
     """
     matrix, den, read, read_den = _right_multiplication(spec)
     exponent = spec.exponent()
     field = spec.algebra if spec.is_field_case else spec.algebra.base
     m = field.minpoly
+    order = 1 << (spec.d * spec.e)  # 2^m for m = deg chi: the recurrence has order L <= 2^m
+    first = 2 * order - 1  # rows 1..first and a_0 give Berlekamp-Massey 2^(m+1) terms
     one = [1] + [0] * (len(matrix) - 1)
     if read:
         one[2 * field.degree] = 1  # P = Nrd(1)
-    v, s, rows = one, 1, []
-    for _ in range(nmax):
+    v, s, rows, signed = one, 1, [], [0]
+    for n in range(1, nmax + 1):
+        if n == first + 1:
+            bits, width = signed[-1].bit_length(), max(map(abs, v)).bit_length()
+            setup = partial(_berlekamp_massey_cost, order, bits)
+            direct = partial(_norm_row_cost, len(matrix), field.degree, width, bits)
+            if _recurrence_pays(order, first, nmax, bits, setup, direct):
+                yield from _norm_recurrence(signed, order, nmax - first, exponent)
+                return
         v = [sum(map(mul, row, v)) for row in matrix]
         s *= den
         g = gcd(s, *v)
@@ -241,8 +267,29 @@ def _norm_counts(spec: EndomorphismSpec, nmax: int):
         else:
             w, t = [-c for c in v], s
         w[0] += t
-        rows.append(_abs_integer(*resultant_int(m.num, m.den, w, t), "norm of an integral element") ** exponent)
+        value = _quotient(*resultant_int(m.num, m.den, w, t), "norm of an integral element")
+        if n <= first and first < nmax:
+            signed.append(value)
+        rows.append(abs(value) ** exponent)
         yield rows[-1]
+
+
+def _norm_recurrence(signed: list[int], order: int, count: int, exponent: int):
+    """The count rows past the signed rows a_0, a_1, ... of the norm path:
+    a_n = -(c_1 a_(n-1) + ... + c_L a_(n-L)) / c_0, exactly, for the
+    recurrence c_0 + c_1 x + ... + c_L x^L that Berlekamp-Massey reads from
+    them, which the identity bounds by L <= order."""
+    c = berlekamp_massey(signed)
+    if c is None or len(c) - 1 > order:
+        raise CrossCheckError(f"the norms follow no integer recurrence of order <= {order}")
+    lead, tail = c[0], c[:0:-1]  # c_0, and c_L, ..., c_1 against a_(n-L), ..., a_(n-1)
+    window = deque(signed, maxlen=len(tail))
+    for _ in range(count):
+        value, r = divmod(-sum(map(mul, tail, window)), lead)
+        if r:
+            raise CrossCheckError("a recurrence row of the norms is not an integer")
+        window.append(value)
+        yield abs(value) ** exponent
 
 
 def _repeat(rows: list[int], nmax: int):
@@ -296,23 +343,26 @@ def _lowest(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
     return [[c // g for c in row] for row in rows], den // g
 
 
-def _abs_integer(num: int, den: int, what: str) -> int:
-    """|num / den|, which must be an integer."""
+def _quotient(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer."""
     q, r = divmod(num, den)
     if r:
         raise CrossCheckError(f"{what} is not an integer")
-    return abs(q)
+    return q
 
 
 def fixed_point_table(spec: EndomorphismSpec, nmax: int) -> list[int]:
     """fix(f^1), ..., fix(f^nmax), every entry computed by two independent exact paths.
 
     The norm path steps its state of f^n by one integer matrix and reads only
-    the element; the resultant path reads every row off the power sums of
-    chi = spec.charpoly_q(), m nmax + 1 at most for m = deg chi, or off
-    their recurrence past row 2^m, and reads only chi.  Each path stops
-    computing at the period it proves, if any, and repeats its rows.  Any
-    disagreement, on any row, raises CrossCheckError.
+    the element, or past row 2^(m+1) - 1 reads the rows off the recurrence
+    of order <= 2^m that Berlekamp-Massey finds in its own signed rows, for
+    m = deg chi; the resultant path reads every row off the power sums of
+    chi = spec.charpoly_q(), m nmax + 1 at most, or off their recurrence of
+    order 2^m past row 2^m, and reads only chi.  Each takes its recurrence
+    where _recurrence_pays.  Each path stops computing at the period it
+    proves, if any, and repeats its rows.  Any disagreement, on any row,
+    raises CrossCheckError.
     """
     _check_iterate(nmax)
     admissibility_check(spec)
@@ -336,19 +386,30 @@ def _resultant_counts(chi: QPoly, exponent: int, nmax: int):
     every root: the table has period n and the path repeats its own rows
     (_repeat), with fewer than 2 m n sums computed.
 
-    Past row 2^m, where _recurrence_pays, the signed rows r_n, sums over the
-    subsets S of the roots of (-1)^|S| times the n-th power of their product,
-    follow the order-2^m recurrence of _recurrence_polynomial, one dot
-    product a row, and the power sums end at s_(m 2^m).  A row there starts
-    the period proof only when it is 0, as mu^n = 1 for every root makes it.
+    Past row 2^m, where _recurrence_pays at row 2^m + 1, the signed rows
+    r_n, sums over the subsets S of the roots of (-1)^|S| times the n-th
+    power of their product, follow the order-2^m recurrence of
+    _recurrence_polynomial, one dot product a row, and the power sums end at
+    s_(m 2^m).  A row there starts the period proof only when it is 0, as
+    mu^n = 1 for every root makes it.
     """
     m = chi.degree
     order = 1 << m
-    last = order if _recurrence_pays(m, nmax) else nmax  # the last row read by Newton's identities
+    last = min(order, nmax)  # the last row read by Newton's identities, past 2^m where the recurrence does not pay
     s = power_sums(chi, m)
-    rows, sums = [], []
-    signed = deque(maxlen=order) if last < nmax else None  # the last 2^m signed rows
+    rows, polys, signed = [], [], deque(maxlen=last)  # the polynomials of rows 1..2^m, and the last 2^m signed rows
     for n in range(1, nmax + 1):
+        if n == last + 1:
+            bits = value.numerator.bit_length()
+            setup = partial(_newton_setup_cost, order, bits)
+            direct = partial(_newton_row_cost, m, s[m * order].numerator.bit_length())
+            if _recurrence_pays(order, order, nmax, bits, setup, direct):
+                # P_j, the product of (1 + mu^j): (-1)^m times the value at -1, 2 (c_0 + c_2 + ...) - r_j
+                sign = -1 if m % 2 else 1
+                q = _recurrence_polynomial([sign * (2 * sum(c[::2]) - r) for c, r in zip(polys, signed)])
+            else:
+                last = nmax
+            polys.clear()
         if n <= last:
             if len(s) <= m * n:
                 extend_power_sums(chi, s, min(2 * (len(s) - 1), m * last))
@@ -359,17 +420,14 @@ def _resultant_counts(chi: QPoly, exponent: int, nmax: int):
             value = sum(c)
             if last < nmax:
                 signed.append(value)
-                # (-1)^m times the value at -1: P_n, the product of (1 + mu^n)
-                sums.append(sum(c[m % 2 :: 2]) - sum(c[1 - m % 2 :: 2]))
+                polys.append(c)
         else:
-            if n == order + 1:
-                q = _recurrence_polynomial(sums)
             value = -sum(map(mul, q, signed))
             signed.append(value)
             if value == 0 and _proves_period(extend_power_sums(chi, s, m * n), m, n):
                 yield from _repeat(rows, nmax)
                 return
-        rows.append(_abs_integer(value.numerator, value.denominator, "Res(chi, 1 - x^n)") ** exponent)
+        rows.append(abs(_quotient(value.numerator, value.denominator, "Res(chi, 1 - x^n)")) ** exponent)
         yield rows[-1]
 
 
@@ -378,14 +436,86 @@ def _proves_period(s: list, m: int, n: int) -> bool:
     return s[n] == m and all(t == m for t in s[2 * n : m * n + 1 : n])
 
 
-def _recurrence_pays(m: int, nmax: int) -> bool:
-    """Whether rows 2^m + 1..nmax cost less on the recurrence than on Newton's
-    identities, counted in products: its setup, Newton's identities on 2^m
-    sums, is about 4^m / 2 of them, and then a row costs 2^m against about
-    1.5 m^2: m power sums of m products each, and Newton's identities on m
-    sums.  That pays only for m = 2..5, from nmax = 9, 14, 33 and 126 on."""
-    order = 1 << m
-    return nmax > order and (nmax - order) * (3 * m * m - 2 * order) > order * order
+# Measured costs in nanoseconds (CPython 3.11 on x86-64) behind _recurrence_pays:
+# a product's dispatch, and then each product of two 30-bit digits; the fixed
+# costs of a row on each reading and of each recurrence's setup; and the
+# steps of Berlekamp-Massey's loops modulo one prime, per (2^m)^2
+_DISPATCH, _DIGIT = 160, 1.2
+_FIXED_COST = {"norm": 8000, "resultant": 5000, "recurrence": 2500, "newton": 5000, "berlekamp-massey": 50000}
+_BM_STEPS = 500
+
+
+def _product_cost(a: float, b: float) -> float:
+    """The cost of a product of an a-bit by a b-bit int: schoolbook on their
+    30-bit digits, or Karatsuba once both have 70 of them."""
+    x, y = 1 + a / 30, 1 + b / 30
+    if x > y:
+        x, y = y, x
+    return _DISPATCH + _DIGIT * (x * y if x < 70 else y / x * 4900 * (x / 70) ** 1.585)
+
+
+def _recurrence_pays(order: int, first: int, nmax: int, bits: int, setup, direct) -> bool:
+    """Whether rows first + 1..nmax cost less off a recurrence of order at
+    most `order`, set up from rows 1..first, than read directly, every product
+    weighed by the bits of its operands (_product_cost).
+
+    The signed row at first has `bits` bits, and every operand grows in
+    proportion to n.  The recurrence's coefficients are taken at half the
+    bound 2^m + 2^(m-1) log2 M(chi) on their bits, log2 M(chi) being the
+    rows' growth in bits a row, as measured on random chi of degree 2 to 10; a
+    row off it costs 2^m products of a coefficient by a row.  setup(coef) is
+    the one-off cost of the recurrence, and direct(scale) the cost of a row
+    read directly whose operands have scale times their bits at row first.
+    Each row is weighed as the mean row, exact for the recurrence, linear in
+    n, and an undercount of direct rows, whose products of two operands of a
+    row's size grow as n^2.
+    """
+    if nmax <= first:
+        return False
+    coef, scale = order * (1 + bits / first / 2) / 2, (first + 1 + nmax) / (2 * first)
+    recurrence = _FIXED_COST["recurrence"] + order * _product_cost(coef, bits * scale)
+    return setup(coef) + (nmax - first) * recurrence < (nmax - first) * direct(scale)
+
+
+def _newton_setup_cost(order: int, bits: int, coef: float) -> float:
+    """Q from P_1..P_order by Newton's identities: order^2 / 2 products of
+    the coefficients built so far, coef / 2 bits on average, by a P_j, bits
+    / 2 bits on average as P_j grows with j like row j."""
+    return _FIXED_COST["newton"] + order * order / 2 * _product_cost(coef / 2, bits / 2)
+
+
+def _berlekamp_massey_cost(order: int, bits: int, coef: float) -> float:
+    """Berlekamp-Massey on 2 order terms of at most `bits` bits: its loops
+    modulo each prime, as many 29-bit primes as reach 20 bits past the
+    coefficients, then order^2 products of a coefficient by a term to prove
+    the candidate."""
+    primes = 1 + (coef + 20) // 29
+    return _FIXED_COST["berlekamp-massey"] + order * order * (primes * _BM_STEPS + _product_cost(coef, bits))
+
+
+def _newton_row_cost(m: int, sums_bits: int, scale: float) -> float:
+    """A row read by Newton's identities off power sums of scale * sums_bits
+    bits at most: m new power sums of m products and a division each, and the
+    products e_(k-i) s_(in), 1 <= i < k <= m, with their sums, at two
+    products each; the pairs average (k - i) i / m^2 = 1/12 of the square of
+    the sums' bits."""
+    size = sums_bits * scale
+    pairs = m * (m - 1) * _product_cost(size / 12**0.5, size / 12**0.5)
+    return _FIXED_COST["resultant"] + m * (m + 1) * _product_cost(0, size) + pairs
+
+
+def _norm_row_cost(dim: int, e: int, width: int, bits: int, scale: float) -> float:
+    """A row read by the norm path off a state of dim integers of width bits
+    at most, whose norm has `bits` bits, both times scale: the step and the
+    reading, small entries times the state, then Bareiss on the e x e matrix
+    of multiplication by 1 - f^n, whose k-th step takes two products and a
+    division of k x k minors on (e - k)^2 entries.  A minor is taken at k
+    times the state's bits, short of the norm's, with k at its root mean
+    square over the entries."""
+    steps = (e - 1) * e * (2 * e - 1) / 6
+    minor = min(((e + 1) * (e * e + 1) / (5 * (2 * e - 1))) ** 0.5 * width, bits) * scale
+    small = (dim * dim + e * dim + e * e) * _product_cost(0, width * scale)
+    return _FIXED_COST["norm"] + small + steps * (2 * _product_cost(minor, minor) + _product_cost(minor, 2 * minor))
 
 
 def _recurrence_polynomial(sums: list) -> list:

@@ -9,7 +9,8 @@ modular gcd, whose Z/p kernel factorq shares): one prime proves a squarefree
 polynomial so.  This module also carries integer determinants (Bareiss),
 resultants, Newton power sums, extensible in blocks, and their inverse (the
 kernel of norms, traces, characteristic polynomials, composed products and
-powers in the higher layers), the cyclotomic-order test, and the exact
+powers in the higher layers), Massey's shift-register synthesis of integer
+linear recurrences on the same primes, the cyclotomic-order test, and the exact
 real-root kernel: Sturm sequences count
 real roots in an interval and read the sign of one polynomial at the real
 roots of another, so every real-root decision of the higher layers (unit
@@ -24,6 +25,7 @@ import re
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import gcd, inf, isinf, lcm, prod
+from operator import mul
 
 from .errors import NonSquarefreeInput, ValidationError
 
@@ -694,6 +696,74 @@ def from_power_sums(s, n: int) -> QPoly:
     """The monic polynomial of degree n whose rational power sums are s[1..n];
     the inverse of power_sums."""
     return QPoly(newton_coefficients(s, n))
+
+
+def berlekamp_massey(seq: list[int]) -> list[int] | None:
+    """[1, c_1, ..., c_L]: the shortest linear recurrence a_n + c_1 a_(n-1) +
+    ... + c_L a_(n-L) = 0, n = L, ..., len(seq) - 1, of the integers seq =
+    a_0, a_1, ..., where it has integer coefficients and L <= len(seq) / 2,
+    which makes it unique; else None.
+
+    Massey's shift-register synthesis (IEEE Trans. Inf. Theory 15, 1969) runs
+    modulo the primes of the modular gcd.  Modulo a prime p it finds the
+    reduction of an integer answer, or a shorter recurrence when p is
+    unlucky, so the images of the greatest L are combined by the Chinese
+    remainder theorem, as in _gcd_z, and the candidate, the symmetric
+    residues, is tried once its coefficients are 20 bits below the modulus
+    and proved by annihilating seq exactly.  By Cramer's rule an integer
+    answer is at most a minor of the L x L system it solves, and a modulus
+    past Hadamard's bound on those minors for L = len(seq) / 2 ends the
+    search.
+    """
+    half, bits = len(seq) // 2, max((a.bit_length() for a in seq), default=0)
+    length, image, modulus, i = -1, [], 1, 0
+    while True:
+        if i == len(_GCD_PRIMES):
+            _GCD_PRIMES.append(_next_prime(_GCD_PRIMES[-1]))
+        p, i = _GCD_PRIMES[i], i + 1
+        cp = _berlekamp_massey_mod([a % p for a in seq], p)
+        if len(cp) - 1 > half:
+            return None
+        if len(cp) - 1 < length:
+            continue
+        if len(cp) - 1 > length:
+            length, image, modulus = len(cp) - 1, cp, p
+        else:
+            inv = pow(modulus, -1, p)
+            image = [x + modulus * ((y - x) * inv % p) for x, y in zip(image, cp)]
+            modulus *= p
+        top = modulus // 2
+        candidate = [x - modulus if x > top else x for x in image]
+        if max(map(abs, candidate)).bit_length() + 20 < modulus.bit_length() and not any(
+            sum(map(mul, candidate, reversed(seq[n - length : n + 1]))) for n in range(length, len(seq))
+        ):
+            return candidate
+        if modulus.bit_length() > half * (bits + half.bit_length()) + 22:
+            return None
+
+
+def _berlekamp_massey_mod(seq: list[int], p: int) -> list[int]:
+    """Massey's synthesis over Z/p: [1, c_1, ..., c_L], residues mod p, for
+    the shortest recurrence of seq, whose entries are residues mod p.  Where
+    the current C has discrepancy d at n, and B, the C before the last change
+    of L, had discrepancy b, C <- C - (d / b) x^k B, k the steps since."""
+    c, prev, length, k, b_inv = [1], [1], 0, 1, 1
+    for n in range(len(seq)):
+        d = sum(map(mul, c, reversed(seq[n - length : n + 1]))) % p
+        if not d:
+            k += 1
+            continue
+        grown = max(length, n + 1 - length)
+        new = c + [0] * (grown + 1 - len(c))
+        f = d * b_inv % p
+        for i, y in enumerate(prev, k):
+            new[i] = (new[i] - f * y) % p
+        if grown > length:
+            prev, b_inv, length, k = c, pow(d, -1, p), grown, 1
+        else:
+            k += 1
+        c = new
+    return c
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -919,6 +919,8 @@ JOBS = Path(__file__).parent / "jobs"
     ("readme-2000.json", ["readme.json", "--nmax", "2000"]),
     ("readme-2000.txt", ["readme.json", "--nmax", "2000", "--table"]),
     ("zeta7-table.json", ["zeta7-table.json"]),
+    ("sqrt2-table.json", ["sqrt2-table.json"]),
+    ("cubic-table.json", ["cubic-table.json"]),
 ])
 def test_recorded_reports_are_byte_identical(report, argv):
     # the digests in tests/jobs/reports.sha256, which CI also checks; the

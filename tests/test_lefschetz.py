@@ -4,12 +4,14 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
-from endoscope import cli, jobs, lefschetz, qpoly, quaternion
+from endoscope import cli, factorq, jobs, lefschetz, qpoly, quaternion
 from endoscope.classify import classify_growth, entropy, is_salem_polynomial, rational_eigenvalues
 from endoscope.errors import CrossCheckError, DivisibilityViolation, EndoscopeError, NonIntegralElement
 from endoscope.errors import ValidationError
@@ -410,24 +412,29 @@ KERNEL_FAULTS = {
     # twice the reduced norm, which only chi reads: the sqrt13 quaternion's
     # Nrd(f) = 1 reads as 2, and its chi stays integral
     "reduced_norm_int": (quaternion, lambda rt: ([2 * c for c in rt[0]], rt[1]), "norm", 5),
-    # the recurrence of the rows past 2^m, which 40 rows reach for m = 2 and 4
+    # the recurrence of the resultant path's rows past 2^m, which it takes at
+    # 40 rows for m = 2 and 4
     "_recurrence_polynomial": (lefschetz, lambda q: [q[0] + 1] + q[1:], "norm", 40),
+    # the recurrence of the norm path's rows past 2^(m+1) - 1, which it takes
+    # at 80 rows for m = 2 and 4
+    "berlekamp_massey": (qpoly, lambda c: [c[0], c[1] + 1, *c[2:]], "resultant", 80),
 }
 
 
 @pytest.mark.parametrize(
     "index, kernel",  # 0 is 1+sqrt2, 3 the sqrt13 quaternion
-    [(0, "det_int_bareiss"), (0, "newton_coefficients"), (0, "_recurrence_polynomial")]
+    [(0, "det_int_bareiss"), (0, "newton_coefficients"), (0, "_recurrence_polynomial"), (0, "berlekamp_massey")]
     + [(3, kernel) for kernel in sorted(KERNEL_FAULTS)],
 )
 def test_table_paths_share_no_exact_kernel(monkeypatch, kernel, index):
-    # determinants serve only the norms; Newton's identities, the rows'
-    # recurrence and reduced norms only chi and its power sums: a faulty kernel
-    # leaves the other path's rows as they were
+    # determinants and Berlekamp-Massey serve only the norms; Newton's
+    # identities, the resultant rows' recurrence and reduced norms only chi and
+    # its power sums: a faulty kernel leaves the other path's rows as they were
     spec = table_specs()[index]
     lefschetz.admissibility_check(spec)  # builds and caches chi and the Albert type
     chi, exponent = spec.charpoly_q(), spec.exponent()
     home, fault, honest_path, nmax = KERNEL_FAULTS[kernel]
+    calls = _rule_calls(lambda: fixed_point_table(spec, nmax))
     table = fixed_point_table(spec, nmax)
     _break_every_copy(monkeypatch, home, kernel, fault)
     if kernel == "reduced_norm_int":  # chi reads it when it is built, so build the spec again
@@ -436,10 +443,13 @@ def test_table_paths_share_no_exact_kernel(monkeypatch, kernel, index):
         assert list(lefschetz._norm_counts(spec, nmax)) == table
     else:
         assert list(lefschetz._resultant_counts(chi, exponent, nmax)) == table
-    if kernel == "_recurrence_polynomial":  # rows 1..2^m come from Newton's identities
-        first = 2**chi.degree
-        assert lefschetz._recurrence_pays(chi.degree, nmax)
-        assert list(lefschetz._resultant_counts(chi, exponent, first)) == table[:first]
+    if kernel in ("_recurrence_polynomial", "berlekamp_massey"):
+        # the table takes the recurrence, past the rows it is set up from
+        norm = kernel == "berlekamp_massey"
+        first = 2 ** (chi.degree + 1) - 1 if norm else 2**chi.degree
+        assert [args[1] for args in calls if lefschetz._recurrence_pays(*args)].count(first) == 1
+        rows = lefschetz._norm_counts(spec, first) if norm else lefschetz._resultant_counts(chi, exponent, first)
+        assert list(rows) == table[:first]
     with pytest.raises(CrossCheckError, match="paths disagree|norm of an integral element"):
         fixed_point_table(spec, nmax)
 
@@ -456,15 +466,32 @@ def _chi_samples():
     samples += [_monic(rng, degree) ** 2 for degree in (1, 2, 4, 8)]  # the quaternion shape
     samples += [phi[5] * _monic(rng, 3), phi[3] * phi[4] * phi[12] * _monic(rng, 4), phi[12] ** 2]
     samples.append(from_ints(-(10**6), 1) * _monic(rng, 3))  # one large root
-    samples = [(chi, _past_the_recurrence(chi.degree)) for chi in samples] + [(_monic(rng, 64, 2), 8)]
+    samples = [(chi, _past_the_recurrence(chi)) for chi in samples] + [(_monic(rng, 64, 2), 8)]
     # zero rows on the recurrence that are not a period
     mixed = [from_ints(-2, 1) * phi[3], phi[4] * from_ints(-1, 1, 1)]
-    return samples + [(chi, _past_the_recurrence(chi.degree)) for chi in mixed]
+    return samples + [(chi, _past_the_recurrence(chi)) for chi in mixed]
 
 
-def _past_the_recurrence(m):
-    """30, or the first nmax from 30 on whose rows past 2^m come from the recurrence."""
-    return next((nmax for nmax in range(30, 200) if lefschetz._recurrence_pays(m, nmax)), 30)
+def _rule_calls(run):
+    """The arguments of each call of lefschetz._recurrence_pays while run() runs."""
+    calls, honest = [], lefschetz._recurrence_pays
+    lefschetz._recurrence_pays = lambda *args: calls.append(args) or honest(*args)
+    try:
+        run()
+    finally:
+        lefschetz._recurrence_pays = honest
+    return calls
+
+
+def _past_the_recurrence(chi):
+    """30, or the first nmax from 30 on whose rows past 2^m the resultant path
+    reads off the recurrence: the rule's inputs at row 2^m do not depend on nmax."""
+    order = 1 << chi.degree
+    if order >= 199:
+        return 30
+    calls = _rule_calls(lambda: list(islice(lefschetz._resultant_counts(chi, 1, 199), order + 1)))
+    rule = lefschetz._recurrence_pays
+    return next((nmax for nmax in range(30, 200) if calls and rule(*calls[0][:2], nmax, *calls[0][3:])), 30)
 
 
 @pytest.mark.parametrize("index", range(len(_chi_samples())))
@@ -475,13 +502,49 @@ def test_resultant_counts_match_independent_oracles(index):
         assert fix == abs(qpoly.resultant(chi, ONE - X**n)), n
 
 
-def test_the_recurrence_is_taken_by_a_rule_on_m_and_nmax():
-    # (nmax - 2^m) (1.5 m^2 - 2^m) > 4^m / 2 products: only for m = 2..5,
-    # from these nmax on, and never for nmax <= 2^m
-    first = {m: next((n for n in range(1, 10**4) if lefschetz._recurrence_pays(m, n)), None) for m in range(1, 11)}
-    assert first == {1: None, 2: 9, 3: 14, 4: 33, 5: 126, 6: None, 7: None, 8: None, 9: None, 10: None}
-    assert all(lefschetz._recurrence_pays(m, ITERATE_CAP) for m in range(2, 6))
-    assert not any(lefschetz._recurrence_pays(m, ITERATE_CAP) for m in (1, *range(6, 65)))
+def _random_chi(m):
+    """An irreducible monic integer polynomial of degree m, coefficients in
+    [-3, 3] drawn by random.Random(3900 + m), and a nonzero constant term."""
+    rng = random.Random(3900 + m)
+    while True:
+        chi = _monic(rng, m)
+        if chi.num[0] and factorq.is_irreducible(chi):
+            return chi
+
+
+def _grid_verdicts(path, m):
+    """The rule's verdicts on one path for x in Q[x]/(_random_chi(m)), at
+    nmax one past the rows its recurrence is set up from, twice those rows,
+    and 2000: the rule's inputs at its row do not depend on nmax."""
+    chi = _random_chi(m)
+    if path == "norm":
+        field = NumberField(chi)
+        first, rows = 2 ** (m + 1) - 1, lefschetz._norm_counts(EndomorphismSpec(field, field.element([0, 1]), m), 10**4)
+    else:
+        first, rows = 2**m, lefschetz._resultant_counts(chi, 1, 10**4)
+    (args,) = _rule_calls(lambda: list(islice(rows, first + 1)))
+    assert args[1] == first
+    return [lefschetz._recurrence_pays(args[0], first, nmax, *args[3:]) for nmax in (first + 1, 2 * first, 2000)]
+
+
+def test_the_recurrence_is_taken_by_a_rule_on_the_bits_of_its_products():
+    # never before a row past those it is set up from, whatever the costs
+    assert not lefschetz._recurrence_pays(4, 7, 7, 10, lambda coef: 0, lambda scale: 10**9)
+    # the random chi of degree m: one row never pays for a setup; from m = 6
+    # on a count of products would never take either recurrence, but weighed
+    # by their bits it pays on both paths at 2000 rows up to m = 8, and not
+    # for m = 9 and 10, whose resultant recurrence has 2^m coefficients of
+    # about a third of the bits of row 2^m
+    resultant = {m: _grid_verdicts("resultant", m) for m in range(2, 11)}
+    assert resultant == {
+        **{m: [False, True, True] for m in (2, 3, 4, 5, 8)},
+        6: [False, False, True],
+        7: [False, False, True],
+        9: [False, False, False],
+        10: [False, False, False],
+    }
+    norm = {m: _grid_verdicts("norm", m) for m in range(2, 9)}
+    assert norm == {**{m: [False, True, True] for m in (3, 4, 5, 8)}, **{m: [False, False, True] for m in (2, 6, 7)}}
 
 
 def test_resultant_counts_keep_no_power_sums_past_the_newton_rows():
@@ -566,17 +629,74 @@ def test_exponential_table_never_takes_the_period_shortcut(monkeypatch, index):
     norms, newton = _spy(monkeypatch, "resultant_int"), _spy(monkeypatch, "newton_coefficients")
     repeats, extensions = _spy(monkeypatch, "_repeat"), _spy(monkeypatch, "extend_power_sums")
     fixed_point_table(spec, 40)
-    assert len(norms) == 40 and not repeats
+    m = spec.charpoly_q().degree
+    # the norm path reads every row by a norm, or rows 1..2^(m+1) - 1 and the
+    # rest off their recurrence: m = 2 and 3 take it at nmax 40, m = 4 and 6
+    # do not
+    assert len(norms) == {2: 7, 3: 15}.get(m, 40) and not repeats
     # Newton's identities read every row, or rows 1..2^m and set up the
     # recurrence of the rest: m = 2, 3 and 4 take it at nmax 40, m = 6 does
     # not, and a zero row, the only one that could start a period proof there,
     # never comes
-    m = spec.charpoly_q().degree
     last = {2: 4, 3: 8, 4: 16}.get(m, 40)
     assert [args[1] for args in newton] == [m] * last + [2**m] * (last < 40)
     # the m last + 1 power sums the Newton rows read, in doubling blocks: one
     # call per block, none past them toward s_(m nmax)
     assert len(extensions[-1][1]) == m * last + 1 and len(extensions) == (last - 1).bit_length()
+
+
+def _signed_norms(spec, count):
+    """N(1 - f^n) for n = 0..count, by the single-n arithmetic of fixed_points_exact."""
+    one, power, signed = spec.algebra.one(), spec.algebra.one(), [0]
+    for _ in range(count):
+        power = power * spec.element
+        x = one - power
+        value = (x if spec.is_field_case else x.reduced_norm()).norm_q()
+        assert value.denominator == 1
+        signed.append(value.numerator)
+    return signed
+
+
+@pytest.mark.parametrize("index", range(len(table_specs())))
+def test_the_norm_recurrence_divides_the_resultant_recurrence(index):
+    # N(1 - f^n) is a sum over the subsets S of the m roots of chi of
+    # (-1)^|S| times the n-th power of their product: Berlekamp-Massey on
+    # a_0..a_(2^(m+1)-1) returns prod(1 - b x) over the products b whose
+    # terms survive, so its reverse divides Q, whose roots are all 2^m of them
+    spec = table_specs()[index]
+    chi = spec.charpoly_q()
+    order = 2**chi.degree
+    c = qpoly.berlekamp_massey(_signed_norms(spec, 2 * order - 1))
+    q = lefschetz._recurrence_polynomial([qpoly.resultant(chi, ONE + X**j) for j in range(1, order + 1)])
+    assert c[0] == 1 and len(c) - 1 <= order
+    assert (QPoly([*q, 1]) % QPoly(c[::-1])).is_zero
+
+
+@pytest.mark.parametrize("index, nmax", [(0, 40), (3, 80)])  # 1+sqrt2 (m = 2), the sqrt13 quaternion (m = 4)
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda c: [c[0], c[1] + 1, *c[2:]],  # a wrong coefficient
+        lambda c: [2 * c[0], *c[1:]],  # c_0 = 2: a row that does not divide, or a wrong one
+        lambda c: c + [0] * 16,  # L past 2^m
+    ],
+    ids=["coefficient", "lead", "order"],
+)
+def test_a_faulty_norm_recurrence_is_caught_at_its_first_row(monkeypatch, fault, index, nmax):
+    # the norm path's rows 1..2^(m+1) - 1 are read by norms, and the first row
+    # off a faulty recurrence raises CrossCheckError or disagrees
+    spec = table_specs()[index]
+    chi, exponent = spec.charpoly_q(), spec.exponent()
+    first = 2 ** (chi.degree + 1) - 1
+    honest = lefschetz.berlekamp_massey
+    monkeypatch.setattr(lefschetz, "berlekamp_massey", lambda seq: fault(honest(seq)))
+    rows = []
+    with pytest.raises(CrossCheckError):
+        for exact, via in zip(lefschetz._norm_counts(spec, nmax), lefschetz._resultant_counts(chi, exponent, nmax)):
+            if exact != via:
+                raise CrossCheckError(f"paths disagree at n={len(rows) + 1}")
+            rows.append(exact)
+    assert len(rows) == first
 
 
 @pytest.mark.parametrize("path", ["_norm_counts", "_resultant_counts"])
@@ -649,6 +769,23 @@ def test_tables_satisfy_dold_congruences_and_their_period(spec):
     k = classify_growth(spec).period
     if k is not None:
         assert table == [table[math.gcd(n, k) - 1] for n in range(1, nmax + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(albert_specs())
+@example(sqrt13_salem_spec())
+def test_norm_rows_off_the_recurrence_are_the_exact_counts(spec):
+    # with the rule taking the norm path's recurrence wherever a row lies
+    # past it, rows 2^(m+1)..2^(m+1) + 5 come off it, or off the period that
+    # the path proves before, and each is the single-n count
+    first = 2 ** (spec.charpoly_q().degree + 1) - 1
+    takes = patch.object(lefschetz, "_recurrence_pays", lambda order, first, nmax, *costs: nmax > first)
+    bm = patch.object(lefschetz, "berlekamp_massey", wraps=lefschetz.berlekamp_massey)
+    repeat = patch.object(lefschetz, "_repeat", wraps=lefschetz._repeat)
+    with takes, bm as bm_calls, repeat as repeat_calls:
+        rows = list(lefschetz._norm_counts(spec, first + 6))
+    assert bm_calls.call_count + repeat_calls.call_count == 1
+    assert rows == [fixed_points_exact(spec, n) for n in range(1, first + 7)]
 
 
 def _growth_ratio_and_bounds(spec, n, value):

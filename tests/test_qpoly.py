@@ -376,3 +376,44 @@ def test_iteration_ends_at_the_degree():
     assert list(QPoly()) == []
     assert QPoly(p) == p
     assert 3 in p and 5 not in p
+
+
+def _product_of_one_minus(bases):
+    """The coefficients of prod(1 - b x) over bases, constant term first."""
+    c = [1]
+    for b in bases:
+        c = [x - b * y for x, y in zip(c + [0], [0] + c)]
+    return c
+
+
+@given(st.integers(1, 3), st.data())
+@example(2, None)
+def test_berlekamp_massey_finds_the_bases_that_survive(m, data):
+    # a_n = sum of c_b b^n over at most 2^m (b, c_b), n < 2^(m+1): bases may
+    # repeat and their coefficients add up, to 0 for some, so L = the number
+    # of bases left may fall short of 2^m; the recurrence is prod(1 - b x) over them
+    if data is None:  # 1 + 2 2^n - 2 2^n: the base 2 cancels, L = 1 < 4
+        terms = [(1, 1), (2, 2), (2, -2)]
+    else:
+        terms = data.draw(st.lists(st.tuples(st.integers(-6, 6).filter(bool), st.integers(-3, 3)), max_size=2**m))
+    total = {}
+    for b, c in terms:
+        total[b] = total.get(b, 0) + c
+    seq = [sum(c * b**n for b, c in total.items()) for n in range(2 ** (m + 1))]
+    assert qpoly.berlekamp_massey(seq) == _product_of_one_minus(b for b, c in total.items() if c)
+
+
+def test_berlekamp_massey_drops_an_unlucky_prime():
+    # a_n = (1 + p)^n - 1 for the first prime p vanishes modulo p, where the
+    # shortest recurrence has L = 0; the next prime finds L = 2, and its
+    # image alone is the answer, (1 - x)(1 - (1 + p) x)
+    p = qpoly._GCD_PRIMES[0]
+    seq = [(1 + p) ** n - 1 for n in range(6)]
+    assert qpoly.berlekamp_massey(seq) == _product_of_one_minus([1, 1 + p])
+
+
+def test_berlekamp_massey_answers_none_past_half_the_terms_or_off_the_integers():
+    assert qpoly.berlekamp_massey([0, 0, 0, 1]) is None  # L = 4 > 4 / 2
+    assert qpoly.berlekamp_massey([2, 1, 1]) is None  # a_n = a_(n-1) / 2
+    assert qpoly.berlekamp_massey([2 * 3**n for n in range(6)]) == [1, -3]
+    assert qpoly.berlekamp_massey([0] * 6) == [1]
